@@ -1,8 +1,7 @@
 """Multi-object tracking with a motion-dynamics weighted Kalman filter."""
 
 from .config import RunConfig, load_config, save_config
-from .dynamics import (DynamicsWindow, dynamics_vector, smooth_weights,
-                       update_weights, weight_matrix)
+from .dynamics import DynamicsWindow, dynamics_vector, update_weights
 from .filtering import (Measurement, NoiseModel, StateEstimate,
                         TransitionModel, build_noise, build_transition,
                         measurement_matrix, post_measurement, predict, update)
@@ -16,8 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RunConfig", "load_config", "save_config",
-    "DynamicsWindow", "dynamics_vector", "smooth_weights", "update_weights",
-    "weight_matrix",
+    "DynamicsWindow", "dynamics_vector", "update_weights",
     "Measurement", "NoiseModel", "StateEstimate", "TransitionModel",
     "build_noise", "build_transition", "measurement_matrix",
     "post_measurement", "predict", "update",

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -16,24 +17,20 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-_OVERRIDE_KEYS = [
-    ("model_order", int), ("transition_window", int), ("smoothing_window", int),
-    ("factor_velocity", float), ("factor_acceleration", float),
-    ("factor_jerk", float), ("process_noise", float),
-    ("measurement_noise", float), ("gate_distance", float),
-    ("min_hits", int), ("max_misses", int), ("dt", float), ("seed", int),
-    ("cold_start_mode", str), ("noise_term_strategy", str),
-]
+# Argument parser for each non-boolean config key type; booleans take true/false.
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", default=None,
                         help="config file (default: $%s)" % cfg_mod.CONFIG_ENV_VAR)
-    for key, typ in _OVERRIDE_KEYS:
-        parser.add_argument("--" + key.replace("_", "-"), type=typ,
-                            default=None, dest=key)
-    parser.add_argument("--dynamics-enabled", choices=["true", "false"],
-                        default=None, dest="dynamics_enabled")
+    # Boolean flags last, the order `--help` has always listed them in.
+    for key, kind in sorted(cfg_mod.FIELD_TYPES.items(),
+                            key=lambda item: item[1] == "bool"):
+        parsing = ({"choices": ["true", "false"]} if kind == "bool"
+                   else {"type": _FLAG_TYPES[kind]})
+        parser.add_argument("--" + key.replace("_", "-"), default=None,
+                            dest=key, **parsing)
 
 
 def _resolve_config(args) -> cfg_mod.RunConfig:
@@ -44,8 +41,7 @@ def _resolve_config(args) -> cfg_mod.RunConfig:
         cfg = cfg_mod.load_config(path)
     else:
         cfg = cfg_mod.RunConfig()
-    overrides = {key: getattr(args, key) for key, _ in _OVERRIDE_KEYS}
-    overrides["dynamics_enabled"] = args.dynamics_enabled
+    overrides = {key: getattr(args, key) for key in cfg_mod.FIELD_TYPES}
     return cfg_mod.merge_overrides(cfg, overrides)
 
 
@@ -76,8 +72,7 @@ def _track_one(det_path: Path, cfg: cfg_mod.RunConfig, out_dir: Path):
     kitti_io.write_tracks(per_frame, out_dir / "tracks" / f"{ds.sequence_id}.txt")
     kitti_io.export_trajectory_csv(
         tracker.trajectory, out_dir / "trajectories" / f"{ds.sequence_id}.csv")
-    n_tracks = tracker._next_id - 1
-    return ds.sequence_id, len(per_frame), n_tracks
+    return ds.sequence_id, len(per_frame), tracker.births
 
 
 def cmd_track(args) -> int:
@@ -88,8 +83,10 @@ def cmd_track(args) -> int:
     (out_dir / "trajectories").mkdir(parents=True, exist_ok=True)
     cfg_mod.save_config(cfg, out_dir / "config_effective")
     paths = _sequence_paths(det_path)
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(paths) > 1:
+    # Under fork the pool starts every worker up front, so never ask for more
+    # workers than there are sequences or CPUs.
+    jobs = min(max(1, args.jobs), len(paths), os.cpu_count() or 1)
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_track_one, paths,
                                     [cfg] * len(paths), [out_dir] * len(paths)))
@@ -126,12 +123,8 @@ def cmd_occlude(args) -> int:
     spec = occlusion.OcclusionSpec(kind=args.kind, start_after=args.start_after,
                                    length=args.length,
                                    match_threshold=args.match_threshold)
-    ds = kitti_io.parse_detections(det_path)
-    gt = kitti_io.parse_annotations(gt_path)
-    n = max(len(ds.detections), len(gt))
-    ds.detections.extend([] for _ in range(n - len(ds.detections)))
-    gt.extend([] for _ in range(n - len(gt)))
-    occluded, dropped = occlusion.occlude_dataset(ds, gt, spec)
+    ds = kitti_io.load_sequence(det_path, gt_path)
+    occluded, dropped = occlusion.occlude_dataset(ds, ds.ground_truth, spec)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     kitti_io.write_detections(occluded.detections, out)
@@ -159,14 +152,14 @@ def _metric_rows(mot, ids):
     ]
 
 
-def _write_report(out_dir: Path, name: str, rows):
+def _write_report(out_dir: Path, name: str, text: str, header: list, rows):
+    """reports/<name>.txt holding `text`, and reports/<name>.csv."""
     reports = out_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
-    text = "\n".join(f"{key}: {value}" for key, value in rows)
     (reports / f"{name}.txt").write_text(text + "\n")
     with open(reports / f"{name}.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["metric", "value"])
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -178,10 +171,11 @@ def cmd_evaluate(args) -> int:
     mot = metrics.clearmot(gt, hyp, threshold=args.threshold)
     ids = metrics.idf1(gt, hyp, threshold=args.threshold)
     rows = _metric_rows(mot, ids)
-    for key, value in rows:
-        print(f"{key}: {value}")
+    text = "\n".join(f"{key}: {value}" for key, value in rows)
+    print(text)
     if args.output:
-        _write_report(Path(args.output), "evaluation", rows)
+        _write_report(Path(args.output), "evaluation", text, ["metric", "value"],
+                      rows)
     return EXIT_OK
 
 
@@ -194,15 +188,12 @@ def cmd_compare(args) -> int:
     frames = kitti_io.measurements_from(ds)
     baseline_cfg = cfg.replace(dynamics_enabled=False)
     dynamic_cfg = cfg.replace(dynamics_enabled=True)
-    results = {}
-    for name, run_cfg in (("baseline", baseline_cfg), ("dynamic", dynamic_cfg)):
-        tracker = MultiObjectTracker(run_cfg)
-        per_frame = tracker.run(frames)
-        mot = metrics.clearmot(gt, per_frame, threshold=args.threshold)
-        ids = metrics.idf1(gt, per_frame, threshold=args.threshold)
-        results[name] = (mot, ids)
     latency = metrics.measure_latency(frames, baseline_cfg, dynamic_cfg,
                                       warmup=args.warmup)
+    scores = [(metrics.clearmot(gt, per_frame, threshold=args.threshold),
+               metrics.idf1(gt, per_frame, threshold=args.threshold))
+              for per_frame in (latency.baseline_snapshots,
+                                latency.dynamic_snapshots)]
     header = f"{'metric':<18}{'baseline':>14}{'dynamic':>14}"
     lines = [header, "-" * len(header)]
     rows = []
@@ -211,18 +202,15 @@ def cmd_compare(args) -> int:
                               ("FP", "false_positives", "mot"),
                               ("FN", "false_negatives", "mot"),
                               ("ID switches", "id_switches", "mot")):
-        vals = []
-        for name in ("baseline", "dynamic"):
-            mot, ids = results[name]
-            value = getattr(mot if kind == "mot" else ids, attr)
-            vals.append(value)
+        vals = [getattr(mot if kind == "mot" else ids, attr) for mot, ids in scores]
         fmt = (lambda v: f"{v:.4f}") if isinstance(vals[0], float) else str
         lines.append(f"{label:<18}{fmt(vals[0]):>14}{fmt(vals[1]):>14}")
         rows.append((label.lower().replace(" ", "_"), vals[0], vals[1]))
     lines.append(f"{'latency (ms)':<18}{latency.mean_baseline_ms:>14.4f}"
                  f"{latency.mean_dynamic_ms:>14.4f}")
     lines.append(f"mean per-frame latency delta: {latency.mean_delta_ms:+.4f} ms")
-    print("\n".join(lines))
+    text = "\n".join(lines)
+    print(text)
     if args.output:
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -230,13 +218,8 @@ def cmd_compare(args) -> int:
         rows += [("latency_baseline_ms", f"{latency.mean_baseline_ms:.6f}", ""),
                  ("latency_dynamic_ms", f"{latency.mean_dynamic_ms:.6f}", ""),
                  ("latency_delta_ms", f"{latency.mean_delta_ms:.6f}", "")]
-        reports = out_dir / "reports"
-        reports.mkdir(parents=True, exist_ok=True)
-        (reports / "compare.txt").write_text("\n".join(lines) + "\n")
-        with open(reports / "compare.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["metric", "baseline", "dynamic"])
-            writer.writerows(rows)
+        _write_report(out_dir, "compare", text, ["metric", "baseline", "dynamic"],
+                      rows)
     return EXIT_OK
 
 
@@ -300,16 +283,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except _Usage as exc:
+    except (_Usage, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DynatrackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (DynatrackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -72,30 +72,30 @@ def validate_config(cfg: RunConfig):
              "seed", f"must be an integer, got {cfg.seed!r}")
     _require(cfg.cold_start_mode in COLD_START_MODES, "cold_start_mode",
              f"must be one of {COLD_START_MODES}, got {cfg.cold_start_mode!r}")
-    _require(isinstance(cfg.noise_term_strategy, str), "noise_term_strategy",
-             f"must be a string, got {cfg.noise_term_strategy!r}")
+    # Kept so older config_effective files load; innovation is the only term.
+    _require(cfg.noise_term_strategy == "innovation", "noise_term_strategy",
+             f"must be 'innovation', got {cfg.noise_term_strategy!r}")
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_KEYS = {"model_order", "transition_window", "smoothing_window",
-             "min_hits", "max_misses", "seed"}
-_FLOAT_KEYS = {"factor_velocity", "factor_acceleration", "factor_jerk",
-               "process_noise", "measurement_noise", "gate_distance", "dt"}
-_BOOL_KEYS = {"dynamics_enabled"}
+# Key -> annotation name ("int", "float", "bool" or "str"). The annotations are
+# strings under `from __future__ import annotations`; the dataclass above is
+# the one place a key's type is written.
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(key: str, value):
-    if key in _BOOL_KEYS:
+    kind = FIELD_TYPES[key]
+    if kind == "bool":
         if isinstance(value, bool):
             return value
         if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
         raise ConfigurationError(f"config key '{key}': expected a boolean, got {value!r}")
-    if key in _INT_KEYS:
+    if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(f"config key '{key}': expected an integer, got {value!r}")
         return value
-    if key in _FLOAT_KEYS:
+    if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(f"config key '{key}': expected a number, got {value!r}")
         return float(value)
@@ -105,7 +105,7 @@ def _coerce(key: str, value):
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
-    unknown = set(mapping) - set(_FIELD_TYPES)
+    unknown = set(mapping) - set(FIELD_TYPES)
     if unknown:
         raise ConfigurationError(f"unknown config key '{sorted(unknown)[0]}'")
     values = {key: _coerce(key, value) for key, value in mapping.items()}

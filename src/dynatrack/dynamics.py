@@ -30,14 +30,6 @@ class DynamicsWindow:
         self._buf = np.zeros((capacity, axes))
         self.count = 0
 
-    @property
-    def capacity(self) -> int:
-        return self._buf.shape[0]
-
-    @property
-    def axes(self) -> int:
-        return self._buf.shape[1]
-
     def push(self, position):
         """Append a position, evicting the oldest when full."""
         buf = self._buf
@@ -54,16 +46,16 @@ class DynamicsWindow:
 
 
 def finite_differences(positions: np.ndarray):
-    """First and second differences of an (n, axes) position array.
+    """First and second differences along the second-to-last axis.
 
-    Requires at least three rows.
+    `positions` is (n, axes) or a batch (..., n, axes); n must be at least three.
     """
     z = np.asarray(positions, dtype=float)
-    if z.shape[0] < MIN_WINDOW:
+    if z.shape[-2] < MIN_WINDOW:
         raise InsufficientDataError(
-            f"dynamics window holds {z.shape[0]} positions, need {MIN_WINDOW}")
-    d1 = z[1:] - z[:-1]
-    d2 = d1[1:] - d1[:-1]
+            f"dynamics window holds {z.shape[-2]} positions, need {MIN_WINDOW}")
+    d1 = z[..., 1:, :] - z[..., :-1, :]
+    d2 = d1[..., 1:, :] - d1[..., :-1, :]
     return d1, d2
 
 
@@ -92,11 +84,7 @@ def dynamics_vectors(stacks: np.ndarray) -> np.ndarray:
     if z.ndim != 3:
         raise ContractViolationError(
             f"expected a (batch, n, axes) stack, got shape {z.shape}")
-    if z.shape[1] < MIN_WINDOW:
-        raise InsufficientDataError(
-            f"dynamics window holds {z.shape[1]} positions, need {MIN_WINDOW}")
-    d1 = z[:, 1:] - z[:, :-1]
-    d2 = d1[:, 1:] - d1[:, :-1]
+    d1, d2 = finite_differences(z)
     d = np.empty((z.shape[0], z.shape[2], WEIGHT_COLUMNS))
     d[:, :, 0] = 1.0
     d[:, :, 1] = _sample_std(z)
@@ -141,39 +129,8 @@ def clamped_weights_algebraic(d_norm: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + d_norm - np.abs(1.0 - d_norm))
 
 
-def smooth_weights(history, window: int) -> np.ndarray:
-    """Mean of the most recent `window` raw weight vectors."""
-    if window < 1:
-        raise ConfigurationError(
-            f"config key 'smoothing_window': must be >= 1, got {window}")
-    stack = np.asarray(list(history)[-window:], dtype=float)
-    if stack.shape[0] == 0:
-        raise InsufficientDataError("weight history is empty")
-    return stack.mean(axis=0)
-
-
-def weight_matrix(weights: np.ndarray, order: int, axes: int = 2,
-                  aux: int = 0) -> np.ndarray:
-    """Diagonal weight matrix over the full state.
-
-    `weights` is one row of 4 shared by all axes or an (axes, 4) array;
-    each axis block keeps entries [0..order]. `aux` appends identity rows
-    for any trailing unweighted state.
-    """
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
-    if w.shape[0] == 1 and axes > 1:
-        w = np.repeat(w, axes, axis=0)
-    if w.shape != (axes, WEIGHT_COLUMNS):
-        raise ConfigurationError(
-            f"weights shape {w.shape} does not broadcast to ({axes}, {WEIGHT_COLUMNS})")
-    diag = np.concatenate([w[a, :order + 1] for a in range(axes)])
-    if aux:
-        diag = np.concatenate([diag, np.ones(aux)])
-    return np.diag(diag)
-
-
 def weight_diagonal(weights: np.ndarray, order: int) -> np.ndarray:
-    """Flattened per-axis diagonal used by the fast predict path."""
+    """Diagonal of the weight matrix W over the state layout, as predict takes it."""
     w = np.asarray(weights, dtype=float)
     return w[:, :order + 1].reshape(-1)
 

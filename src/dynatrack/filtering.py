@@ -8,7 +8,7 @@ before it is propagated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -143,8 +143,8 @@ def predict(est: StateEstimate, trans: TransitionModel, weights,
             noise: NoiseModel) -> StateEstimate:
     """Weighted prediction: mean' = F W mean, cov' = (F W) cov (F W)^T + Q.
 
-    `weights` is the diagonal of the weight matrix (1-D), a full weight
-    matrix (2-D), or None for the plain unweighted step.
+    `weights` is the diagonal of the weight matrix W, or None for the plain
+    unweighted step.
     """
     F = trans.F
     dim = F.shape[0]
@@ -155,16 +155,10 @@ def predict(est: StateEstimate, trans: TransitionModel, weights,
         FW = F
     else:
         W = np.asarray(weights, dtype=float)
-        if W.ndim == 1:
-            if W.shape != (dim,):
-                raise ContractViolationError(
-                    f"weight diagonal length {W.shape[0]} does not match state dim {dim}")
-            FW = F * W
-        elif W.shape == (dim, dim):
-            FW = F @ W
-        else:
+        if W.shape != (dim,):
             raise ContractViolationError(
-                f"weight matrix shape {W.shape} does not match state dim {dim}")
+                f"weight diagonal shape {W.shape} does not match state dim {dim}")
+        FW = F * W
     if noise.Q.shape != (dim, dim):
         raise ContractViolationError(
             f"process noise shape {noise.Q.shape} does not match state dim {dim}")
@@ -218,36 +212,7 @@ def update(pred: StateEstimate, z: np.ndarray, noise: NoiseModel,
     return StateEstimate(mean=mean, cov=cov), K, residual
 
 
-def _innovation_term(residual: np.ndarray) -> np.ndarray:
-    return residual
-
-
-# Named realizations of the measurement-noise term removed by post_measurement.
-NOISE_TERM_STRATEGIES = {
-    "innovation": _innovation_term,
-}
-
-
 def post_measurement(z: np.ndarray, K: np.ndarray, residual: np.ndarray,
-                     H: np.ndarray, strategy="innovation") -> np.ndarray:
-    """Cleaned position: the gained share of the noise term is removed from z."""
-    if callable(strategy):
-        term = strategy(residual)
-    else:
-        try:
-            term = NOISE_TERM_STRATEGIES[strategy](residual)
-        except KeyError:
-            raise ConfigurationError(
-                f"config key 'noise_term_strategy': unknown strategy {strategy!r}") from None
-    return z - (H @ K) @ term
-
-
-def validate_estimate(est: StateEstimate, tol: float = 1e-9) -> bool:
-    """Check covariance symmetry and an eigenvalue floor scaled by the trace."""
-    cov = est.cov
-    scale = max(np.abs(cov).max(), 1.0)
-    if not np.allclose(cov, cov.T, atol=tol * scale):
-        return False
-    eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-    floor = -tol * max(np.trace(cov), 0.0) - tol
-    return bool(eigvals.min() >= floor)
+                     H: np.ndarray) -> np.ndarray:
+    """Cleaned position: the gained share of the innovation is removed from z."""
+    return z - (H @ K) @ residual

@@ -28,6 +28,11 @@ DETECTION_FIELDS = 17
 ANNOTATION_FIELDS = 17
 TRACK_FIELDS = 18
 
+# Largest accepted frame index. Frames are stored densely, so one corrupt
+# index would otherwise allocate that many empty frames; KITTI tracking
+# sequences have fewer than 1,200 frames.
+MAX_FRAME = 1_000_000
+
 
 @dataclass
 class DetectionRecord:
@@ -111,73 +116,70 @@ def _pad_frames(frames: list, frame: int):
         frames.append([])
 
 
-def parse_detections(path, dt: float = 0.1,
-                     sequence_id: str | None = None) -> SequenceDataset:
-    """Parse a 17-column detection file into a dense per-frame dataset."""
-    path = Path(path)
-    frames: list = []
-    for line_no, line in _split_lines(path):
-        tokens = line.split()
-        if len(tokens) != DETECTION_FIELDS:
-            raise ParseError(
-                f"{path}:{line_no}: expected {DETECTION_FIELDS} fields, "
-                f"got {len(tokens)}")
-        record = DetectionRecord(
-            frame=_int_field(tokens[0], path, line_no, 1),
-            obj_type=tokens[1],
-            truncated=_float_field(tokens[2], path, line_no, 3),
-            occluded=_int_field(tokens[3], path, line_no, 4),
-            alpha=_float_field(tokens[4], path, line_no, 5),
-            bbox2d=tuple(_float_field(tokens[5 + i], path, line_no, 6 + i)
-                         for i in range(4)),
-            dims=tuple(_float_field(tokens[9 + i], path, line_no, 10 + i)
-                       for i in range(3)),
-            location=tuple(_float_field(tokens[12 + i], path, line_no, 13 + i)
-                           for i in range(3)),
-            rotation_y=_float_field(tokens[15], path, line_no, 16),
-            score=_float_field(tokens[16], path, line_no, 17),
-            raw=line,
-        )
-        if record.frame < 0:
-            raise ParseError(f"{path}:{line_no}: column 1: negative frame index")
-        _pad_frames(frames, record.frame)
-        frames[record.frame].append(record)
-    return SequenceDataset(sequence_id=sequence_id or path.stem, dt=dt,
-                           detections=frames)
+def _shared_columns(tokens, offset: int, path, line_no: int) -> tuple:
+    """The 15 columns type..rotation_y starting at token `offset`.
+
+    Returned in DetectionRecord field order (obj_type through rotation_y) so
+    callers pass them positionally; errors name 1-based columns.
+    """
+    head = (tokens[offset],
+            _float_field(tokens[offset + 1], path, line_no, offset + 2),
+            _int_field(tokens[offset + 2], path, line_no, offset + 3),
+            _float_field(tokens[offset + 3], path, line_no, offset + 4))
+    # bbox (4), dims (3), location (3), rotation_y
+    f = [_float_field(tokens[i], path, line_no, i + 1)
+         for i in range(offset + 4, offset + 15)]
+    return head + (tuple(f[0:4]), tuple(f[4:7]), tuple(f[7:10]), f[10])
 
 
-def _parse_labeled(path, expect_score: bool):
-    path = Path(path)
-    n_fields = TRACK_FIELDS if expect_score else ANNOTATION_FIELDS
+def _parse_frames(path: Path, n_fields: int, make_record) -> list:
+    """Per-frame record lists; `make_record(tokens, line_no, line)` builds one."""
     frames: list = []
     for line_no, line in _split_lines(path):
         tokens = line.split()
         if len(tokens) != n_fields:
             raise ParseError(
                 f"{path}:{line_no}: expected {n_fields} fields, got {len(tokens)}")
-        score = _float_field(tokens[17], path, line_no, 18) if expect_score else 1.0
-        record = GroundTruthRecord(
-            frame=_int_field(tokens[0], path, line_no, 1),
-            track_id=_int_field(tokens[1], path, line_no, 2),
-            obj_type=tokens[2],
-            truncated=_float_field(tokens[3], path, line_no, 4),
-            occluded=_int_field(tokens[4], path, line_no, 5),
-            alpha=_float_field(tokens[5], path, line_no, 6),
-            bbox2d=tuple(_float_field(tokens[6 + i], path, line_no, 7 + i)
-                         for i in range(4)),
-            dims=tuple(_float_field(tokens[10 + i], path, line_no, 11 + i)
-                       for i in range(3)),
-            location=tuple(_float_field(tokens[13 + i], path, line_no, 14 + i)
-                           for i in range(3)),
-            rotation_y=_float_field(tokens[16], path, line_no, 17),
-            score=score,
-            raw=line,
-        )
+        record = make_record(tokens, line_no, line)
         if record.frame < 0:
             raise ParseError(f"{path}:{line_no}: column 1: negative frame index")
+        if record.frame > MAX_FRAME:
+            raise ParseError(f"{path}:{line_no}: column 1: frame index "
+                             f"{record.frame} exceeds {MAX_FRAME}")
         _pad_frames(frames, record.frame)
         frames[record.frame].append(record)
     return frames
+
+
+def parse_detections(path, dt: float = 0.1,
+                     sequence_id: str | None = None) -> SequenceDataset:
+    """Parse a 17-column detection file into a dense per-frame dataset."""
+    path = Path(path)
+
+    def make_record(tokens, line_no, line):
+        return DetectionRecord(
+            _int_field(tokens[0], path, line_no, 1),
+            *_shared_columns(tokens, 1, path, line_no),
+            _float_field(tokens[16], path, line_no, 17),
+            raw=line)
+
+    frames = _parse_frames(path, DETECTION_FIELDS, make_record)
+    return SequenceDataset(sequence_id=sequence_id or path.stem, dt=dt,
+                           detections=frames)
+
+
+def _parse_labeled(path, expect_score: bool):
+    path = Path(path)
+
+    def make_record(tokens, line_no, line):
+        score = _float_field(tokens[17], path, line_no, 18) if expect_score else 1.0
+        frame = _int_field(tokens[0], path, line_no, 1)
+        track_id = _int_field(tokens[1], path, line_no, 2)
+        return GroundTruthRecord(frame, *_shared_columns(tokens, 2, path, line_no),
+                                 score, raw=line, track_id=track_id)
+
+    return _parse_frames(path, TRACK_FIELDS if expect_score else ANNOTATION_FIELDS,
+                         make_record)
 
 
 def parse_annotations(path) -> list:
@@ -206,20 +208,10 @@ def _fmt(value: float) -> str:
     return f"{value:.9f}"
 
 
-def format_detection(record: DetectionRecord) -> str:
-    parts = [str(record.frame), record.obj_type, _fmt(record.truncated),
-             str(record.occluded), _fmt(record.alpha)]
-    parts += [_fmt(v) for v in record.bbox2d]
-    parts += [_fmt(v) for v in record.dims]
-    parts += [_fmt(v) for v in record.location]
-    parts.append(_fmt(record.rotation_y))
-    parts.append(_fmt(record.score))
-    return " ".join(parts)
-
-
-def format_labeled(record: GroundTruthRecord, with_score: bool) -> str:
-    parts = [str(record.frame), str(record.track_id), record.obj_type,
-             _fmt(record.truncated), str(record.occluded), _fmt(record.alpha)]
+def _format_line(head: list, record: DetectionRecord, with_score: bool) -> str:
+    """`head` columns, then type..rotation_y, then the score if asked for."""
+    parts = head + [record.obj_type, _fmt(record.truncated),
+                    str(record.occluded), _fmt(record.alpha)]
     parts += [_fmt(v) for v in record.bbox2d]
     parts += [_fmt(v) for v in record.dims]
     parts += [_fmt(v) for v in record.location]
@@ -229,6 +221,19 @@ def format_labeled(record: GroundTruthRecord, with_score: bool) -> str:
     return " ".join(parts)
 
 
+def format_detection(record: DetectionRecord) -> str:
+    return _format_line([str(record.frame)], record, with_score=True)
+
+
+def format_labeled(record: GroundTruthRecord, with_score: bool) -> str:
+    return _format_line([str(record.frame), str(record.track_id)], record,
+                        with_score)
+
+
+def _write_lines(path, lines: list):
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
 def write_detections(frames, path):
     """Write detection records; untouched records keep their original line."""
     lines = []
@@ -236,7 +241,7 @@ def write_detections(frames, path):
         for record in frame_records:
             lines.append(record.raw if record.raw is not None
                          else format_detection(record))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(path, lines)
 
 
 def write_annotations(frames, path):
@@ -246,7 +251,7 @@ def write_annotations(frames, path):
         for record in sorted(frame_records, key=lambda r: r.track_id):
             lines.append(record.raw if record.raw is not None
                          else format_labeled(record, with_score=False))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(path, lines)
 
 
 def snapshot_to_record(snap) -> GroundTruthRecord:
@@ -273,17 +278,7 @@ def write_tracks(per_frame_snapshots, path):
         records = sorted((snapshot_to_record(s) for s in snapshots),
                          key=lambda r: r.track_id)
         lines.extend(format_labeled(r, with_score=True) for r in records)
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def write_track_records(frames, path):
-    """Write already-built track records (18-column lines)."""
-    lines = []
-    for frame_records in frames:
-        for record in sorted(frame_records, key=lambda r: r.track_id):
-            lines.append(record.raw if record.raw is not None
-                         else format_labeled(record, with_score=True))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(path, lines)
 
 
 def export_trajectory_csv(points, path):

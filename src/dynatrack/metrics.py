@@ -10,9 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, UndefinedMetricError
 from .kitti_io import SequenceDataset, id_position_frames
-from .tracker import MultiObjectTracker
-
-_NO_MATCH = 1e9
+from .tracker import MultiObjectTracker, gated_assignment
 
 
 @dataclass
@@ -59,6 +57,8 @@ class LatencyReport:
     mean_dynamic_ms: float
     mean_delta_ms: float
     warmup: int
+    baseline_snapshots: list = field(repr=False)
+    dynamic_snapshots: list = field(repr=False)
 
 
 def _as_frames(obj):
@@ -116,11 +116,8 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
             dist = np.array([[float(np.linalg.norm(gpos - hpos))
                               for _, hpos in rest_hyp]
                              for _, gpos in rest_gt])
-            cost = np.where(dist <= threshold, dist, _NO_MATCH)
-            rows, cols = linear_sum_assignment(cost)
-            for r, c in zip(rows, cols):
-                if dist[r, c] <= threshold:
-                    matched[rest_gt[r][0]] = rest_hyp[c][0]
+            for r, c in zip(*gated_assignment(dist, threshold)):
+                matched[rest_gt[r][0]] = rest_hyp[c][0]
         for gid, hid in matched.items():
             if gid in last_match and last_match[gid] != hid:
                 idsw += 1
@@ -216,18 +213,23 @@ def localization_error(gt_trajectories: dict, est_trajectories: dict,
 
 def measure_latency(frames, baseline_cfg, dynamic_cfg,
                     warmup: int = 10) -> LatencyReport:
-    """Per-frame wall time of both configurations on identical input."""
+    """Per-frame wall time of both configurations on identical input.
+
+    The report also keeps each timed pass's per-frame snapshots, so a caller
+    can score them instead of tracking the sequence again.
+    """
     def _run(cfg):
         tracker = MultiObjectTracker(cfg)
-        times = []
+        times, snapshots = [], []
         for frame, detections in enumerate(frames):
             start = time.perf_counter()
-            tracker.step(frame, detections)
+            snaps = tracker.step(frame, detections)
             times.append((time.perf_counter() - start) * 1e3)
-        return times
+            snapshots.append(snaps)
+        return times, snapshots
 
-    baseline_ms = _run(baseline_cfg)
-    dynamic_ms = _run(dynamic_cfg)
+    baseline_ms, baseline_snapshots = _run(baseline_cfg)
+    dynamic_ms, dynamic_snapshots = _run(dynamic_cfg)
     steady_b = baseline_ms[warmup:]
     steady_d = dynamic_ms[warmup:]
     mean_b = float(np.mean(steady_b)) if steady_b else math.nan
@@ -235,4 +237,6 @@ def measure_latency(frames, baseline_cfg, dynamic_cfg,
     delta = mean_d - mean_b if steady_b and steady_d else math.nan
     return LatencyReport(baseline_ms=baseline_ms, dynamic_ms=dynamic_ms,
                          mean_baseline_ms=mean_b, mean_dynamic_ms=mean_d,
-                         mean_delta_ms=delta, warmup=warmup)
+                         mean_delta_ms=delta, warmup=warmup,
+                         baseline_snapshots=baseline_snapshots,
+                         dynamic_snapshots=dynamic_snapshots)

@@ -4,14 +4,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError, InputError
 from .kitti_io import SequenceDataset, ground_position
+from .tracker import gated_assignment
 
 OCCLUSION_KINDS = ("mid", "late")
-
-_NO_MATCH = 1e9
 
 
 @dataclass(frozen=True)
@@ -72,14 +70,11 @@ def match_detections_to_gt(dataset: SequenceDataset, gt_frames,
         det_pos = np.array([ground_position(r) for r in det_records])
         gt_pos = np.array([ground_position(r) for r in gt_records])
         dist = np.linalg.norm(gt_pos[:, None, :] - det_pos[None, :, :], axis=2)
-        cost = np.where(dist <= threshold, dist, _NO_MATCH)
-        rows, cols = linear_sum_assignment(cost)
         taken = set()
-        for r, c in zip(rows, cols):
-            if dist[r, c] <= threshold:
-                gt_id = gt_records[r].track_id
-                observations.setdefault(gt_id, []).append((frame, int(c)))
-                taken.add(int(c))
+        for r, c in zip(*gated_assignment(dist, threshold)):
+            gt_id = gt_records[r].track_id
+            observations.setdefault(gt_id, []).append((frame, int(c)))
+            taken.add(int(c))
         unmatched.extend((frame, j) for j in range(len(det_records))
                          if j not in taken)
     tracklets = [ObjectTracklet(track_id=tid, observations=obs)

@@ -34,6 +34,19 @@ class Assignment:
     unmatched_detections: list
 
 
+def gated_assignment(dist: np.ndarray, gate: float):
+    """Min-distance one-to-one pairing of a (rows, cols) distance matrix.
+
+    This is the CLEAR-MOT matching step (Bernardin & Stiefelhagen, 2008):
+    pairs farther apart than `gate` never match. Returns the matched
+    (rows, cols) index arrays in row order.
+    """
+    cost = np.where(dist <= gate, dist, GATE_COST)
+    rows, cols = linear_sum_assignment(cost)
+    keep = dist[rows, cols] <= gate
+    return rows[keep], cols[keep]
+
+
 def associate(track_positions, detection_positions, gate: float) -> Assignment:
     """Min-distance one-to-one assignment; pairs beyond the gate never match."""
     n_trk = len(track_positions)
@@ -43,19 +56,12 @@ def associate(track_positions, detection_positions, gate: float) -> Assignment:
     tracks = np.asarray(track_positions, dtype=float)
     dets = np.asarray(detection_positions, dtype=float)
     dist = np.linalg.norm(tracks[:, None, :] - dets[None, :, :], axis=2)
-    cost = np.where(dist <= gate, dist, GATE_COST)
-    rows, cols = linear_sum_assignment(cost)
-    matches = []
-    matched_t = set()
-    matched_d = set()
-    for r, c in zip(rows, cols):
-        if dist[r, c] <= gate:
-            matches.append((int(r), int(c)))
-            matched_t.add(int(r))
-            matched_d.add(int(c))
+    rows, cols = (a.tolist() for a in gated_assignment(dist, gate))
+    matched_t = set(rows)
+    matched_d = set(cols)
     unmatched_t = [i for i in range(n_trk) if i not in matched_t]
     unmatched_d = [j for j in range(n_det) if j not in matched_d]
-    return Assignment(matches, unmatched_t, unmatched_d)
+    return Assignment(list(zip(rows, cols)), unmatched_t, unmatched_d)
 
 
 @dataclass
@@ -71,7 +77,6 @@ class Track:
     hits: int
     misses: int
     status: TrackStatus
-    birth_frame: int
     elevation: float
     yaw: float
     dims: tuple
@@ -127,28 +132,22 @@ class MultiObjectTracker:
         # at least two samples; a single-sample sigma is definitionally zero
         # and would zero that derivative's weight regardless of its factor.
         self._min_support = max(dyn.MIN_WINDOW, order + 1)
-        self._strategy = flt.NOISE_TERM_STRATEGIES[cfg.noise_term_strategy] \
-            if cfg.noise_term_strategy in flt.NOISE_TERM_STRATEGIES else None
-        if self._strategy is None:
-            # Fail early with the config error from the registry.
-            flt.post_measurement(np.zeros(2), np.zeros((2 * (order + 1), 2)),
-                                 np.zeros(2), self._H, cfg.noise_term_strategy)
         self.tracks: list[Track] = []
         self.frame: int | None = None
-        self._next_id = 1
+        self.births = 0    # tracks started so far; the next id is births + 1
         self.trajectory: list[TrajectoryPoint] = []
         self._record = record_trajectories
 
     # -- lifecycle helpers -------------------------------------------------
 
-    def _new_track(self, meas: flt.Measurement, frame: int) -> Track:
+    def _new_track(self, meas: flt.Measurement) -> Track:
         cfg = self.cfg
         est = flt.initial_estimate(meas.position, cfg.model_order,
                                    cfg.measurement_noise)
         window = dyn.DynamicsWindow(cfg.transition_window)
         window.push(meas.position)
         track = Track(
-            track_id=self._next_id,
+            track_id=self.births + 1,
             est=est,
             window=window,
             weights=self._cold.copy(),
@@ -159,7 +158,6 @@ class MultiObjectTracker:
             hits=1,
             misses=0,
             status=TrackStatus.CONFIRMED if cfg.min_hits <= 1 else TrackStatus.TENTATIVE,
-            birth_frame=frame,
             elevation=meas.elevation,
             yaw=meas.yaw,
             dims=meas.dims,
@@ -167,7 +165,7 @@ class MultiObjectTracker:
             bbox2d=meas.bbox2d,
             obj_type=meas.obj_type,
         )
-        self._next_id += 1
+        self.births += 1
         return track
 
     def _refresh_weights(self, tracks: list):
@@ -218,8 +216,7 @@ class MultiObjectTracker:
                                       self._H)
         track.est = est
         if self.cfg.dynamics_enabled:
-            cleaned = flt.post_measurement(meas.position, K, residual,
-                                           self._H, self._strategy)
+            cleaned = flt.post_measurement(meas.position, K, residual, self._H)
             track.window.push(cleaned)
         a = AUX_SMOOTHING
         track.elevation = a * meas.elevation + (1.0 - a) * track.elevation
@@ -285,7 +282,7 @@ class MultiObjectTracker:
         for ti in assignment.unmatched_tracks:
             self._apply_miss(self.tracks[ti])
         for dj in assignment.unmatched_detections:
-            self.tracks.append(self._new_track(detections[dj], frame))
+            self.tracks.append(self._new_track(detections[dj]))
             if self._record:
                 meas = detections[dj]
                 self.trajectory.append(TrajectoryPoint(

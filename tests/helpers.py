@@ -1,9 +1,10 @@
-"""Shared fixtures: measurement factories, reference metric implementations."""
+"""Shared fixtures: measurement factories, reference implementations, checks."""
 import itertools
 
 import numpy as np
 
 from dynatrack.config import RunConfig
+from dynatrack.errors import ConfigurationError, InsufficientDataError
 from dynatrack.filtering import Measurement
 from dynatrack.tracker import MultiObjectTracker
 
@@ -44,6 +45,28 @@ def run_single_target(positions, cfg, gaps=()):
 def trajectory_by_source(tracker, source):
     """{frame: (x, y)} for one trajectory source of a single-target run."""
     return {p.frame: (p.x, p.y) for p in tracker.trajectory if p.source == source}
+
+
+def validate_estimate(est, tol=1e-9):
+    """Check covariance symmetry and an eigenvalue floor scaled by the trace."""
+    cov = est.cov
+    scale = max(np.abs(cov).max(), 1.0)
+    if not np.allclose(cov, cov.T, atol=tol * scale):
+        return False
+    eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+    floor = -tol * max(np.trace(cov), 0.0) - tol
+    return bool(eigvals.min() >= floor)
+
+
+def smooth_weights(history, window):
+    """Mean of the most recent `window` raw weight vectors."""
+    if window < 1:
+        raise ConfigurationError(
+            f"config key 'smoothing_window': must be >= 1, got {window}")
+    stack = np.asarray(list(history)[-window:], dtype=float)
+    if stack.shape[0] == 0:
+        raise InsufficientDataError("weight history is empty")
+    return stack.mean(axis=0)
 
 
 # -- reference metric implementations (exhaustive, tiny inputs only) --------

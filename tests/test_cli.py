@@ -1,10 +1,13 @@
 """CLI subcommands end to end: synth, occlude, track, evaluate, compare."""
+import csv
+
 import numpy as np
 import pytest
 
-from dynatrack import cli
+from dynatrack import cli, metrics
 from dynatrack import kitti_io as kio
 from dynatrack.config import RunConfig, load_config, save_config
+from dynatrack.tracker import MultiObjectTracker
 
 SCENARIO = """
 dt: 0.1
@@ -142,6 +145,39 @@ def test_track_parallel_jobs_match_serial(scenario_dir, tmp_path):
             (parallel / "tracks" / name).read_text()
 
 
+@pytest.mark.parametrize("cpus,pools", [(2, [2]), (64, [3]), (None, [])])
+def test_track_jobs_clamped_to_sequences_and_cpus(scenario_dir, tmp_path,
+                                                  monkeypatch, cpus, pools):
+    sizes = []
+
+    class SerialPool:
+        """Records the requested pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    seq_dir = tmp_path / "sequences"
+    seq_dir.mkdir()
+    text = (scenario_dir / "detections.txt").read_text()
+    for name in ("0000.txt", "0001.txt", "0002.txt"):
+        (seq_dir / name).write_text(text)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli.main(["track", str(seq_dir), "--output", str(tmp_path / "run"),
+                     "--jobs", "100000"]) == 0
+    assert sizes == pools
+    assert (tmp_path / "run" / "tracks" / "0002.txt").exists()
+
+
 def test_track_reads_config_file(scenario_dir, tmp_path):
     cfg_path = tmp_path / "config.yaml"
     save_config(RunConfig(min_hits=1, max_misses=7), cfg_path)
@@ -220,6 +256,41 @@ def test_compare_runs_both_configurations(scenario_dir, capsys):
     assert compare_csv[0] == "metric,baseline,dynamic"
     assert any(line.startswith("mota,") for line in compare_csv)
     assert (out / "config_effective").exists()
+
+
+def test_compare_tracks_each_configuration_once(scenario_dir, monkeypatch):
+    built = []
+    init = MultiObjectTracker.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiObjectTracker, "__init__", counting_init)
+    det, gt_path = scenario_dir / "detections.txt", scenario_dir / "gt.txt"
+    out = scenario_dir / "cmp"
+    assert cli.main(["compare", str(det), str(gt_path), "--min-hits", "1",
+                     "--output", str(out)]) == 0
+    assert len(built) == 2
+    monkeypatch.undo()
+
+    # The rows equal those of separate, untimed tracking passes.
+    frames = kio.measurements_from(kio.parse_detections(det))
+    gt = kio.parse_annotations(gt_path)
+    expected = {}
+    for column, enabled in ((1, False), (2, True)):
+        per_frame = MultiObjectTracker(
+            RunConfig(min_hits=1, dynamics_enabled=enabled)).run(frames)
+        mot, ids = metrics.clearmot(gt, per_frame), metrics.idf1(gt, per_frame)
+        for key, value in (("mota", mot.mota), ("idf1", ids.idf1),
+                           ("fp", mot.false_positives),
+                           ("fn", mot.false_negatives),
+                           ("id_switches", mot.id_switches)):
+            expected.setdefault(key, [key, "", ""])[column] = str(value)
+    with open(out / "reports" / "compare.csv", newline="") as handle:
+        rows = {row[0]: row for row in csv.reader(handle)}
+    for key, row in expected.items():
+        assert rows[key] == row
 
 
 def test_build_parser_lists_subcommands():

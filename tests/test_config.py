@@ -37,6 +37,7 @@ def test_defaults():
     ("max_misses", -1),
     ("dt", 0.0),
     ("cold_start_mode", "warm"),
+    ("noise_term_strategy", "residual"),
 ])
 def test_validation_names_offending_key(key, value):
     with pytest.raises(ConfigurationError, match=f"config key '{key}'"):

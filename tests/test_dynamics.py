@@ -3,7 +3,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import smooth_weights
+
 from dynatrack import dynamics as dyn
+from dynatrack import filtering as flt
 from dynatrack.errors import (ConfigurationError, ContractViolationError,
                               InsufficientDataError)
 
@@ -148,7 +151,7 @@ def test_smooth_weights_mean_of_history():
         [[1.0, 1.0, 0.0, 0.0]],
         [[1.0, 1.0, 1.0, 0.0]],
     ])
-    sm = dyn.smooth_weights(hist, 3)
+    sm = smooth_weights(hist, 3)
     npt.assert_allclose(sm, [[1.0, 2.0 / 3.0, 1.0 / 3.0, 0.0]], rtol=1e-15)
 
 
@@ -157,56 +160,48 @@ def test_smooth_weights_window_one_is_passthrough():
         [[1.0, 0.2, 0.3, 0.4]],
         [[1.0, 0.9, 0.8, 0.7]],
     ])
-    npt.assert_array_equal(dyn.smooth_weights(hist, 1), hist[-1])
+    npt.assert_array_equal(smooth_weights(hist, 1), hist[-1])
 
 
 def test_smooth_weights_short_history_uses_what_exists():
     hist = np.array([[[1.0, 0.5, 0.25, 0.0]]])
-    npt.assert_array_equal(dyn.smooth_weights(hist, 4), hist[0])
+    npt.assert_array_equal(smooth_weights(hist, 4), hist[0])
     with pytest.raises(InsufficientDataError):
-        dyn.smooth_weights(np.empty((0, 1, 4)), 4)
+        smooth_weights(np.empty((0, 1, 4)), 4)
 
 
 def test_smooth_weights_stays_in_convex_hull():
     rng = np.random.default_rng(23)
     hist = rng.uniform(0.0, 1.0, size=(6, 2, 4))
-    sm = dyn.smooth_weights(hist, 4)
+    sm = smooth_weights(hist, 4)
     tail = hist[-4:]
     assert np.all(sm >= tail.min(axis=0) - 1e-15)
     assert np.all(sm <= tail.max(axis=0) + 1e-15)
 
 
 def test_weight_matrix_identity_when_all_ones():
-    W = dyn.weight_matrix(np.ones((2, 4)), order=3)
-    npt.assert_array_equal(W, np.eye(8))
+    npt.assert_array_equal(dyn.weight_diagonal(np.ones((2, 4)), order=3),
+                           np.ones(8))
 
 
 def test_weight_matrix_layout():
     w = np.array([[1.0, 0.5, 0.25, 0.1], [1.0, 0.4, 0.2, 0.05]])
-    W = dyn.weight_matrix(w, order=3)
-    npt.assert_array_equal(np.diag(W),
+    npt.assert_array_equal(dyn.weight_diagonal(w, order=3),
                            [1.0, 0.5, 0.25, 0.1, 1.0, 0.4, 0.2, 0.05])
-    npt.assert_array_equal(W - np.diag(np.diag(W)), np.zeros((8, 8)))
 
 
 def test_weight_matrix_truncates_to_order():
     w = np.array([[1.0, 0.5, 0.25, 0.1]])
-    W = dyn.weight_matrix(w, order=1, axes=1)
-    npt.assert_array_equal(np.diag(W), [1.0, 0.5])
-
-
-def test_weight_matrix_broadcast_and_aux():
-    w = np.array([1.0, 0.5, 0.25, 0.1])
-    W = dyn.weight_matrix(w, order=3, axes=2, aux=1)
-    assert W.shape == (9, 9)
-    assert W[8, 8] == 1.0
-    npt.assert_array_equal(np.diag(W)[:4], np.diag(W)[4:8])
+    npt.assert_array_equal(dyn.weight_diagonal(w, order=1), [1.0, 0.5])
 
 
 def test_weight_diagonal_matches_matrix():
+    # predict scales columns of F by the diagonal; that is F @ W for the
+    # diagonal weight matrix W, entry for entry.
     w = np.array([[1.0, 0.5, 0.25, 0.1], [1.0, 0.4, 0.2, 0.05]])
     diag = dyn.weight_diagonal(w, order=3)
-    npt.assert_array_equal(diag, np.diag(dyn.weight_matrix(w, order=3)))
+    F = flt.build_transition(3, 0.1).F
+    npt.assert_array_equal(F * diag, F @ np.diag(diag))
 
 
 def test_cold_start_modes():

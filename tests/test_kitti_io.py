@@ -2,6 +2,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dynatrack import kitti_io as kio
 from dynatrack.errors import ParseError
@@ -78,6 +80,15 @@ def test_parse_detections_rejects_negative_frame(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("-1" + DET_LINE[1:] + "\n")
     with pytest.raises(ParseError, match="column 1: negative frame"):
+        kio.parse_detections(path)
+
+
+def test_parse_rejects_frame_beyond_max_frame(tmp_path):
+    # Frames are stored densely: without the bound this line would make the
+    # parser allocate a billion empty frames.
+    path = tmp_path / "d.txt"
+    path.write_text("1000000000" + DET_LINE[1:] + "\n")
+    with pytest.raises(ParseError, match=r"d\.txt:1: column 1: frame index"):
         kio.parse_detections(path)
 
 
@@ -240,3 +251,52 @@ def test_id_position_frames(tmp_path):
     tid, pos = frames[0][0]
     assert tid == 7
     npt.assert_array_equal(pos, [2.5, 30.0])
+
+
+# Values with at most three decimals survive the writers' nine-decimal format.
+_decimal = st.integers(-10 ** 6, 10 ** 6).map(lambda n: n / 1000)
+
+
+def _records(record_type, score, **extra):
+    return st.lists(st.builds(
+        record_type, frame=st.integers(0, 30),
+        obj_type=st.sampled_from(["Car", "Van", "Pedestrian", "Cyclist"]),
+        truncated=_decimal, occluded=st.integers(0, 3), alpha=_decimal,
+        bbox2d=st.tuples(*[_decimal] * 4), dims=st.tuples(*[_decimal] * 3),
+        location=st.tuples(*[_decimal] * 3), rotation_y=_decimal, score=score,
+        **extra), min_size=1, max_size=6)
+
+
+_ROUND_TRIPS = {
+    "detections": (_records(kio.DetectionRecord, _decimal), kio.format_detection,
+                   lambda path: kio.parse_detections(path).detections,
+                   kio.DETECTION_FIELDS),
+    "annotations": (_records(kio.GroundTruthRecord, st.just(1.0),
+                             track_id=st.integers(0, 10 ** 6)),
+                    lambda r: kio.format_labeled(r, with_score=False),
+                    kio.parse_annotations, kio.ANNOTATION_FIELDS),
+    "tracks": (_records(kio.GroundTruthRecord, _decimal,
+                        track_id=st.integers(0, 10 ** 6)),
+               lambda r: kio.format_labeled(r, with_score=True),
+               kio.parse_tracks, kio.TRACK_FIELDS),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ROUND_TRIPS))
+def test_parse_inverts_format(kind, tmp_path):
+    records_strategy, fmt, parse, n_fields = _ROUND_TRIPS[kind]
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records_strategy)
+    def check(records):
+        lines = [fmt(r) for r in records]
+        assert all(len(line.split()) == n_fields for line in lines)
+        path = tmp_path / "records.txt"
+        path.write_text("\n".join(lines) + "\n")
+        frames = parse(path)
+        assert len(frames) == max(r.frame for r in records) + 1
+        parsed = [r for frame_records in frames for r in frame_records]
+        assert parsed == sorted(records, key=lambda r: r.frame)
+
+    check()

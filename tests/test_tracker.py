@@ -2,13 +2,17 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError
-from dynatrack.tracker import MultiObjectTracker, TrackStatus, associate
+from dynatrack.tracker import (MultiObjectTracker, TrackStatus, associate,
+                               gated_assignment)
 
-from helpers import (frames_from_positions, measurement, run_single_target,
-                     single_target_config, trajectory_by_source)
+from helpers import (_min_cost_pairs, frames_from_positions, measurement,
+                     run_single_target, single_target_config,
+                     trajectory_by_source)
 
 
 # -- association ---------------------------------------------------------
@@ -46,6 +50,28 @@ def test_associate_one_to_one_minimizes_total_distance():
     dets = [np.array([0.6, 0.0])]
     a = associate(tracks, dets, gate=2.0)
     assert a.matches == [(1, 0)]
+
+
+@st.composite
+def _distance_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # Few distinct values, so ties between candidate pairings are common.
+    cell = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0]) | st.floats(0.0, 5.0)
+    cells = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@example(dist=np.full((3, 2), 4.0), gate=2.5)
+@given(dist=_distance_matrices(), gate=st.sampled_from([0.25, 1.0, 2.0, 2.5]))
+def test_gated_assignment_matches_exhaustive_search(dist, gate):
+    rows, cols = gated_assignment(dist, gate)
+    assert len(set(rows.tolist())) == len(rows)
+    assert len(set(cols.tolist())) == len(cols)
+    assert np.all(dist[rows, cols] <= gate)
+    best = _min_cost_pairs(dist, gate)
+    assert len(rows) == len(best)
+    assert abs(dist[rows, cols].sum() - sum(dist[r, c] for r, c in best)) <= 1e-9
 
 
 # -- lifecycle -----------------------------------------------------------
