@@ -19,30 +19,43 @@ MIN_WINDOW = 3
 
 
 class DynamicsWindow:
-    """Fixed-capacity chronological buffer of cleaned ground-plane positions."""
+    """Fixed-capacity chronological buffers of cleaned ground-plane positions.
 
-    __slots__ = ("_buf", "count")
+    One buffer per row: `positions` is (rows, capacity, axes) and row r holds
+    `count[r]` positions, oldest first, in its first slots.
+    """
 
-    def __init__(self, capacity: int, axes: int = 2):
+    __slots__ = ("positions", "count")
+
+    def __init__(self, capacity: int, axes: int = 2, rows: int = 0):
         if capacity < MIN_WINDOW:
             raise ConfigurationError(
                 f"config key 'transition_window': must be >= {MIN_WINDOW}, got {capacity}")
-        self._buf = np.zeros((capacity, axes))
-        self.count = 0
+        self.positions = np.zeros((rows, capacity, axes))
+        self.count = np.zeros(rows, dtype=np.intp)
 
-    def push(self, position):
-        """Append a position, evicting the oldest when full."""
-        buf = self._buf
-        if self.count < buf.shape[0]:
-            buf[self.count] = position
-            self.count += 1
-        else:
-            buf[:-1] = buf[1:]
-            buf[-1] = position
+    def push(self, rows, positions):
+        """Append positions[i] to row rows[i] (rows distinct), evicting the
+        oldest position of a full row."""
+        rows = np.asarray(rows, dtype=np.intp)
+        capacity = self.positions.shape[1]
+        count = self.count[rows]
+        full = rows[count == capacity]
+        if full.size:
+            self.positions[full, :-1] = self.positions[full, 1:]
+        self.positions[rows, np.minimum(count, capacity - 1)] = positions
+        self.count[rows] = np.minimum(count + 1, capacity)
 
-    def as_array(self) -> np.ndarray:
-        """Buffered positions, oldest first, shape (count, axes)."""
-        return self._buf[:self.count]
+    def add_rows(self, n: int):
+        """Append n empty rows."""
+        self.positions = np.concatenate(
+            [self.positions, np.zeros((n,) + self.positions.shape[1:])])
+        self.count = np.concatenate([self.count, np.zeros(n, dtype=np.intp)])
+
+    def keep(self, mask: np.ndarray):
+        """Drop the rows where `mask` is false."""
+        self.positions = self.positions[mask]
+        self.count = self.count[mask]
 
 
 def finite_differences(positions: np.ndarray):
@@ -130,9 +143,12 @@ def clamped_weights_algebraic(d_norm: np.ndarray) -> np.ndarray:
 
 
 def weight_diagonal(weights: np.ndarray, order: int) -> np.ndarray:
-    """Diagonal of the weight matrix W over the state layout, as predict takes it."""
+    """Diagonal of the weight matrix W over the state layout, as predict takes it.
+
+    `weights` is (axes, 4) or a stack (..., axes, 4); the result is (..., D).
+    """
     w = np.asarray(weights, dtype=float)
-    return w[:, :order + 1].reshape(-1)
+    return w[..., :order + 1].reshape(w.shape[:-2] + (-1,))
 
 
 def cold_start_weights(mode: str, axes: int = 2) -> np.ndarray:

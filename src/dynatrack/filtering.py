@@ -3,7 +3,8 @@
 State layout is block-per-axis: [p_x, v_x, a_x, j_x, p_y, v_y, a_y, j_y] at
 model order 3, truncated uniformly for lower orders. Only positions are
 measured; the weighted prediction step rescales each kinematic contribution
-before it is propagated.
+before it is propagated. `predict`, `update` and `post_measurement` take one
+state or a stack of states with leading batch axes, through the same code.
 """
 from __future__ import annotations
 
@@ -44,12 +45,15 @@ class NoiseModel:
 
 @dataclass
 class StateEstimate:
+    """One state, `mean (D,)` and `cov (D, D)`, or a stack of states with the
+    same leading batch axes on both, `mean (..., D)` and `cov (..., D, D)`."""
+
     mean: np.ndarray
     cov: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 @dataclass
@@ -128,91 +132,143 @@ def position_indices(order: int, axes: int = GROUND_AXES) -> tuple:
 
 def initial_estimate(position: np.ndarray, order: int, sigma: float,
                      axes: int = GROUND_AXES) -> StateEstimate:
-    """Track-birth state: measured position, zero derivatives, inflated covariance."""
+    """Track-birth state: measured position, zero derivatives, inflated covariance.
+
+    `position` is (axes,) or a stack (..., axes); the estimate stacks alike.
+    """
+    position = np.asarray(position, dtype=float)
     n = order + 1
-    mean = np.zeros(axes * n)
-    var = np.empty(axes * n)
-    scale = INITIAL_VARIANCE_SCALE[:n]
-    for a in range(axes):
-        mean[a * n] = position[a]
-        var[a * n:(a + 1) * n] = np.asarray(scale) * sigma ** 2
-    return StateEstimate(mean=mean, cov=np.diag(var))
+    mean = np.zeros(position.shape[:-1] + (axes * n,))
+    mean[..., ::n] = position
+    var = np.tile(np.asarray(INITIAL_VARIANCE_SCALE[:n]) * sigma ** 2, axes)
+    cov = np.broadcast_to(np.diag(var), mean.shape + (axes * n,)).copy()
+    return StateEstimate(mean=mean, cov=cov)
+
+
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
 
 
 def predict(est: StateEstimate, trans: TransitionModel, weights,
             noise: NoiseModel) -> StateEstimate:
     """Weighted prediction: mean' = F W mean, cov' = (F W) cov (F W)^T + Q.
 
-    `weights` is the diagonal of the weight matrix W, or None for the plain
-    unweighted step.
+    `weights` is the diagonal of the weight matrix W, shaped like `est.mean`
+    (one diagonal per stacked state), or None for the plain unweighted step.
+    A diagonal of exact ones gives bitwise the unweighted step.
     """
     F = trans.F
     dim = F.shape[0]
-    if est.mean.shape != (dim,) or est.cov.shape != (dim, dim):
+    batch = est.mean.shape[:-1]
+    if est.mean.shape != batch + (dim,) or est.cov.shape != batch + (dim, dim):
         raise ContractViolationError(
             f"state dimension {est.mean.shape} does not match transition {F.shape}")
-    if weights is None:
-        FW = F
-    else:
-        W = np.asarray(weights, dtype=float)
-        if W.shape != (dim,):
-            raise ContractViolationError(
-                f"weight diagonal shape {W.shape} does not match state dim {dim}")
-        FW = F * W
+    W = np.ones(est.mean.shape) if weights is None else np.asarray(weights, dtype=float)
+    if W.shape != est.mean.shape:
+        raise ContractViolationError(
+            f"weight diagonal shape {W.shape} does not match state {est.mean.shape}")
     if noise.Q.shape != (dim, dim):
         raise ContractViolationError(
             f"process noise shape {noise.Q.shape} does not match state dim {dim}")
-    mean = FW @ est.mean
-    cov = FW @ est.cov @ FW.T + noise.Q
-    cov = 0.5 * (cov + cov.T)
+    FW = F * W[..., None, :]
+    mean = (FW @ est.mean[..., None])[..., 0]
+    cov = FW @ est.cov @ _transpose(FW) + noise.Q
+    cov = 0.5 * (cov + _transpose(cov))
     return StateEstimate(mean=mean, cov=cov)
 
 
-def _solve_innovation(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
-    """Gain via Cholesky; one ridge retry before giving up."""
+def _try_cholesky(S: np.ndarray):
+    """Lower Cholesky factor(s) of S, or None unless every factor is finite."""
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        ridge = INNOVATION_RIDGE * np.trace(S)
-        bumped = S + ridge * np.eye(S.shape[0])
-        try:
-            L = np.linalg.cholesky(bumped)
-        except np.linalg.LinAlgError:
+        return None
+    return L if np.isfinite(L).all() else None
+
+
+def _ridge_cholesky(S: np.ndarray) -> np.ndarray:
+    """Factor of one innovation covariance, with one ridge retry before giving up."""
+    L = _try_cholesky(S)
+    if L is None:
+        L = _try_cholesky(S + INNOVATION_RIDGE * np.trace(S) * np.eye(S.shape[0]))
+    if L is None:
+        cond = math.nan
+        if np.isfinite(S).all():
             with np.errstate(all="ignore"):
                 cond = float(np.linalg.cond(S))
-            raise NumericalError(
-                f"innovation covariance not factorizable (cond={cond:.3e})") from None
-    # L is freshly factorized, so the finiteness re-check is redundant.
-    return scipy.linalg.cho_solve((L, True), PHt.T, check_finite=False).T
+        raise NumericalError(
+            f"innovation covariance not factorizable (cond={cond:.3e})")
+    return L
+
+
+def _cholesky(S: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of innovation covariances.
+
+    The whole stack is factored at once; only if that fails is it factored
+    again one matrix at a time, so that just the failing ones take the ridge.
+    """
+    L = _try_cholesky(S)
+    if L is None:
+        m = S.shape[-1]
+        L = np.stack([_ridge_cholesky(Sk) for Sk in S.reshape(-1, m, m)])
+    return L.reshape(S.shape)
+
+
+def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with L L^T X = B: forward, then back substitution over the m rows.
+
+    L is (..., m, m) lower triangular and B is (..., m, k). m is the
+    measurement dimension, so the loops are short and each step spans the batch.
+    """
+    X = np.array(B, dtype=float)
+    m = L.shape[-1]
+    for i in range(m):
+        if i:
+            X[..., i, :] -= (L[..., i, :i, None] * X[..., :i, :]).sum(axis=-2)
+        X[..., i, :] /= L[..., i, i, None]
+    for i in reversed(range(m)):
+        if i < m - 1:
+            X[..., i, :] -= (L[..., i + 1:, i, None] * X[..., i + 1:, :]).sum(axis=-2)
+        X[..., i, :] /= L[..., i, i, None]
+    return X
 
 
 def update(pred: StateEstimate, z: np.ndarray, noise: NoiseModel,
            H: np.ndarray):
     """Measurement update in Joseph form.
 
-    Returns (posterior, gain, residual).
+    `pred` may be a stack of states and `z (..., m)` then holds one
+    measurement per state; `H` and `noise` are shared. Returns (posterior,
+    gain (..., D, m), residual (..., m)). Raises NumericalError for the whole
+    stack if any state's innovation covariance cannot be factored.
     """
     z = np.asarray(z, dtype=float)
     dim = pred.dim
-    if H.shape[1] != dim:
+    batch = pred.mean.shape[:-1]
+    if H.shape[1] != dim or pred.cov.shape != batch + (dim, dim):
         raise ContractViolationError(
-            f"measurement matrix width {H.shape[1]} does not match state dim {dim}")
-    if z.shape != (H.shape[0],):
+            f"measurement matrix width {H.shape[1]} does not match state "
+            f"{pred.mean.shape} with covariance {pred.cov.shape}")
+    if z.shape != batch + (H.shape[0],):
         raise ContractViolationError(
-            f"measurement length {z.shape} does not match matrix rows {H.shape[0]}")
-    residual = z - H @ pred.mean
+            f"measurement shape {z.shape} does not match matrix rows {H.shape[0]} "
+            f"over batch {batch}")
+    residual = z - pred.mean @ H.T
     PHt = pred.cov @ H.T
     S = H @ PHt + noise.R
-    S = 0.5 * (S + S.T)
-    K = _solve_innovation(S, PHt)
-    mean = pred.mean + K @ residual
+    S = 0.5 * (S + _transpose(S))
+    K = _transpose(_cho_solve(_cholesky(S), _transpose(PHt)))
+    mean = pred.mean + (K @ residual[..., None])[..., 0]
     A = np.eye(dim) - K @ H
-    cov = A @ pred.cov @ A.T + K @ noise.R @ K.T
-    cov = 0.5 * (cov + cov.T)
+    cov = A @ pred.cov @ _transpose(A) + K @ noise.R @ _transpose(K)
+    cov = 0.5 * (cov + _transpose(cov))
     return StateEstimate(mean=mean, cov=cov), K, residual
 
 
 def post_measurement(z: np.ndarray, K: np.ndarray, residual: np.ndarray,
                      H: np.ndarray) -> np.ndarray:
-    """Cleaned position: the gained share of the innovation is removed from z."""
-    return z - (H @ K) @ residual
+    """Cleaned position: the gained share of the innovation is removed from z.
+
+    Batches like `update`: z (..., m), K (..., D, m), residual (..., m).
+    """
+    return z - (H @ K @ residual[..., None])[..., 0]

@@ -1,7 +1,13 @@
-"""Tracking-by-detection with per-track adaptive transition weighting."""
+"""Tracking-by-detection with per-track adaptive transition weighting.
+
+Every live track is one row of a `TrackBank`, so a frame is one predict
+over all rows, one association, one update over the matched rows and one
+weight refresh, whatever the number of tracks.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -12,12 +18,14 @@ from . import filtering as flt
 from .config import RunConfig
 from .errors import ContractViolationError
 
-# Cost placed on gated-out pairs; large enough that the solver always prefers
-# any in-gate match over an out-of-gate one.
-GATE_COST = 1e9
-
 # Exponential smoothing factor applied to elevation/yaw/dims on each match.
 AUX_SMOOTHING = 0.7
+
+# Detection fields a track reports: smoothed over its matches (with the
+# shape of one detection's value), or passed on as they are.
+SMOOTHED = {"elevation": (), "yaw": (), "dims": (3,)}
+PASSED = ("score", "bbox2d", "obj_type")
+REPORTED = (*SMOOTHED, *PASSED)
 
 
 class TrackStatus(str, Enum):
@@ -25,6 +33,12 @@ class TrackStatus(str, Enum):
     CONFIRMED = "confirmed"
     COASTING = "coasting"
     DEAD = "dead"
+
+
+# The bank stores a status as its index here.
+STATUSES = tuple(TrackStatus)
+TENTATIVE, CONFIRMED, COASTING, DEAD = range(len(STATUSES))
+STATUS_VALUES = tuple(s.value for s in STATUSES)
 
 
 @dataclass
@@ -40,8 +54,14 @@ def gated_assignment(dist: np.ndarray, gate: float):
     This is the CLEAR-MOT matching step (Bernardin & Stiefelhagen, 2008):
     pairs farther apart than `gate` never match. Returns the matched
     (rows, cols) index arrays in row order.
+
+    An out-of-gate pair costs more than any set of in-gate pairs can, so the
+    solver first maximises the number of in-gate pairs, then minimises their
+    summed distance. The penalty is sized to the matrix, not a fixed huge
+    number, which would swallow small distance differences in rounding.
     """
-    cost = np.where(dist <= gate, dist, GATE_COST)
+    penalty = gate * min(dist.shape) + 1.0
+    cost = np.where(dist <= gate, dist, penalty)
     rows, cols = linear_sum_assignment(cost)
     keep = dist[rows, cols] <= gate
     return rows[keep], cols[keep]
@@ -64,26 +84,64 @@ def associate(track_positions, detection_positions, gate: float) -> Assignment:
     return Assignment(list(zip(rows, cols)), unmatched_t, unmatched_d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Track:
+    """A live track's identity; its state is the bank row at its list index."""
+
     track_id: int
-    est: flt.StateEstimate
-    window: dyn.DynamicsWindow
-    weights: np.ndarray                # smoothed, shape (axes, 4)
-    weight_diag: np.ndarray | None     # flattened for predict, None = identity
-    raw_history: np.ndarray            # ring (smoothing_window, axes, 4)
-    history_len: int
-    history_idx: int
-    hits: int
-    misses: int
-    status: TrackStatus
-    elevation: float
-    yaw: float
-    dims: tuple
-    score: float
-    bbox2d: tuple
-    obj_type: str
-    predicted_position: np.ndarray | None = None
+
+
+class TrackBank:
+    """Every live track's state as one row of stacked arrays.
+
+    Filter: `mean (N, D)`, `cov (N, D, D)`, `weight_diag (N, D)`, the
+    diagonal of W that predict applies (exact ones for saturated weights and
+    whenever dynamics are off), and the smoothed `weights (N, axes, 4)`.
+    Dynamics: `window`, one cleaned-position buffer per row, and the raw
+    weight rings `ring (N, smoothing_window, axes, 4)` with their fill
+    `ring_len` and next slot `ring_idx`. Lifecycle: `ids`, `hits`, `misses`
+    and `status`, an index into STATUSES. Reported: `elevation`, `yaw` and
+    `dims (N, 3)`, smoothed over the matches, and `score`, `bbox2d` and
+    `obj_type`, object arrays holding the last matched detection's own values.
+    """
+
+    FIELDS = ("ids", "mean", "cov", "weight_diag", "weights", "ring",
+              "ring_len", "ring_idx", "hits", "misses", "status") + REPORTED
+
+    def __init__(self, dim: int, window: int, smoothing: int,
+                 axes: int = flt.GROUND_AXES):
+        weights = (axes, dyn.WEIGHT_COLUMNS)
+        self.window = dyn.DynamicsWindow(window, axes)
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.mean = np.zeros((0, dim))
+        self.cov = np.zeros((0, dim, dim))
+        self.weight_diag = np.zeros((0, dim))
+        self.weights = np.zeros((0,) + weights)
+        self.ring = np.zeros((0, smoothing) + weights)
+        self.ring_len = np.zeros(0, dtype=np.intp)
+        self.ring_idx = np.zeros(0, dtype=np.intp)
+        self.hits = np.zeros(0, dtype=np.intp)
+        self.misses = np.zeros(0, dtype=np.intp)
+        self.status = np.zeros(0, dtype=np.int8)
+        for name, shape in SMOOTHED.items():
+            setattr(self, name, np.zeros((0,) + shape))
+        for name in PASSED:
+            setattr(self, name, np.zeros(0, dtype=object))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def append(self, rows: dict):
+        """Add rows at the end; `rows` holds an array for every field."""
+        for name in self.FIELDS:
+            setattr(self, name, np.concatenate([getattr(self, name), rows[name]]))
+        self.window.add_rows(len(rows["ids"]))
+
+    def keep(self, mask: np.ndarray):
+        """Drop the rows where `mask` is false."""
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name)[mask])
+        self.window.keep(mask)
 
 
 @dataclass
@@ -111,8 +169,50 @@ class TrajectoryPoint:
     source: str
 
 
+def _detection_columns(detections) -> dict:
+    """A frame's detections as one array per field, checked before any use.
+
+    `position (M, 2)` and the SMOOTHED fields are float arrays; a value of the
+    wrong shape or a non-finite one raises ContractViolationError. The
+    PASSED fields are object arrays of the detections' own values.
+    """
+    columns = {}
+    for name, shape in {"position": (flt.GROUND_AXES,), **SMOOTHED}.items():
+        values = [getattr(m, name) for m in detections]
+        try:
+            column = np.array(values, dtype=float) if values else np.zeros((0,) + shape)
+        except (TypeError, ValueError) as exc:
+            raise ContractViolationError(
+                f"detection {name} values do not stack: {exc}") from None
+        if column.shape[1:] != shape:
+            raise ContractViolationError(
+                f"detection {name} has shape {column.shape[1:]}, expected {shape}")
+        finite = np.isfinite(column).all(axis=tuple(range(1, column.ndim)))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ContractViolationError(
+                f"detection {i} has a non-finite {name} {column[i].tolist()}")
+        columns[name] = column
+    for name in PASSED:
+        columns[name] = _objects([getattr(m, name) for m in detections])
+    return columns
+
+
+def _objects(values) -> np.ndarray:
+    """1-D object array of `values` themselves; tuples stay single elements."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _points(frame: int, ids: list, xy: list, source: str) -> list:
+    return [TrajectoryPoint(frame, i, x, y, source) for i, (x, y) in zip(ids, xy)]
+
+
 class MultiObjectTracker:
-    """Frame-stepped tracker; one instance per sequence."""
+    """Frame-stepped tracker; one instance per sequence.
+
+    Track state lives in `bank`, one row per live track; `tracks` lists the
+    live tracks' identities in row order.
+    """
 
     def __init__(self, cfg: RunConfig, record_trajectories: bool = False):
         self.cfg = cfg
@@ -126,189 +226,170 @@ class MultiObjectTracker:
         self._factors = dyn.dynamics_factors(
             cfg.factor_velocity, cfg.factor_acceleration, cfg.factor_jerk)
         self._cold = dyn.cold_start_weights(cfg.cold_start_mode)
-        self._cold_diag = dyn.weight_diagonal(self._cold, order)
-        self._cold_is_identity = bool(np.all(self._cold == 1.0))
+        dim = self._trans.F.shape[0]
+        # Without dynamics weighting every row predicts with exact ones, which
+        # is bitwise the unweighted transition.
+        self._birth_diag = (dyn.weight_diagonal(self._cold, order)
+                            if cfg.dynamics_enabled else np.ones(dim))
         # Weights are computed only once every consumed fluctuation series has
         # at least two samples; a single-sample sigma is definitionally zero
         # and would zero that derivative's weight regardless of its factor.
         self._min_support = max(dyn.MIN_WINDOW, order + 1)
+        self.bank = TrackBank(dim, cfg.transition_window, cfg.smoothing_window)
         self.tracks: list[Track] = []
         self.frame: int | None = None
         self.births = 0    # tracks started so far; the next id is births + 1
         self.trajectory: list[TrajectoryPoint] = []
         self._record = record_trajectories
 
-    # -- lifecycle helpers -------------------------------------------------
+    # -- per-frame stages over bank rows -----------------------------------
 
-    def _new_track(self, meas: flt.Measurement) -> Track:
-        cfg = self.cfg
-        est = flt.initial_estimate(meas.position, cfg.model_order,
-                                   cfg.measurement_noise)
-        window = dyn.DynamicsWindow(cfg.transition_window)
-        window.push(meas.position)
-        track = Track(
-            track_id=self.births + 1,
-            est=est,
-            window=window,
-            weights=self._cold.copy(),
-            weight_diag=None if self._cold_is_identity else self._cold_diag.copy(),
-            raw_history=np.zeros((cfg.smoothing_window,) + self._cold.shape),
-            history_len=0,
-            history_idx=0,
-            hits=1,
-            misses=0,
-            status=TrackStatus.CONFIRMED if cfg.min_hits <= 1 else TrackStatus.TENTATIVE,
-            elevation=meas.elevation,
-            yaw=meas.yaw,
-            dims=meas.dims,
-            score=meas.score,
-            bbox2d=meas.bbox2d,
-            obj_type=meas.obj_type,
-        )
-        self.births += 1
-        return track
+    def _refresh_weights(self, rows: np.ndarray):
+        """Push each row's raw weights into its ring and re-smooth.
 
-    def _refresh_weights(self, tracks: list):
-        """Recompute raw weights from each window, smooth over the rings.
-
-        Windows of equal fill are stacked so the dynamics vectors for a
-        whole frame come out of one vectorized call per fill level, and the
-        ring means for every refreshed track come out of one more.
+        Rows whose window is still below support take the cold-start
+        weights; the others are stacked by window fill, one dynamics-vector
+        call per fill level.
         """
-        by_count: dict[int, list] = {}
-        ordered: list = []
-        for track in tracks:
-            if track.window.count >= self._min_support:
-                by_count.setdefault(track.window.count, []).append(track)
-            else:
-                ordered.append(track)
-                ring = track.raw_history
-                ring[track.history_idx] = self._cold
-                self._advance_ring(track)
-        for group in by_count.values():
-            stack = np.stack([t.window.as_array() for t in group])
-            raws = dyn.update_weights(dyn.dynamics_vectors(stack), self._factors)
-            for track, raw in zip(group, raws):
-                ordered.append(track)
-                track.raw_history[track.history_idx] = raw
-                self._advance_ring(track)
-        rings = np.stack([t.raw_history for t in ordered])
-        lens = np.array([float(t.history_len) for t in ordered])
+        bank = self.bank
+        count = bank.window.count[rows]
+        raw = np.empty((len(rows),) + self._cold.shape)
+        raw[:] = self._cold
+        for n in np.unique(count[count >= self._min_support]).tolist():
+            group = count == n
+            stack = bank.window.positions[rows[group], :n]
+            raw[group] = dyn.update_weights(dyn.dynamics_vectors(stack),
+                                            self._factors)
+        slot = bank.ring_idx[rows]
+        bank.ring[rows, slot] = raw
+        size = bank.ring.shape[1]
+        bank.ring_idx[rows] = (slot + 1) % size
+        filled = np.minimum(bank.ring_len[rows] + 1, size)
+        bank.ring_len[rows] = filled
         # Unfilled slots are zero, so the full-ring sum is the sum of the
         # filled rows; dividing by the fill count gives their mean.
-        smoothed = rings.sum(axis=1) / lens[:, None, None]
-        # Clamped weights never exceed one, so a minimum of one means all one.
-        saturated = smoothed.min(axis=(1, 2)) == 1.0
-        for i, track in enumerate(ordered):
-            track.weights = smoothed[i]
-            track.weight_diag = None if saturated[i] \
-                else dyn.weight_diagonal(smoothed[i], self._order)
+        smoothed = bank.ring[rows].sum(axis=1) / filled[:, None, None]
+        bank.weights[rows] = smoothed
+        bank.weight_diag[rows] = dyn.weight_diagonal(smoothed, self._order)
 
-    @staticmethod
-    def _advance_ring(track: Track):
-        ring = track.raw_history
-        track.history_idx = (track.history_idx + 1) % ring.shape[0]
-        if track.history_len < ring.shape[0]:
-            track.history_len += 1
-
-    def _apply_match(self, track: Track, meas: flt.Measurement, frame: int):
-        est, K, residual = flt.update(track.est, meas.position, self._noise,
-                                      self._H)
-        track.est = est
-        if self.cfg.dynamics_enabled:
-            cleaned = flt.post_measurement(meas.position, K, residual, self._H)
-            track.window.push(cleaned)
+    def _apply_matches(self, rows: np.ndarray, matched: dict):
+        bank = self.bank
         a = AUX_SMOOTHING
-        track.elevation = a * meas.elevation + (1.0 - a) * track.elevation
-        track.yaw = a * meas.yaw + (1.0 - a) * track.yaw
-        track.dims = tuple(a * m + (1.0 - a) * t
-                           for m, t in zip(meas.dims, track.dims))
-        track.score = meas.score
-        track.bbox2d = meas.bbox2d
-        track.obj_type = meas.obj_type
-        track.hits += 1
-        track.misses = 0
-        if track.status is TrackStatus.TENTATIVE:
-            if track.hits >= self.cfg.min_hits:
-                track.status = TrackStatus.CONFIRMED
-        elif track.status is TrackStatus.COASTING:
-            track.status = TrackStatus.CONFIRMED
-        if self._record:
-            self.trajectory.append(TrajectoryPoint(
-                frame, track.track_id, float(meas.position[0]),
-                float(meas.position[1]), "measurement"))
-            self.trajectory.append(TrajectoryPoint(
-                frame, track.track_id, float(est.mean[self._pos_idx[0]]),
-                float(est.mean[self._pos_idx[1]]), "updated"))
+        for name in SMOOTHED:
+            column = getattr(bank, name)
+            column[rows] = a * matched[name] + (1.0 - a) * column[rows]
+        for name in PASSED:
+            getattr(bank, name)[rows] = matched[name]
+        hits = bank.hits[rows] + 1
+        bank.hits[rows] = hits
+        bank.misses[rows] = 0
+        status = bank.status[rows]
+        confirm = (status == COASTING) | ((status == TENTATIVE)
+                                          & (hits >= self.cfg.min_hits))
+        bank.status[rows] = np.where(confirm, CONFIRMED, status)
 
-    def _apply_miss(self, track: Track):
-        track.misses += 1
-        if track.status is TrackStatus.TENTATIVE:
-            track.status = TrackStatus.DEAD
-            return
-        track.status = TrackStatus.COASTING
-        if track.misses > self.cfg.max_misses:
-            track.status = TrackStatus.DEAD
+    def _apply_misses(self, rows: np.ndarray):
+        bank = self.bank
+        misses = bank.misses[rows] + 1
+        bank.misses[rows] = misses
+        dies = (bank.status[rows] == TENTATIVE) | (misses > self.cfg.max_misses)
+        bank.status[rows] = np.where(dies, DEAD, COASTING)
+
+    def _add_births(self, born: dict):
+        cfg = self.cfg
+        bank = self.bank
+        z = born["position"]
+        k = len(z)
+        first = len(bank)
+        est = flt.initial_estimate(z, cfg.model_order, cfg.measurement_noise)
+        ids = np.arange(self.births + 1, self.births + 1 + k)
+        bank.append(dict(
+            ids=ids, mean=est.mean, cov=est.cov,
+            weight_diag=np.tile(self._birth_diag, (k, 1)),
+            weights=np.tile(self._cold, (k, 1, 1)),
+            ring=np.zeros((k,) + bank.ring.shape[1:]),
+            ring_len=np.zeros(k, dtype=np.intp),
+            ring_idx=np.zeros(k, dtype=np.intp),
+            hits=np.ones(k, dtype=np.intp),
+            misses=np.zeros(k, dtype=np.intp),
+            status=np.full(k, CONFIRMED if cfg.min_hits <= 1 else TENTATIVE,
+                           dtype=np.int8),
+            **{name: born[name] for name in REPORTED},
+        ))
+        bank.window.push(np.arange(first, first + k), z)
+        self.births += k
+        self.tracks.extend(Track(i) for i in ids.tolist())
+
+    def _snapshots(self, frame: int) -> list:
+        bank = self.bank
+        shown = np.flatnonzero((bank.status == CONFIRMED)
+                               | (bank.status == COASTING))
+        positions = bank.mean[shown][:, self._pos_idx]
+        return [
+            TrackSnapshot(frame, i, p, e, y, tuple(d), s, STATUS_VALUES[c], o, b)
+            for i, p, e, y, d, s, c, o, b in zip(
+                bank.ids[shown].tolist(), positions,
+                bank.elevation[shown].tolist(), bank.yaw[shown].tolist(),
+                bank.dims[shown].tolist(), bank.score[shown].tolist(),
+                bank.status[shown].tolist(), bank.obj_type[shown].tolist(),
+                bank.bbox2d[shown].tolist())
+        ]
 
     # -- main loop ---------------------------------------------------------
 
     def step(self, frame: int, detections) -> list:
-        """Advance one frame; returns snapshots of confirmed and coasting tracks."""
+        """Advance one frame; returns snapshots of confirmed and coasting tracks.
+
+        A malformed or non-finite detection field, or an innovation
+        covariance that cannot be factored, raises before anything changes:
+        detections are checked and the whole predict and update computed
+        before the bank is written.
+        """
         if self.frame is not None and frame <= self.frame:
             raise ContractViolationError(
                 f"frame {frame} does not advance past frame {self.frame}")
+        columns = _detection_columns(detections)
+        z = columns["position"]
+        bank = self.bank
+        pred = flt.predict(flt.StateEstimate(bank.mean, bank.cov), self._trans,
+                           bank.weight_diag, self._noise)
+        predicted = pred.mean[:, self._pos_idx]
+        assignment = associate(predicted, z, self.cfg.gate_distance)
+        rows, cols = np.array(assignment.matches, dtype=np.intp).reshape(-1, 2).T
+        post, K, residual = flt.update(
+            flt.StateEstimate(pred.mean[rows], pred.cov[rows]), z[cols],
+            self._noise, self._H)
+
         self.frame = frame
-
-        use_weights = self.cfg.dynamics_enabled
-        for track in self.tracks:
-            weights = track.weight_diag if use_weights else None
-            track.est = flt.predict(track.est, self._trans, weights, self._noise)
-            track.predicted_position = track.est.mean[self._pos_idx]
+        if self._record:
+            self.trajectory += _points(frame, bank.ids.tolist(), predicted.tolist(),
+                                       "predicted")
+            matched_ids = bank.ids[rows].tolist()
+            self.trajectory += itertools.chain.from_iterable(zip(
+                _points(frame, matched_ids, z[cols].tolist(), "measurement"),
+                _points(frame, matched_ids, post.mean[:, self._pos_idx].tolist(),
+                        "updated")))
+        pred.mean[rows] = post.mean
+        pred.cov[rows] = post.cov
+        bank.mean, bank.cov = pred.mean, pred.cov
+        if self.cfg.dynamics_enabled and len(rows):
+            bank.window.push(rows, flt.post_measurement(z[cols], K, residual,
+                                                        self._H))
+            self._refresh_weights(rows)
+        self._apply_matches(rows, {name: columns[name][cols] for name in REPORTED})
+        self._apply_misses(np.array(assignment.unmatched_tracks, dtype=np.intp))
+        born = assignment.unmatched_detections
+        if born:
+            self._add_births({name: column[born] for name, column in columns.items()})
             if self._record:
-                self.trajectory.append(TrajectoryPoint(
-                    frame, track.track_id, float(track.predicted_position[0]),
-                    float(track.predicted_position[1]), "predicted"))
+                self.trajectory += _points(frame, bank.ids[-len(born):].tolist(),
+                                           z[born].tolist(), "measurement")
 
-        det_positions = [m.position for m in detections]
-        trk_positions = [t.predicted_position for t in self.tracks]
-        assignment = associate(trk_positions, det_positions,
-                               self.cfg.gate_distance)
-
-        for ti, dj in assignment.matches:
-            self._apply_match(self.tracks[ti], detections[dj], frame)
-        if use_weights and assignment.matches:
-            self._refresh_weights([self.tracks[ti]
-                                   for ti, _ in assignment.matches])
-        for ti in assignment.unmatched_tracks:
-            self._apply_miss(self.tracks[ti])
-        for dj in assignment.unmatched_detections:
-            self.tracks.append(self._new_track(detections[dj]))
-            if self._record:
-                meas = detections[dj]
-                self.trajectory.append(TrajectoryPoint(
-                    frame, self.tracks[-1].track_id, float(meas.position[0]),
-                    float(meas.position[1]), "measurement"))
-
-        self.tracks = [t for t in self.tracks if t.status is not TrackStatus.DEAD]
-
-        snapshots = []
-        n = self.cfg.model_order + 1
-        for track in self.tracks:
-            if track.status in (TrackStatus.CONFIRMED, TrackStatus.COASTING):
-                mean = track.est.mean
-                snapshots.append(TrackSnapshot(
-                    frame=frame,
-                    track_id=track.track_id,
-                    position=np.array([mean[0], mean[n]]),
-                    elevation=track.elevation,
-                    yaw=track.yaw,
-                    dims=track.dims,
-                    score=track.score,
-                    status=track.status.value,
-                    obj_type=track.obj_type,
-                    bbox2d=track.bbox2d,
-                ))
-        return snapshots
+        alive = bank.status != DEAD
+        if not alive.all():
+            bank.keep(alive)
+            self.tracks = [t for t, keep in zip(self.tracks, alive.tolist()) if keep]
+        return self._snapshots(frame)
 
     def run(self, frames) -> list:
         """Track a whole sequence; returns per-frame snapshot lists."""

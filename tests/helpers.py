@@ -2,10 +2,12 @@
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 from dynatrack.config import RunConfig
-from dynatrack.errors import ConfigurationError, InsufficientDataError
-from dynatrack.filtering import Measurement
+from dynatrack.errors import (ConfigurationError, InsufficientDataError,
+                              NumericalError)
+from dynatrack.filtering import INNOVATION_RIDGE, Measurement, StateEstimate
 from dynatrack.tracker import MultiObjectTracker
 
 
@@ -56,6 +58,40 @@ def validate_estimate(est, tol=1e-9):
     eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
     floor = -tol * max(np.trace(cov), 0.0) - tol
     return bool(eigvals.min() >= floor)
+
+
+# -- reference filter: one state per call, the per-track loop's arithmetic ---
+
+def reference_predict(est, trans, weights, noise):
+    """Weighted predict of one state; `weights` is its diagonal or None."""
+    F = trans.F if weights is None else trans.F * np.asarray(weights, dtype=float)
+    cov = F @ est.cov @ F.T + noise.Q
+    return StateEstimate(mean=F @ est.mean, cov=0.5 * (cov + cov.T))
+
+
+def _reference_gain(S, PHt):
+    """Gain via Cholesky and cho_solve; one ridge retry before giving up."""
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        ridge = INNOVATION_RIDGE * np.trace(S)
+        try:
+            L = np.linalg.cholesky(S + ridge * np.eye(S.shape[0]))
+        except np.linalg.LinAlgError:
+            raise NumericalError("innovation covariance not factorizable") from None
+    return scipy.linalg.cho_solve((L, True), PHt.T, check_finite=False).T
+
+
+def reference_update(pred, z, noise, H):
+    """Joseph-form update of one state; returns (posterior, gain, residual)."""
+    residual = z - H @ pred.mean
+    PHt = pred.cov @ H.T
+    S = H @ PHt + noise.R
+    K = _reference_gain(0.5 * (S + S.T), PHt)
+    A = np.eye(pred.mean.shape[0]) - K @ H
+    cov = A @ pred.cov @ A.T + K @ noise.R @ K.T
+    return (StateEstimate(mean=pred.mean + K @ residual, cov=0.5 * (cov + cov.T)),
+            K, residual)
 
 
 def smooth_weights(history, window):

@@ -17,22 +17,43 @@ STD_VEL_1234 = 1.2909944487358056       # stdev([1, 2, 3, 4])
 STD_01234 = 1.5811388300841898          # stdev([0, 1, 2, 3, 4])
 
 
+def _filled(win, row):
+    """Row `row`'s buffered positions, oldest first."""
+    return win.positions[row, :win.count[row]]
+
+
 def _window(values, capacity=None):
+    """Positions left in a one-row window after pushing `values` in order."""
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
-    win = dyn.DynamicsWindow(capacity or len(values), axes=values.shape[1])
+    win = dyn.DynamicsWindow(capacity or len(values), axes=values.shape[1], rows=1)
     for row in values:
-        win.push(row)
-    return win
+        win.push([0], row[None])
+    return _filled(win, 0)
 
 
 def test_window_push_and_eviction_order():
-    win = dyn.DynamicsWindow(3, axes=1)
+    win = dyn.DynamicsWindow(3, axes=1, rows=1)
     for v in (1.0, 2.0, 3.0, 4.0):
-        win.push(np.array([v]))
-    npt.assert_array_equal(win.as_array().ravel(), [2.0, 3.0, 4.0])
-    assert win.count == 3
+        win.push([0], np.array([[v]]))
+    npt.assert_array_equal(_filled(win, 0).ravel(), [2.0, 3.0, 4.0])
+    assert win.count[0] == 3
+
+
+def test_window_push_touches_only_the_given_rows():
+    win = dyn.DynamicsWindow(3, axes=1, rows=3)
+    for v in (1.0, 2.0, 3.0):
+        win.push([0, 2], np.array([[v], [10.0 * v]]))
+    win.push([2, 1], np.array([[40.0], [-1.0]]))
+    npt.assert_array_equal(_filled(win, 0).ravel(), [1.0, 2.0, 3.0])
+    npt.assert_array_equal(_filled(win, 1).ravel(), [-1.0])
+    npt.assert_array_equal(_filled(win, 2).ravel(), [20.0, 30.0, 40.0])
+    npt.assert_array_equal(win.count, [3, 1, 3])
+    win.add_rows(1)
+    win.keep(np.array([False, True, True, True]))
+    npt.assert_array_equal(win.count, [1, 3, 0])
+    npt.assert_array_equal(_filled(win, 1).ravel(), [20.0, 30.0, 40.0])
 
 
 def test_window_capacity_validation():
@@ -41,7 +62,7 @@ def test_window_capacity_validation():
 
 
 def test_finite_differences_exact():
-    d1, d2 = dyn.finite_differences(_window([0.0, 1.0, 3.0, 6.0]).as_array())
+    d1, d2 = dyn.finite_differences(_window([0.0, 1.0, 3.0, 6.0]))
     npt.assert_array_equal(d1.ravel(), [1.0, 2.0, 3.0])
     npt.assert_array_equal(d2.ravel(), [1.0, 1.0])
 
@@ -52,12 +73,12 @@ def test_finite_differences_insufficient():
 
 
 def test_dynamics_vector_constant_positions():
-    d = dyn.dynamics_vector(_window([5.0] * 6).as_array())
+    d = dyn.dynamics_vector(_window([5.0] * 6))
     npt.assert_array_equal(d, [[1.0, 0.0, 0.0, 0.0]])
 
 
 def test_dynamics_vector_linear_ramp():
-    d = dyn.dynamics_vector(_window([0.0, 1.0, 2.0, 3.0, 4.0]).as_array())
+    d = dyn.dynamics_vector(_window([0.0, 1.0, 2.0, 3.0, 4.0]))
     assert d[0, 0] == 1.0
     assert d[0, 1] == pytest.approx(STD_01234, abs=1e-14)
     assert d[0, 2] == 0.0
@@ -65,7 +86,7 @@ def test_dynamics_vector_linear_ramp():
 
 
 def test_dynamics_vector_frozen_example():
-    d = dyn.dynamics_vector(_window([0.0, 1.0, 3.0, 6.0, 10.0]).as_array())
+    d = dyn.dynamics_vector(_window([0.0, 1.0, 3.0, 6.0, 10.0]))
     assert d[0, 1] == pytest.approx(STD_POS_01361, abs=1e-13)
     assert d[0, 2] == pytest.approx(STD_VEL_1234, abs=1e-14)
     assert d[0, 3] == 0.0
@@ -193,6 +214,15 @@ def test_weight_matrix_layout():
 def test_weight_matrix_truncates_to_order():
     w = np.array([[1.0, 0.5, 0.25, 0.1]])
     npt.assert_array_equal(dyn.weight_diagonal(w, order=1), [1.0, 0.5])
+
+
+def test_weight_diagonal_stacks():
+    rng = np.random.default_rng(29)
+    w = rng.uniform(0.0, 1.0, size=(3, 2, 4))
+    diags = dyn.weight_diagonal(w, order=2)
+    assert diags.shape == (3, 6)
+    for row, diag in zip(w, diags):
+        npt.assert_array_equal(diag, dyn.weight_diagonal(row, order=2))
 
 
 def test_weight_diagonal_matches_matrix():

@@ -2,8 +2,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from helpers import validate_estimate
+from helpers import reference_predict, reference_update, validate_estimate
 
 from dynatrack import filtering as flt
 from dynatrack.errors import (ConfigurationError, ContractViolationError,
@@ -241,3 +244,103 @@ def test_post_measurement_between_measurement_and_prediction():
                                        np.array([z - pred]), _SCALAR_H)[0]
         low, high = min(z, pred), max(z, pred)
         assert low - 1e-12 <= cleaned <= high + 1e-12
+
+
+# -- stacked states against the one-state reference --------------------------
+
+def _close(actual, expected, rel=1e-12):
+    """|actual - expected| <= rel * max(1, |expected|), entry by entry."""
+    return bool(np.all(np.abs(actual - expected)
+                       <= rel * np.maximum(1.0, np.abs(expected))))
+
+
+@st.composite
+def _stacks(draw):
+    """Inputs for one batched call.
+
+    Covariances are A A^T + 0.1 I; each row's weights are exact ones or drawn
+    from [0, 1]. With `ridge`, R's y entry is zero and one extra row has a
+    zero y-position variance, so its innovation covariance is singular and
+    its gain takes the ridge retry.
+    """
+    n = draw(st.integers(0, 6))
+    ridge = draw(st.booleans())
+    rows = n + ridge
+    unit = st.floats(-1.0, 1.0)
+    A = draw(hnp.arrays(float, (rows, 8, 8), elements=unit))
+    cov = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(8)
+    if ridge:
+        cov[-1, 4, :] = cov[-1, :, 4] = 0.0
+    mean = draw(hnp.arrays(float, (rows, 8), elements=st.floats(-50.0, 50.0)))
+    weights = draw(hnp.arrays(float, (rows, 8), elements=st.floats(0.0, 1.0)))
+    ones = draw(hnp.arrays(bool, rows))
+    weights[ones] = 1.0
+    z = draw(hnp.arrays(float, (rows, 2), elements=st.floats(-50.0, 50.0)))
+    dt = draw(st.sampled_from([0.05, 0.1, 1.0]))
+    r = draw(st.floats(0.01, 1.0))
+    noise = flt.build_noise(3, dt, draw(st.floats(0.1, 10.0)), 1.0)
+    noise = flt.NoiseModel(Q=noise.Q, R=np.diag([r, 0.0 if ridge else r]))
+    return (flt.StateEstimate(mean=mean, cov=cov), weights, ones, z,
+            flt.build_transition(3, dt), noise, ridge)
+
+
+def _stacked(results, shape):
+    return np.array(results, dtype=float).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stacks())
+def test_batched_filter_matches_per_state_reference(inputs):
+    est, weights, ones, z, trans, noise, ridge = inputs
+    H = flt.measurement_matrix(3)
+    rows = list(zip(est.mean, est.cov))
+    if ridge:
+        S = H @ est.cov[-1] @ H.T + noise.R
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S)
+
+    pred = flt.predict(est, trans, weights, noise)
+    ref = [reference_predict(flt.StateEstimate(m, P), trans, w, noise)
+           for (m, P), w in zip(rows, weights)]
+    assert _close(pred.mean, _stacked([r.mean for r in ref], pred.mean.shape))
+    assert _close(pred.cov, _stacked([r.cov for r in ref], pred.cov.shape))
+    for i in np.flatnonzero(ones):
+        plain = reference_predict(flt.StateEstimate(*rows[i]), trans, None, noise)
+        npt.assert_array_equal(pred.mean[i], plain.mean)
+        npt.assert_array_equal(pred.cov[i], plain.cov)
+
+    post, K, residual = flt.update(est, z, noise, H)
+    ref = [reference_update(flt.StateEstimate(m, P), zi, noise, H)
+           for (m, P), zi in zip(rows, z)]
+    assert _close(post.mean, _stacked([r[0].mean for r in ref], post.mean.shape))
+    assert _close(post.cov, _stacked([r[0].cov for r in ref], post.cov.shape))
+    assert _close(K, _stacked([r[1] for r in ref], K.shape))
+    npt.assert_array_equal(residual, _stacked([r[2] for r in ref], residual.shape))
+    cleaned = flt.post_measurement(z, K, residual, H)
+    for i in range(len(rows)):
+        npt.assert_array_equal(cleaned[i],
+                               flt.post_measurement(z[i], K[i], residual[i], H))
+
+
+def test_update_ridge_retry_only_for_failing_state():
+    # the second state's y position is exactly known and R has no y noise,
+    # so its S is singular; the first state's gain must not see the ridge
+    H = flt.measurement_matrix(3)
+    noise = flt.NoiseModel(Q=np.zeros((8, 8)), R=np.diag([0.09, 0.0]))
+    cov = np.stack([np.eye(8), np.eye(8)])
+    cov[1, 4, 4] = 0.0
+    est = flt.StateEstimate(mean=np.zeros((2, 8)), cov=cov)
+    post, K, _ = flt.update(est, np.ones((2, 2)), noise, H)
+    alone, K0, _ = flt.update(flt.StateEstimate(np.zeros(8), np.eye(8)),
+                              np.ones(2), noise, H)
+    npt.assert_array_equal(K[0], K0)
+    npt.assert_array_equal(post.cov[0], alone.cov)
+    assert K[1, 4, 1] == 0.0 and np.all(np.isfinite(post.cov[1]))
+
+
+def test_update_stack_names_condition_of_unfactorizable_state():
+    H = flt.measurement_matrix(3)
+    cov = np.stack([np.eye(8), np.full((8, 8), np.nan)])
+    est = flt.StateEstimate(mean=np.zeros((2, 8)), cov=cov)
+    with pytest.raises(NumericalError, match="cond=nan"):
+        flt.update(est, np.zeros((2, 2)), flt.build_noise(3, 0.1, 1.0, 0.3), H)

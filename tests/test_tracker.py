@@ -6,13 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
-from dynatrack.errors import ContractViolationError
-from dynatrack.tracker import (MultiObjectTracker, TrackStatus, associate,
-                               gated_assignment)
+from dynatrack.errors import ContractViolationError, NumericalError
+from dynatrack.filtering import StateEstimate
+from dynatrack.tracker import (STATUSES, MultiObjectTracker, TrackStatus,
+                               associate, gated_assignment)
 
 from helpers import (_min_cost_pairs, frames_from_positions, measurement,
                      run_single_target, single_target_config,
-                     trajectory_by_source)
+                     trajectory_by_source, validate_estimate)
 
 
 # -- association ---------------------------------------------------------
@@ -63,6 +64,8 @@ def _distance_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @example(dist=np.full((3, 2), 4.0), gate=2.5)
+@example(dist=np.array([[0.0, 0.5, 0.25], [1e-9, 0.5, 0.5], [0.0, 0.5, 0.5]]),
+         gate=0.25)
 @given(dist=_distance_matrices(), gate=st.sampled_from([0.25, 1.0, 2.0, 2.5]))
 def test_gated_assignment_matches_exhaustive_search(dist, gate):
     rows, cols = gated_assignment(dist, gate)
@@ -146,6 +149,113 @@ def test_two_objects_keep_identity():
         assert abs(by_id[2][0] - 30.0) < 1.0
 
 
+def _state(tracker):
+    """Everything a step may change, as comparable bytes and values."""
+    bank = tracker.bank
+    arrays = {name: getattr(bank, name) for name in bank.FIELDS if name != "obj_type"}
+    arrays["window"] = bank.window.positions
+    arrays["window_count"] = bank.window.count
+    return ({name: (a.shape, a.tobytes()) for name, a in arrays.items()},
+            bank.obj_type.tolist(), [t.track_id for t in tracker.tracks],
+            tracker.frame, tracker.births, len(tracker.trajectory))
+
+
+def _three_track_tracker():
+    tracker = MultiObjectTracker(single_target_config(gate_distance=5.0),
+                                 record_trajectories=True)
+    for frame in range(4):
+        tracker.step(frame, [measurement(20.0 * k, 10.0 + 0.1 * frame, frame=frame)
+                             for k in range(3)])
+    return tracker
+
+
+@pytest.mark.parametrize("field, value", [
+    ("position", np.array([np.nan, 1.0])), ("position", np.array([1.0, np.inf])),
+    ("position", np.array([-np.inf, 0.0])), ("position", np.array([1.0, 2.0, 3.0])),
+    ("position", np.array([1.0])), ("position", np.array([[1.0], [2.0]])),
+    ("position", np.array(5.0)), ("dims", (1.5, 1.8)), ("dims", (1.5, np.nan, 4.2)),
+    ("elevation", np.inf), ("yaw", "north"),
+], ids=["nan", "inf", "neg-inf", "length-3", "length-1", "column", "scalar",
+        "dims-length-2", "dims-nan", "elevation-inf", "yaw-text"])
+def test_step_rejects_bad_detections_without_changing_state(field, value):
+    tracker = _three_track_tracker()
+    before = _state(tracker)
+    # the second detection would match a track, the third would start one
+    dets = [measurement(0.0, 10.5, frame=4), measurement(20.0, 10.5, frame=4),
+            measurement(90.0, 10.5, frame=4)]
+    setattr(dets[1], field, value)
+    setattr(dets[2], field, value)
+    with pytest.raises(ContractViolationError, match="detection"):
+        tracker.step(4, dets)
+    assert _state(tracker) == before
+    tracker.step(4, dets[:1])  # the frame was not consumed
+
+
+@pytest.mark.parametrize("field, value", [
+    ("position", np.array([1.0, 2.0, 3.0])), ("dims", (1.5, 1.8)),
+    ("elevation", (1.0, 2.0)),
+], ids=["position-length-3", "dims-length-2", "elevation-pair"])
+def test_step_rejects_detections_that_all_share_a_bad_shape(field, value):
+    tracker = _three_track_tracker()
+    before = _state(tracker)
+    dets = [measurement(20.0 * k, 10.5, frame=4) for k in range(3)]
+    for det in dets:
+        setattr(det, field, value)
+    with pytest.raises(ContractViolationError, match="shape"):
+        tracker.step(4, dets)
+    assert _state(tracker) == before
+
+
+def test_failed_update_leaves_bank_unchanged():
+    tracker = _three_track_tracker()
+    tracker.bank.cov[1] = np.nan
+    before = _state(tracker)
+    with pytest.raises(NumericalError, match="cond="):
+        tracker.step(4, [measurement(20.0 * k, 10.4, frame=4) for k in range(3)])
+    assert _state(tracker) == before
+
+
+@st.composite
+def _schedules(draw):
+    """Per-frame detection flags for a few well-separated objects."""
+    objects = draw(st.integers(1, 4))
+    frames = draw(st.integers(2, 40))
+    hits = draw(st.lists(st.lists(st.booleans(), min_size=objects,
+                                  max_size=objects),
+                         min_size=frames, max_size=frames))
+    cold = draw(st.sampled_from(["identity", "constant_velocity"]))
+    return hits, draw(st.integers(0, 2 ** 16)), draw(st.booleans()), cold
+
+
+@settings(max_examples=60, deadline=None)
+@given(_schedules())
+def test_bank_invariants_over_hit_miss_schedules(schedule):
+    hits, seed, dynamics, cold = schedule
+    rng = np.random.default_rng(seed)
+    cfg = RunConfig(min_hits=2, max_misses=3, gate_distance=4.0,
+                    dynamics_enabled=dynamics, cold_start_mode=cold)
+    tracker = MultiObjectTracker(cfg)
+    start = rng.uniform(-5.0, 5.0, size=(len(hits[0]), 2)) \
+        + np.arange(len(hits[0]))[:, None] * [50.0, 0.0]
+    velocity = rng.uniform(-2.0, 2.0, size=start.shape)
+    frozen = {}
+    for frame, flags in enumerate(hits):
+        truth = start + velocity * frame * cfg.dt
+        noisy = truth + rng.normal(0.0, 0.1, size=truth.shape)
+        tracker.step(frame, [measurement(x, y, frame=frame)
+                             for (x, y), seen in zip(noisy, flags) if seen])
+        bank = tracker.bank
+        for row, track in enumerate(tracker.tracks):
+            assert validate_estimate(StateEstimate(bank.mean[row], bank.cov[row]))
+            key = track.track_id
+            weights = (bank.weights[row].tobytes(), bank.weight_diag[row].tobytes())
+            if STATUSES[bank.status[row]] is TrackStatus.COASTING and key in frozen:
+                assert weights == frozen[key]
+            frozen[key] = weights
+            if not dynamics:
+                assert np.all(bank.weight_diag[row] == 1.0)
+
+
 # -- dynamics interplay ---------------------------------------------------
 
 def _noisy_cv_positions(n=60, seed=2, sigma=0.3, speed=1.2):
@@ -157,19 +267,21 @@ def _noisy_cv_positions(n=60, seed=2, sigma=0.3, speed=1.2):
 def test_dynamics_off_never_touches_window():
     cfg = single_target_config(dynamics_enabled=False)
     tracker = run_single_target(_noisy_cv_positions(), cfg)
-    track = tracker.tracks[0]
-    assert track.window.count == 1  # only the birth measurement
-    assert track.weight_diag is None
+    bank = tracker.bank
+    assert bank.window.count[0] == 1  # only the birth measurement
+    # exact ones: predict applies bitwise the unweighted transition
+    assert np.all(bank.weight_diag[0] == 1.0)
 
 
 def test_dynamics_on_populates_window_and_weights():
     cfg = single_target_config()
     tracker = run_single_target(_noisy_cv_positions(), cfg)
-    track = tracker.tracks[0]
-    assert track.window.count == cfg.transition_window
-    assert track.weights.shape == (2, 4)
-    assert np.all(track.weights[:, 0] == 1.0)
-    assert np.all(track.weights >= 0.0) and np.all(track.weights <= 1.0)
+    bank = tracker.bank
+    assert bank.window.count[0] == cfg.transition_window
+    weights = bank.weights[0]
+    assert weights.shape == (2, 4)
+    assert np.all(weights[:, 0] == 1.0)
+    assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
 
 
 def test_saturated_factors_match_baseline_exactly():
@@ -193,24 +305,21 @@ def test_weights_frozen_while_coasting():
     tracker = MultiObjectTracker(cfg)
     for frame in range(30):
         tracker.step(frame, [measurement(*positions[frame], frame=frame)])
-    track = tracker.tracks[0]
-    before = track.weights.copy()
-    before_diag = None if track.weight_diag is None else track.weight_diag.copy()
+    bank = tracker.bank
+    before = bank.weights[0].copy()
+    before_diag = bank.weight_diag[0].copy()
     for frame in range(30, 36):
         tracker.step(frame, [])
-    assert track.status is TrackStatus.COASTING
-    npt.assert_array_equal(track.weights, before)
-    if before_diag is None:
-        assert track.weight_diag is None
-    else:
-        npt.assert_array_equal(track.weight_diag, before_diag)
+    assert STATUSES[bank.status[0]] is TrackStatus.COASTING
+    npt.assert_array_equal(bank.weights[0], before)
+    npt.assert_array_equal(bank.weight_diag[0], before_diag)
 
 
 def test_stationary_target_downweights_motion():
     rng = np.random.default_rng(9)
     positions = np.tile([5.0, 20.0], (60, 1)) + rng.normal(0.0, 0.02, (60, 2))
     tracker = run_single_target(positions, single_target_config())
-    weights = tracker.tracks[0].weights
+    weights = tracker.bank.weights[0]
     assert np.all(weights[:, 1] < 0.2)
     assert np.all(weights[:, 2] < 0.5)
 
@@ -218,7 +327,7 @@ def test_stationary_target_downweights_motion():
 def test_fast_target_saturates_velocity_weight_along_motion():
     positions = _noisy_cv_positions(n=60, sigma=0.05, speed=8.0)
     tracker = run_single_target(positions, single_target_config())
-    weights = tracker.tracks[0].weights
+    weights = tracker.bank.weights[0]
     assert weights[0, 1] == 1.0   # moving axis: fluctuation far above the factor
     assert weights[1, 1] < 0.5    # cross-track axis sees only noise
 
@@ -229,7 +338,7 @@ def test_snapshot_position_is_posterior_mean():
     cfg = single_target_config()
     tracker = MultiObjectTracker(cfg)
     snaps = tracker.step(0, [measurement(1.0, 2.0, frame=0)])
-    mean = tracker.tracks[0].est.mean
+    mean = tracker.bank.mean[0]
     n = cfg.model_order + 1
     npt.assert_array_equal(snaps[0].position, [mean[0], mean[n]])
 
@@ -239,9 +348,9 @@ def test_aux_fields_smoothed_on_match():
     tracker = MultiObjectTracker(cfg)
     tracker.step(0, [measurement(0.0, 10.0, frame=0, elevation=1.0, yaw=0.0)])
     tracker.step(1, [measurement(0.0, 10.0, frame=1, elevation=2.0, yaw=1.0)])
-    track = tracker.tracks[0]
-    assert track.elevation == pytest.approx(0.7 * 2.0 + 0.3 * 1.0)
-    assert track.yaw == pytest.approx(0.7)
+    bank = tracker.bank
+    assert bank.elevation[0] == pytest.approx(0.7 * 2.0 + 0.3 * 1.0)
+    assert bank.yaw[0] == pytest.approx(0.7)
 
 
 def test_trajectory_sources_recorded():
