@@ -292,24 +292,6 @@ def export_trajectory_csv(points, path):
             writer.writerow([p.frame, p.track_id, repr(p.x), repr(p.y), p.source])
 
 
-def read_trajectory_csv(path):
-    """Rows back as (frame, track_id, x, y, source) tuples."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != TRAJECTORY_HEADER:
-            raise ParseError(f"{path}:1: unexpected trajectory header {header}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise ParseError(f"{path}:{line_no}: expected 5 columns, got {len(row)}")
-            if row[4] not in TRAJECTORY_SOURCES:
-                raise ParseError(f"{path}:{line_no}: column 5: unknown source {row[4]!r}")
-            rows.append((int(row[0]), int(row[1]), float(row[2]),
-                         float(row[3]), row[4]))
-    return rows
-
-
 def measurements_from(ds: SequenceDataset) -> list:
     """Per-frame Measurement lists for the tracker."""
     frames = []

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, UndefinedMetricError
 from .kitti_io import SequenceDataset, id_position_frames
-from .tracker import MultiObjectTracker, gated_assignment
+from .tracker import MultiObjectTracker, gated_pairs
 
 
 @dataclass
@@ -112,12 +112,10 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
                     used.add(hid)
         rest_gt = [(gid, gpos) for gid, gpos in gts if gid not in matched]
         rest_hyp = [(hid, pos) for hid, pos in hyps if hid not in used]
-        if rest_gt and rest_hyp:
-            dist = np.array([[float(np.linalg.norm(gpos - hpos))
-                              for _, hpos in rest_hyp]
-                             for _, gpos in rest_gt])
-            for r, c in zip(*gated_assignment(dist, threshold)):
-                matched[rest_gt[r][0]] = rest_hyp[c][0]
+        rows, cols = gated_pairs([pos for _, pos in rest_gt],
+                                 [pos for _, pos in rest_hyp], threshold)
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            matched[rest_gt[r][0]] = rest_hyp[c][0]
         for gid, hid in matched.items():
             if gid in last_match and last_match[gid] != hid:
                 idsw += 1

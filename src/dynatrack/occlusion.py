@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .kitti_io import SequenceDataset, ground_position
-from .tracker import gated_assignment
+from .tracker import gated_pairs
 
 OCCLUSION_KINDS = ("mid", "late")
 
@@ -62,21 +62,14 @@ def match_detections_to_gt(dataset: SequenceDataset, gt_frames,
     unmatched = []
     for frame, det_records in enumerate(dataset.detections):
         gt_records = gt_frames[frame]
-        if not det_records:
-            continue
-        if not gt_records:
-            unmatched.extend((frame, j) for j in range(len(det_records)))
-            continue
-        det_pos = np.array([ground_position(r) for r in det_records])
-        gt_pos = np.array([ground_position(r) for r in gt_records])
-        dist = np.linalg.norm(gt_pos[:, None, :] - det_pos[None, :, :], axis=2)
-        taken = set()
-        for r, c in zip(*gated_assignment(dist, threshold)):
-            gt_id = gt_records[r].track_id
-            observations.setdefault(gt_id, []).append((frame, int(c)))
-            taken.add(int(c))
-        unmatched.extend((frame, j) for j in range(len(det_records))
-                         if j not in taken)
+        rows, cols = gated_pairs([ground_position(r) for r in gt_records],
+                                 [ground_position(r) for r in det_records],
+                                 threshold)
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            observations.setdefault(gt_records[r].track_id, []).append((frame, c))
+        free = np.ones(len(det_records), dtype=bool)
+        free[cols] = False
+        unmatched.extend((frame, j) for j in np.flatnonzero(free).tolist())
     tracklets = [ObjectTracklet(track_id=tid, observations=obs)
                  for tid, obs in sorted(observations.items())]
     return tracklets, unmatched

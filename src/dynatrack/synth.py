@@ -102,16 +102,6 @@ def object_truth(obj: ObjectSpec, dt: float) -> np.ndarray:
     return np.array(positions)
 
 
-def segment_frames(obj: ObjectSpec):
-    """(kind, start, stop) frame ranges of an object's segments."""
-    ranges = []
-    start = 0
-    for segment in obj.segments:
-        ranges.append((segment.kind, start, start + segment.duration))
-        start += segment.duration
-    return ranges
-
-
 def generate(spec: ScenarioSpec):
     """Build (ground-truth dataset, noisy detection dataset) for one scenario."""
     rng = np.random.default_rng(spec.seed)

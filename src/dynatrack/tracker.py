@@ -43,9 +43,21 @@ STATUS_VALUES = tuple(s.value for s in STATUSES)
 
 @dataclass
 class Assignment:
-    matches: list          # (track_index, detection_index) pairs
-    unmatched_tracks: list
-    unmatched_detections: list
+    """`associate`'s result as index arrays.
+
+    `rows`/`cols` are the matched (track, detection) indices in ascending
+    row order; the unmatched arrays are their ascending complements.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    unmatched_tracks: np.ndarray
+    unmatched_detections: np.ndarray
+
+    @property
+    def matches(self) -> np.ndarray:
+        """The matched (track, detection) pairs as a (K, 2) array."""
+        return np.column_stack((self.rows, self.cols))
 
 
 def gated_assignment(dist: np.ndarray, gate: float):
@@ -67,21 +79,74 @@ def gated_assignment(dist: np.ndarray, gate: float):
     return rows[keep], cols[keep]
 
 
+# The x window of `gated_pairs` is widened by this share of |x| + gate, far
+# more than the rounding of x +- gate, so no pair the distance test keeps
+# falls outside it.
+X_WINDOW_MARGIN = 1e-9
+
+
+def gated_pairs(a, b, gate: float):
+    """`gated_assignment` of points `a (n, k)` to points `b (m, k)` by distance.
+
+    Returns the matched (rows of a, rows of b) in ascending row order without
+    building the n x m distance matrix. Candidates are the points of b within
+    +-gate of each point of a in x, found by binary search over b sorted by
+    x; their distances are computed as `np.linalg.norm(a - b, axis=-1)`
+    computes them, bitwise. A pair whose two points have no other in-gate
+    partner is matched directly; every other in-gate pair goes to one
+    `gated_assignment` over the rows and columns they touch.
+
+    The result equals `gated_assignment` on the full matrix: its objective,
+    most in-gate pairs and then least summed distance, is a sum over the
+    connected parts of the in-gate graph, and each part is either one lone
+    pair or lies whole in the sub-block. Only exactly tied alternatives can
+    come out differently.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if len(a) == 0 or len(b) == 0:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none
+    order = np.argsort(b[:, 0], kind="stable")
+    bx = b[order, 0]
+    ax = a[:, 0]
+    reach = gate + X_WINDOW_MARGIN * (np.abs(ax) + gate)
+    lo = np.searchsorted(bx, ax - reach, side="left")
+    counts = np.searchsorted(bx, ax + reach, side="right") - lo
+    rows = np.repeat(np.arange(len(a)), counts)
+    # Candidate i of row r sits at sorted index lo[r] + (i - first[r]).
+    first = np.cumsum(counts) - counts
+    cols = order[np.arange(len(rows)) + np.repeat(lo - first, counts)]
+    d = a[rows] - b[cols]
+    dist = np.sqrt(np.add.reduce(d * d, axis=-1))
+    inside = dist <= gate
+    rows, cols, dist = rows[inside], cols[inside], dist[inside]
+
+    lone = ((np.bincount(rows, minlength=len(a))[rows] == 1)
+            & (np.bincount(cols, minlength=len(b))[cols] == 1))
+    if lone.all():
+        return rows, cols
+    shared = ~lone
+    sub_rows, r_at = np.unique(rows[shared], return_inverse=True)
+    sub_cols, c_at = np.unique(cols[shared], return_inverse=True)
+    block = np.full((len(sub_rows), len(sub_cols)), np.inf)
+    block[r_at, c_at] = dist[shared]
+    r, c = gated_assignment(block, gate)
+    rows = np.concatenate([rows[lone], sub_rows[r]])
+    cols = np.concatenate([cols[lone], sub_cols[c]])
+    by_row = np.argsort(rows, kind="stable")
+    return rows[by_row], cols[by_row]
+
+
 def associate(track_positions, detection_positions, gate: float) -> Assignment:
     """Min-distance one-to-one assignment; pairs beyond the gate never match."""
-    n_trk = len(track_positions)
-    n_det = len(detection_positions)
-    if n_trk == 0 or n_det == 0:
-        return Assignment([], list(range(n_trk)), list(range(n_det)))
-    tracks = np.asarray(track_positions, dtype=float)
-    dets = np.asarray(detection_positions, dtype=float)
-    dist = np.linalg.norm(tracks[:, None, :] - dets[None, :, :], axis=2)
-    rows, cols = (a.tolist() for a in gated_assignment(dist, gate))
-    matched_t = set(rows)
-    matched_d = set(cols)
-    unmatched_t = [i for i in range(n_trk) if i not in matched_t]
-    unmatched_d = [j for j in range(n_det) if j not in matched_d]
-    return Assignment(list(zip(rows, cols)), unmatched_t, unmatched_d)
+    rows, cols = gated_pairs(track_positions, detection_positions, gate)
+    unmatched_t = np.ones(len(track_positions), dtype=bool)
+    unmatched_t[rows] = False
+    unmatched_d = np.ones(len(detection_positions), dtype=bool)
+    unmatched_d[cols] = False
+    return Assignment(rows, cols, np.flatnonzero(unmatched_t),
+                      np.flatnonzero(unmatched_d))
 
 
 @dataclass(frozen=True)
@@ -355,7 +420,7 @@ class MultiObjectTracker:
                            bank.weight_diag, self._noise)
         predicted = pred.mean[:, self._pos_idx]
         assignment = associate(predicted, z, self.cfg.gate_distance)
-        rows, cols = np.array(assignment.matches, dtype=np.intp).reshape(-1, 2).T
+        rows, cols = assignment.rows, assignment.cols
         post, K, residual = flt.update(
             flt.StateEstimate(pred.mean[rows], pred.cov[rows]), z[cols],
             self._noise, self._H)
@@ -377,9 +442,9 @@ class MultiObjectTracker:
                                                         self._H))
             self._refresh_weights(rows)
         self._apply_matches(rows, {name: columns[name][cols] for name in REPORTED})
-        self._apply_misses(np.array(assignment.unmatched_tracks, dtype=np.intp))
+        self._apply_misses(assignment.unmatched_tracks)
         born = assignment.unmatched_detections
-        if born:
+        if len(born):
             self._add_births({name: column[born] for name, column in columns.items()})
             if self._record:
                 self.trajectory += _points(frame, bank.ids[-len(born):].tolist(),

@@ -1,4 +1,5 @@
 """Shared fixtures: measurement factories, reference implementations, checks."""
+import csv
 import itertools
 
 import numpy as np
@@ -6,8 +7,10 @@ import scipy.linalg
 
 from dynatrack.config import RunConfig
 from dynatrack.errors import (ConfigurationError, InsufficientDataError,
-                              NumericalError)
+                              NumericalError, ParseError)
 from dynatrack.filtering import INNOVATION_RIDGE, Measurement, StateEstimate
+from dynatrack.kitti_io import TRAJECTORY_HEADER, TRAJECTORY_SOURCES
+from dynatrack.synth import ObjectSpec
 from dynatrack.tracker import MultiObjectTracker
 
 
@@ -228,3 +231,31 @@ def random_tracking_scene(rng, n_objects=3, n_frames=10, drop=0.2,
         gt_frames.append(gts)
         hyp_frames.append(hyps)
     return gt_frames, hyp_frames
+
+
+def read_trajectory_csv(path):
+    """Rows back as (frame, track_id, x, y, source) tuples."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        if header != TRAJECTORY_HEADER:
+            raise ParseError(f"{path}:1: unexpected trajectory header {header}")
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 5:
+                raise ParseError(f"{path}:{line_no}: expected 5 columns, got {len(row)}")
+            if row[4] not in TRAJECTORY_SOURCES:
+                raise ParseError(f"{path}:{line_no}: column 5: unknown source {row[4]!r}")
+            rows.append((int(row[0]), int(row[1]), float(row[2]),
+                         float(row[3]), row[4]))
+    return rows
+
+
+def segment_frames(obj: ObjectSpec):
+    """(kind, start, stop) frame ranges of an object's segments."""
+    ranges = []
+    start = 0
+    for segment in obj.segments:
+        ranges.append((segment.kind, start, start + segment.duration))
+        start += segment.duration
+    return ranges

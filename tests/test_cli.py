@@ -9,6 +9,8 @@ from dynatrack import kitti_io as kio
 from dynatrack.config import RunConfig, load_config, save_config
 from dynatrack.tracker import MultiObjectTracker
 
+from helpers import read_trajectory_csv
+
 SCENARIO = """
 dt: 0.1
 noise_sigma: 0.2
@@ -110,7 +112,7 @@ def test_track_produces_outputs(scenario_dir, capsys):
     assert len(tracks) == 40
     ids = {r.track_id for f in tracks for r in f}
     assert ids == {1, 2}
-    rows = kio.read_trajectory_csv(out / "trajectories" / "detections.csv")
+    rows = read_trajectory_csv(out / "trajectories" / "detections.csv")
     assert {r[4] for r in rows} == {"measurement", "predicted", "updated"}
     effective = load_config(out / "config_effective")
     assert effective.min_hits == 1

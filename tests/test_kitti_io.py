@@ -9,6 +9,8 @@ from dynatrack import kitti_io as kio
 from dynatrack.errors import ParseError
 from dynatrack.tracker import TrackSnapshot, TrajectoryPoint
 
+from helpers import read_trajectory_csv
+
 DET_LINE = ("0 Car 0.00 0 -1.50 100.0 120.0 150.0 160.0 "
             "1.50 1.70 4.20 2.50 1.40 30.00 0.10 0.92")
 DET_LINE_F3 = ("3 Pedestrian 0.10 1 0.20 10.0 20.0 30.0 40.0 "
@@ -197,7 +199,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     kio.export_trajectory_csv(points, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "frame,track_id,x,y,source"
-    rows = kio.read_trajectory_csv(path)
+    rows = read_trajectory_csv(path)
     assert [(r[0], r[1], r[4]) for r in rows] == [
         (0, 1, "measurement"), (0, 1, "predicted"), (1, 2, "updated")]
     assert rows[2][2] == 0.1 + 0.2  # full precision survives the text form
@@ -208,14 +210,14 @@ def test_read_trajectory_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("frame,id,x,y,source\n")
     with pytest.raises(ParseError, match="unexpected trajectory header"):
-        kio.read_trajectory_csv(path)
+        read_trajectory_csv(path)
 
 
 def test_read_trajectory_csv_rejects_unknown_source(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("frame,track_id,x,y,source\n0,1,0.0,0.0,smoothed\n")
     with pytest.raises(ParseError, match="unknown source"):
-        kio.read_trajectory_csv(path)
+        read_trajectory_csv(path)
 
 
 def test_load_sequence_pads_to_common_length(tmp_path):

@@ -6,8 +6,9 @@ import pytest
 from dynatrack.errors import ConfigurationError
 from dynatrack.kitti_io import ground_position
 from dynatrack.synth import (ObjectSpec, RegimeSegment, ScenarioSpec,
-                             generate, load_scenario, object_truth,
-                             segment_frames)
+                             generate, load_scenario, object_truth)
+
+from helpers import segment_frames
 
 
 def _obj(segments, initial=(0.0, 0.0), **kwargs):

@@ -9,7 +9,7 @@ from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError, NumericalError
 from dynatrack.filtering import StateEstimate
 from dynatrack.tracker import (STATUSES, MultiObjectTracker, TrackStatus,
-                               associate, gated_assignment)
+                               associate, gated_assignment, gated_pairs)
 
 from helpers import (_min_cost_pairs, frames_from_positions, measurement,
                      run_single_target, single_target_config,
@@ -18,39 +18,153 @@ from helpers import (_min_cost_pairs, frames_from_positions, measurement,
 
 # -- association ---------------------------------------------------------
 
+def _pairs(assignment):
+    return [tuple(p) for p in assignment.matches.tolist()]
+
+
 def test_associate_empty_inputs():
     a = associate([], [np.zeros(2)], gate=2.0)
-    assert (a.matches, a.unmatched_tracks, a.unmatched_detections) == ([], [], [0])
+    assert (_pairs(a), a.unmatched_tracks.tolist(),
+            a.unmatched_detections.tolist()) == ([], [], [0])
     b = associate([np.zeros(2)], [], gate=2.0)
-    assert (b.matches, b.unmatched_tracks, b.unmatched_detections) == ([], [0], [])
+    assert (_pairs(b), b.unmatched_tracks.tolist(),
+            b.unmatched_detections.tolist()) == ([], [0], [])
 
 
 def test_associate_prefers_nearest():
     tracks = [np.array([0.0, 0.0]), np.array([10.0, 0.0])]
     dets = [np.array([9.5, 0.0]), np.array([0.4, 0.0])]
     a = associate(tracks, dets, gate=2.0)
-    assert sorted(a.matches) == [(0, 1), (1, 0)]
+    assert _pairs(a) == [(0, 1), (1, 0)]
 
 
 def test_associate_respects_gate():
     tracks = [np.array([0.0, 0.0])]
     dets = [np.array([5.0, 0.0])]
     a = associate(tracks, dets, gate=2.0)
-    assert a.matches == []
-    assert a.unmatched_tracks == [0]
-    assert a.unmatched_detections == [0]
+    assert _pairs(a) == []
+    assert a.unmatched_tracks.tolist() == [0]
+    assert a.unmatched_detections.tolist() == [0]
 
 
 def test_associate_gate_is_inclusive():
     a = associate([np.array([0.0, 0.0])], [np.array([2.0, 0.0])], gate=2.0)
-    assert a.matches == [(0, 0)]
+    assert _pairs(a) == [(0, 0)]
 
 
 def test_associate_one_to_one_minimizes_total_distance():
     tracks = [np.array([0.0, 0.0]), np.array([1.0, 0.0])]
     dets = [np.array([0.6, 0.0])]
     a = associate(tracks, dets, gate=2.0)
-    assert a.matches == [(1, 0)]
+    assert _pairs(a) == [(1, 0)]
+
+
+def _dense_reference(a, b, gate):
+    """`gated_assignment` over the full distance matrix, and that matrix."""
+    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    if dist.size == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), dist
+    return (*gated_assignment(dist, gate), dist)
+
+
+def _unique_optimum(rows, cols, dist, gate):
+    """Whether every other in-gate pairing is fewer pairs or longer in sum.
+
+    Any other pairing leaves out one of these pairs, so it is enough to solve
+    again with each pair forbidden in turn.
+    """
+    total = dist[rows, cols].sum()
+    for r, c in zip(rows, cols):
+        banned = dist.copy()
+        banned[r, c] = np.inf
+        r2, c2 = gated_assignment(banned, gate)
+        if len(r2) == len(rows) and abs(dist[r2, c2].sum() - total) <= 1e-12:
+            return False
+    return True
+
+
+GATE = 2.5
+# Half-metre steps put pairs exactly one gate apart (1.5, 2.0 -> 2.5),
+# repeat positions and let points share an x coordinate.
+_GRID = [0.5 * k for k in range(13)]
+
+
+@st.composite
+def _scenes(draw):
+    side = draw(st.sampled_from([2.0, 4.0, 6.0]))
+    coord = (st.sampled_from([v for v in _GRID if v <= side])
+             | st.floats(0.0, side))
+    point = st.tuples(coord, coord)
+    a = draw(st.lists(point, max_size=30))
+    b = draw(st.lists(point | st.sampled_from(a or [(0.0, 0.0)]), max_size=30))
+    return (np.array(a, dtype=float).reshape(-1, 2),
+            np.array(b, dtype=float).reshape(-1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@example(scene=(np.zeros((0, 2)), np.zeros((3, 2))))
+@example(scene=(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]),
+                np.array([[0.0, 0.0], [1.5, 2.0], [0.0, 2.5], [0.0, 2.5]])))
+@given(scene=_scenes())
+def test_associate_matches_dense_reference(scene):
+    a, b = scene
+    got = associate(a, b, GATE)
+    rows, cols, dist = _dense_reference(a, b, GATE)
+    assert len(got.rows) == len(rows)
+    assert abs(dist[got.rows, got.cols].sum() - dist[rows, cols].sum()) <= 1e-12
+    assert np.all(dist[got.rows, got.cols] <= GATE)
+    assert np.all(np.diff(got.rows) > 0)
+    assert len(set(got.cols.tolist())) == len(got.cols)
+    npt.assert_array_equal(got.unmatched_tracks,
+                           np.setdiff1d(np.arange(len(a)), got.rows))
+    npt.assert_array_equal(got.unmatched_detections,
+                           np.setdiff1d(np.arange(len(b)), got.cols))
+    if _unique_optimum(rows, cols, dist, GATE):
+        npt.assert_array_equal(got.rows, rows)
+        npt.assert_array_equal(got.cols, cols)
+
+
+def _boundary_pairs(x, gate):
+    """Points of x + gate and x - gate on the float grid, at the last one in
+    the gate as `np.linalg.norm` computes it and at the next one past it."""
+    pairs = []
+    for outward in (np.inf, -np.inf):
+        edge = x + gate if outward > 0 else x - gate
+        while abs(edge - x) <= gate:
+            edge = np.nextafter(edge, outward)
+        while abs(edge - x) > gate:
+            edge = np.nextafter(edge, -outward)
+        pairs += [edge, np.nextafter(edge, outward)]
+    return pairs
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, -1e6])
+@pytest.mark.parametrize("gate", [2.5, 2.0, 0.1, 1.7])
+def test_gated_pairs_x_window_keeps_every_in_gate_pair(offset, gate):
+    # x values whose sum with the gate rounds: the window edge x + gate can
+    # land below a point whose computed distance is still within the gate.
+    xs = offset + np.array([-3.5584038728036624, -1.8816854798951455,
+                            4.486494471372438, 2.5351310867480663, 10.1, 7.3])
+    for x in xs:
+        for edge in _boundary_pairs(x, gate):
+            a = np.array([[x, 7.0]])
+            b = np.array([[edge, 7.0]])
+            rows, cols, _ = _dense_reference(a, b, gate)
+            got = gated_pairs(a, b, gate)
+            assert (got[0].tolist(), got[1].tolist()) == (rows.tolist(),
+                                                          cols.tolist()), (x, edge)
+
+
+def test_gated_pairs_distances_are_the_dense_norm_bitwise():
+    rng = np.random.default_rng(0)
+    a = rng.normal(0.0, 1.0, (200, 2)) * 10.0 ** rng.integers(-3, 7, (200, 1))
+    b = a + rng.normal(0.0, 1.0, (200, 2))
+    dist = np.linalg.norm(a - b, axis=-1)
+    # With the gate at the dense distance the pair matches, one ulp below it
+    # it does not, so a distance off by any rounding fails one of the two.
+    for p, q, gate in zip(a, b, dist):
+        assert len(gated_pairs([p], [q], gate)[0]) == 1
+        assert len(gated_pairs([p], [q], np.nextafter(gate, 0.0))[0]) == 0
 
 
 @st.composite
