@@ -66,7 +66,7 @@ def _sequence_paths(path: Path):
 
 
 def _track_one(det_path: Path, cfg: cfg_mod.RunConfig, out_dir: Path):
-    ds = kitti_io.parse_detections(det_path, dt=cfg.dt)
+    ds = kitti_io.parse_detections(det_path)
     tracker = MultiObjectTracker(cfg, record_trajectories=True)
     per_frame = tracker.run(kitti_io.measurements_from(ds))
     kitti_io.write_tracks(per_frame, out_dir / "tracks" / f"{ds.sequence_id}.txt")
@@ -183,7 +183,7 @@ def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     det_path = _require_file(args.detections, "detections file")
     gt_path = _require_file(args.ground_truth, "ground-truth file")
-    ds = kitti_io.parse_detections(det_path, dt=cfg.dt)
+    ds = kitti_io.parse_detections(det_path)
     gt = kitti_io.parse_annotations(gt_path)
     frames = kitti_io.measurements_from(ds)
     baseline_cfg = cfg.replace(dynamics_enabled=False)

@@ -44,37 +44,42 @@ class RunConfig:
         return dataclasses.replace(self, **changes)
 
 
-def _require(cond: bool, key: str, message: str):
+def require(cond: bool, key: str, message: str):
+    """Raise ConfigurationError "config key '<key>': <message>" unless `cond`."""
     if not cond:
         raise ConfigurationError(f"config key '{key}': {message}")
 
 
+# Annotation name -> (accepted types, what is expected); only "bool" takes a bool.
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "bool": (bool, "a boolean"), "str": (str, "a string")}
+
+
 def validate_config(cfg: RunConfig):
-    """Raise ConfigurationError naming the offending key."""
-    _require(cfg.model_order in VALID_ORDERS, "model_order",
-             f"must be one of {VALID_ORDERS}, got {cfg.model_order}")
-    _require(isinstance(cfg.dynamics_enabled, bool), "dynamics_enabled",
-             f"must be a boolean, got {cfg.dynamics_enabled!r}")
-    _require(cfg.transition_window >= 3, "transition_window",
-             f"must be >= 3, got {cfg.transition_window}")
-    _require(cfg.smoothing_window >= 1, "smoothing_window",
-             f"must be >= 1, got {cfg.smoothing_window}")
+    """Raise ConfigurationError naming the offending key; types are checked first."""
+    for key, kind in FIELD_TYPES.items():
+        types, expected = _KINDS[kind]
+        value = getattr(cfg, key)
+        require(isinstance(value, types) and isinstance(value, bool) == (kind == "bool"),
+                key, f"expected {expected}, got {value!r}")
+    require(cfg.model_order in VALID_ORDERS, "model_order",
+            f"must be one of {VALID_ORDERS}, got {cfg.model_order}")
+    require(cfg.transition_window >= 3, "transition_window",
+            f"must be >= 3, got {cfg.transition_window}")
+    require(cfg.smoothing_window >= 1, "smoothing_window",
+            f"must be >= 1, got {cfg.smoothing_window}")
     for key in ("factor_velocity", "factor_acceleration", "factor_jerk",
                 "process_noise", "measurement_noise", "gate_distance", "dt"):
         value = getattr(cfg, key)
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 key, f"must be a number, got {value!r}")
-        _require(value > 0, key, f"must be positive, got {value}")
-    _require(cfg.min_hits >= 1, "min_hits", f"must be >= 1, got {cfg.min_hits}")
-    _require(cfg.max_misses >= 0, "max_misses",
-             f"must be >= 0, got {cfg.max_misses}")
-    _require(isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool),
-             "seed", f"must be an integer, got {cfg.seed!r}")
-    _require(cfg.cold_start_mode in COLD_START_MODES, "cold_start_mode",
-             f"must be one of {COLD_START_MODES}, got {cfg.cold_start_mode!r}")
+        require(value > 0, key, f"must be positive, got {value}")
+    require(cfg.min_hits >= 1, "min_hits", f"must be >= 1, got {cfg.min_hits}")
+    require(cfg.max_misses >= 0, "max_misses",
+            f"must be >= 0, got {cfg.max_misses}")
+    require(cfg.cold_start_mode in COLD_START_MODES, "cold_start_mode",
+            f"must be one of {COLD_START_MODES}, got {cfg.cold_start_mode!r}")
     # Kept so older config_effective files load; innovation is the only term.
-    _require(cfg.noise_term_strategy == "innovation", "noise_term_strategy",
-             f"must be 'innovation', got {cfg.noise_term_strategy!r}")
+    require(cfg.noise_term_strategy == "innovation", "noise_term_strategy",
+            f"must be 'innovation', got {cfg.noise_term_strategy!r}")
 
 
 # Key -> annotation name ("int", "float", "bool" or "str"). The annotations are
@@ -83,44 +88,40 @@ def validate_config(cfg: RunConfig):
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
+def check_mapping(data, known, what: str, kind: str = "key-value mapping") -> dict:
+    """`data` if it is a dict with no key outside `known`; else ConfigurationError
+    naming the first unknown key in sorted order."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} must be a {kind}, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(known), key=str)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} key '{unknown[0]}'")
+    return data
+
+
 def _coerce(key: str, value):
+    """Spellings files and flags use: "true"/"false" (any case) for a bool, an
+    int for a float. Any other value is left for `validate_config` to check."""
     kind = FIELD_TYPES[key]
-    if kind == "bool":
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.lower() in ("true", "false"):
-            return value.lower() == "true"
-        raise ConfigurationError(f"config key '{key}': expected a boolean, got {value!r}")
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"config key '{key}': expected an integer, got {value!r}")
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"config key '{key}': expected a number, got {value!r}")
+    if kind == "bool" and isinstance(value, str) and value.lower() in ("true", "false"):
+        return value.lower() == "true"
+    if kind == "float" and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
-    if not isinstance(value, str):
-        raise ConfigurationError(f"config key '{key}': expected a string, got {value!r}")
     return value
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
-    unknown = set(mapping) - set(FIELD_TYPES)
-    if unknown:
-        raise ConfigurationError(f"unknown config key '{sorted(unknown)[0]}'")
-    values = {key: _coerce(key, value) for key, value in mapping.items()}
-    return RunConfig(**values)
+    check_mapping(mapping, FIELD_TYPES, "config", "flat key-value mapping")
+    return RunConfig(**{key: _coerce(key, value) for key, value in mapping.items()})
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Load a flat key-value YAML config file."""
-    text = Path(path).read_text()
-    data = yaml.safe_load(text)
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"config file {path} must hold a flat key-value mapping")
-    return config_from_mapping(data)
+    try:
+        data = yaml.safe_load(Path(path).read_text())
+        return config_from_mapping({} if data is None else data)
+    except (ConfigurationError, yaml.YAMLError) as exc:
+        raise ConfigurationError(f"config file {path}: {exc}") from None
 
 
 def save_config(cfg: RunConfig, path: str | Path):

@@ -30,9 +30,6 @@ class TransitionModel:
     """Constant-rate Taylor transition for one fixed timestep."""
 
     F: np.ndarray
-    dt: float
-    order: int
-    axes: int = GROUND_AXES
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,6 @@ class Measurement:
     """One detection converted to the tracking frame."""
 
     position: np.ndarray          # ground plane (lateral, longitudinal)
-    frame: int
     elevation: float = 0.0
     yaw: float = 0.0
     dims: tuple = (0.0, 0.0, 0.0)  # height, width, length
@@ -90,7 +86,7 @@ def build_transition(order: int, dt: float, axes: int = GROUND_AXES) -> Transiti
     """Block-diagonal transition over independent axes."""
     block = transition_block(order, dt)
     F = scipy.linalg.block_diag(*([block] * axes))
-    return TransitionModel(F=F, dt=dt, order=order, axes=axes)
+    return TransitionModel(F=F)
 
 
 def process_noise_block(order: int, dt: float, q: float) -> np.ndarray:
@@ -154,8 +150,8 @@ def predict(est: StateEstimate, trans: TransitionModel, weights,
     """Weighted prediction: mean' = F W mean, cov' = (F W) cov (F W)^T + Q.
 
     `weights` is the diagonal of the weight matrix W, shaped like `est.mean`
-    (one diagonal per stacked state), or None for the plain unweighted step.
-    A diagonal of exact ones gives bitwise the unweighted step.
+    (one diagonal per stacked state). A diagonal of exact ones gives bitwise
+    the unweighted step.
     """
     F = trans.F
     dim = F.shape[0]
@@ -163,7 +159,7 @@ def predict(est: StateEstimate, trans: TransitionModel, weights,
     if est.mean.shape != batch + (dim,) or est.cov.shape != batch + (dim, dim):
         raise ContractViolationError(
             f"state dimension {est.mean.shape} does not match transition {F.shape}")
-    W = np.ones(est.mean.shape) if weights is None else np.asarray(weights, dtype=float)
+    W = np.asarray(weights, dtype=float)
     if W.shape != est.mean.shape:
         raise ContractViolationError(
             f"weight diagonal shape {W.shape} does not match state {est.mean.shape}")

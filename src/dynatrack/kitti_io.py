@@ -72,7 +72,6 @@ class SequenceDataset:
     """Per-frame detections with optional aligned ground truth."""
 
     sequence_id: str
-    dt: float = 0.1
     detections: list = field(default_factory=list)
     ground_truth: list | None = None
 
@@ -151,8 +150,7 @@ def _parse_frames(path: Path, n_fields: int, make_record) -> list:
     return frames
 
 
-def parse_detections(path, dt: float = 0.1,
-                     sequence_id: str | None = None) -> SequenceDataset:
+def parse_detections(path, sequence_id: str | None = None) -> SequenceDataset:
     """Parse a 17-column detection file into a dense per-frame dataset."""
     path = Path(path)
 
@@ -164,8 +162,7 @@ def parse_detections(path, dt: float = 0.1,
             raw=line)
 
     frames = _parse_frames(path, DETECTION_FIELDS, make_record)
-    return SequenceDataset(sequence_id=sequence_id or path.stem, dt=dt,
-                           detections=frames)
+    return SequenceDataset(sequence_id=sequence_id or path.stem, detections=frames)
 
 
 def _parse_labeled(path, expect_score: bool):
@@ -192,9 +189,9 @@ def parse_tracks(path) -> list:
     return _parse_labeled(path, expect_score=True)
 
 
-def load_sequence(detection_path, annotation_path=None, dt: float = 0.1) -> SequenceDataset:
+def load_sequence(detection_path, annotation_path=None) -> SequenceDataset:
     """Detections plus optional aligned ground truth, padded to a common length."""
-    ds = parse_detections(detection_path, dt=dt)
+    ds = parse_detections(detection_path)
     if annotation_path is not None:
         gt = parse_annotations(annotation_path)
         n = max(len(ds.detections), len(gt))
@@ -299,7 +296,6 @@ def measurements_from(ds: SequenceDataset) -> list:
         frames.append([
             Measurement(
                 position=ground_position(r),
-                frame=r.frame,
                 elevation=r.location[1],
                 yaw=r.rotation_y,
                 dims=r.dims,

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, UndefinedMetricError
 from .kitti_io import SequenceDataset, id_position_frames
-from .tracker import MultiObjectTracker, gated_pairs
+from .tracker import MultiObjectTracker, distance, gated_pairs, in_gate
 
 
 @dataclass
@@ -107,7 +107,7 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
         for gid, gpos in gts:
             hid = active.get(gid)
             if hid is not None and hid in hyp_pos and hid not in used:
-                if float(np.linalg.norm(gpos - hyp_pos[hid])) <= threshold:
+                if distance(gpos, hyp_pos[hid]) <= threshold:
                     matched[gid] = hid
                     used.add(hid)
         rest_gt = [(gid, gpos) for gid, gpos in gts if gid not in matched]
@@ -133,32 +133,27 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
 
 
 def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
-    """Identity scores from the globally optimal one-to-one id pairing."""
+    """Identity scores from the globally optimal one-to-one id pairing.
+
+    A (gt id, hyp id) pair gains one per frame in which the two are `in_gate`.
+    Ids that never overlap would add only zero rows or columns to the gain.
+    """
     gt_frames, hyp_frames = _pad(_as_frames(gt), _as_frames(hyp))
-    gt_count: dict = {}
-    hyp_count: dict = {}
-    overlap: dict = {}
+    total_gt = sum(len(gts) for gts in gt_frames)
+    total_hyp = sum(len(hyps) for hyps in hyp_frames)
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
     for gts, hyps in zip(gt_frames, hyp_frames):
-        for gid, _ in gts:
-            gt_count[gid] = gt_count.get(gid, 0) + 1
-        for hid, _ in hyps:
-            hyp_count[hid] = hyp_count.get(hid, 0) + 1
-        for gid, gpos in gts:
-            for hid, hpos in hyps:
-                if float(np.linalg.norm(gpos - hpos)) <= threshold:
-                    overlap[(gid, hid)] = overlap.get((gid, hid), 0) + 1
-    total_gt = sum(gt_count.values())
-    total_hyp = sum(hyp_count.values())
-    idtp = 0
-    if overlap:
-        gt_ids = sorted(gt_count)
-        hyp_ids = sorted(hyp_count)
-        gain = np.zeros((len(gt_ids), len(hyp_ids)))
-        for i, gid in enumerate(gt_ids):
-            for j, hid in enumerate(hyp_ids):
-                gain[i, j] = overlap.get((gid, hid), 0)
-        rows, cols = linear_sum_assignment(-gain)
-        idtp = int(gain[rows, cols].sum())
+        rows, cols, _ = in_gate([p for _, p in gts], [p for _, p in hyps], threshold)
+        gids = np.array([i for i, _ in gts], dtype=np.int64)
+        hids = np.array([i for i, _ in hyps], dtype=np.int64)
+        pairs.append(np.column_stack((gids[rows], hids[cols])))
+    overlap, counts = np.unique(np.concatenate(pairs), axis=0, return_counts=True)
+    gt_ids, g_at = np.unique(overlap[:, 0], return_inverse=True)
+    hyp_ids, h_at = np.unique(overlap[:, 1], return_inverse=True)
+    gain = np.zeros((len(gt_ids), len(hyp_ids)))
+    gain[g_at, h_at] = counts
+    rows, cols = linear_sum_assignment(-gain)
+    idtp = int(gain[rows, cols].sum())
     idfn = total_gt - idtp
     idfp = total_hyp - idtp
     denom = 2 * idtp + idfp + idfn

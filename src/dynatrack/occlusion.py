@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .config import require
+from .errors import InputError
 from .kitti_io import SequenceDataset, ground_position
 from .tracker import gated_pairs
 
@@ -22,18 +23,13 @@ class OcclusionSpec:
     match_threshold: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in OCCLUSION_KINDS:
-            raise ConfigurationError(
-                f"config key 'kind': must be one of {OCCLUSION_KINDS}, got {self.kind!r}")
-        if self.start_after < 1:
-            raise ConfigurationError(
-                f"config key 'start_after': must be >= 1, got {self.start_after}")
-        if self.length < 1:
-            raise ConfigurationError(
-                f"config key 'length': must be >= 1, got {self.length}")
-        if self.match_threshold <= 0:
-            raise ConfigurationError(
-                f"config key 'match_threshold': must be positive, got {self.match_threshold}")
+        require(self.kind in OCCLUSION_KINDS, "kind",
+                f"must be one of {OCCLUSION_KINDS}, got {self.kind!r}")
+        require(self.start_after >= 1, "start_after",
+                f"must be >= 1, got {self.start_after}")
+        require(self.length >= 1, "length", f"must be >= 1, got {self.length}")
+        require(self.match_threshold > 0, "match_threshold",
+                f"must be positive, got {self.match_threshold}")
 
 
 @dataclass
@@ -104,8 +100,7 @@ def simulate_occlusion(dataset: SequenceDataset, tracklets, spec: OcclusionSpec)
     frames = [[record for j, record in enumerate(frame_records)
                if (frame, j) not in deleted]
               for frame, frame_records in enumerate(dataset.detections)]
-    out = SequenceDataset(sequence_id=dataset.sequence_id, dt=dataset.dt,
-                          detections=frames,
+    out = SequenceDataset(sequence_id=dataset.sequence_id, detections=frames,
                           ground_truth=dataset.ground_truth)
     return out, occluded_frames
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .config import check_mapping, require
 from .errors import ConfigurationError
 from .kitti_io import DetectionRecord, GroundTruthRecord, SequenceDataset, camera_location
 from .occlusion import OcclusionSpec
@@ -35,15 +36,11 @@ class RegimeSegment:
     value: tuple | None = None   # held derivative per axis; None keeps current
 
     def __post_init__(self):
-        if self.kind not in SEGMENT_KINDS:
-            raise ConfigurationError(
-                f"config key 'kind': must be one of {SEGMENT_KINDS}, got {self.kind!r}")
-        if self.duration < 1:
-            raise ConfigurationError(
-                f"config key 'duration': must be >= 1, got {self.duration}")
-        if self.value is not None and len(self.value) != 2:
-            raise ConfigurationError(
-                f"config key 'value': needs one entry per axis, got {self.value!r}")
+        require(self.kind in SEGMENT_KINDS, "kind",
+                f"must be one of {SEGMENT_KINDS}, got {self.kind!r}")
+        require(self.duration >= 1, "duration", f"must be >= 1, got {self.duration}")
+        require(self.value is None or len(self.value) == 2, "value",
+                f"needs one entry per axis, got {self.value!r}")
 
 
 @dataclass
@@ -67,13 +64,11 @@ class ScenarioSpec:
     occlusion: OcclusionSpec | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError(f"config key 'dt': must be positive, got {self.dt}")
-        if self.noise_sigma < 0:
-            raise ConfigurationError(
-                f"config key 'noise_sigma': must be >= 0, got {self.noise_sigma}")
-        if not self.objects:
-            raise ConfigurationError("config key 'objects': at least one object required")
+        require(self.dt > 0, "dt", f"must be positive, got {self.dt}")
+        require(self.noise_sigma >= 0, "noise_sigma",
+                f"must be >= 0, got {self.noise_sigma}")
+        require(self.seed >= 0, "seed", f"must be >= 0, got {self.seed}")
+        require(bool(self.objects), "objects", "at least one object required")
 
 
 def object_truth(obj: ObjectSpec, dt: float) -> np.ndarray:
@@ -139,64 +134,44 @@ def generate(spec: ScenarioSpec):
                 rotation_y=0.0,
                 score=DETECTION_SCORE,
             ))
-    gt = SequenceDataset(sequence_id="synth", dt=spec.dt,
+    gt = SequenceDataset(sequence_id="synth",
                          detections=[[] for _ in range(num_frames)],
                          ground_truth=gt_frames)
-    dets = SequenceDataset(sequence_id="synth", dt=spec.dt,
-                           detections=det_frames)
+    dets = SequenceDataset(sequence_id="synth", detections=det_frames)
     return gt, dets
 
 
-def _segment_from_mapping(data: dict) -> RegimeSegment:
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"segment entries must be mappings, got {data!r}")
-    unknown = set(data) - {"kind", "duration", "value"}
-    if unknown:
-        raise ConfigurationError(f"unknown segment key '{sorted(unknown)[0]}'")
+def _segment_from_mapping(data) -> RegimeSegment:
+    check_mapping(data, ("kind", "duration", "value"), "segment")
     value = data.get("value")
     return RegimeSegment(kind=data.get("kind", ""),
                          duration=int(data.get("duration", 0)),
-                         value=tuple(value) if value is not None else None)
+                         value=tuple(map(float, value)) if value is not None else None)
 
 
-def _object_from_mapping(data: dict) -> ObjectSpec:
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"object entries must be mappings, got {data!r}")
-    known = {"initial", "velocity", "acceleration", "jerk", "segments",
-             "dims", "elevation", "type"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError(f"unknown object key '{sorted(unknown)[0]}'")
+def _object_from_mapping(data) -> ObjectSpec:
+    check_mapping(data, ("initial", "velocity", "acceleration", "jerk", "segments",
+                         "dims", "elevation", "type"), "object")
     if "initial" not in data or "segments" not in data:
         raise ConfigurationError("each object needs 'initial' and 'segments'")
     return ObjectSpec(
-        initial_position=tuple(data["initial"]),
-        velocity=tuple(data.get("velocity", (0.0, 0.0))),
-        acceleration=tuple(data.get("acceleration", (0.0, 0.0))),
-        jerk=tuple(data.get("jerk", (0.0, 0.0))),
+        initial_position=tuple(map(float, data["initial"])),
+        velocity=tuple(map(float, data.get("velocity", (0.0, 0.0)))),
+        acceleration=tuple(map(float, data.get("acceleration", (0.0, 0.0)))),
+        jerk=tuple(map(float, data.get("jerk", (0.0, 0.0)))),
         segments=[_segment_from_mapping(s) for s in data["segments"]],
-        dims=tuple(data.get("dims", DEFAULT_DIMS)),
+        dims=tuple(map(float, data.get("dims", DEFAULT_DIMS))),
         elevation=float(data.get("elevation", DEFAULT_ELEVATION)),
         obj_type=str(data.get("type", "Car")),
     )
 
 
-def load_scenario(path) -> ScenarioSpec:
-    """Read a scenario description from a YAML document."""
-    data = yaml.safe_load(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"scenario file {path} must hold a mapping")
-    known = {"dt", "noise_sigma", "seed", "objects", "occlusion"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError(f"unknown scenario key '{sorted(unknown)[0]}'")
+def _scenario_from_mapping(data) -> ScenarioSpec:
+    check_mapping(data, ("dt", "noise_sigma", "seed", "objects", "occlusion"), "scenario")
     occlusion = None
     if data.get("occlusion") is not None:
-        occ = data["occlusion"]
-        occ_known = {"kind", "start_after", "length", "match_threshold"}
-        occ_unknown = set(occ) - occ_known
-        if occ_unknown:
-            raise ConfigurationError(f"unknown occlusion key '{sorted(occ_unknown)[0]}'")
+        occ = check_mapping(data["occlusion"], ("kind", "start_after", "length",
+                                                "match_threshold"), "occlusion")
         occlusion = OcclusionSpec(
             kind=occ.get("kind", ""),
             start_after=int(occ.get("start_after", 0)),
@@ -210,3 +185,11 @@ def load_scenario(path) -> ScenarioSpec:
         seed=int(data.get("seed", 0)),
         occlusion=occlusion,
     )
+
+
+def load_scenario(path) -> ScenarioSpec:
+    """Read a scenario from a YAML document; malformed ones raise ConfigurationError."""
+    try:
+        return _scenario_from_mapping(yaml.safe_load(Path(path).read_text()))
+    except (ConfigurationError, yaml.YAMLError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"scenario file {path}: {exc}") from None

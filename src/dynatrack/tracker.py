@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -28,17 +27,9 @@ PASSED = ("score", "bbox2d", "obj_type")
 REPORTED = (*SMOOTHED, *PASSED)
 
 
-class TrackStatus(str, Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    COASTING = "coasting"
-    DEAD = "dead"
-
-
 # The bank stores a status as its index here.
-STATUSES = tuple(TrackStatus)
+STATUSES = ("tentative", "confirmed", "coasting", "dead")
 TENTATIVE, CONFIRMED, COASTING, DEAD = range(len(STATUSES))
-STATUS_VALUES = tuple(s.value for s in STATUSES)
 
 
 @dataclass
@@ -79,34 +70,27 @@ def gated_assignment(dist: np.ndarray, gate: float):
     return rows[keep], cols[keep]
 
 
-# The x window of `gated_pairs` is widened by this share of |x| + gate, far
-# more than the rounding of x +- gate, so no pair the distance test keeps
-# falls outside it.
+def distance(a: np.ndarray, b: np.ndarray):
+    """Euclidean distance over the last axis, bitwise `np.linalg.norm(a - b, axis=-1)`;
+    every gate decision uses it, so a pair at the gate is judged alike everywhere."""
+    d = a - b
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
+# `in_gate` widens its x window by this share of |x| + gate, far more than the
+# rounding of x +- gate, so no pair the distance test keeps falls outside it.
 X_WINDOW_MARGIN = 1e-9
 
 
-def gated_pairs(a, b, gate: float):
-    """`gated_assignment` of points `a (n, k)` to points `b (m, k)` by distance.
-
-    Returns the matched (rows of a, rows of b) in ascending row order without
-    building the n x m distance matrix. Candidates are the points of b within
-    +-gate of each point of a in x, found by binary search over b sorted by
-    x; their distances are computed as `np.linalg.norm(a - b, axis=-1)`
-    computes them, bitwise. A pair whose two points have no other in-gate
-    partner is matched directly; every other in-gate pair goes to one
-    `gated_assignment` over the rows and columns they touch.
-
-    The result equals `gated_assignment` on the full matrix: its objective,
-    most in-gate pairs and then least summed distance, is a sum over the
-    connected parts of the in-gate graph, and each part is either one lone
-    pair or lies whole in the sub-block. Only exactly tied alternatives can
-    come out differently.
-    """
+def in_gate(a, b, gate: float):
+    """Every pair of points `a (n, k)`, `b (m, k)` within `gate`, as (rows of a,
+    rows of b, distances) with rows ascending. Only the points of b within
+    +-gate in x of a point of a, found by binary search, get a distance."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         none = np.zeros(0, dtype=np.intp)
-        return none, none
+        return none, none, np.zeros(0)
     order = np.argsort(b[:, 0], kind="stable")
     bx = b[order, 0]
     ax = a[:, 0]
@@ -117,11 +101,26 @@ def gated_pairs(a, b, gate: float):
     # Candidate i of row r sits at sorted index lo[r] + (i - first[r]).
     first = np.cumsum(counts) - counts
     cols = order[np.arange(len(rows)) + np.repeat(lo - first, counts)]
-    d = a[rows] - b[cols]
-    dist = np.sqrt(np.add.reduce(d * d, axis=-1))
+    dist = distance(a[rows], b[cols])
     inside = dist <= gate
-    rows, cols, dist = rows[inside], cols[inside], dist[inside]
+    return rows[inside], cols[inside], dist[inside]
 
+
+def gated_pairs(a, b, gate: float):
+    """`gated_assignment` of points `a (n, k)` to points `b (m, k)` by distance.
+
+    Returns the matched (rows of a, rows of b) in ascending row order. An
+    `in_gate` pair whose points have no other in-gate partner is matched
+    directly; the others go to one `gated_assignment` over their rows and
+    columns, so the n x m distance matrix is never built.
+
+    The result equals `gated_assignment` on the full matrix: its objective,
+    most in-gate pairs and then least summed distance, is a sum over the
+    connected parts of the in-gate graph, and each part is either one lone
+    pair or lies whole in the sub-block. Only exactly tied alternatives can
+    come out differently.
+    """
+    rows, cols, dist = in_gate(a, b, gate)
     lone = ((np.bincount(rows, minlength=len(a))[rows] == 1)
             & (np.bincount(cols, minlength=len(b))[cols] == 1))
     if lone.all():
@@ -391,7 +390,7 @@ class MultiObjectTracker:
                                | (bank.status == COASTING))
         positions = bank.mean[shown][:, self._pos_idx]
         return [
-            TrackSnapshot(frame, i, p, e, y, tuple(d), s, STATUS_VALUES[c], o, b)
+            TrackSnapshot(frame, i, p, e, y, tuple(d), s, STATUSES[c], o, b)
             for i, p, e, y, d, s, c, o, b in zip(
                 bank.ids[shown].tolist(), positions,
                 bank.elevation[shown].tolist(), bank.yaw[shown].tolist(),

@@ -14,17 +14,16 @@ from dynatrack.synth import ObjectSpec
 from dynatrack.tracker import MultiObjectTracker
 
 
-def measurement(x, y, frame=0, elevation=1.5, yaw=0.0, dims=(1.5, 1.8, 4.2),
+def measurement(x, y, elevation=1.5, yaw=0.0, dims=(1.5, 1.8, 4.2),
                 score=0.9, bbox2d=(0.0, 0.0, 80.0, 40.0), obj_type="Car"):
-    return Measurement(position=np.array([float(x), float(y)]), frame=frame,
+    return Measurement(position=np.array([float(x), float(y)]),
                        elevation=elevation, yaw=yaw, dims=dims, score=score,
                        bbox2d=bbox2d, obj_type=obj_type)
 
 
 def frames_from_positions(per_frame):
     """[[(x, y), ...], ...] -> per-frame Measurement lists."""
-    return [[measurement(x, y, frame=i) for x, y in frame]
-            for i, frame in enumerate(per_frame)]
+    return [[measurement(x, y) for x, y in frame] for frame in per_frame]
 
 
 def single_target_config(**overrides):
@@ -42,7 +41,7 @@ def run_single_target(positions, cfg, gaps=()):
     gaps = set(gaps)
     tracker = MultiObjectTracker(cfg, record_trajectories=True)
     for frame, pos in enumerate(positions):
-        dets = [] if frame in gaps else [measurement(pos[0], pos[1], frame=frame)]
+        dets = [] if frame in gaps else [measurement(pos[0], pos[1])]
         tracker.step(frame, dets)
     return tracker
 

@@ -88,6 +88,23 @@ def test_synth_bad_scenario_exits_two(tmp_path, capsys):
     assert "objects" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new", [
+    ("seed: 4\n", "seed: 4\nocclusion: 5\n"),
+    ("duration: 40, value", "duration: abc, value"),
+    ("initial: [0.0, 10.0]", "initial: 5"),
+    ("initial: [20.0, 30.0]", "initial: [20.0, 30.0]\n    elevation: high"),
+    ("dt: 0.1", "dt: fast"),
+    ("dt: 0.1", "dt: .nan"),
+    ("noise_sigma: 0.2", "noise_sigma: [0.2]"),
+    ("seed: 4", "seed: -1"),
+])
+def test_synth_malformed_scenario_exits_two(tmp_path, capsys, old, new):
+    path = tmp_path / "bad.yaml"
+    path.write_text(SCENARIO.replace(old, new))
+    assert cli.main(["synth", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert f"error: scenario file {path}" in capsys.readouterr().err
+
+
 def test_occlude_command(scenario_dir, tmp_path, capsys):
     out = tmp_path / "occluded.txt"
     rc = cli.main(["occlude", str(scenario_dir / "detections.txt"),

@@ -1,8 +1,8 @@
 """Config defaults, validation messages, YAML round trip, override merging."""
 import pytest
 
-from dynatrack.config import (RunConfig, config_from_mapping, load_config,
-                              merge_overrides, save_config)
+from dynatrack.config import (FIELD_TYPES, RunConfig, config_from_mapping,
+                              load_config, merge_overrides, save_config)
 from dynatrack.errors import ConfigurationError
 
 
@@ -42,6 +42,29 @@ def test_defaults():
 def test_validation_names_offending_key(key, value):
     with pytest.raises(ConfigurationError, match=f"config key '{key}'"):
         RunConfig(**{key: value})
+
+
+def _wrong_types():
+    """(key, value) with a value of the wrong type for every key."""
+    defaults = RunConfig()
+    wrong = {"int": lambda d: [float(d), True, str(d)],
+             "float": lambda d: [True, str(d)],
+             "bool": lambda d: [int(d)],
+             "str": lambda d: [1]}
+    cases = [(key, value) for key, kind in FIELD_TYPES.items()
+             for value in wrong[kind](getattr(defaults, key))]
+    # wrong types that the value checks alone would pass or crash on
+    extra = [("min_hits", 2.5), ("max_misses", True), ("model_order", 3.0),
+             ("smoothing_window", 2.0), ("transition_window", "8")]
+    return cases + [case for case in extra if case not in cases]
+
+
+@pytest.mark.parametrize("key,value", _wrong_types())
+def test_wrong_type_names_key_from_python_and_mappings(key, value):
+    with pytest.raises(ConfigurationError, match=f"config key '{key}': expected"):
+        RunConfig(**{key: value})
+    with pytest.raises(ConfigurationError, match=f"config key '{key}': expected"):
+        config_from_mapping({key: value})
 
 
 def test_replace_revalidates():

@@ -113,7 +113,7 @@ def test_predict_identity_weights_bitwise_equal_unweighted():
     for _ in range(20):
         A = rng.normal(size=(8, 8))
         est = flt.StateEstimate(mean=rng.normal(size=8), cov=A @ A.T)
-        plain = flt.predict(est, trans, None, noise)
+        plain = reference_predict(est, trans, None, noise)
         ones = flt.predict(est, trans, np.ones(8), noise)
         npt.assert_array_equal(plain.mean, ones.mean)
         npt.assert_array_equal(plain.cov, ones.cov)
@@ -124,7 +124,7 @@ def test_predict_dimension_mismatch():
     noise = flt.build_noise(3, 0.1, 1.0, 0.3)
     bad = flt.StateEstimate(mean=np.zeros(4), cov=np.eye(4))
     with pytest.raises(ContractViolationError):
-        flt.predict(bad, trans, None, noise)
+        flt.predict(bad, trans, np.ones(4), noise)
     est = _eight_state()
     with pytest.raises(ContractViolationError):
         flt.predict(est, trans, np.ones(5), noise)
@@ -193,7 +193,7 @@ def test_update_shrinks_measured_subspace():
     H = flt.measurement_matrix(3)
     est = flt.initial_estimate(np.zeros(2), 3, 0.3)
     for _ in range(50):
-        est = flt.predict(est, trans, None, noise)
+        est = flt.predict(est, trans, np.ones(8), noise)
         before = np.trace(H @ est.cov @ H.T)
         est, _, _ = flt.update(est, rng.normal(scale=0.3, size=2), noise, H)
         after = np.trace(H @ est.cov @ H.T)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
 from dynatrack.errors import UndefinedMetricError
@@ -161,6 +163,60 @@ def test_metrics_match_reference_on_random_scenes():
         assert (got.false_positives, got.false_negatives, got.id_switches) == \
             (ref["false_positives"], ref["false_negatives"], ref["id_switches"])
         assert idf1(gt, hyp).idtp == reference_idf1(gt, hyp)["idtp"]
+
+
+# Coordinates either free or on a 0.5 m grid, where squared distances are
+# exact: duplicate positions and pairs exactly at the threshold then occur.
+_COORDS = st.one_of(st.floats(-6.0, 6.0, allow_nan=False),
+                    st.integers(-12, 12).map(lambda k: 0.5 * k))
+
+
+def _objects(ids):
+    """One frame: a subset of `ids`, each at a drawn position (maybe none)."""
+    return st.lists(st.tuples(st.sampled_from(ids), _COORDS, _COORDS),
+                    max_size=len(ids), unique_by=lambda item: item[0]).map(
+        lambda items: [(i, np.array([x, y])) for i, x, y in items])
+
+
+@st.composite
+def _tiny_scenes(draw):
+    """Up to 4 gt and 4 hyp objects over up to 6 frames, empty frames included."""
+    gt_ids = list(range(1, draw(st.integers(1, 4)) + 1))
+    hyp_ids = list(range(101, draw(st.integers(1, 4)) + 101))
+    frames = draw(st.integers(1, 6))
+    gt = draw(st.lists(_objects(gt_ids), min_size=frames, max_size=frames))
+    hyp = draw(st.lists(_objects(hyp_ids), min_size=frames, max_size=frames))
+    return gt, hyp
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=_tiny_scenes(), threshold=st.sampled_from([0.5, 1.0, 2.0]))
+def test_metrics_match_reference_on_tiny_scenes(scene, threshold):
+    gt, hyp = scene
+    got_id = idf1(gt, hyp, threshold)
+    ref_id = reference_idf1(gt, hyp, threshold)
+    assert (got_id.idtp, got_id.idfp, got_id.idfn) == \
+        (ref_id["idtp"], ref_id["idfp"], ref_id["idfn"])
+    if not any(gt):
+        with pytest.raises(UndefinedMetricError):
+            clearmot(gt, hyp, threshold)
+        return
+    got = clearmot(gt, hyp, threshold)
+    ref = reference_clearmot(gt, hyp, threshold)
+    assert (got.false_positives, got.false_negatives, got.id_switches,
+            got.gt_total, got.matches) == \
+        (ref["false_positives"], ref["false_negatives"], ref["id_switches"],
+         ref["gt_total"], ref["matches"])
+
+
+def test_idf1_counts_duplicate_ids_per_occurrence():
+    # id 1 and id 7 both appear twice in frame 0: all four pairings overlap
+    gt = _frames([(1, 0.0, 0.0), (1, 0.5, 0.0)], [(1, 0.0, 0.0)])
+    hyp = _frames([(7, 0.0, 0.0), (7, 0.2, 0.0)], [(7, 9.0, 0.0)])
+    got = idf1(gt, hyp)
+    ref = reference_idf1(gt, hyp)
+    assert (got.idtp, got.idfp, got.idfn) == (ref["idtp"], ref["idfp"], ref["idfn"])
+    assert got.idtp == 4
 
 
 def test_clearmot_accepts_mixed_input_kinds():

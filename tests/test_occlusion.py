@@ -1,6 +1,8 @@
 """Occlusion simulation: cut placement, gt matching, detection deletion."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynatrack import kitti_io as kio
 from dynatrack.errors import ConfigurationError, InputError
@@ -47,6 +49,61 @@ def test_cut_mid_centers_after_warmup():
     assert occlusion_cut(30, spec) == (10, 20)
     spec_long_warmup = OcclusionSpec(kind="mid", start_after=12, length=10)
     assert occlusion_cut(30, spec_long_warmup) == (12, 22)
+
+
+_SPECS = st.builds(OcclusionSpec, kind=st.sampled_from(["mid", "late"]),
+                   start_after=st.integers(1, 8), length=st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 30), spec=_SPECS)
+def test_cut_invariants(n, spec):
+    cut = occlusion_cut(n, spec)
+    if n < spec.start_after + spec.length:
+        assert cut is None
+        return
+    start, stop = cut
+    assert stop - start == spec.length
+    assert spec.start_after <= start and stop <= n
+    if spec.kind == "late":
+        assert stop == n
+
+
+@st.composite
+def _tracklet_scenes(draw):
+    """Frames of placeholder records, each owned by one of 3 objects or none."""
+    owners = draw(st.lists(st.lists(st.sampled_from([None, 1, 2, 3]), max_size=4),
+                           min_size=1, max_size=25))
+    observations: dict = {}
+    for frame, frame_owners in enumerate(owners):
+        for j, owner in enumerate(frame_owners):
+            if owner is not None:
+                observations.setdefault(owner, []).append((frame, j))
+    dataset = kio.SequenceDataset(
+        sequence_id="s", detections=[[(frame, j) for j in range(len(o))]
+                                     for frame, o in enumerate(owners)])
+    tracklets = [ObjectTracklet(tid, obs) for tid, obs in observations.items()]
+    return dataset, tracklets
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene=_tracklet_scenes(), spec=_SPECS)
+def test_simulate_removes_exactly_the_cuts(scene, spec):
+    dataset, tracklets = scene
+    occluded, dropped = simulate_occlusion(dataset, tracklets, spec)
+    removed = set()
+    for tracklet in tracklets:
+        cut = occlusion_cut(len(tracklet.observations), spec)
+        if cut is None:
+            assert tracklet.track_id not in dropped
+            continue
+        chunk = tracklet.observations[cut[0]:cut[1]]
+        assert len(chunk) == spec.length
+        assert dropped[tracklet.track_id] == [frame for frame, _ in chunk]
+        removed.update(chunk)
+    # each record is its own (frame, index), so what survives is checkable
+    assert occluded.detections == [[r for r in records if r not in removed]
+                                   for records in dataset.detections]
 
 
 def test_match_builds_one_tracklet_per_object():
