@@ -192,8 +192,8 @@ def cmd_compare(args) -> int:
                                       warmup=args.warmup)
     scores = [(metrics.clearmot(gt, per_frame, threshold=args.threshold),
                metrics.idf1(gt, per_frame, threshold=args.threshold))
-              for per_frame in (latency.baseline_snapshots,
-                                latency.dynamic_snapshots)]
+              for per_frame in (latency.baseline_reports,
+                                latency.dynamic_reports)]
     header = f"{'metric':<18}{'baseline':>14}{'dynamic':>14}"
     lines = [header, "-" * len(header)]
     rows = []

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (ConfigurationError, ContractViolationError,
-                     InsufficientDataError)
+from .config import COLD_START_MODES, require
+from .errors import ContractViolationError, InsufficientDataError
 
 # Columns of the dynamics/weight vectors: unity, velocity, acceleration, jerk.
 WEIGHT_COLUMNS = 4
@@ -28,9 +28,8 @@ class DynamicsWindow:
     __slots__ = ("positions", "count")
 
     def __init__(self, capacity: int, axes: int = 2, rows: int = 0):
-        if capacity < MIN_WINDOW:
-            raise ConfigurationError(
-                f"config key 'transition_window': must be >= {MIN_WINDOW}, got {capacity}")
+        require(capacity >= MIN_WINDOW, "transition_window",
+                f"must be >= {MIN_WINDOW}, got {capacity}")
         self.positions = np.zeros((rows, capacity, axes))
         self.count = np.zeros(rows, dtype=np.intp)
 
@@ -119,9 +118,7 @@ def dynamics_factors(factor_velocity: float, factor_acceleration: float,
                      factor_jerk: float) -> np.ndarray:
     """Normalization constants [1, l_v, l_a, l_j]; all must be positive."""
     factors = np.array([1.0, factor_velocity, factor_acceleration, factor_jerk])
-    if not np.all(factors > 0):
-        raise ConfigurationError(
-            "config key 'factor_velocity/factor_acceleration/factor_jerk': "
+    require(np.all(factors > 0), "factor_velocity/factor_acceleration/factor_jerk",
             f"factors must be positive, got {factors[1:]}")
     return factors
 
@@ -153,11 +150,8 @@ def weight_diagonal(weights: np.ndarray, order: int) -> np.ndarray:
 
 def cold_start_weights(mode: str, axes: int = 2) -> np.ndarray:
     """Raw weights used until the window can support estimation."""
-    if mode == "identity":
-        row = np.ones(WEIGHT_COLUMNS)
-    elif mode == "constant_velocity":
-        row = np.array([1.0, 1.0, 0.0, 0.0])
-    else:
-        raise ConfigurationError(
-            f"config key 'cold_start_mode': unknown mode {mode!r}")
+    require(mode in COLD_START_MODES, "cold_start_mode",
+            f"must be one of {COLD_START_MODES}, got {mode!r}")
+    row = (np.ones(WEIGHT_COLUMNS) if mode == "identity"
+           else np.array([1.0, 1.0, 0.0, 0.0]))
     return np.tile(row, (axes, 1))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, ContractViolationError, NumericalError
+from .config import VALID_ORDERS, require
+from .errors import ContractViolationError, NumericalError
 
 GROUND_AXES = 2
 
@@ -53,22 +54,9 @@ class StateEstimate:
         return self.mean.shape[-1]
 
 
-@dataclass
-class Measurement:
-    """One detection converted to the tracking frame."""
-
-    position: np.ndarray          # ground plane (lateral, longitudinal)
-    elevation: float = 0.0
-    yaw: float = 0.0
-    dims: tuple = (0.0, 0.0, 0.0)  # height, width, length
-    score: float = 1.0
-    bbox2d: tuple = (0.0, 0.0, 0.0, 0.0)
-    obj_type: str = "Car"
-
-
 def _check_order(order: int):
-    if order not in (1, 2, 3):
-        raise ConfigurationError(f"config key 'model_order': must be 1, 2, or 3, got {order}")
+    require(order in VALID_ORDERS, "model_order",
+            f"must be one of {VALID_ORDERS}, got {order}")
 
 
 def transition_block(order: int, dt: float) -> np.ndarray:

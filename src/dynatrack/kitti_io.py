@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .filtering import Measurement
+from .tracker import TRAJECTORY_SOURCES, Detections
 
 TRAJECTORY_HEADER = ["frame", "track_id", "x", "y", "source"]
-TRAJECTORY_SOURCES = ("measurement", "predicted", "updated", "ground_truth")
 
 DETECTION_FIELDS = 17
 ANNOTATION_FIELDS = 17
@@ -32,6 +31,9 @@ TRACK_FIELDS = 18
 # index would otherwise allocate that many empty frames; KITTI tracking
 # sequences have fewer than 1,200 frames.
 MAX_FRAME = 1_000_000
+
+# Integer columns are stored as int64 downstream; wider values are rejected.
+INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -97,10 +99,14 @@ def _float_field(token: str, path, line_no: int, column: int) -> float:
 
 def _int_field(token: str, path, line_no: int, column: int) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ParseError(
             f"{path}:{line_no}: column {column}: not an integer: {token!r}") from None
+    if not INT64.min <= value <= INT64.max:
+        raise ParseError(
+            f"{path}:{line_no}: column {column}: integer out of range: {token!r}")
+    return value
 
 
 def _split_lines(path):
@@ -205,17 +211,20 @@ def _fmt(value: float) -> str:
     return f"{value:.9f}"
 
 
+def _format_fields(head: list, obj_type: str, truncated: float, occluded: int,
+                   alpha: float, numbers) -> str:
+    """`head` columns, then type, truncation, occlusion, alpha and `numbers`:
+    bbox (4), dims (3), location (3), rotation_y and, if present, the score."""
+    return " ".join([*head, obj_type, _fmt(truncated), str(occluded), _fmt(alpha),
+                     *map(_fmt, numbers)])
+
+
 def _format_line(head: list, record: DetectionRecord, with_score: bool) -> str:
-    """`head` columns, then type..rotation_y, then the score if asked for."""
-    parts = head + [record.obj_type, _fmt(record.truncated),
-                    str(record.occluded), _fmt(record.alpha)]
-    parts += [_fmt(v) for v in record.bbox2d]
-    parts += [_fmt(v) for v in record.dims]
-    parts += [_fmt(v) for v in record.location]
-    parts.append(_fmt(record.rotation_y))
+    numbers = [*record.bbox2d, *record.dims, *record.location, record.rotation_y]
     if with_score:
-        parts.append(_fmt(record.score))
-    return " ".join(parts)
+        numbers.append(record.score)
+    return _format_fields(head, record.obj_type, record.truncated,
+                          record.occluded, record.alpha, numbers)
 
 
 def format_detection(record: DetectionRecord) -> str:
@@ -251,61 +260,60 @@ def write_annotations(frames, path):
     _write_lines(path, lines)
 
 
-def snapshot_to_record(snap) -> GroundTruthRecord:
-    """Convert a tracker snapshot to a writable track record."""
-    return GroundTruthRecord(
-        frame=snap.frame,
-        track_id=snap.track_id,
-        obj_type=snap.obj_type,
-        truncated=0.0,
-        occluded=0,
-        alpha=0.0,
-        bbox2d=tuple(snap.bbox2d),
-        dims=tuple(snap.dims),
-        location=camera_location(snap.position, snap.elevation),
-        rotation_y=snap.yaw,
-        score=snap.score,
-    )
+def write_tracks(reports, path):
+    """Write `FrameReport`s as tracker output, ids ascending within a frame.
 
-
-def write_tracks(per_frame_snapshots, path):
-    """Write tracker output, frames ascending and ids ascending within a frame."""
+    A row's location is its position mapped back to the camera frame (see
+    `camera_location`); truncation, occlusion and alpha are written as zero.
+    """
     lines = []
-    for snapshots in per_frame_snapshots:
-        records = sorted((snapshot_to_record(s) for s in snapshots),
-                         key=lambda r: r.track_id)
-        lines.extend(format_labeled(r, with_score=True) for r in records)
+    for report in reports:
+        order = np.argsort(report.ids, kind="stable")
+        position = report.position[order]
+        numbers = np.column_stack((
+            report.bbox2d[order], report.dims[order], position[:, 0],
+            report.elevation[order], position[:, 1], report.yaw[order],
+            report.score[order])).tolist()
+        frame = str(report.frame)
+        lines += [_format_fields([frame, str(track_id)], obj_type, 0.0, 0, 0.0, row)
+                  for track_id, obj_type, row in zip(
+                      report.ids[order].tolist(), report.obj_type[order].tolist(),
+                      numbers)]
     _write_lines(path, lines)
 
 
-def export_trajectory_csv(points, path):
-    """Trajectory rows at full float precision, deterministically ordered."""
-    ordered = sorted(points, key=lambda p: (p.frame, p.track_id,
-                                            TRAJECTORY_SOURCES.index(p.source)))
+def export_trajectory_csv(trajectory, path):
+    """Trajectory rows at full float precision, ordered by frame, track id and
+    source; `trajectory` holds `MultiObjectTracker.trajectory` entries."""
+    empty = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 2 + (
+        np.zeros(0, dtype=np.int8),)
+    rows = [empty] + [(np.full(len(i), f), i, xy[:, 0], xy[:, 1], s)
+                      for f, i, xy, s in trajectory]
+    frame, ids, x, y, source = map(np.concatenate, zip(*rows))
+    order = np.lexsort((source, ids, frame))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRAJECTORY_HEADER)
-        for p in ordered:
-            writer.writerow([p.frame, p.track_id, repr(p.x), repr(p.y), p.source])
+        writer.writerows(zip(frame[order].tolist(), ids[order].tolist(),
+                             map(repr, x[order].tolist()),
+                             map(repr, y[order].tolist()),
+                             [TRAJECTORY_SOURCES[k] for k in source[order].tolist()]))
 
 
 def measurements_from(ds: SequenceDataset) -> list:
-    """Per-frame Measurement lists for the tracker."""
-    frames = []
-    for frame_records in ds.detections:
-        frames.append([
-            Measurement(
-                position=ground_position(r),
-                elevation=r.location[1],
-                yaw=r.rotation_y,
-                dims=r.dims,
-                score=r.score,
-                bbox2d=r.bbox2d,
-                obj_type=r.obj_type,
-            )
-            for r in frame_records
-        ])
-    return frames
+    """Per-frame `Detections` for the tracker, built in one pass over the records."""
+    records = [r for frame_records in ds.detections for r in frame_records]
+    # location (3), rotation_y, dims (3), score, bbox (4)
+    numbers = np.array([(*r.location, r.rotation_y, *r.dims, r.score, *r.bbox2d)
+                        for r in records], dtype=float).reshape(len(records), 12)
+    columns = dict(position=numbers[:, [0, 2]], elevation=numbers[:, 1],
+                   yaw=numbers[:, 3], dims=numbers[:, 4:7], score=numbers[:, 7],
+                   bbox2d=numbers[:, 8:12],
+                   obj_type=np.array([r.obj_type for r in records], dtype=object))
+    ends = np.cumsum([len(frame_records) for frame_records in ds.detections])
+    split = {name: np.split(column, ends)[:-1] for name, column in columns.items()}
+    return [Detections(**dict(zip(split, frame)))
+            for frame in zip(*split.values())]
 
 
 def id_position_frames(frames) -> list:

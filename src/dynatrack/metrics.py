@@ -9,8 +9,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, UndefinedMetricError
-from .kitti_io import SequenceDataset, id_position_frames
-from .tracker import MultiObjectTracker, distance, gated_pairs, in_gate
+from .kitti_io import SequenceDataset, ground_position
+from .tracker import (FrameReport, MultiObjectTracker, distance, gated_pairs,
+                      in_gate)
 
 
 @dataclass
@@ -57,34 +58,33 @@ class LatencyReport:
     mean_dynamic_ms: float
     mean_delta_ms: float
     warmup: int
-    baseline_snapshots: list = field(repr=False)
-    dynamic_snapshots: list = field(repr=False)
+    baseline_reports: list = field(repr=False)
+    dynamic_reports: list = field(repr=False)
 
 
-def _as_frames(obj):
-    """Normalize input to per-frame [(id, position array)] lists."""
-    if isinstance(obj, SequenceDataset):
-        if obj.ground_truth is None:
-            raise InputError("dataset carries no ground-truth frames")
-        return id_position_frames(obj.ground_truth)
+def _frame_arrays(frame):
+    """One frame as (ids, positions (n, 2)): from a `FrameReport`'s columns, or
+    from a list of (id, position) pairs or of id-bearing KITTI records."""
+    if isinstance(frame, FrameReport):
+        return frame.ids, frame.position
+    pairs = [item if isinstance(item, tuple)
+             else (item.track_id, ground_position(item)) for item in frame]
+    return (np.array([i for i, _ in pairs], dtype=np.int64),
+            np.array([p for _, p in pairs], dtype=float).reshape(len(pairs), 2))
+
+
+def _as_frames(gt, hyp):
+    """Both inputs as per-frame (ids, positions) arrays, padded to one length."""
     frames = []
-    for frame_items in obj:
-        items = []
-        for item in frame_items:
-            if isinstance(item, tuple):
-                items.append((item[0], np.asarray(item[1], dtype=float)))
-            elif hasattr(item, "track_id") and hasattr(item, "location"):
-                x, _, z = item.location
-                items.append((item.track_id, np.array([x, z])))
-            else:  # tracker snapshots
-                items.append((item.track_id, np.asarray(item.position, dtype=float)))
-        frames.append(items)
-    return frames
-
-
-def _pad(a, b):
-    n = max(len(a), len(b))
-    return a + [[]] * (n - len(a)), b + [[]] * (n - len(b))
+    for obj in (gt, hyp):
+        if isinstance(obj, SequenceDataset):
+            if obj.ground_truth is None:
+                raise InputError("dataset carries no ground-truth frames")
+            obj = obj.ground_truth
+        frames.append([_frame_arrays(frame) for frame in obj])
+    n = max(map(len, frames))
+    empty = _frame_arrays([])
+    return [f + [empty] * (n - len(f)) for f in frames]
 
 
 def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
@@ -95,33 +95,36 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
     is counted when a ground-truth object's matched id changes relative to
     its last known correspondence.
     """
-    gt_frames, hyp_frames = _pad(_as_frames(gt), _as_frames(hyp))
     fp = fn = idsw = gt_total = matches_total = 0
     active: dict = {}      # gt id -> hyp id carried from the previous frame
     last_match: dict = {}  # gt id -> most recent matched hyp id
-    for gts, hyps in zip(gt_frames, hyp_frames):
-        gt_total += len(gts)
-        hyp_pos = {hid: pos for hid, pos in hyps}
+    for (gids, gpos), (hids, hpos) in zip(*_as_frames(gt, hyp)):
+        gids, hids = gids.tolist(), hids.tolist()
+        gt_total += len(gids)
+        hyp_row = {hid: k for k, hid in enumerate(hids)}  # last row of an id
+        # Carry-over candidates: gt rows whose last hyp id is present again,
+        # with every candidate's distance from one `distance` call.
+        carried = [(g, hyp_row[active[gid]]) for g, gid in enumerate(gids)
+                   if active.get(gid) in hyp_row]
+        g_at, h_at = np.array(carried, dtype=np.intp).reshape(len(carried), 2).T
+        near = (distance(gpos[g_at], hpos[h_at]) <= threshold).tolist()
         matched: dict = {}
         used = set()
-        for gid, gpos in gts:
-            hid = active.get(gid)
-            if hid is not None and hid in hyp_pos and hid not in used:
-                if distance(gpos, hyp_pos[hid]) <= threshold:
-                    matched[gid] = hid
-                    used.add(hid)
-        rest_gt = [(gid, gpos) for gid, gpos in gts if gid not in matched]
-        rest_hyp = [(hid, pos) for hid, pos in hyps if hid not in used]
-        rows, cols = gated_pairs([pos for _, pos in rest_gt],
-                                 [pos for _, pos in rest_hyp], threshold)
+        for g, k, inside in zip(g_at.tolist(), h_at.tolist(), near):
+            if inside and hids[k] not in used:
+                matched[gids[g]] = hids[k]
+                used.add(hids[k])
+        rest_gt = [g for g, gid in enumerate(gids) if gid not in matched]
+        rest_hyp = [k for k, hid in enumerate(hids) if hid not in used]
+        rows, cols = gated_pairs(gpos[rest_gt], hpos[rest_hyp], threshold)
         for r, c in zip(rows.tolist(), cols.tolist()):
-            matched[rest_gt[r][0]] = rest_hyp[c][0]
+            matched[gids[rest_gt[r]]] = hids[rest_hyp[c]]
         for gid, hid in matched.items():
             if gid in last_match and last_match[gid] != hid:
                 idsw += 1
             last_match[gid] = hid
-        fn += len(gts) - len(matched)
-        fp += len(hyps) - len(matched)
+        fn += len(gids) - len(matched)
+        fp += len(hids) - len(matched)
         matches_total += len(matched)
         active = matched
     if gt_total == 0:
@@ -138,14 +141,12 @@ def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
     A (gt id, hyp id) pair gains one per frame in which the two are `in_gate`.
     Ids that never overlap would add only zero rows or columns to the gain.
     """
-    gt_frames, hyp_frames = _pad(_as_frames(gt), _as_frames(hyp))
-    total_gt = sum(len(gts) for gts in gt_frames)
-    total_hyp = sum(len(hyps) for hyps in hyp_frames)
+    gt_frames, hyp_frames = _as_frames(gt, hyp)
+    total_gt = sum(len(gids) for gids, _ in gt_frames)
+    total_hyp = sum(len(hids) for hids, _ in hyp_frames)
     pairs = [np.zeros((0, 2), dtype=np.int64)]
-    for gts, hyps in zip(gt_frames, hyp_frames):
-        rows, cols, _ = in_gate([p for _, p in gts], [p for _, p in hyps], threshold)
-        gids = np.array([i for i, _ in gts], dtype=np.int64)
-        hids = np.array([i for i, _ in hyps], dtype=np.int64)
+    for (gids, gpos), (hids, hpos) in zip(gt_frames, hyp_frames):
+        rows, cols, _ = in_gate(gpos, hpos, threshold)
         pairs.append(np.column_stack((gids[rows], hids[cols])))
     overlap, counts = np.unique(np.concatenate(pairs), axis=0, return_counts=True)
     gt_ids, g_at = np.unique(overlap[:, 0], return_inverse=True)
@@ -208,21 +209,21 @@ def measure_latency(frames, baseline_cfg, dynamic_cfg,
                     warmup: int = 10) -> LatencyReport:
     """Per-frame wall time of both configurations on identical input.
 
-    The report also keeps each timed pass's per-frame snapshots, so a caller
+    The report also keeps each timed pass's per-frame reports, so a caller
     can score them instead of tracking the sequence again.
     """
     def _run(cfg):
         tracker = MultiObjectTracker(cfg)
-        times, snapshots = [], []
+        times, reports = [], []
         for frame, detections in enumerate(frames):
             start = time.perf_counter()
-            snaps = tracker.step(frame, detections)
+            report = tracker.step(frame, detections)
             times.append((time.perf_counter() - start) * 1e3)
-            snapshots.append(snaps)
-        return times, snapshots
+            reports.append(report)
+        return times, reports
 
-    baseline_ms, baseline_snapshots = _run(baseline_cfg)
-    dynamic_ms, dynamic_snapshots = _run(dynamic_cfg)
+    baseline_ms, baseline_reports = _run(baseline_cfg)
+    dynamic_ms, dynamic_reports = _run(dynamic_cfg)
     steady_b = baseline_ms[warmup:]
     steady_d = dynamic_ms[warmup:]
     mean_b = float(np.mean(steady_b)) if steady_b else math.nan
@@ -231,5 +232,5 @@ def measure_latency(frames, baseline_cfg, dynamic_cfg,
     return LatencyReport(baseline_ms=baseline_ms, dynamic_ms=dynamic_ms,
                          mean_baseline_ms=mean_b, mean_dynamic_ms=mean_d,
                          mean_delta_ms=delta, warmup=warmup,
-                         baseline_snapshots=baseline_snapshots,
-                         dynamic_snapshots=dynamic_snapshots)
+                         baseline_reports=baseline_reports,
+                         dynamic_reports=dynamic_reports)

@@ -2,11 +2,11 @@
 
 Every live track is one row of a `TrackBank`, so a frame is one predict
 over all rows, one association, one update over the matched rows and one
-weight refresh, whatever the number of tracks.
+weight refresh, whatever the number of tracks. A frame's detections come in
+as `Detections` columns and its tracks go out as one `FrameReport`.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,16 +20,22 @@ from .errors import ContractViolationError
 # Exponential smoothing factor applied to elevation/yaw/dims on each match.
 AUX_SMOOTHING = 0.7
 
-# Detection fields a track reports: smoothed over its matches (with the
-# shape of one detection's value), or passed on as they are.
+# Numeric detection fields a track reports, with the shape of one
+# detection's value: smoothed over its matches, or passed on from the last
+# match. The `obj_type` label is passed on too.
 SMOOTHED = {"elevation": (), "yaw": (), "dims": (3,)}
-PASSED = ("score", "bbox2d", "obj_type")
-REPORTED = (*SMOOTHED, *PASSED)
+PASSED = {"score": (), "bbox2d": (4,)}
+NUMERIC = {"position": (flt.GROUND_AXES,), **SMOOTHED, **PASSED}
+REPORTED = (*SMOOTHED, *PASSED, "obj_type")
 
 
 # The bank stores a status as its index here.
 STATUSES = ("tentative", "confirmed", "coasting", "dead")
 TENTATIVE, CONFIRMED, COASTING, DEAD = range(len(STATUSES))
+
+# A trajectory row stores its source as its index here.
+TRAJECTORY_SOURCES = ("measurement", "predicted", "updated", "ground_truth")
+MEASUREMENT, PREDICTED, UPDATED = range(3)
 
 
 @dataclass
@@ -150,9 +156,22 @@ def associate(track_positions, detection_positions, gate: float) -> Assignment:
 
 @dataclass(frozen=True)
 class Track:
-    """A live track's identity; its state is the bank row at its list index."""
+    """A live track's identity, as `MultiObjectTracker.tracks` yields it."""
 
     track_id: int
+
+
+class TrackIds:
+    """Read-only view of the bank's live track ids as `Track`s, in row order."""
+
+    def __init__(self, bank: "TrackBank"):
+        self._bank = bank
+
+    def __len__(self) -> int:
+        return len(self._bank.ids)
+
+    def __iter__(self):
+        return map(Track, self._bank.ids.tolist())
 
 
 class TrackBank:
@@ -165,8 +184,8 @@ class TrackBank:
     weight rings `ring (N, smoothing_window, axes, 4)` with their fill
     `ring_len` and next slot `ring_idx`. Lifecycle: `ids`, `hits`, `misses`
     and `status`, an index into STATUSES. Reported: `elevation`, `yaw` and
-    `dims (N, 3)`, smoothed over the matches, and `score`, `bbox2d` and
-    `obj_type`, object arrays holding the last matched detection's own values.
+    `dims (N, 3)`, smoothed over the matches, and `score`, `bbox2d (N, 4)`
+    and the `obj_type` labels (an object array) of the last match.
     """
 
     FIELDS = ("ids", "mean", "cov", "weight_diag", "weights", "ring",
@@ -187,10 +206,9 @@ class TrackBank:
         self.hits = np.zeros(0, dtype=np.intp)
         self.misses = np.zeros(0, dtype=np.intp)
         self.status = np.zeros(0, dtype=np.int8)
-        for name, shape in SMOOTHED.items():
+        for name, shape in {**SMOOTHED, **PASSED}.items():
             setattr(self, name, np.zeros((0,) + shape))
-        for name in PASSED:
-            setattr(self, name, np.zeros(0, dtype=object))
+        self.obj_type = np.zeros(0, dtype=object)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -208,9 +226,27 @@ class TrackBank:
         self.window.keep(mask)
 
 
+@dataclass(eq=False)
+class Detections:
+    """One frame's detections as columns, one row per detection.
+
+    `position (M, 2)` is on the ground plane; `elevation`, `yaw` and
+    `dims (M, 3)` are smoothed by the track a row matches; `score`,
+    `bbox2d (M, 4)` and the `obj_type` labels are passed on to it.
+    """
+
+    position: np.ndarray
+    elevation: np.ndarray
+    yaw: np.ndarray
+    dims: np.ndarray
+    score: np.ndarray
+    bbox2d: np.ndarray
+    obj_type: np.ndarray
+
+
 @dataclass
 class TrackSnapshot:
-    """Reported per-frame view of one live track."""
+    """One row of a `FrameReport`, built when the report is iterated."""
 
     frame: int
     track_id: int
@@ -224,58 +260,79 @@ class TrackSnapshot:
     bbox2d: tuple
 
 
-@dataclass
-class TrajectoryPoint:
-    frame: int
-    track_id: int
-    x: float
-    y: float
-    source: str
+@dataclass(eq=False)
+class FrameReport:
+    """The confirmed and coasting tracks after one step, as columns.
 
-
-def _detection_columns(detections) -> dict:
-    """A frame's detections as one array per field, checked before any use.
-
-    `position (M, 2)` and the SMOOTHED fields are float arrays; a value of the
-    wrong shape or a non-finite one raises ContractViolationError. The
-    PASSED fields are object arrays of the detections' own values.
+    Rows are in bank order, which is ascending id. `status` holds indices
+    into STATUSES; the REPORTED columns are shaped as in `Detections`.
     """
-    columns = {}
-    for name, shape in {"position": (flt.GROUND_AXES,), **SMOOTHED}.items():
-        values = [getattr(m, name) for m in detections]
+
+    frame: int
+    ids: np.ndarray
+    position: np.ndarray
+    status: np.ndarray
+    elevation: np.ndarray
+    yaw: np.ndarray
+    dims: np.ndarray
+    score: np.ndarray
+    bbox2d: np.ndarray
+    obj_type: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        """One `TrackSnapshot` per row."""
+        for k, (i, e, y, d, s, c, o, b) in enumerate(zip(
+                self.ids.tolist(), self.elevation.tolist(), self.yaw.tolist(),
+                self.dims.tolist(), self.score.tolist(), self.status.tolist(),
+                self.obj_type.tolist(), self.bbox2d.tolist())):
+            yield TrackSnapshot(self.frame, i, self.position[k], e, y, tuple(d),
+                                s, STATUSES[c], o, tuple(b))
+
+
+def _detection_columns(detections: Detections) -> dict:
+    """The columns of `detections`, checked before any use.
+
+    Every column has one row per position row. A numeric column that is not
+    numbers, has the wrong shape or holds a non-finite value raises
+    ContractViolationError.
+    """
+    if not isinstance(detections, Detections):
+        raise ContractViolationError(
+            f"detections must be Detections, got {type(detections).__name__}")
+    rows = np.shape(detections.position)[:1]
+    columns = {"obj_type": np.asarray(detections.obj_type, dtype=object)}
+    for name, shape in NUMERIC.items():
         try:
-            column = np.array(values, dtype=float) if values else np.zeros((0,) + shape)
+            columns[name] = np.asarray(getattr(detections, name), dtype=float)
         except (TypeError, ValueError) as exc:
             raise ContractViolationError(
-                f"detection {name} values do not stack: {exc}") from None
-        if column.shape[1:] != shape:
+                f"detection {name} column is not numeric: {exc}") from None
+    for name, column in columns.items():
+        expected = rows + NUMERIC.get(name, ())
+        if column.shape != expected:
             raise ContractViolationError(
-                f"detection {name} has shape {column.shape[1:]}, expected {shape}")
-        finite = np.isfinite(column).all(axis=tuple(range(1, column.ndim)))
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise ContractViolationError(
-                f"detection {i} has a non-finite {name} {column[i].tolist()}")
-        columns[name] = column
-    for name in PASSED:
-        columns[name] = _objects([getattr(m, name) for m in detections])
+                f"detection {name} column has shape {column.shape}, expected {expected}")
+        if name in NUMERIC:
+            finite = np.isfinite(column).all(axis=tuple(range(1, column.ndim)))
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ContractViolationError(
+                    f"detection {i} has a non-finite {name} {column[i].tolist()}")
     return columns
-
-
-def _objects(values) -> np.ndarray:
-    """1-D object array of `values` themselves; tuples stay single elements."""
-    return np.fromiter(values, dtype=object, count=len(values))
-
-
-def _points(frame: int, ids: list, xy: list, source: str) -> list:
-    return [TrajectoryPoint(frame, i, x, y, source) for i, (x, y) in zip(ids, xy)]
 
 
 class MultiObjectTracker:
     """Frame-stepped tracker; one instance per sequence.
 
-    Track state lives in `bank`, one row per live track; `tracks` lists the
-    live tracks' identities in row order.
+    Track state lives in `bank`, one row per live track; `tracks` is a view
+    of the live tracks' identities in row order. With `record_trajectories`,
+    `trajectory` gets one `(frame, ids, positions (n, 2), sources)` entry per
+    step: the predicted position of every track, and the measured and
+    updated positions of every matched or born one, with `sources` indexing
+    TRAJECTORY_SOURCES.
     """
 
     def __init__(self, cfg: RunConfig, record_trajectories: bool = False):
@@ -300,11 +357,14 @@ class MultiObjectTracker:
         # and would zero that derivative's weight regardless of its factor.
         self._min_support = max(dyn.MIN_WINDOW, order + 1)
         self.bank = TrackBank(dim, cfg.transition_window, cfg.smoothing_window)
-        self.tracks: list[Track] = []
         self.frame: int | None = None
         self.births = 0    # tracks started so far; the next id is births + 1
-        self.trajectory: list[TrajectoryPoint] = []
+        self.trajectory: list[tuple] = []
         self._record = record_trajectories
+
+    @property
+    def tracks(self) -> TrackIds:
+        return TrackIds(self.bank)
 
     # -- per-frame stages over bank rows -----------------------------------
 
@@ -342,7 +402,7 @@ class MultiObjectTracker:
         for name in SMOOTHED:
             column = getattr(bank, name)
             column[rows] = a * matched[name] + (1.0 - a) * column[rows]
-        for name in PASSED:
+        for name in (*PASSED, "obj_type"):
             getattr(bank, name)[rows] = matched[name]
         hits = bank.hits[rows] + 1
         bank.hits[rows] = hits
@@ -382,29 +442,21 @@ class MultiObjectTracker:
         ))
         bank.window.push(np.arange(first, first + k), z)
         self.births += k
-        self.tracks.extend(Track(i) for i in ids.tolist())
 
-    def _snapshots(self, frame: int) -> list:
+    def _report(self, frame: int) -> FrameReport:
         bank = self.bank
         shown = np.flatnonzero((bank.status == CONFIRMED)
                                | (bank.status == COASTING))
-        positions = bank.mean[shown][:, self._pos_idx]
-        return [
-            TrackSnapshot(frame, i, p, e, y, tuple(d), s, STATUSES[c], o, b)
-            for i, p, e, y, d, s, c, o, b in zip(
-                bank.ids[shown].tolist(), positions,
-                bank.elevation[shown].tolist(), bank.yaw[shown].tolist(),
-                bank.dims[shown].tolist(), bank.score[shown].tolist(),
-                bank.status[shown].tolist(), bank.obj_type[shown].tolist(),
-                bank.bbox2d[shown].tolist())
-        ]
+        return FrameReport(frame, bank.ids[shown],
+                           bank.mean[shown][:, self._pos_idx], bank.status[shown],
+                           **{name: getattr(bank, name)[shown] for name in REPORTED})
 
     # -- main loop ---------------------------------------------------------
 
-    def step(self, frame: int, detections) -> list:
-        """Advance one frame; returns snapshots of confirmed and coasting tracks.
+    def step(self, frame: int, detections: Detections) -> FrameReport:
+        """Advance one frame; returns the report of confirmed and coasting tracks.
 
-        A malformed or non-finite detection field, or an innovation
+        A malformed or non-finite detection column, or an innovation
         covariance that cannot be factored, raises before anything changes:
         detections are checked and the whole predict and update computed
         before the bank is written.
@@ -423,16 +475,21 @@ class MultiObjectTracker:
         post, K, residual = flt.update(
             flt.StateEstimate(pred.mean[rows], pred.cov[rows]), z[cols],
             self._noise, self._H)
+        born = assignment.unmatched_detections
 
         self.frame = frame
         if self._record:
-            self.trajectory += _points(frame, bank.ids.tolist(), predicted.tolist(),
-                                       "predicted")
-            matched_ids = bank.ids[rows].tolist()
-            self.trajectory += itertools.chain.from_iterable(zip(
-                _points(frame, matched_ids, z[cols].tolist(), "measurement"),
-                _points(frame, matched_ids, post.mean[:, self._pos_idx].tolist(),
-                        "updated")))
+            matched = bank.ids[rows]
+            self.trajectory.append((
+                frame,
+                np.concatenate([bank.ids, matched, matched,
+                                np.arange(self.births + 1,
+                                          self.births + 1 + len(born))]),
+                np.concatenate([predicted, z[cols], post.mean[:, self._pos_idx],
+                                z[born]]),
+                np.repeat(np.array([PREDICTED, MEASUREMENT, UPDATED, MEASUREMENT],
+                                   dtype=np.int8),
+                          [len(bank), len(rows), len(rows), len(born)])))
         pred.mean[rows] = post.mean
         pred.cov[rows] = post.cov
         bank.mean, bank.cov = pred.mean, pred.cov
@@ -442,19 +499,14 @@ class MultiObjectTracker:
             self._refresh_weights(rows)
         self._apply_matches(rows, {name: columns[name][cols] for name in REPORTED})
         self._apply_misses(assignment.unmatched_tracks)
-        born = assignment.unmatched_detections
         if len(born):
             self._add_births({name: column[born] for name, column in columns.items()})
-            if self._record:
-                self.trajectory += _points(frame, bank.ids[-len(born):].tolist(),
-                                           z[born].tolist(), "measurement")
 
         alive = bank.status != DEAD
         if not alive.all():
             bank.keep(alive)
-            self.tracks = [t for t, keep in zip(self.tracks, alive.tolist()) if keep]
-        return self._snapshots(frame)
+        return self._report(frame)
 
     def run(self, frames) -> list:
-        """Track a whole sequence; returns per-frame snapshot lists."""
+        """Track a whole sequence of `Detections`; returns per-frame reports."""
         return [self.step(i, dets) for i, dets in enumerate(frames)]

@@ -1,29 +1,37 @@
-"""Shared fixtures: measurement factories, reference implementations, checks."""
+"""Shared fixtures: detection factories, reference implementations, checks."""
 import csv
 import itertools
 
 import numpy as np
 import scipy.linalg
 
+from dynatrack import kitti_io
 from dynatrack.config import RunConfig
 from dynatrack.errors import (ConfigurationError, InsufficientDataError,
                               NumericalError, ParseError)
-from dynatrack.filtering import INNOVATION_RIDGE, Measurement, StateEstimate
+from dynatrack.filtering import INNOVATION_RIDGE, StateEstimate
 from dynatrack.kitti_io import TRAJECTORY_HEADER, TRAJECTORY_SOURCES
 from dynatrack.synth import ObjectSpec
-from dynatrack.tracker import MultiObjectTracker
+from dynatrack.tracker import Detections, MultiObjectTracker
+
+DETECTION_DEFAULTS = dict(elevation=1.5, yaw=0.0, dims=(1.5, 1.8, 4.2),
+                          score=0.9, bbox2d=(0.0, 0.0, 80.0, 40.0))
 
 
-def measurement(x, y, elevation=1.5, yaw=0.0, dims=(1.5, 1.8, 4.2),
-                score=0.9, bbox2d=(0.0, 0.0, 80.0, 40.0), obj_type="Car"):
-    return Measurement(position=np.array([float(x), float(y)]),
-                       elevation=elevation, yaw=yaw, dims=dims, score=score,
-                       bbox2d=bbox2d, obj_type=obj_type)
+def detections(points=(), obj_type="Car", **fields):
+    """One frame's `Detections` at `points` [(x, y), ...]; every detection
+    takes the value of each other field from `fields` or the defaults."""
+    position = np.array(points, dtype=float).reshape(-1, 2)
+    rows = len(position)
+    columns = {name: np.repeat(np.asarray(value, dtype=float)[None], rows, axis=0)
+               for name, value in {**DETECTION_DEFAULTS, **fields}.items()}
+    return Detections(position=position,
+                      obj_type=np.array([obj_type] * rows, dtype=object), **columns)
 
 
 def frames_from_positions(per_frame):
-    """[[(x, y), ...], ...] -> per-frame Measurement lists."""
-    return [[measurement(x, y) for x, y in frame] for frame in per_frame]
+    """[[(x, y), ...], ...] -> per-frame `Detections`."""
+    return [detections(frame) for frame in per_frame]
 
 
 def single_target_config(**overrides):
@@ -41,14 +49,16 @@ def run_single_target(positions, cfg, gaps=()):
     gaps = set(gaps)
     tracker = MultiObjectTracker(cfg, record_trajectories=True)
     for frame, pos in enumerate(positions):
-        dets = [] if frame in gaps else [measurement(pos[0], pos[1])]
-        tracker.step(frame, dets)
+        tracker.step(frame, detections([] if frame in gaps else [pos]))
     return tracker
 
 
 def trajectory_by_source(tracker, source):
     """{frame: (x, y)} for one trajectory source of a single-target run."""
-    return {p.frame: (p.x, p.y) for p in tracker.trajectory if p.source == source}
+    code = TRAJECTORY_SOURCES.index(source)
+    return {frame: tuple(xy[k].tolist())
+            for frame, _, xy, sources in tracker.trajectory
+            for k in np.flatnonzero(sources == code)}
 
 
 def validate_estimate(est, tol=1e-9):
@@ -258,3 +268,40 @@ def segment_frames(obj: ObjectSpec):
         ranges.append((segment.kind, start, start + segment.duration))
         start += segment.duration
     return ranges
+
+
+# -- reference writers: one record or one point per row ---------------------
+
+def snapshot_record(snap) -> kitti_io.GroundTruthRecord:
+    """A `TrackSnapshot` row as a writable track record."""
+    return kitti_io.GroundTruthRecord(
+        frame=snap.frame, track_id=snap.track_id, obj_type=snap.obj_type,
+        truncated=0.0, occluded=0, alpha=0.0, bbox2d=tuple(snap.bbox2d),
+        dims=tuple(snap.dims),
+        location=kitti_io.camera_location(snap.position, snap.elevation),
+        rotation_y=snap.yaw, score=snap.score)
+
+
+def reference_write_tracks(reports, path):
+    """Track file text: each report's rows as records, sorted by id, formatted."""
+    lines = []
+    for report in reports:
+        records = sorted((snapshot_record(s) for s in report),
+                         key=lambda r: r.track_id)
+        lines.extend(kitti_io.format_labeled(r, with_score=True) for r in records)
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + ("\n" if lines else ""))
+
+
+def reference_export_trajectory_csv(trajectory, path):
+    """Trajectory CSV from one (frame, id, x, y, source) point per row, sorted."""
+    points = [(frame, i, x, y, TRAJECTORY_SOURCES[s])
+              for frame, ids, xy, sources in trajectory
+              for i, (x, y), s in zip(ids.tolist(), xy.tolist(), sources.tolist())]
+    ordered = sorted(points, key=lambda p: (p[0], p[1],
+                                            TRAJECTORY_SOURCES.index(p[4])))
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(TRAJECTORY_HEADER)
+        for frame, track_id, x, y, source in ordered:
+            writer.writerow([frame, track_id, repr(x), repr(y), source])

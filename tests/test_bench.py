@@ -1,17 +1,33 @@
-"""Smoke run of the checked-in benchmark against this checkout."""
+"""Smoke runs of the checked-in benchmark against this checkout."""
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _traced_run(workload: str) -> subprocess.CompletedProcess:
+    # A traced run starts no cold-start subprocesses.
+    return subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
 
 
 def test_bench_corpus_cli_traced_run_is_correct():
     # The traced run wraps program functions by name, so it also fails when
     # one of them is renamed or removed.
-    result = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "corpus_cli",
-         "--seed", "0", "--seconds", "1", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    result = _traced_run("corpus_cli")
+    assert result.returncode == 0, result.stderr
+    assert '"correct": true' in result.stdout
+
+
+@pytest.mark.parametrize("workload", ["fleet_adaptive", "crowd_baseline"])
+def test_bench_online_traced_run_is_correct(workload):
+    # The online workloads step the tracker over `measurements_from` frames,
+    # iterate every report's rows and read `tracker.tracks` after each step.
+    result = _traced_run(workload)
     assert result.returncode == 0, result.stderr
     assert '"correct": true' in result.stdout

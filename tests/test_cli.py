@@ -262,6 +262,27 @@ def test_evaluate_empty_gt_exits_one(tmp_path, capsys):
     assert "undefined" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("bad", ["gt", "tracks"])
+def test_evaluate_rejects_ids_beyond_int64(scenario_dir, capsys, bad):
+    # Ids are scored as int64; a wider id must fail as a parse error, not
+    # escape from the metrics as an OverflowError traceback.
+    out = scenario_dir / "run"
+    cli.main(["track", str(scenario_dir / "detections.txt"),
+              "--output", str(out), "--min-hits", "1"])
+    paths = {"gt": scenario_dir / "gt.txt",
+             "tracks": out / "tracks" / "detections.txt"}
+    lines = paths[bad].read_text().splitlines()
+    tokens = lines[2].split()
+    tokens[1] = "99999999999999999999"
+    lines[2] = " ".join(tokens)
+    paths[bad].write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(paths["gt"]), str(paths["tracks"])]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {paths[bad]}:3: column 2: integer out of range: "
+                   "'99999999999999999999'\n")
+
+
 def test_compare_runs_both_configurations(scenario_dir, capsys):
     out = scenario_dir / "cmp"
     rc = cli.main(["compare", str(scenario_dir / "detections.txt"),

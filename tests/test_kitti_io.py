@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from dynatrack import kitti_io as kio
 from dynatrack.errors import ParseError
-from dynatrack.tracker import TrackSnapshot, TrajectoryPoint
+from dynatrack.tracker import STATUSES, TRAJECTORY_SOURCES, FrameReport
 
-from helpers import read_trajectory_csv
+from helpers import (read_trajectory_csv, reference_export_trajectory_csv,
+                     reference_write_tracks)
 
 DET_LINE = ("0 Car 0.00 0 -1.50 100.0 120.0 150.0 160.0 "
             "1.50 1.70 4.20 2.50 1.40 30.00 0.10 0.92")
@@ -94,6 +95,21 @@ def test_parse_rejects_frame_beyond_max_frame(tmp_path):
         kio.parse_detections(path)
 
 
+@pytest.mark.parametrize("token, ok", [
+    ("9223372036854775807", True), ("-9223372036854775808", True),
+    ("9223372036854775808", False), ("-9223372036854775809", False),
+    ("99999999999999999999", False)])
+def test_parse_integers_must_fit_int64(tmp_path, token, ok):
+    path = tmp_path / "gt.txt"
+    path.write_text(GT_LINE.replace(" 7 ", f" {token} ", 1) + "\n")
+    if ok:
+        assert kio.parse_annotations(path)[0][0].track_id == int(token)
+    else:
+        with pytest.raises(ParseError, match=rf"gt\.txt:1: column 2: integer out "
+                                             rf"of range: '{token}'"):
+            kio.parse_annotations(path)
+
+
 def test_parse_annotations_score_defaults_to_one(tmp_path):
     path = tmp_path / "gt.txt"
     path.write_text(GT_LINE + "\n")
@@ -157,16 +173,23 @@ def test_format_detection_round_trip(tmp_path):
     assert back.obj_type == "Cyclist"
 
 
-def test_write_tracks_sorted_and_parseable(tmp_path):
-    def snap(frame, tid, x, y):
-        return TrackSnapshot(frame=frame, track_id=tid,
-                             position=np.array([x, y]), elevation=1.2,
-                             yaw=0.3, dims=(1.5, 1.8, 4.2), score=0.9,
-                             status="confirmed", obj_type="Car",
-                             bbox2d=(0.0, 0.0, 8.0, 4.0))
+def _report(frame, ids, positions, elevation=1.2, yaw=0.3, dims=(1.5, 1.8, 4.2),
+            score=0.9, status="confirmed", obj_type="Car",
+            bbox2d=(0.0, 0.0, 8.0, 4.0)):
+    """A FrameReport whose rows share every field but id and position."""
+    k = len(ids)
+    return FrameReport(
+        frame=frame, ids=np.array(ids, dtype=np.int64),
+        position=np.array(positions, dtype=float).reshape(k, 2),
+        status=np.full(k, STATUSES.index(status), dtype=np.int8),
+        elevation=np.full(k, elevation), yaw=np.full(k, yaw),
+        dims=np.tile(dims, (k, 1)), score=np.full(k, score),
+        bbox2d=np.tile(bbox2d, (k, 1)), obj_type=np.array([obj_type] * k, dtype=object))
 
-    per_frame = [[snap(0, 2, 1.0, 10.0), snap(0, 1, -1.0, 20.0)],
-                 [snap(1, 1, -0.9, 20.5)]]
+
+def test_write_tracks_sorted_and_parseable(tmp_path):
+    per_frame = [_report(0, [2, 1], [(1.0, 10.0), (-1.0, 20.0)]),
+                 _report(1, [1], [(-0.9, 20.5)])]
     path = tmp_path / "tracks.txt"
     kio.write_tracks(per_frame, path)
     frames = kio.parse_tracks(path)
@@ -177,26 +200,34 @@ def test_write_tracks_sorted_and_parseable(tmp_path):
     assert rec.score == 0.9
 
 
-def test_snapshot_to_record_maps_coordinates():
-    snap = TrackSnapshot(frame=4, track_id=3, position=np.array([1.5, 30.0]),
-                         elevation=1.2, yaw=-0.1, dims=(1.5, 1.8, 4.2),
-                         score=0.8, status="coasting", obj_type="Van",
-                         bbox2d=(0.0, 0.0, 1.0, 1.0))
-    rec = kio.snapshot_to_record(snap)
+def test_write_tracks_maps_coordinates(tmp_path):
+    report = _report(4, [3], [(1.5, 30.0)], elevation=1.2, yaw=-0.1, score=0.8,
+                     status="coasting", obj_type="Van", bbox2d=(0.0, 0.0, 1.0, 1.0))
+    path = tmp_path / "tracks.txt"
+    kio.write_tracks([report], path)
+    rec = kio.parse_tracks(path)[4][0]
     assert rec.frame == 4
     assert rec.track_id == 3
     assert rec.location == (1.5, 1.2, 30.0)
+    assert (rec.truncated, rec.occluded, rec.alpha) == (0.0, 0, 0.0)
     assert rec.obj_type == "Van"
 
 
+def _trajectory_frame(frame, rows):
+    """One trajectory entry from (track id, x, y, source name) rows."""
+    ids, x, y, source = zip(*rows)
+    return (frame, np.array(ids, dtype=np.int64), np.column_stack((x, y)),
+            np.array([TRAJECTORY_SOURCES.index(s) for s in source], dtype=np.int8))
+
+
 def test_trajectory_csv_round_trip(tmp_path):
-    points = [
-        TrajectoryPoint(1, 2, 0.1 + 0.2, -7.123456789012345, "updated"),
-        TrajectoryPoint(0, 1, 1.0, 2.0, "predicted"),
-        TrajectoryPoint(0, 1, 1.5, 2.5, "measurement"),
+    trajectory = [
+        _trajectory_frame(1, [(2, 0.1 + 0.2, -7.123456789012345, "updated")]),
+        _trajectory_frame(0, [(1, 1.0, 2.0, "predicted"),
+                              (1, 1.5, 2.5, "measurement")]),
     ]
     path = tmp_path / "traj.csv"
-    kio.export_trajectory_csv(points, path)
+    kio.export_trajectory_csv(trajectory, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "frame,track_id,x,y,source"
     rows = read_trajectory_csv(path)
@@ -238,12 +269,25 @@ def test_measurements_from_dataset(tmp_path):
     path.write_text(DET_LINE + "\n")
     ds = kio.parse_detections(path)
     frames = kio.measurements_from(ds)
-    meas = frames[0][0]
-    npt.assert_array_equal(meas.position, [2.5, 30.0])
-    assert meas.elevation == 1.4
-    assert meas.yaw == 0.1
-    assert meas.score == 0.92
-    assert meas.dims == (1.5, 1.7, 4.2)
+    dets = frames[0]
+    npt.assert_array_equal(dets.position, [[2.5, 30.0]])
+    assert dets.elevation.tolist() == [1.4]
+    assert dets.yaw.tolist() == [0.1]
+    assert dets.score.tolist() == [0.92]
+    assert dets.dims.tolist() == [[1.5, 1.7, 4.2]]
+    assert dets.bbox2d.tolist() == [[100.0, 120.0, 150.0, 160.0]]
+    assert dets.obj_type.tolist() == ["Car"]
+
+
+def test_measurements_from_splits_frames(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text(DET_LINE + "\n" + DET_LINE_F3 + "\n" + DET_LINE_F3 + "\n")
+    frames = kio.measurements_from(kio.parse_detections(path))
+    assert [len(dets.position) for dets in frames] == [1, 0, 0, 2]
+    assert frames[1].position.shape == (0, 2)
+    assert frames[1].bbox2d.shape == (0, 4)
+    assert frames[3].obj_type.tolist() == ["Pedestrian"] * 2
+    assert kio.measurements_from(kio.SequenceDataset("empty")) == []
 
 
 def test_id_position_frames(tmp_path):
@@ -302,3 +346,64 @@ def test_parse_inverts_format(kind, tmp_path):
         assert parsed == sorted(records, key=lambda r: r.frame)
 
     check()
+
+
+# -- columnar writers against the per-row reference writers ------------------
+
+# Signed zeros and magnitudes across the nine-decimal format's range.
+_number = (st.sampled_from([0.0, -0.0])
+           | st.builds(lambda m, sign: sign * m, st.floats(1e-9, 1e6),
+                       st.sampled_from([1.0, -1.0])))
+# Sparse ids, as a tracker leaves them once tracks have died.
+_ids = st.lists(st.integers(0, 10 ** 9), unique=True, max_size=6)
+
+
+@st.composite
+def _reports(draw):
+    frames = sorted(draw(st.sets(st.integers(0, 10 ** 4), max_size=5)))
+    reports = []
+    for frame in frames:
+        ids = draw(_ids)
+        k = len(ids)
+        values = np.array(draw(st.lists(_number, min_size=12 * k,
+                                        max_size=12 * k))).reshape(k, 12)
+        reports.append(FrameReport(
+            frame=frame, ids=np.array(ids, dtype=np.int64),
+            position=values[:, 0:2], elevation=values[:, 2], yaw=values[:, 3],
+            dims=values[:, 4:7], score=values[:, 7], bbox2d=values[:, 8:12],
+            status=np.array(draw(st.lists(st.sampled_from([1, 2]), min_size=k,
+                                          max_size=k)), dtype=np.int8),
+            obj_type=np.array(draw(st.lists(st.sampled_from(
+                ["Car", "Van", "Pedestrian"]), min_size=k, max_size=k)),
+                dtype=object)))
+    return reports
+
+
+@st.composite
+def _trajectories(draw):
+    frames = sorted(draw(st.sets(st.integers(0, 10 ** 4), max_size=5)))
+    trajectory = []
+    for frame in frames:
+        rows = [(i, s) for i in draw(_ids)
+                for s in draw(st.sets(st.integers(0, 2), min_size=1))]
+        rows = draw(st.permutations(rows))
+        k = len(rows)
+        xy = np.array(draw(st.lists(_number, min_size=2 * k, max_size=2 * k)))
+        trajectory.append((frame, np.array([i for i, _ in rows], dtype=np.int64),
+                           xy.reshape(k, 2),
+                           np.array([s for _, s in rows], dtype=np.int8)))
+    return trajectory
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reports=_reports(), trajectory=_trajectories())
+def test_columnar_writers_match_per_row_reference(tmp_path, reports, trajectory):
+    for write, reference, data, name in (
+            (kio.write_tracks, reference_write_tracks, reports, "tracks.txt"),
+            (kio.export_trajectory_csv, reference_export_trajectory_csv,
+             trajectory, "trajectory.csv")):
+        write(data, tmp_path / name)
+        reference(data, tmp_path / ("reference-" + name))
+        assert ((tmp_path / name).read_bytes()
+                == (tmp_path / ("reference-" + name)).read_bytes())

@@ -68,6 +68,9 @@ def test_clearmot_keeps_previous_correspondence():
     m = clearmot(gt, hyp)
     assert m.id_switches == 0
     assert m.false_positives == 1
+    # also when the carried pair lies exactly at the threshold
+    hyp = _frames([(7, 0.0, 0.0)], [(7, 2.0, 0.0), (8, 0.5, 0.0)])
+    assert clearmot(gt, hyp, threshold=2.0).id_switches == 0
 
 
 def test_clearmot_respects_threshold():

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError, NumericalError
 from dynatrack.filtering import StateEstimate
-from dynatrack.tracker import (STATUSES, MultiObjectTracker, associate,
-                               gated_assignment, gated_pairs)
+from dynatrack.kitti_io import TRAJECTORY_SOURCES
+from dynatrack.tracker import (STATUSES, Detections, FrameReport,
+                               MultiObjectTracker, associate, gated_assignment,
+                               gated_pairs)
 
-from helpers import (_min_cost_pairs, frames_from_positions, measurement,
+from helpers import (_min_cost_pairs, detections, frames_from_positions,
                      run_single_target, single_target_config,
                      trajectory_by_source, validate_estimate)
 
@@ -201,11 +203,11 @@ def test_confirmation_needs_min_hits():
     cfg = RunConfig(min_hits=3)
     tracker = MultiObjectTracker(cfg)
     frames = _static_frames(4)
-    assert tracker.step(0, frames[0]) == []
-    assert tracker.step(1, frames[1]) == []
-    snaps = tracker.step(2, frames[2])
-    assert [s.track_id for s in snaps] == [1]
-    assert snaps[0].status == "confirmed"
+    assert len(tracker.step(0, frames[0])) == 0
+    assert len(tracker.step(1, frames[1])) == 0
+    report = tracker.step(2, frames[2])
+    assert [s.track_id for s in report] == [1]
+    assert STATUSES[report.status[0]] == "confirmed"
 
 
 def test_min_hits_one_confirms_immediately():
@@ -218,8 +220,8 @@ def test_tentative_track_dies_on_first_miss():
     cfg = RunConfig(min_hits=3)
     tracker = MultiObjectTracker(cfg)
     tracker.step(0, _static_frames(1)[0])
-    tracker.step(1, [])
-    assert tracker.tracks == []
+    tracker.step(1, detections())
+    assert len(tracker.tracks) == 0
     tracker.step(2, _static_frames(1)[0])
     assert [t.track_id for t in tracker.tracks] == [2]  # ids never reused
 
@@ -227,29 +229,29 @@ def test_tentative_track_dies_on_first_miss():
 def test_confirmed_track_coasts_then_recovers():
     cfg = single_target_config(max_misses=5)
     tracker = MultiObjectTracker(cfg)
-    tracker.step(0, [measurement(0.0, 10.0)])
-    snaps = tracker.step(1, [])
+    tracker.step(0, detections([(0.0, 10.0)]))
+    snaps = tracker.step(1, detections())
     assert [s.status for s in snaps] == ["coasting"]
-    snaps = tracker.step(2, [measurement(0.0, 10.0)])
+    snaps = tracker.step(2, detections([(0.0, 10.0)]))
     assert [s.status for s in snaps] == ["confirmed"]
-    assert snaps[0].track_id == 1
+    assert snaps.ids.tolist() == [1]
 
 
 def test_track_dies_after_max_misses():
     cfg = single_target_config(max_misses=2)
     tracker = MultiObjectTracker(cfg)
-    tracker.step(0, [measurement(0.0, 10.0)])
-    assert len(tracker.step(1, [])) == 1
-    assert len(tracker.step(2, [])) == 1
-    assert tracker.step(3, []) == []
-    assert tracker.tracks == []
+    tracker.step(0, detections([(0.0, 10.0)]))
+    assert len(tracker.step(1, detections())) == 1
+    assert len(tracker.step(2, detections())) == 1
+    assert len(tracker.step(3, detections())) == 0
+    assert len(tracker.tracks) == 0
 
 
 def test_step_requires_increasing_frames():
     tracker = MultiObjectTracker(RunConfig())
-    tracker.step(0, [])
+    tracker.step(0, detections())
     with pytest.raises(ContractViolationError, match="frame 0"):
-        tracker.step(0, [])
+        tracker.step(0, detections())
 
 
 def test_two_objects_keep_identity():
@@ -269,54 +271,73 @@ def _state(tracker):
     arrays = {name: getattr(bank, name) for name in bank.FIELDS if name != "obj_type"}
     arrays["window"] = bank.window.positions
     arrays["window_count"] = bank.window.count
+    trajectory = [(frame, ids.tobytes(), xy.tobytes(), sources.tobytes())
+                  for frame, ids, xy, sources in tracker.trajectory]
     return ({name: (a.shape, a.tobytes()) for name, a in arrays.items()},
             bank.obj_type.tolist(), [t.track_id for t in tracker.tracks],
-            tracker.frame, tracker.births, len(tracker.trajectory))
+            tracker.frame, tracker.births, trajectory)
 
 
 def _three_track_tracker():
     tracker = MultiObjectTracker(single_target_config(gate_distance=5.0),
                                  record_trajectories=True)
     for frame in range(4):
-        tracker.step(frame, [measurement(20.0 * k, 10.0 + 0.1 * frame)
-                             for k in range(3)])
+        tracker.step(frame, detections([(20.0 * k, 10.0 + 0.1 * frame)
+                                        for k in range(3)]))
     return tracker
 
 
-@pytest.mark.parametrize("field, value", [
-    ("position", np.array([np.nan, 1.0])), ("position", np.array([1.0, np.inf])),
-    ("position", np.array([-np.inf, 0.0])), ("position", np.array([1.0, 2.0, 3.0])),
-    ("position", np.array([1.0])), ("position", np.array([[1.0], [2.0]])),
-    ("position", np.array(5.0)), ("dims", (1.5, 1.8)), ("dims", (1.5, np.nan, 4.2)),
-    ("elevation", np.inf), ("yaw", "north"),
+def _in_rows(value):
+    """Column edit putting `value` in rows 1 and 2: one of them would match a
+    track, the other would start one."""
+    def edit(column):
+        column = column.astype(object if isinstance(value, str) else float)
+        column[[1, 2]] = value
+        return column
+    return edit
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("position", _in_rows([np.nan, 1.0])), ("position", _in_rows([1.0, np.inf])),
+    ("position", _in_rows([-np.inf, 0.0])), ("position", np.ones((3, 3))),
+    ("position", np.ones((3, 1))), ("position", np.ones((3, 2, 1))),
+    ("position", np.ones(3)), ("dims", np.ones((3, 2))),
+    ("dims", _in_rows([1.5, np.nan, 4.2])), ("elevation", _in_rows(np.inf)),
+    ("yaw", _in_rows("north")),
 ], ids=["nan", "inf", "neg-inf", "length-3", "length-1", "column", "scalar",
         "dims-length-2", "dims-nan", "elevation-inf", "yaw-text"])
-def test_step_rejects_bad_detections_without_changing_state(field, value):
+def test_step_rejects_bad_detections_without_changing_state(field, bad):
+    # `bad` is a whole replacement column or an edit of the good one
     tracker = _three_track_tracker()
     before = _state(tracker)
-    # the second detection would match a track, the third would start one
-    dets = [measurement(0.0, 10.5), measurement(20.0, 10.5), measurement(90.0, 10.5)]
-    setattr(dets[1], field, value)
-    setattr(dets[2], field, value)
+    dets = detections([(0.0, 10.5), (20.0, 10.5), (90.0, 10.5)])
+    setattr(dets, field, bad(getattr(dets, field)) if callable(bad) else bad)
     with pytest.raises(ContractViolationError, match="detection"):
         tracker.step(4, dets)
     assert _state(tracker) == before
-    tracker.step(4, dets[:1])  # the frame was not consumed
+    tracker.step(4, detections([(0.0, 10.5)]))  # the frame was not consumed
 
 
 @pytest.mark.parametrize("field, value", [
-    ("position", np.array([1.0, 2.0, 3.0])), ("dims", (1.5, 1.8)),
-    ("elevation", (1.0, 2.0)),
+    ("position", np.ones((3, 3))), ("dims", np.ones((3, 2))),
+    ("elevation", np.ones((2,))),
 ], ids=["position-length-3", "dims-length-2", "elevation-pair"])
 def test_step_rejects_detections_that_all_share_a_bad_shape(field, value):
+    # elevation-pair: a column with fewer rows than there are positions
     tracker = _three_track_tracker()
     before = _state(tracker)
-    dets = [measurement(20.0 * k, 10.5) for k in range(3)]
-    for det in dets:
-        setattr(det, field, value)
+    dets = detections([(20.0 * k, 10.5) for k in range(3)])
+    setattr(dets, field, value)
     with pytest.raises(ContractViolationError, match="shape"):
         tracker.step(4, dets)
     assert _state(tracker) == before
+
+
+def test_step_rejects_a_detection_list():
+    tracker = MultiObjectTracker(RunConfig())
+    with pytest.raises(ContractViolationError, match="must be Detections"):
+        tracker.step(0, [])
+    assert tracker.frame is None
 
 
 def test_failed_update_leaves_bank_unchanged():
@@ -324,7 +345,7 @@ def test_failed_update_leaves_bank_unchanged():
     tracker.bank.cov[1] = np.nan
     before = _state(tracker)
     with pytest.raises(NumericalError, match="cond="):
-        tracker.step(4, [measurement(20.0 * k, 10.4) for k in range(3)])
+        tracker.step(4, detections([(20.0 * k, 10.4) for k in range(3)]))
     assert _state(tracker) == before
 
 
@@ -355,8 +376,8 @@ def test_bank_invariants_over_hit_miss_schedules(schedule):
     for frame, flags in enumerate(hits):
         truth = start + velocity * frame * cfg.dt
         noisy = truth + rng.normal(0.0, 0.1, size=truth.shape)
-        tracker.step(frame, [measurement(x, y)
-                             for (x, y), seen in zip(noisy, flags) if seen])
+        tracker.step(frame, detections([xy for xy, seen in zip(noisy, flags)
+                                        if seen]))
         bank = tracker.bank
         for row, track in enumerate(tracker.tracks):
             assert validate_estimate(StateEstimate(bank.mean[row], bank.cov[row]))
@@ -417,12 +438,12 @@ def test_weights_frozen_while_coasting():
     positions = _noisy_cv_positions(n=40)
     tracker = MultiObjectTracker(cfg)
     for frame in range(30):
-        tracker.step(frame, [measurement(*positions[frame])])
+        tracker.step(frame, detections([positions[frame]]))
     bank = tracker.bank
     before = bank.weights[0].copy()
     before_diag = bank.weight_diag[0].copy()
     for frame in range(30, 36):
-        tracker.step(frame, [])
+        tracker.step(frame, detections())
     assert STATUSES[bank.status[0]] == "coasting"
     npt.assert_array_equal(bank.weights[0], before)
     npt.assert_array_equal(bank.weight_diag[0], before_diag)
@@ -450,17 +471,18 @@ def test_fast_target_saturates_velocity_weight_along_motion():
 def test_snapshot_position_is_posterior_mean():
     cfg = single_target_config()
     tracker = MultiObjectTracker(cfg)
-    snaps = tracker.step(0, [measurement(1.0, 2.0)])
+    report = tracker.step(0, detections([(1.0, 2.0)]))
     mean = tracker.bank.mean[0]
     n = cfg.model_order + 1
-    npt.assert_array_equal(snaps[0].position, [mean[0], mean[n]])
+    npt.assert_array_equal(report.position, [[mean[0], mean[n]]])
+    npt.assert_array_equal(next(iter(report)).position, [mean[0], mean[n]])
 
 
 def test_aux_fields_smoothed_on_match():
     cfg = single_target_config()
     tracker = MultiObjectTracker(cfg)
-    tracker.step(0, [measurement(0.0, 10.0, elevation=1.0, yaw=0.0)])
-    tracker.step(1, [measurement(0.0, 10.0, elevation=2.0, yaw=1.0)])
+    tracker.step(0, detections([(0.0, 10.0)], elevation=1.0, yaw=0.0))
+    tracker.step(1, detections([(0.0, 10.0)], elevation=2.0, yaw=1.0))
     bank = tracker.bank
     assert bank.elevation[0] == pytest.approx(0.7 * 2.0 + 0.3 * 1.0)
     assert bank.yaw[0] == pytest.approx(0.7)
@@ -469,7 +491,8 @@ def test_aux_fields_smoothed_on_match():
 def test_trajectory_sources_recorded():
     positions = _noisy_cv_positions(n=10)
     tracker = run_single_target(positions, single_target_config(), gaps=(5,))
-    sources = {p.source for p in tracker.trajectory}
+    sources = {TRAJECTORY_SOURCES[k] for _, _, _, codes in tracker.trajectory
+               for k in codes.tolist()}
     assert sources == {"measurement", "predicted", "updated"}
     measured = trajectory_by_source(tracker, "measurement")
     assert set(measured) == set(range(10)) - {5}
