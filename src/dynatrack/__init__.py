@@ -1,11 +1,11 @@
 """Multi-object tracking with a motion-dynamics weighted Kalman filter."""
 
 from .config import RunConfig, load_config, save_config
-from .dynamics import DynamicsWindow, dynamics_vector, update_weights
+from .dynamics import DynamicsWindow, update_weights
 from .filtering import (NoiseModel, StateEstimate, TransitionModel,
                         build_noise, build_transition, measurement_matrix,
                         post_measurement, predict, update)
-from .kitti_io import SequenceDataset, load_sequence, parse_detections
+from .kitti_io import Labels, SequenceDataset, load_sequence, parse_detections
 from .metrics import clearmot, idf1, localization_error, measure_latency
 from .occlusion import OcclusionSpec, occlude_dataset, simulate_occlusion
 from .synth import ObjectSpec, RegimeSegment, ScenarioSpec, generate
@@ -16,11 +16,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RunConfig", "load_config", "save_config",
-    "DynamicsWindow", "dynamics_vector", "update_weights",
+    "DynamicsWindow", "update_weights",
     "NoiseModel", "StateEstimate", "TransitionModel",
     "build_noise", "build_transition", "measurement_matrix",
     "post_measurement", "predict", "update",
-    "SequenceDataset", "load_sequence", "parse_detections",
+    "Labels", "SequenceDataset", "load_sequence", "parse_detections",
     "clearmot", "idf1", "localization_error", "measure_latency",
     "OcclusionSpec", "occlude_dataset", "simulate_occlusion",
     "ObjectSpec", "RegimeSegment", "ScenarioSpec", "generate",

@@ -105,15 +105,6 @@ def dynamics_vectors(stacks: np.ndarray) -> np.ndarray:
     return d
 
 
-def dynamics_vector(positions: np.ndarray) -> np.ndarray:
-    """Per-axis [1, sigma_pos, sigma_vel, sigma_acc], shape (axes, 4)."""
-    z = np.asarray(positions, dtype=float)
-    if z.ndim != 2:
-        raise ContractViolationError(
-            f"expected an (n, axes) position array, got shape {z.shape}")
-    return dynamics_vectors(z[None])[0]
-
-
 def dynamics_factors(factor_velocity: float, factor_acceleration: float,
                      factor_jerk: float) -> np.ndarray:
     """Normalization constants [1, l_v, l_a, l_j]; all must be positive."""
@@ -126,17 +117,11 @@ def dynamics_factors(factor_velocity: float, factor_acceleration: float,
 def update_weights(d: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Elementwise min(d / factors, 1). Exact saturation at 1.0.
 
-    Equals the algebraic half-absolute form (see clamped_weights_algebraic)
-    for non-negative inputs; that equality is asserted by tests.
+    Equals the algebraic half-absolute form (1 + d - |1 - d|) / 2 for
+    non-negative inputs; that equality is asserted by tests.
     """
     d = np.asarray(d, dtype=float)
     return np.minimum(d / factors, 1.0)
-
-
-def clamped_weights_algebraic(d_norm: np.ndarray) -> np.ndarray:
-    """Clamp written without branching: (1 + d - |1 - d|) / 2."""
-    d_norm = np.asarray(d_norm, dtype=float)
-    return 0.5 * (1.0 + d_norm - np.abs(1.0 - d_norm))
 
 
 def weight_diagonal(weights: np.ndarray, order: int) -> np.ndarray:

@@ -5,6 +5,10 @@ Line formats (whitespace separated):
   annotations  frame id type trunc occ alpha bbox(4) dims(3) loc(3) rot_y
   tracks       frame id type trunc occ alpha bbox(4) dims(3) loc(3) rot_y score
 
+A file parses into one `Labels` per frame: that frame's rows as columns, in
+file order, sliced from one table per file. Frames are dense; a frame with
+no rows is an empty `Labels`.
+
 Camera locations (x right, y down, z forward) map to the tracking ground
 plane as (lateral, longitudinal) = (x, z) with y kept as elevation; the
 mapping is inverted on write.
@@ -12,13 +16,14 @@ mapping is inverted on write.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ContractViolationError, ParseError
 from .tracker import TRAJECTORY_SOURCES, Detections
 
 TRAJECTORY_HEADER = ["frame", "track_id", "x", "y", "source"]
@@ -38,6 +43,8 @@ INT64 = np.iinfo(np.int64)
 
 @dataclass
 class DetectionRecord:
+    """One label as an editable object; what `synth.generate` builds."""
+
     frame: int
     obj_type: str
     truncated: float
@@ -48,30 +55,95 @@ class DetectionRecord:
     location: tuple        # camera x, y, z
     rotation_y: float
     score: float
-    raw: str | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class GroundTruthRecord(DetectionRecord):
-    """Id-bearing record; also the shape track-output lines parse into."""
+    """Id-bearing record."""
 
     track_id: int = -1
 
 
-def ground_position(record: DetectionRecord) -> np.ndarray:
-    """Ground-plane (lateral, longitudinal) from a camera-frame location."""
-    x, _, z = record.location
-    return np.array([x, z])
+@dataclass(eq=False)
+class Labels:
+    """One frame's labels as columns, one row per object.
+
+    `bbox2d (n, 4)`, `dims (n, 3)` (height, width, length) and
+    `location (n, 3)` (camera x, y, z) are row blocks; the other columns are
+    `(n,)`. `track_id` is None for detections, and `raw` holds the parsed
+    lines (None for labels built from records).
+    """
+
+    obj_type: np.ndarray
+    truncated: np.ndarray
+    occluded: np.ndarray
+    alpha: np.ndarray
+    bbox2d: np.ndarray
+    dims: np.ndarray
+    location: np.ndarray
+    rotation_y: np.ndarray
+    score: np.ndarray
+    track_id: np.ndarray | None = None
+    raw: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.obj_type)
+
+    def take(self, index) -> Labels:
+        """The rows at `index`: a slice, a boolean mask or row positions."""
+        return Labels(**{name: None if column is None else column[index]
+                         for name, column in vars(self).items()})
+
+
+# Columns of the float block a file or a record list is read into.
+FLOAT_BLOCK = 14
+
+
+def _from_block(block: np.ndarray, obj_type, occluded, track_id=None,
+                raw=None) -> Labels:
+    """`Labels` viewing the float block's columns: truncated, alpha,
+    bbox (4), dims (3), location (3), rotation_y and score."""
+    return Labels(obj_type=obj_type, truncated=block[:, 0], occluded=occluded,
+                  alpha=block[:, 1], bbox2d=block[:, 2:6], dims=block[:, 6:9],
+                  location=block[:, 9:12], rotation_y=block[:, 12],
+                  score=block[:, 13], track_id=track_id, raw=raw)
+
+
+def as_labels(frame) -> Labels:
+    """One frame as `Labels`: returned as is, or built from a list of records.
+
+    The one reader of records. `track_id` is kept when every record is a
+    `GroundTruthRecord`.
+    """
+    if isinstance(frame, Labels):
+        return frame
+    block = np.array([(r.truncated, r.alpha, *r.bbox2d, *r.dims, *r.location,
+                       r.rotation_y, r.score) for r in frame],
+                     dtype=float).reshape(len(frame), FLOAT_BLOCK)
+    track_id = None
+    if all(isinstance(r, GroundTruthRecord) for r in frame):
+        track_id = np.array([r.track_id for r in frame], dtype=np.int64)
+    return _from_block(block, np.array([r.obj_type for r in frame], dtype=object),
+                       np.array([r.occluded for r in frame], dtype=np.int64),
+                       track_id)
+
+
+def ground_position(labels: Labels) -> np.ndarray:
+    """Ground-plane (lateral, longitudinal) rows `(n, 2)` from camera locations."""
+    return labels.location[:, [0, 2]]
 
 
 def camera_location(position, elevation: float) -> tuple:
-    """Invert ground_position: (x, y, z) camera coordinates."""
+    """Invert ground_position for one point: (x, y, z) camera coordinates."""
     return (float(position[0]), float(elevation), float(position[1]))
 
 
 @dataclass
 class SequenceDataset:
-    """Per-frame detections with optional aligned ground truth."""
+    """Per-frame detections with optional aligned ground truth.
+
+    Frames are `Labels` when parsed, or record lists from `synth.generate`.
+    """
 
     sequence_id: str
     detections: list = field(default_factory=list)
@@ -84,6 +156,8 @@ class SequenceDataset:
             n = max(n, len(self.ground_truth))
         return n
 
+
+# -- parsing -----------------------------------------------------------------
 
 def _float_field(token: str, path, line_no: int, column: int) -> float:
     try:
@@ -109,90 +183,122 @@ def _int_field(token: str, path, line_no: int, column: int) -> int:
     return value
 
 
-def _split_lines(path):
-    lines = Path(path).read_text().splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        if line.strip():
-            yield line_no, line
+# Lines split at a time. Only one chunk's tokens (about 1.3 KB a line) exist
+# at once, so parsing needs little more memory than its result. On a 2-vCPU
+# Xeon, 256-line chunks parsed faster than 1,024-line chunks or whole files.
+CHUNK_LINES = 256
 
 
-def _pad_frames(frames: list, frame: int):
-    while len(frames) <= frame:
-        frames.append([])
+def _ints(column: tuple) -> np.ndarray:
+    return np.fromiter(map(int, column), np.int64, len(column))
 
 
-def _shared_columns(tokens, offset: int, path, line_no: int) -> tuple:
-    """The 15 columns type..rotation_y starting at token `offset`.
+def _table(lines: list, n_fields: int, labeled: bool) -> list:
+    """Dense per-frame `Labels` from a file's lines.
 
-    Returned in DetectionRecord field order (obj_type through rotation_y) so
-    callers pass them positionally; errors name 1-based columns.
+    Every check runs on whole columns; any failure raises ValueError or
+    OverflowError (an integer outside int64), and the caller then finds the
+    first bad line.
     """
-    head = (tokens[offset],
-            _float_field(tokens[offset + 1], path, line_no, offset + 2),
-            _int_field(tokens[offset + 2], path, line_no, offset + 3),
-            _float_field(tokens[offset + 3], path, line_no, offset + 4))
-    # bbox (4), dims (3), location (3), rotation_y
-    f = [_float_field(tokens[i], path, line_no, i + 1)
-         for i in range(offset + 4, offset + 15)]
-    return head + (tuple(f[0:4]), tuple(f[4:7]), tuple(f[7:10]), f[10])
+    raw = [line for line in lines if line and not line.isspace()]
+    n = len(raw)
+    if not n:
+        return []
+    type_at = 2 if labeled else 1
+    frame, occluded, track_id = (np.empty(n, dtype=np.int64) for _ in range(3))
+    obj_type = np.empty(n, dtype=object)
+    block = np.ones((FLOAT_BLOCK, n))
+    for start in range(0, n, CHUNK_LINES):
+        rows = [line.split() for line in raw[start:start + CHUNK_LINES]]
+        if any(len(fields) != n_fields for fields in rows):
+            raise ValueError("field count")
+        columns = list(zip(*rows))
+        part = slice(start, start + len(rows))
+        frame[part] = _ints(columns[0])
+        if labeled:
+            track_id[part] = _ints(columns[1])
+        obj_type[part] = columns[type_at]
+        occluded[part] = _ints(columns[type_at + 2])
+        # truncated, then alpha through rotation_y and the score if present
+        numbers = [columns[type_at + 1], *columns[type_at + 3:]]
+        block[:len(numbers), part] = np.fromiter(
+            map(float, itertools.chain.from_iterable(numbers)), float,
+            len(numbers) * len(rows)).reshape(len(numbers), len(rows))
+    if frame.min() < 0 or frame.max() > MAX_FRAME:
+        raise ValueError("frame range")
+    if not np.isfinite(block).all():
+        raise ValueError("non-finite")
+    order = np.argsort(frame, kind="stable")
+    table = _from_block(block.T[order], obj_type[order], occluded[order],
+                        track_id[order] if labeled else None,
+                        np.array(raw, dtype=object)[order])
+    bounds = np.cumsum(np.bincount(frame)).tolist()
+    empty = table.take(slice(0, 0))
+    return [table.take(slice(start, stop)) if stop > start else empty
+            for start, stop in zip([0] + bounds, bounds)]
 
 
-def _parse_frames(path: Path, n_fields: int, make_record) -> list:
-    """Per-frame record lists; `make_record(tokens, line_no, line)` builds one."""
-    frames: list = []
-    for line_no, line in _split_lines(path):
-        tokens = line.split()
-        if len(tokens) != n_fields:
+def _raise_first_error(path, lines: list, n_fields: int, labeled: bool):
+    """Check each line in turn and raise the first failure as a ParseError.
+
+    Per line: the field count, then each numeric token from left to right
+    (a track line's score first), then the frame range.
+    """
+    type_at = 2 if labeled else 1
+    checks = [(_int_field, i) for i in range(type_at)]
+    checks += [(_float_field, type_at + 1), (_int_field, type_at + 2)]
+    checks += [(_float_field, i) for i in range(type_at + 3, n_fields)]
+    if n_fields == TRACK_FIELDS:
+        checks.insert(0, checks.pop())
+    for line_no, line in enumerate(lines, start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != n_fields:
             raise ParseError(
-                f"{path}:{line_no}: expected {n_fields} fields, got {len(tokens)}")
-        record = make_record(tokens, line_no, line)
-        if record.frame < 0:
+                f"{path}:{line_no}: expected {n_fields} fields, got {len(fields)}")
+        for check, i in checks:
+            check(fields[i], path, line_no, i + 1)
+        frame = int(fields[0])
+        if frame < 0:
             raise ParseError(f"{path}:{line_no}: column 1: negative frame index")
-        if record.frame > MAX_FRAME:
+        if frame > MAX_FRAME:
             raise ParseError(f"{path}:{line_no}: column 1: frame index "
-                             f"{record.frame} exceeds {MAX_FRAME}")
-        _pad_frames(frames, record.frame)
-        frames[record.frame].append(record)
-    return frames
+                             f"{frame} exceeds {MAX_FRAME}")
+    raise ContractViolationError(f"{path}: the column checks failed but no line did")
+
+
+def _parse(path: Path, n_fields: int, labeled: bool) -> list:
+    """Dense per-frame `Labels` of one file; a bad line raises ParseError."""
+    lines = path.read_text().splitlines()
+    try:
+        return _table(lines, n_fields, labeled)
+    except (ValueError, OverflowError):
+        _raise_first_error(path, lines, n_fields, labeled)
 
 
 def parse_detections(path, sequence_id: str | None = None) -> SequenceDataset:
     """Parse a 17-column detection file into a dense per-frame dataset."""
     path = Path(path)
-
-    def make_record(tokens, line_no, line):
-        return DetectionRecord(
-            _int_field(tokens[0], path, line_no, 1),
-            *_shared_columns(tokens, 1, path, line_no),
-            _float_field(tokens[16], path, line_no, 17),
-            raw=line)
-
-    frames = _parse_frames(path, DETECTION_FIELDS, make_record)
+    frames = _parse(path, DETECTION_FIELDS, labeled=False)
     return SequenceDataset(sequence_id=sequence_id or path.stem, detections=frames)
 
 
-def _parse_labeled(path, expect_score: bool):
-    path = Path(path)
-
-    def make_record(tokens, line_no, line):
-        score = _float_field(tokens[17], path, line_no, 18) if expect_score else 1.0
-        frame = _int_field(tokens[0], path, line_no, 1)
-        track_id = _int_field(tokens[1], path, line_no, 2)
-        return GroundTruthRecord(frame, *_shared_columns(tokens, 2, path, line_no),
-                                 score, raw=line, track_id=track_id)
-
-    return _parse_frames(path, TRACK_FIELDS if expect_score else ANNOTATION_FIELDS,
-                         make_record)
-
-
 def parse_annotations(path) -> list:
-    """Parse ground-truth labels (track id, no score) into per-frame lists."""
-    return _parse_labeled(path, expect_score=False)
+    """Parse ground-truth labels (track id, no score; score reads 1.0) into
+    per-frame `Labels`."""
+    return _parse(Path(path), ANNOTATION_FIELDS, labeled=True)
 
 
 def parse_tracks(path) -> list:
-    """Parse tracker output (track id plus score) into per-frame lists."""
-    return _parse_labeled(path, expect_score=True)
+    """Parse tracker output (track id plus score) into per-frame `Labels`."""
+    return _parse(Path(path), TRACK_FIELDS, labeled=True)
+
+
+def _no_labels(labeled: bool) -> Labels:
+    return _from_block(np.zeros((0, FLOAT_BLOCK)), np.zeros(0, dtype=object),
+                       np.zeros(0, dtype=np.int64),
+                       np.zeros(0, dtype=np.int64) if labeled else None)
 
 
 def load_sequence(detection_path, annotation_path=None) -> SequenceDataset:
@@ -201,11 +307,12 @@ def load_sequence(detection_path, annotation_path=None) -> SequenceDataset:
     if annotation_path is not None:
         gt = parse_annotations(annotation_path)
         n = max(len(ds.detections), len(gt))
-        _pad_frames(ds.detections, n - 1)
-        _pad_frames(gt, n - 1)
-        ds.ground_truth = gt
+        ds.detections += [_no_labels(False)] * (n - len(ds.detections))
+        ds.ground_truth = gt + [_no_labels(True)] * (n - len(gt))
     return ds
 
+
+# -- writing -----------------------------------------------------------------
 
 def _fmt(value: float) -> str:
     return f"{value:.9f}"
@@ -219,21 +326,21 @@ def _format_fields(head: list, obj_type: str, truncated: float, occluded: int,
                      *map(_fmt, numbers)])
 
 
-def _format_line(head: list, record: DetectionRecord, with_score: bool) -> str:
-    numbers = [*record.bbox2d, *record.dims, *record.location, record.rotation_y]
+def _frame_lines(frame: int, labels: Labels, with_id: bool,
+                 with_score: bool) -> list:
+    """One frame's lines: its parsed lines if it has them, else its rows
+    formatted under index `frame`."""
+    if labels.raw is not None:
+        return labels.raw.tolist()
+    numbers = [labels.bbox2d, labels.dims, labels.location, labels.rotation_y]
     if with_score:
-        numbers.append(record.score)
-    return _format_fields(head, record.obj_type, record.truncated,
-                          record.occluded, record.alpha, numbers)
-
-
-def format_detection(record: DetectionRecord) -> str:
-    return _format_line([str(record.frame)], record, with_score=True)
-
-
-def format_labeled(record: GroundTruthRecord, with_score: bool) -> str:
-    return _format_line([str(record.frame), str(record.track_id)], record,
-                        with_score)
+        numbers.append(labels.score)
+    heads = ([[str(frame), str(i)] for i in labels.track_id.tolist()] if with_id
+             else itertools.repeat([str(frame)]))
+    return [_format_fields(head, *row) for head, *row in zip(
+        heads, labels.obj_type.tolist(), labels.truncated.tolist(),
+        labels.occluded.tolist(), labels.alpha.tolist(),
+        np.column_stack(numbers).tolist())]
 
 
 def _write_lines(path, lines: list):
@@ -241,22 +348,19 @@ def _write_lines(path, lines: list):
 
 
 def write_detections(frames, path):
-    """Write detection records; untouched records keep their original line."""
-    lines = []
-    for frame_records in frames:
-        for record in frame_records:
-            lines.append(record.raw if record.raw is not None
-                         else format_detection(record))
-    _write_lines(path, lines)
+    """Write detection frames (`Labels` or record lists); parsed rows keep
+    their original line."""
+    _write_lines(path, [line for frame, labels in enumerate(map(as_labels, frames))
+                        for line in _frame_lines(frame, labels, False, True)])
 
 
 def write_annotations(frames, path):
-    """Write ground-truth records (id-bearing, no score column)."""
+    """Write ground-truth frames (id-bearing, no score column), ids ascending
+    within a frame."""
     lines = []
-    for frame_records in frames:
-        for record in sorted(frame_records, key=lambda r: r.track_id):
-            lines.append(record.raw if record.raw is not None
-                         else format_labeled(record, with_score=False))
+    for frame, labels in enumerate(map(as_labels, frames)):
+        labels = labels.take(np.argsort(labels.track_id, kind="stable"))
+        lines += _frame_lines(frame, labels, True, False)
     _write_lines(path, lines)
 
 
@@ -300,23 +404,18 @@ def export_trajectory_csv(trajectory, path):
                              [TRAJECTORY_SOURCES[k] for k in source[order].tolist()]))
 
 
+# -- readers -----------------------------------------------------------------
+
 def measurements_from(ds: SequenceDataset) -> list:
-    """Per-frame `Detections` for the tracker, built in one pass over the records."""
-    records = [r for frame_records in ds.detections for r in frame_records]
-    # location (3), rotation_y, dims (3), score, bbox (4)
-    numbers = np.array([(*r.location, r.rotation_y, *r.dims, r.score, *r.bbox2d)
-                        for r in records], dtype=float).reshape(len(records), 12)
-    columns = dict(position=numbers[:, [0, 2]], elevation=numbers[:, 1],
-                   yaw=numbers[:, 3], dims=numbers[:, 4:7], score=numbers[:, 7],
-                   bbox2d=numbers[:, 8:12],
-                   obj_type=np.array([r.obj_type for r in records], dtype=object))
-    ends = np.cumsum([len(frame_records) for frame_records in ds.detections])
-    split = {name: np.split(column, ends)[:-1] for name, column in columns.items()}
-    return [Detections(**dict(zip(split, frame)))
-            for frame in zip(*split.values())]
+    """Per-frame `Detections` for the tracker, sliced from each frame's columns."""
+    return [Detections(position=ground_position(labels),
+                       elevation=labels.location[:, 1], yaw=labels.rotation_y,
+                       dims=labels.dims, score=labels.score, bbox2d=labels.bbox2d,
+                       obj_type=labels.obj_type)
+            for labels in map(as_labels, ds.detections)]
 
 
 def id_position_frames(frames) -> list:
     """Per-frame (track_id, ground position) pairs for the metrics layer."""
-    return [[(r.track_id, ground_position(r)) for r in frame_records]
-            for frame_records in frames]
+    return [list(zip(labels.track_id.tolist(), ground_position(labels)))
+            for labels in map(as_labels, frames)]

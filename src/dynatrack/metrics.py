@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, UndefinedMetricError
-from .kitti_io import SequenceDataset, ground_position
+from .kitti_io import SequenceDataset, as_labels, ground_position
 from .tracker import (FrameReport, MultiObjectTracker, distance, gated_pairs,
                       in_gate)
 
@@ -63,14 +63,15 @@ class LatencyReport:
 
 
 def _frame_arrays(frame):
-    """One frame as (ids, positions (n, 2)): from a `FrameReport`'s columns, or
-    from a list of (id, position) pairs or of id-bearing KITTI records."""
+    """One frame as (ids, positions (n, 2)): from a `FrameReport`'s columns,
+    from a list of (id, position) pairs, or from id-bearing KITTI labels."""
     if isinstance(frame, FrameReport):
         return frame.ids, frame.position
-    pairs = [item if isinstance(item, tuple)
-             else (item.track_id, ground_position(item)) for item in frame]
-    return (np.array([i for i, _ in pairs], dtype=np.int64),
-            np.array([p for _, p in pairs], dtype=float).reshape(len(pairs), 2))
+    if isinstance(frame, list) and frame and isinstance(frame[0], tuple):
+        return (np.array([i for i, _ in frame], dtype=np.int64),
+                np.array([p for _, p in frame], dtype=float).reshape(len(frame), 2))
+    labels = as_labels(frame)
+    return labels.track_id, ground_position(labels)
 
 
 def _as_frames(gt, hyp):

@@ -7,7 +7,7 @@ import numpy as np
 
 from .config import require
 from .errors import InputError
-from .kitti_io import SequenceDataset, ground_position
+from .kitti_io import SequenceDataset, as_labels, ground_position
 from .tracker import gated_pairs
 
 OCCLUSION_KINDS = ("mid", "late")
@@ -56,14 +56,13 @@ def match_detections_to_gt(dataset: SequenceDataset, gt_frames,
             f"frames, ground truth covers {len(gt_frames)}")
     observations: dict = {}
     unmatched = []
-    for frame, det_records in enumerate(dataset.detections):
-        gt_records = gt_frames[frame]
-        rows, cols = gated_pairs([ground_position(r) for r in gt_records],
-                                 [ground_position(r) for r in det_records],
+    for frame, (dets, gts) in enumerate(zip(map(as_labels, dataset.detections),
+                                            map(as_labels, gt_frames))):
+        rows, cols = gated_pairs(ground_position(gts), ground_position(dets),
                                  threshold)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            observations.setdefault(gt_records[r].track_id, []).append((frame, c))
-        free = np.ones(len(det_records), dtype=bool)
+        for track_id, c in zip(gts.track_id[rows].tolist(), cols.tolist()):
+            observations.setdefault(track_id, []).append((frame, c))
+        free = np.ones(len(dets), dtype=bool)
         free[cols] = False
         unmatched.extend((frame, j) for j in np.flatnonzero(free).tolist())
     tracklets = [ObjectTracklet(track_id=tid, observations=obs)
@@ -87,7 +86,7 @@ def simulate_occlusion(dataset: SequenceDataset, tracklets, spec: OcclusionSpec)
 
     Returns (occluded dataset, {track_id: [occluded frames]}).
     """
-    deleted = set()
+    deleted: dict = {}     # frame -> indices of its deleted detections
     occluded_frames: dict = {}
     for tracklet in tracklets:
         cut = occlusion_cut(len(tracklet.observations), spec)
@@ -95,11 +94,14 @@ def simulate_occlusion(dataset: SequenceDataset, tracklets, spec: OcclusionSpec)
             continue
         start, stop = cut
         chunk = tracklet.observations[start:stop]
-        deleted.update(chunk)
+        for frame, j in chunk:
+            deleted.setdefault(frame, []).append(j)
         occluded_frames[tracklet.track_id] = [frame for frame, _ in chunk]
-    frames = [[record for j, record in enumerate(frame_records)
-               if (frame, j) not in deleted]
-              for frame, frame_records in enumerate(dataset.detections)]
+    frames = list(map(as_labels, dataset.detections))
+    for frame, rows in deleted.items():
+        keep = np.ones(len(frames[frame]), dtype=bool)
+        keep[rows] = False
+        frames[frame] = frames[frame].take(keep)
     out = SequenceDataset(sequence_id=dataset.sequence_id, detections=frames,
                           ground_truth=dataset.ground_truth)
     return out, occluded_frames

@@ -1,18 +1,21 @@
 """Shared fixtures: detection factories, reference implementations, checks."""
 import csv
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from dynatrack import kitti_io
+from dynatrack import dynamics, kitti_io
 from dynatrack.config import RunConfig
-from dynatrack.errors import (ConfigurationError, InsufficientDataError,
-                              NumericalError, ParseError)
+from dynatrack.errors import (ConfigurationError, ContractViolationError,
+                              InsufficientDataError, NumericalError, ParseError)
 from dynatrack.filtering import INNOVATION_RIDGE, StateEstimate
 from dynatrack.kitti_io import TRAJECTORY_HEADER, TRAJECTORY_SOURCES
+from dynatrack.occlusion import occlusion_cut
 from dynatrack.synth import ObjectSpec
-from dynatrack.tracker import Detections, MultiObjectTracker
+from dynatrack.tracker import Detections, MultiObjectTracker, gated_pairs
 
 DETECTION_DEFAULTS = dict(elevation=1.5, yaw=0.0, dims=(1.5, 1.8, 4.2),
                           score=0.9, bbox2d=(0.0, 0.0, 80.0, 40.0))
@@ -270,6 +273,175 @@ def segment_frames(obj: ObjectSpec):
     return ranges
 
 
+# -- single-window dynamics and the algebraic clamp -------------------------
+
+def dynamics_vector(positions):
+    """Per-axis [1, sigma_pos, sigma_vel, sigma_acc] of one window, (axes, 4)."""
+    z = np.asarray(positions, dtype=float)
+    if z.ndim != 2:
+        raise ContractViolationError(
+            f"expected an (n, axes) position array, got shape {z.shape}")
+    return dynamics.dynamics_vectors(z[None])[0]
+
+
+def clamped_weights_algebraic(d_norm):
+    """Clamp written without branching: (1 + d - |1 - d|) / 2."""
+    d_norm = np.asarray(d_norm, dtype=float)
+    return 0.5 * (1.0 + d_norm - np.abs(1.0 - d_norm))
+
+
+# -- records: the per-line parser, the per-record formatters ----------------
+
+def _float_field(token, path, line_no, column):
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(
+            f"{path}:{line_no}: column {column}: not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(
+            f"{path}:{line_no}: column {column}: non-finite value: {token!r}")
+    return value
+
+
+def _int_field(token, path, line_no, column):
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(
+            f"{path}:{line_no}: column {column}: not an integer: {token!r}") from None
+    if not kitti_io.INT64.min <= value <= kitti_io.INT64.max:
+        raise ParseError(
+            f"{path}:{line_no}: column {column}: integer out of range: {token!r}")
+    return value
+
+
+def _shared_columns(tokens, offset, path, line_no):
+    """The 15 columns type..rotation_y from token `offset`, in record order."""
+    head = (tokens[offset],
+            _float_field(tokens[offset + 1], path, line_no, offset + 2),
+            _int_field(tokens[offset + 2], path, line_no, offset + 3),
+            _float_field(tokens[offset + 3], path, line_no, offset + 4))
+    f = [_float_field(tokens[i], path, line_no, i + 1)
+         for i in range(offset + 4, offset + 15)]
+    return head + (tuple(f[0:4]), tuple(f[4:7]), tuple(f[7:10]), f[10])
+
+
+def reference_parse(path, kind):
+    """The per-line parser: (per-frame records, per-frame raw lines).
+
+    `kind` is "detections", "annotations" or "tracks". Each line is checked
+    and converted field by field, left to right (a track line's score
+    first), then its frame range; the first failure raises ParseError.
+    """
+    path = Path(path)
+    n_fields = {"detections": kitti_io.DETECTION_FIELDS,
+                "annotations": kitti_io.ANNOTATION_FIELDS,
+                "tracks": kitti_io.TRACK_FIELDS}[kind]
+    frames, raw = [], []
+    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        tokens = line.split()
+        if len(tokens) != n_fields:
+            raise ParseError(
+                f"{path}:{line_no}: expected {n_fields} fields, got {len(tokens)}")
+        if kind == "detections":
+            record = kitti_io.DetectionRecord(
+                _int_field(tokens[0], path, line_no, 1),
+                *_shared_columns(tokens, 1, path, line_no),
+                _float_field(tokens[16], path, line_no, 17))
+        else:
+            score = (_float_field(tokens[17], path, line_no, 18)
+                     if kind == "tracks" else 1.0)
+            frame = _int_field(tokens[0], path, line_no, 1)
+            track_id = _int_field(tokens[1], path, line_no, 2)
+            record = kitti_io.GroundTruthRecord(
+                frame, *_shared_columns(tokens, 2, path, line_no), score,
+                track_id=track_id)
+        if record.frame < 0:
+            raise ParseError(f"{path}:{line_no}: column 1: negative frame index")
+        if record.frame > kitti_io.MAX_FRAME:
+            raise ParseError(f"{path}:{line_no}: column 1: frame index "
+                             f"{record.frame} exceeds {kitti_io.MAX_FRAME}")
+        while len(frames) <= record.frame:
+            frames.append([])
+            raw.append([])
+        frames[record.frame].append(record)
+        raw[record.frame].append(line)
+    return frames, raw
+
+
+def label_records(frames):
+    """Parsed per-frame `Labels` rebuilt as records, one list per frame."""
+    out = []
+    for frame, labels in enumerate(frames):
+        rows = zip(labels.obj_type.tolist(), labels.truncated.tolist(),
+                   labels.occluded.tolist(), labels.alpha.tolist(),
+                   labels.bbox2d.tolist(), labels.dims.tolist(),
+                   labels.location.tolist(), labels.rotation_y.tolist(),
+                   labels.score.tolist())
+        records = [kitti_io.DetectionRecord(frame, t, tr, oc, al, tuple(bb),
+                                            tuple(dm), tuple(loc), rot, sc)
+                   for t, tr, oc, al, bb, dm, loc, rot, sc in rows]
+        if labels.track_id is not None:
+            records = [kitti_io.GroundTruthRecord(**vars(r), track_id=i)
+                       for r, i in zip(records, labels.track_id.tolist())]
+        out.append(records)
+    return out
+
+
+def tagged_labels(tags):
+    """A `Labels` frame of zero-valued rows whose `raw` lines are `tags`."""
+    n = len(tags)
+    labels = kitti_io.as_labels([kitti_io.DetectionRecord(
+        0, "Car", 0.0, 0, 0.0, (0.0,) * 4, (0.0,) * 3, (0.0,) * 3, 0.0, 0.0)] * n)
+    labels.raw = np.array(tags, dtype=object).reshape(n)
+    return labels
+
+
+def record_position(record):
+    """Ground-plane (lateral, longitudinal) of one record's camera location."""
+    x, _, z = record.location
+    return np.array([x, z])
+
+
+def format_record(record, with_id, with_score):
+    """One record as a label line: frame, the id if `with_id`, the fields."""
+    numbers = [*record.bbox2d, *record.dims, *record.location, record.rotation_y]
+    if with_score:
+        numbers.append(record.score)
+    head = [str(record.frame)] + ([str(record.track_id)] if with_id else [])
+    return kitti_io._format_fields(head, record.obj_type, record.truncated,
+                                   record.occluded, record.alpha, numbers)
+
+
+def reference_occlude(det_path, gt_path, spec, out_path):
+    """`occlude` on records: parse per line, match each frame by ground
+    position, drop each eligible run and write the kept input lines."""
+    dets, det_raw = reference_parse(det_path, "detections")
+    gts, _ = reference_parse(gt_path, "annotations")
+    n = max(len(dets), len(gts))
+    dets += [[]] * (n - len(dets))
+    det_raw += [[]] * (n - len(det_raw))
+    gts += [[]] * (n - len(gts))
+    observations = {}
+    for frame, (det_records, gt_records) in enumerate(zip(dets, gts)):
+        rows, cols = gated_pairs([record_position(r) for r in gt_records],
+                                 [record_position(r) for r in det_records],
+                                 spec.match_threshold)
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            observations.setdefault(gt_records[r].track_id, []).append((frame, c))
+    deleted = set()
+    for _, obs in sorted(observations.items()):
+        cut = occlusion_cut(len(obs), spec)
+        if cut is not None:
+            deleted.update(obs[cut[0]:cut[1]])
+    lines = [line for frame, frame_lines in enumerate(det_raw)
+             for j, line in enumerate(frame_lines) if (frame, j) not in deleted]
+    Path(out_path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
 # -- reference writers: one record or one point per row ---------------------
 
 def snapshot_record(snap) -> kitti_io.GroundTruthRecord:
@@ -288,7 +460,8 @@ def reference_write_tracks(reports, path):
     for report in reports:
         records = sorted((snapshot_record(s) for s in report),
                          key=lambda r: r.track_id)
-        lines.extend(kitti_io.format_labeled(r, with_score=True) for r in records)
+        lines.extend(format_record(r, with_id=True, with_score=True)
+                     for r in records)
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + ("\n" if lines else ""))
 

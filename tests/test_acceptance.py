@@ -9,12 +9,13 @@ import time
 
 import numpy as np
 
-from helpers import (reference_clearmot, reference_idf1, run_single_target,
+from helpers import (clamped_weights_algebraic, format_record, label_records,
+                     reference_clearmot, reference_idf1, run_single_target,
                      single_target_config, trajectory_by_source)
 
 from dynatrack import dynamics as dyn
 from dynatrack.config import RunConfig
-from dynatrack.kitti_io import format_detection, measurements_from
+from dynatrack.kitti_io import measurements_from
 from dynatrack.metrics import clearmot, idf1, measure_latency
 from dynatrack.occlusion import (OcclusionSpec, match_detections_to_gt,
                                  occlusion_cut, occlude_dataset,
@@ -40,7 +41,7 @@ def test_clamp_identity():
     factors = 10.0 ** rng.uniform(-3, 3, n)
     d[:1000] = factors[:1000]  # exact saturation boundary
     clamped = dyn.update_weights(d, factors)
-    algebraic = dyn.clamped_weights_algebraic(d / factors)
+    algebraic = clamped_weights_algebraic(d / factors)
     gap = float(np.abs(clamped - algebraic).max())
     elapsed = time.perf_counter() - start
     ok = gap < 1e-12 and elapsed < 1.0
@@ -380,10 +381,10 @@ def test_occlusion_simulator_contract():
         tracklets, _ = match_detections_to_gt(dets, gt.ground_truth,
                                               spec.match_threshold)
         out, _ = simulate_occlusion(dets, tracklets, spec)
-        in_lines = [[format_detection(r) for r in frame]
+        in_lines = [[format_record(r, False, True) for r in frame]
                     for frame in dets.detections]
-        out_lines = [[format_detection(r) for r in frame]
-                     for frame in out.detections]
+        out_lines = [[format_record(r, False, True) for r in frame]
+                     for frame in label_records(out.detections)]
         # Output is the input minus each eligible tracklet's occluded run.
         expect_removed = set()
         for tracklet in tracklets:

@@ -61,7 +61,7 @@ def test_synth_writes_gt_and_detections(scenario_dir, capsys):
     dets = kio.parse_detections(det_path)
     assert len(gt) == 40
     assert dets.num_frames == 40
-    assert {r.track_id for f in gt for r in f} == {1, 2}
+    assert {i for f in gt for i in f.track_id.tolist()} == {1, 2}
 
 
 def test_synth_with_occlusion_block(tmp_path):
@@ -127,7 +127,7 @@ def test_track_produces_outputs(scenario_dir, capsys):
     assert "2 tracks" in capsys.readouterr().out
     tracks = kio.parse_tracks(out / "tracks" / "detections.txt")
     assert len(tracks) == 40
-    ids = {r.track_id for f in tracks for r in f}
+    ids = {i for f in tracks for i in f.track_id.tolist()}
     assert ids == {1, 2}
     rows = read_trajectory_csv(out / "trajectories" / "detections.csv")
     assert {r[4] for r in rows} == {"measurement", "predicted", "updated"}

@@ -3,7 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import smooth_weights
+from helpers import clamped_weights_algebraic, dynamics_vector, smooth_weights
 
 from dynatrack import dynamics as dyn
 from dynatrack import filtering as flt
@@ -73,12 +73,12 @@ def test_finite_differences_insufficient():
 
 
 def test_dynamics_vector_constant_positions():
-    d = dyn.dynamics_vector(_window([5.0] * 6))
+    d = dynamics_vector(_window([5.0] * 6))
     npt.assert_array_equal(d, [[1.0, 0.0, 0.0, 0.0]])
 
 
 def test_dynamics_vector_linear_ramp():
-    d = dyn.dynamics_vector(_window([0.0, 1.0, 2.0, 3.0, 4.0]))
+    d = dynamics_vector(_window([0.0, 1.0, 2.0, 3.0, 4.0]))
     assert d[0, 0] == 1.0
     assert d[0, 1] == pytest.approx(STD_01234, abs=1e-14)
     assert d[0, 2] == 0.0
@@ -86,7 +86,7 @@ def test_dynamics_vector_linear_ramp():
 
 
 def test_dynamics_vector_frozen_example():
-    d = dyn.dynamics_vector(_window([0.0, 1.0, 3.0, 6.0, 10.0]))
+    d = dynamics_vector(_window([0.0, 1.0, 3.0, 6.0, 10.0]))
     assert d[0, 1] == pytest.approx(STD_POS_01361, abs=1e-13)
     assert d[0, 2] == pytest.approx(STD_VEL_1234, abs=1e-14)
     assert d[0, 3] == 0.0
@@ -95,7 +95,7 @@ def test_dynamics_vector_frozen_example():
 def test_dynamics_vector_axes_independent():
     a = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
     b = np.array([5.0, 5.0, 5.0, 5.0, 5.0])
-    d = dyn.dynamics_vector(np.stack([a, b], axis=1))
+    d = dynamics_vector(np.stack([a, b], axis=1))
     assert d.shape == (2, 4)
     assert d[0, 1] == pytest.approx(STD_POS_01361, abs=1e-13)
     npt.assert_array_equal(d[1], [1.0, 0.0, 0.0, 0.0])
@@ -105,7 +105,7 @@ def test_dynamics_vectors_batch_matches_single_windows():
     rng = np.random.default_rng(11)
     stack = rng.normal(0.0, 3.0, (40, 8, 2))
     batch = dyn.dynamics_vectors(stack)
-    singles = np.stack([dyn.dynamics_vector(stack[i]) for i in range(40)])
+    singles = np.stack([dynamics_vector(stack[i]) for i in range(40)])
     npt.assert_array_equal(batch, singles)
 
 
@@ -113,7 +113,7 @@ def test_dynamics_vectors_rejects_flat_input():
     with pytest.raises(ContractViolationError):
         dyn.dynamics_vectors(np.zeros((8, 2)))
     with pytest.raises(ContractViolationError):
-        dyn.dynamics_vector(np.zeros(8))
+        dynamics_vector(np.zeros(8))
 
 
 def test_update_weights_hand_example():
@@ -155,7 +155,7 @@ def test_clamp_matches_algebraic_form():
     factors = rng.uniform(0.01, 10.0, size=4)
     factors[0] = 1.0
     clamped = dyn.update_weights(d, factors)
-    algebraic = dyn.clamped_weights_algebraic(d / factors)
+    algebraic = clamped_weights_algebraic(d / factors)
     npt.assert_allclose(clamped, algebraic, rtol=0, atol=1e-12)
 
 
@@ -247,7 +247,7 @@ def test_noise_free_constant_velocity_weights():
     # spacing 0.5 per step is exactly representable, so the higher-order
     # fluctuations vanish exactly and their weights must be exactly zero
     positions = np.arange(8.0)[:, None] * 0.5
-    d = dyn.dynamics_vector(positions)
+    d = dynamics_vector(positions)
     factors = dyn.dynamics_factors(0.5, 0.25, 0.15)
     w = dyn.update_weights(d, factors)
     assert w[0, 1] == 1.0

@@ -9,7 +9,8 @@ from dynatrack import kitti_io as kio
 from dynatrack.errors import ParseError
 from dynatrack.tracker import STATUSES, TRAJECTORY_SOURCES, FrameReport
 
-from helpers import (read_trajectory_csv, reference_export_trajectory_csv,
+from helpers import (format_record, label_records, read_trajectory_csv,
+                     reference_export_trajectory_csv, reference_parse,
                      reference_write_tracks)
 
 DET_LINE = ("0 Car 0.00 0 -1.50 100.0 120.0 150.0 160.0 "
@@ -27,16 +28,19 @@ def test_parse_detections_fields(tmp_path):
     ds = kio.parse_detections(path)
     assert ds.sequence_id == "seq01"
     assert ds.num_frames == 1
-    rec = ds.detections[0][0]
-    assert rec.frame == 0
-    assert rec.obj_type == "Car"
-    assert rec.occluded == 0
-    assert rec.bbox2d == (100.0, 120.0, 150.0, 160.0)
-    assert rec.dims == (1.5, 1.7, 4.2)
-    assert rec.location == (2.5, 1.4, 30.0)
-    assert rec.rotation_y == 0.1
-    assert rec.score == 0.92
-    assert rec.raw == DET_LINE
+    labels = ds.detections[0]
+    assert len(labels) == 1
+    assert labels.track_id is None
+    assert labels.obj_type.tolist() == ["Car"]
+    assert labels.truncated.tolist() == [0.0]
+    assert labels.occluded.tolist() == [0]
+    assert labels.alpha.tolist() == [-1.5]
+    assert labels.bbox2d.tolist() == [[100.0, 120.0, 150.0, 160.0]]
+    assert labels.dims.tolist() == [[1.5, 1.7, 4.2]]
+    assert labels.location.tolist() == [[2.5, 1.4, 30.0]]
+    assert labels.rotation_y.tolist() == [0.1]
+    assert labels.score.tolist() == [0.92]
+    assert labels.raw.tolist() == [DET_LINE]
 
 
 def test_parse_detections_pads_missing_frames(tmp_path):
@@ -103,7 +107,7 @@ def test_parse_integers_must_fit_int64(tmp_path, token, ok):
     path = tmp_path / "gt.txt"
     path.write_text(GT_LINE.replace(" 7 ", f" {token} ", 1) + "\n")
     if ok:
-        assert kio.parse_annotations(path)[0][0].track_id == int(token)
+        assert kio.parse_annotations(path)[0].track_id.tolist() == [int(token)]
     else:
         with pytest.raises(ParseError, match=rf"gt\.txt:1: column 2: integer out "
                                              rf"of range: '{token}'"):
@@ -113,20 +117,18 @@ def test_parse_integers_must_fit_int64(tmp_path, token, ok):
 def test_parse_annotations_score_defaults_to_one(tmp_path):
     path = tmp_path / "gt.txt"
     path.write_text(GT_LINE + "\n")
-    frames = kio.parse_annotations(path)
-    rec = frames[0][0]
-    assert rec.track_id == 7
-    assert rec.score == 1.0
-    assert rec.location == (2.5, 1.4, 30.0)
+    labels = kio.parse_annotations(path)[0]
+    assert labels.track_id.tolist() == [7]
+    assert labels.score.tolist() == [1.0]
+    assert labels.location.tolist() == [[2.5, 1.4, 30.0]]
 
 
 def test_parse_tracks_reads_score(tmp_path):
     path = tmp_path / "trk.txt"
     path.write_text(TRACK_LINE + "\n")
-    frames = kio.parse_tracks(path)
-    rec = frames[0][0]
-    assert rec.track_id == 7
-    assert rec.score == 0.85
+    labels = kio.parse_tracks(path)[0]
+    assert labels.track_id.tolist() == [7]
+    assert labels.score.tolist() == [0.85]
 
 
 def test_parse_tracks_field_count(tmp_path):
@@ -141,9 +143,9 @@ def test_ground_position_and_camera_location_invert():
                               occluded=0, alpha=0.0, bbox2d=(0, 0, 1, 1),
                               dims=(1, 1, 1), location=(2.5, 1.4, 30.0),
                               rotation_y=0.0, score=1.0)
-    pos = kio.ground_position(rec)
-    npt.assert_array_equal(pos, [2.5, 30.0])
-    assert kio.camera_location(pos, 1.4) == (2.5, 1.4, 30.0)
+    pos = kio.ground_position(kio.as_labels([rec]))
+    npt.assert_array_equal(pos, [[2.5, 30.0]])
+    assert kio.camera_location(pos[0], 1.4) == (2.5, 1.4, 30.0)
 
 
 def test_write_detections_preserves_raw_lines(tmp_path):
@@ -156,6 +158,18 @@ def test_write_detections_preserves_raw_lines(tmp_path):
     assert out.read_text() == text
 
 
+def test_write_annotations_orders_ids_within_a_frame(tmp_path):
+    src = tmp_path / "in.txt"
+    second = GT_LINE.replace(" 7 ", " 3 ", 1)
+    src.write_text(GT_LINE + "\n" + second + "\n")
+    out = tmp_path / "out.txt"
+    kio.write_annotations(kio.parse_annotations(src), out)
+    assert out.read_text() == second + "\n" + GT_LINE + "\n"
+    [records] = label_records(kio.parse_annotations(src))
+    kio.write_annotations([records], out)
+    assert [line.split()[1] for line in out.read_text().splitlines()] == ["3", "7"]
+
+
 def test_format_detection_round_trip(tmp_path):
     rec = kio.DetectionRecord(frame=2, obj_type="Cyclist", truncated=0.25,
                               occluded=1, alpha=-0.7,
@@ -163,14 +177,14 @@ def test_format_detection_round_trip(tmp_path):
                               dims=(1.6, 0.6, 1.8),
                               location=(0.123456789, 1.5, 42.987654321),
                               rotation_y=0.5, score=0.5)
-    line = kio.format_detection(rec)
+    path = tmp_path / "y.txt"
+    kio.write_detections([[], [], [rec]], path)
+    line = path.read_text()
+    assert line == format_record(rec, with_id=False, with_score=True) + "\n"
     assert len(line.split()) == kio.DETECTION_FIELDS
     assert "0.123456789" in line
-    path = tmp_path / "y.txt"
-    path.write_text(line + "\n")
-    back = kio.parse_detections(path).detections[2][0]
-    assert back.location == rec.location
-    assert back.obj_type == "Cyclist"
+    back = kio.parse_detections(path).detections
+    assert label_records(back) == [[], [], [rec]]
 
 
 def _report(frame, ids, positions, elevation=1.2, yaw=0.3, dims=(1.5, 1.8, 4.2),
@@ -192,12 +206,11 @@ def test_write_tracks_sorted_and_parseable(tmp_path):
                  _report(1, [1], [(-0.9, 20.5)])]
     path = tmp_path / "tracks.txt"
     kio.write_tracks(per_frame, path)
-    frames = kio.parse_tracks(path)
-    assert [r.track_id for r in frames[0]] == [1, 2]
-    rec = frames[0][1]
-    assert rec.location == (1.0, 1.2, 10.0)
-    assert rec.rotation_y == 0.3
-    assert rec.score == 0.9
+    labels = kio.parse_tracks(path)[0]
+    assert labels.track_id.tolist() == [1, 2]
+    assert labels.location[1].tolist() == [1.0, 1.2, 10.0]
+    assert labels.rotation_y.tolist() == [0.3, 0.3]
+    assert labels.score.tolist() == [0.9, 0.9]
 
 
 def test_write_tracks_maps_coordinates(tmp_path):
@@ -205,7 +218,7 @@ def test_write_tracks_maps_coordinates(tmp_path):
                      status="coasting", obj_type="Van", bbox2d=(0.0, 0.0, 1.0, 1.0))
     path = tmp_path / "tracks.txt"
     kio.write_tracks([report], path)
-    rec = kio.parse_tracks(path)[4][0]
+    [rec] = label_records(kio.parse_tracks(path))[4]
     assert rec.frame == 4
     assert rec.track_id == 3
     assert rec.location == (1.5, 1.2, 30.0)
@@ -314,16 +327,17 @@ def _records(record_type, score, **extra):
 
 
 _ROUND_TRIPS = {
-    "detections": (_records(kio.DetectionRecord, _decimal), kio.format_detection,
+    "detections": (_records(kio.DetectionRecord, _decimal),
+                   lambda r: format_record(r, with_id=False, with_score=True),
                    lambda path: kio.parse_detections(path).detections,
                    kio.DETECTION_FIELDS),
     "annotations": (_records(kio.GroundTruthRecord, st.just(1.0),
                              track_id=st.integers(0, 10 ** 6)),
-                    lambda r: kio.format_labeled(r, with_score=False),
+                    lambda r: format_record(r, with_id=True, with_score=False),
                     kio.parse_annotations, kio.ANNOTATION_FIELDS),
     "tracks": (_records(kio.GroundTruthRecord, _decimal,
                         track_id=st.integers(0, 10 ** 6)),
-               lambda r: kio.format_labeled(r, with_score=True),
+               lambda r: format_record(r, with_id=True, with_score=True),
                kio.parse_tracks, kio.TRACK_FIELDS),
 }
 
@@ -342,7 +356,8 @@ def test_parse_inverts_format(kind, tmp_path):
         path.write_text("\n".join(lines) + "\n")
         frames = parse(path)
         assert len(frames) == max(r.frame for r in records) + 1
-        parsed = [r for frame_records in frames for r in frame_records]
+        parsed = [r for frame_records in label_records(frames)
+                  for r in frame_records]
         assert parsed == sorted(records, key=lambda r: r.frame)
 
     check()
@@ -407,3 +422,179 @@ def test_columnar_writers_match_per_row_reference(tmp_path, reports, trajectory)
         reference(data, tmp_path / ("reference-" + name))
         assert ((tmp_path / name).read_bytes()
                 == (tmp_path / ("reference-" + name)).read_bytes())
+
+
+# -- the columnar parser against the per-line reference ---------------------
+
+_KINDS = {"detections": (lambda path: kio.parse_detections(path).detections,
+                         kio.DETECTION_FIELDS),
+          "annotations": (kio.parse_annotations, kio.ANNOTATION_FIELDS),
+          "tracks": (kio.parse_tracks, kio.TRACK_FIELDS)}
+
+
+def _underscored(token, at):
+    """`token` with "_" between the first two adjacent digits from `at` on."""
+    for i in range(at, len(token)):
+        if i and token[i - 1].isdigit() and token[i].isdigit():
+            return token[:i] + "_" + token[i:]
+    return token
+
+
+@st.composite
+def _int_token(draw, values):
+    value = draw(values)
+    token = draw(st.sampled_from([str(value), f"+{value}" if value >= 0
+                                  else str(value), f"{value:03d}"]))
+    return _underscored(token, draw(st.integers(0, 4))) if draw(st.booleans()) \
+        else token
+
+
+@st.composite
+def _float_token(draw):
+    value = draw(_number)
+    token = draw(st.sampled_from([repr(value), f"{value:.9f}", f"{value:e}",
+                                  f"{value:.3g}"]))
+    if draw(st.booleans()) and not token.startswith("-"):
+        token = "+" + token
+    return _underscored(token, draw(st.integers(0, 6))) if draw(st.booleans()) \
+        else token
+
+
+@st.composite
+def _label_file(draw, kind):
+    """Text of a valid label file of `kind`: frames out of order and with
+    gaps, blank and whitespace-only lines, mixed line ends, and numeric
+    tokens in several spellings."""
+    n_fields = _KINDS[kind][1]
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        tokens = [draw(_int_token(st.integers(0, 40)))]
+        if kind != "detections":
+            tokens.append(draw(_int_token(st.integers(-10 ** 12, 10 ** 12))))
+        tokens.append(draw(st.sampled_from(["Car", "Van", "Fußgänger", "DontCare"])))
+        tokens.append(draw(_float_token()))
+        tokens.append(draw(_int_token(st.integers(0, 3))))
+        tokens += [draw(_float_token()) for _ in range(n_fields - len(tokens))]
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(tokens))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "\t"])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _raw_lines(frames):
+    return [labels.raw.tolist() for labels in frames]
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_parser_matches_per_line_reference(kind, tmp_path, monkeypatch):
+    parse = _KINDS[kind][0]
+    monkeypatch.setattr(kio, "CHUNK_LINES", 3)  # files span several chunks
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_label_file(kind))
+    def check(text):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(text.encode())
+        frames = parse(path)
+        records, raw = reference_parse(path, kind)
+        # repr tells -0.0 from 0.0 and shows every float exactly
+        assert repr(label_records(frames)) == repr(records)
+        assert _raw_lines(frames) == raw
+
+    check()
+
+
+_BAD_TOKENS = ["nan", "inf", "-inf", "1e999", "x1"]
+_BAD_INTEGERS = [str(2 ** 63), str(-2 ** 63 - 1), "1.5"]
+
+
+@st.composite
+def _mutated_file(draw, kind):
+    """A valid file with one line broken."""
+    text = draw(_label_file(kind))
+    lines = text.splitlines()
+    at = [i for i, line in enumerate(lines) if line.strip()]
+    if not at:
+        lines.append(DET_LINE if kind == "detections"
+                     else TRACK_LINE if kind == "tracks" else GT_LINE)
+        at = [len(lines) - 1]
+    i = draw(st.sampled_from(at))
+    tokens = lines[i].split()
+    mutation = draw(st.sampled_from(["drop", "extra", "token", "frame",
+                                     "score and frame"]))
+    if mutation == "drop":
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    elif mutation == "extra":
+        tokens.insert(draw(st.integers(0, len(tokens))), "1.0")
+    elif mutation == "token":
+        type_at = 1 if kind == "detections" else 2
+        column = draw(st.sampled_from([c for c in range(len(tokens))
+                                       if c != type_at]))
+        integer = column < type_at or column == type_at + 2
+        tokens[column] = draw(st.sampled_from(
+            _BAD_TOKENS + (_BAD_INTEGERS if integer else [])))
+    elif mutation == "frame":
+        tokens[0] = draw(st.sampled_from(["-1", str(kio.MAX_FRAME + 1),
+                                          str(10 ** 18)]))
+    else:
+        tokens[-1] = "nan"
+        tokens[0] = draw(st.sampled_from(["x", str(kio.MAX_FRAME + 1)]))
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_parser_errors_match_per_line_reference(kind, tmp_path, monkeypatch):
+    parse = _KINDS[kind][0]
+    monkeypatch.setattr(kio, "CHUNK_LINES", 3)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_mutated_file(kind))
+    def check(text):
+        path = tmp_path / "labels.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as reference:
+            reference_parse(path, kind)
+        with pytest.raises(ParseError) as columnar:
+            parse(path)
+        assert str(columnar.value) == str(reference.value)
+
+    check()
+
+
+def test_track_line_reports_score_before_frame(tmp_path):
+    path = tmp_path / "trk.txt"
+    path.write_text("x" + TRACK_LINE[1:-4] + "nan\n")
+    with pytest.raises(ParseError, match=r"trk\.txt:1: column 18: non-finite"):
+        kio.parse_tracks(path)
+
+
+def test_huge_frame_index_is_a_parse_error(tmp_path):
+    # Rejected before anything is sized by the frame index.
+    path = tmp_path / "d.txt"
+    path.write_text(DET_LINE + "\n" + str(10 ** 18) + DET_LINE[1:] + "\n")
+    with pytest.raises(ParseError, match=r"d\.txt:2: column 1: frame index "
+                                         r"1000000000000000000 exceeds 1000000"):
+        kio.parse_detections(path)
+
+
+def test_valid_file_parses_without_per_token_checks(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-token check on the success path")
+
+    monkeypatch.setattr(kio, "_float_field", refuse)
+    monkeypatch.setattr(kio, "_int_field", refuse)
+    for name, text, parse in (
+            ("d.txt", DET_LINE + "\n\n" + DET_LINE_F3 + "\n",
+             lambda p: kio.parse_detections(p).detections),
+            ("gt.txt", GT_LINE + "\n", kio.parse_annotations),
+            ("trk.txt", TRACK_LINE + "\n", kio.parse_tracks)):
+        path = tmp_path / name
+        path.write_text(text)
+        assert sum(map(len, parse(path))) == text.count("\n") - text.count("\n\n")

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynatrack import cli
 from dynatrack import kitti_io as kio
 from dynatrack.errors import ConfigurationError, InputError
 from dynatrack.occlusion import (ObjectTracklet, OcclusionSpec,
                                  match_detections_to_gt, occlude_dataset,
                                  occlusion_cut, simulate_occlusion)
 from dynatrack.synth import ObjectSpec, RegimeSegment, ScenarioSpec, generate
+
+from helpers import record_position, reference_occlude, tagged_labels
 
 
 def _scenario(n_frames=60, noise=0.05, seed=3):
@@ -71,7 +74,8 @@ def test_cut_invariants(n, spec):
 
 @st.composite
 def _tracklet_scenes(draw):
-    """Frames of placeholder records, each owned by one of 3 objects or none."""
+    """Frames of placeholder rows, each owned by one of 3 objects or none;
+    a row's `raw` line names its (frame, index)."""
     owners = draw(st.lists(st.lists(st.sampled_from([None, 1, 2, 3]), max_size=4),
                            min_size=1, max_size=25))
     observations: dict = {}
@@ -80,7 +84,8 @@ def _tracklet_scenes(draw):
             if owner is not None:
                 observations.setdefault(owner, []).append((frame, j))
     dataset = kio.SequenceDataset(
-        sequence_id="s", detections=[[(frame, j) for j in range(len(o))]
+        sequence_id="s", detections=[tagged_labels([f"{frame} {j}"
+                                                    for j in range(len(o))])
                                      for frame, o in enumerate(owners)])
     tracklets = [ObjectTracklet(tid, obs) for tid, obs in observations.items()]
     return dataset, tracklets
@@ -101,9 +106,10 @@ def test_simulate_removes_exactly_the_cuts(scene, spec):
         assert len(chunk) == spec.length
         assert dropped[tracklet.track_id] == [frame for frame, _ in chunk]
         removed.update(chunk)
-    # each record is its own (frame, index), so what survives is checkable
-    assert occluded.detections == [[r for r in records if r not in removed]
-                                   for records in dataset.detections]
+    # each row's line is its own (frame, index), so what survives is checkable
+    assert [labels.raw.tolist() for labels in occluded.detections] == [
+        [f"{frame} {j}" for j in range(len(labels)) if (frame, j) not in removed]
+        for frame, labels in enumerate(dataset.detections)]
 
 
 def test_match_builds_one_tracklet_per_object():
@@ -195,6 +201,45 @@ def test_tracklet_observation_indices_refer_to_frame_lists():
             rec = dets.detections[frame][j]
             gt_rec = next(r for r in gt.ground_truth[frame]
                           if r.track_id == tracklet.track_id)
-            det_pos = kio.ground_position(rec)
-            gt_pos = kio.ground_position(gt_rec)
+            det_pos = record_position(rec)
+            gt_pos = record_position(gt_rec)
             assert np.linalg.norm(det_pos - gt_pos) <= 2.0
+
+
+@st.composite
+def _synth_files(draw):
+    """A synth scene as gt and detection lines; detection lines are shuffled
+    within each frame, so file order is not object order."""
+    objects = [ObjectSpec(
+        initial_position=(draw(st.floats(0.0, 6.0)), draw(st.floats(0.0, 6.0))),
+        velocity=(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))),
+        segments=[RegimeSegment("cv", draw(st.integers(1, 40)))])
+        for _ in range(draw(st.integers(1, 4)))]
+    gt, dets = generate(ScenarioSpec(objects=objects,
+                                     noise_sigma=draw(st.floats(0.0, 1.5)),
+                                     seed=draw(st.integers(0, 1000))))
+    for frame in dets.detections:
+        frame[:] = draw(st.permutations(frame))
+    return gt, dets
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=_synth_files(), spec=_SPECS,
+       threshold=st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+def test_occlude_matches_records_reference(tmp_path_factory, scene, spec, threshold):
+    gt, dets = scene
+    work = tmp_path_factory.mktemp("occlude")
+    kio.write_annotations(gt.ground_truth, work / "gt.txt")
+    kio.write_detections(dets.detections, work / "det.txt")
+    assert cli.main(["occlude", str(work / "det.txt"), str(work / "gt.txt"),
+                     "--kind", spec.kind, "--start-after", str(spec.start_after),
+                     "--length", str(spec.length), "--match-threshold",
+                     str(threshold), "--output", str(work / "out.txt")]) == 0
+    reference_occlude(work / "det.txt", work / "gt.txt",
+                      OcclusionSpec(spec.kind, spec.start_after, spec.length,
+                                    threshold), work / "reference.txt")
+    out = (work / "out.txt").read_bytes()
+    assert out == (work / "reference.txt").read_bytes()
+    # the kept lines are a subsequence of the input's lines
+    original = iter((work / "det.txt").read_text().splitlines())
+    assert all(line in original for line in out.decode().splitlines())

@@ -4,7 +4,7 @@ import numpy.testing as npt
 import pytest
 
 from dynatrack.errors import ConfigurationError
-from dynatrack.kitti_io import ground_position
+from dynatrack.kitti_io import as_labels, ground_position
 from dynatrack.synth import (ObjectSpec, RegimeSegment, ScenarioSpec,
                              generate, load_scenario, object_truth)
 
@@ -99,8 +99,8 @@ def test_generate_noise_free_detections_equal_truth():
                         noise_sigma=0.0)
     gt, dets = generate(spec)
     for frame in range(5):
-        gt_pos = ground_position(gt.ground_truth[frame][0])
-        det_pos = ground_position(dets.detections[frame][0])
+        gt_pos = ground_position(as_labels(gt.ground_truth[frame]))
+        det_pos = ground_position(as_labels(dets.detections[frame]))
         npt.assert_array_equal(gt_pos, det_pos)
 
 
@@ -136,8 +136,8 @@ def test_generate_noise_magnitude():
     spec = ScenarioSpec(objects=[_obj([RegimeSegment("stationary", 4000)])],
                         noise_sigma=0.3, seed=1)
     gt, dets = generate(spec)
-    errs = np.array([ground_position(dets.detections[f][0])
-                     for f in range(4000)])
+    errs = np.concatenate([ground_position(as_labels(dets.detections[f]))
+                           for f in range(4000)])
     assert abs(errs.std(ddof=1) - 0.3) < 0.02
 
 
