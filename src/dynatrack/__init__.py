@@ -2,11 +2,11 @@
 
 from .config import RunConfig, load_config, save_config
 from .dynamics import DynamicsWindow, update_weights
-from .filtering import (NoiseModel, StateEstimate, TransitionModel,
-                        build_noise, build_transition, measurement_matrix,
-                        post_measurement, predict, update)
+from .filtering import (NoiseModel, StateEstimate, build_noise,
+                        build_transition, measurement_matrix, post_measurement,
+                        predict, update)
 from .kitti_io import Labels, SequenceDataset, load_sequence, parse_detections
-from .metrics import clearmot, idf1, localization_error, measure_latency
+from .metrics import clearmot, idf1, measure_latency
 from .occlusion import OcclusionSpec, occlude_dataset, simulate_occlusion
 from .synth import ObjectSpec, RegimeSegment, ScenarioSpec, generate
 from .tracker import (Detections, FrameReport, MultiObjectTracker,
@@ -17,11 +17,11 @@ __version__ = "0.1.0"
 __all__ = [
     "RunConfig", "load_config", "save_config",
     "DynamicsWindow", "update_weights",
-    "NoiseModel", "StateEstimate", "TransitionModel",
+    "NoiseModel", "StateEstimate",
     "build_noise", "build_transition", "measurement_matrix",
     "post_measurement", "predict", "update",
     "Labels", "SequenceDataset", "load_sequence", "parse_detections",
-    "clearmot", "idf1", "localization_error", "measure_latency",
+    "clearmot", "idf1", "measure_latency",
     "OcclusionSpec", "occlude_dataset", "simulate_occlusion",
     "ObjectSpec", "RegimeSegment", "ScenarioSpec", "generate",
     "Detections", "FrameReport", "MultiObjectTracker", "TrackSnapshot",

@@ -134,6 +134,13 @@ def cmd_occlude(args) -> int:
     return EXIT_OK
 
 
+def _check_threshold(threshold: float):
+    """A match distance must be > 0, the rule `gate_distance` follows; `nan`
+    fails too. Scoring with it would crash or count every pair a miss."""
+    if not threshold > 0:
+        raise _Usage(f"--threshold must be > 0, got {threshold}")
+
+
 def _metric_rows(mot, ids):
     return [
         ("mota", f"{mot.mota:.6f}"),
@@ -164,6 +171,7 @@ def _write_report(out_dir: Path, name: str, text: str, header: list, rows):
 
 
 def cmd_evaluate(args) -> int:
+    _check_threshold(args.threshold)
     gt_path = _require_file(args.ground_truth, "ground-truth file")
     hyp_path = _require_file(args.hypotheses, "track file")
     gt = kitti_io.parse_annotations(gt_path)
@@ -180,6 +188,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_threshold(args.threshold)
+    if args.warmup < 0:  # a negative slice start would keep only the last frames
+        raise _Usage(f"--warmup must be >= 0, got {args.warmup}")
     cfg = _resolve_config(args)
     det_path = _require_file(args.detections, "detections file")
     gt_path = _require_file(args.ground_truth, "ground-truth file")

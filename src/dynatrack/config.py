@@ -15,6 +15,9 @@ CONFIG_ENV_VAR = "DYNATRACK_CONFIG"
 VALID_ORDERS = (1, 2, 3)
 COLD_START_MODES = ("identity", "constant_velocity")
 
+# Fewest positions a dynamics window may hold: two differences need three.
+MIN_WINDOW = 3
+
 
 @dataclass
 class RunConfig:
@@ -33,9 +36,7 @@ class RunConfig:
     min_hits: int = 3
     max_misses: int = 23
     dt: float = 0.1
-    seed: int = 0
     cold_start_mode: str = "identity"
-    noise_term_strategy: str = "innovation"
 
     def __post_init__(self):
         validate_config(self)
@@ -64,8 +65,8 @@ def validate_config(cfg: RunConfig):
                 key, f"expected {expected}, got {value!r}")
     require(cfg.model_order in VALID_ORDERS, "model_order",
             f"must be one of {VALID_ORDERS}, got {cfg.model_order}")
-    require(cfg.transition_window >= 3, "transition_window",
-            f"must be >= 3, got {cfg.transition_window}")
+    require(cfg.transition_window >= MIN_WINDOW, "transition_window",
+            f"must be >= {MIN_WINDOW}, got {cfg.transition_window}")
     require(cfg.smoothing_window >= 1, "smoothing_window",
             f"must be >= 1, got {cfg.smoothing_window}")
     for key in ("factor_velocity", "factor_acceleration", "factor_jerk",
@@ -77,9 +78,6 @@ def validate_config(cfg: RunConfig):
             f"must be >= 0, got {cfg.max_misses}")
     require(cfg.cold_start_mode in COLD_START_MODES, "cold_start_mode",
             f"must be one of {COLD_START_MODES}, got {cfg.cold_start_mode!r}")
-    # Kept so older config_effective files load; innovation is the only term.
-    require(cfg.noise_term_strategy == "innovation", "noise_term_strategy",
-            f"must be 'innovation', got {cfg.noise_term_strategy!r}")
 
 
 # Key -> annotation name ("int", "float", "bool" or "str"). The annotations are

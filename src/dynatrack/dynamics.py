@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import COLD_START_MODES, require
+from .config import COLD_START_MODES, MIN_WINDOW, require
 from .errors import ContractViolationError, InsufficientDataError
+from .filtering import GROUND_AXES
 
 # Columns of the dynamics/weight vectors: unity, velocity, acceleration, jerk.
 WEIGHT_COLUMNS = 4
-
-MIN_WINDOW = 3
 
 
 class DynamicsWindow:
@@ -27,7 +26,7 @@ class DynamicsWindow:
 
     __slots__ = ("positions", "count")
 
-    def __init__(self, capacity: int, axes: int = 2, rows: int = 0):
+    def __init__(self, capacity: int, axes: int = GROUND_AXES, rows: int = 0):
         require(capacity >= MIN_WINDOW, "transition_window",
                 f"must be >= {MIN_WINDOW}, got {capacity}")
         self.positions = np.zeros((rows, capacity, axes))
@@ -133,10 +132,10 @@ def weight_diagonal(weights: np.ndarray, order: int) -> np.ndarray:
     return w[..., :order + 1].reshape(w.shape[:-2] + (-1,))
 
 
-def cold_start_weights(mode: str, axes: int = 2) -> np.ndarray:
-    """Raw weights used until the window can support estimation."""
+def cold_start_weights(mode: str) -> np.ndarray:
+    """Raw weights `(GROUND_AXES, 4)` used until the window can support estimation."""
     require(mode in COLD_START_MODES, "cold_start_mode",
             f"must be one of {COLD_START_MODES}, got {mode!r}")
     row = (np.ones(WEIGHT_COLUMNS) if mode == "identity"
            else np.array([1.0, 1.0, 0.0, 0.0]))
-    return np.tile(row, (axes, 1))
+    return np.tile(row, (GROUND_AXES, 1))

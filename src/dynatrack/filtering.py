@@ -27,13 +27,6 @@ INNOVATION_RIDGE = 1e-9
 
 
 @dataclass(frozen=True)
-class TransitionModel:
-    """Constant-rate Taylor transition for one fixed timestep."""
-
-    F: np.ndarray
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Process and measurement noise for the same state layout."""
 
@@ -70,11 +63,9 @@ def transition_block(order: int, dt: float) -> np.ndarray:
     return F
 
 
-def build_transition(order: int, dt: float, axes: int = GROUND_AXES) -> TransitionModel:
-    """Block-diagonal transition over independent axes."""
-    block = transition_block(order, dt)
-    F = scipy.linalg.block_diag(*([block] * axes))
-    return TransitionModel(F=F)
+def build_transition(order: int, dt: float) -> np.ndarray:
+    """Block-diagonal transition `F` over the ground axes."""
+    return scipy.linalg.block_diag(*([transition_block(order, dt)] * GROUND_AXES))
 
 
 def process_noise_block(order: int, dt: float, q: float) -> np.ndarray:
@@ -89,43 +80,36 @@ def process_noise_block(order: int, dt: float, q: float) -> np.ndarray:
     return Q
 
 
-def build_noise(order: int, dt: float, q: float, sigma: float,
-                axes: int = GROUND_AXES) -> NoiseModel:
+def build_noise(order: int, dt: float, q: float, sigma: float) -> NoiseModel:
     """Process noise (per-axis block diagonal) and diagonal position noise."""
-    block = process_noise_block(order, dt, q)
-    Q = scipy.linalg.block_diag(*([block] * axes))
-    R = (sigma ** 2) * np.eye(axes)
-    return NoiseModel(Q=Q, R=R)
+    Q = scipy.linalg.block_diag(*([process_noise_block(order, dt, q)] * GROUND_AXES))
+    return NoiseModel(Q=Q, R=(sigma ** 2) * np.eye(GROUND_AXES))
 
 
-def measurement_matrix(order: int, axes: int = GROUND_AXES) -> np.ndarray:
+def position_indices(order: int) -> tuple:
+    """State indices holding positions (used for cheap H-products)."""
+    return tuple(range(0, GROUND_AXES * (order + 1), order + 1))
+
+
+def measurement_matrix(order: int) -> np.ndarray:
     """Rows selecting the position entry of each axis block."""
     _check_order(order)
-    n = order + 1
-    H = np.zeros((axes, axes * n))
-    for a in range(axes):
-        H[a, a * n] = 1.0
+    H = np.zeros((GROUND_AXES, GROUND_AXES * (order + 1)))
+    H[range(GROUND_AXES), position_indices(order)] = 1.0
     return H
 
 
-def position_indices(order: int, axes: int = GROUND_AXES) -> tuple:
-    """State indices holding positions (used for cheap H-products)."""
-    n = order + 1
-    return tuple(a * n for a in range(axes))
-
-
-def initial_estimate(position: np.ndarray, order: int, sigma: float,
-                     axes: int = GROUND_AXES) -> StateEstimate:
+def initial_estimate(position: np.ndarray, order: int, sigma: float) -> StateEstimate:
     """Track-birth state: measured position, zero derivatives, inflated covariance.
 
-    `position` is (axes,) or a stack (..., axes); the estimate stacks alike.
+    `position` is (2,) or a stack (..., 2); the estimate stacks alike.
     """
     position = np.asarray(position, dtype=float)
     n = order + 1
-    mean = np.zeros(position.shape[:-1] + (axes * n,))
+    mean = np.zeros(position.shape[:-1] + (GROUND_AXES * n,))
     mean[..., ::n] = position
-    var = np.tile(np.asarray(INITIAL_VARIANCE_SCALE[:n]) * sigma ** 2, axes)
-    cov = np.broadcast_to(np.diag(var), mean.shape + (axes * n,)).copy()
+    var = np.tile(np.asarray(INITIAL_VARIANCE_SCALE[:n]) * sigma ** 2, GROUND_AXES)
+    cov = np.broadcast_to(np.diag(var), mean.shape + (GROUND_AXES * n,)).copy()
     return StateEstimate(mean=mean, cov=cov)
 
 
@@ -133,15 +117,14 @@ def _transpose(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def predict(est: StateEstimate, trans: TransitionModel, weights,
+def predict(est: StateEstimate, F: np.ndarray, weights,
             noise: NoiseModel) -> StateEstimate:
     """Weighted prediction: mean' = F W mean, cov' = (F W) cov (F W)^T + Q.
 
-    `weights` is the diagonal of the weight matrix W, shaped like `est.mean`
-    (one diagonal per stacked state). A diagonal of exact ones gives bitwise
-    the unweighted step.
+    `F` is the transition from `build_transition`. `weights` is the diagonal
+    of the weight matrix W, shaped like `est.mean` (one diagonal per stacked
+    state). A diagonal of exact ones gives bitwise the unweighted step.
     """
-    F = trans.F
     dim = F.shape[0]
     batch = est.mean.shape[:-1]
     if est.mean.shape != batch + (dim,) or est.cov.shape != batch + (dim, dim):

@@ -318,18 +318,12 @@ def _fmt(value: float) -> str:
     return f"{value:.9f}"
 
 
-def _format_fields(head: list, obj_type: str, truncated: float, occluded: int,
-                   alpha: float, numbers) -> str:
-    """`head` columns, then type, truncation, occlusion, alpha and `numbers`:
-    bbox (4), dims (3), location (3), rotation_y and, if present, the score."""
-    return " ".join([*head, obj_type, _fmt(truncated), str(occluded), _fmt(alpha),
-                     *map(_fmt, numbers)])
-
-
 def _frame_lines(frame: int, labels: Labels, with_id: bool,
                  with_score: bool) -> list:
     """One frame's lines: its parsed lines if it has them, else its rows
-    formatted under index `frame`."""
+    formatted under index `frame`: the frame and, `with_id`, the track id,
+    then type, truncation, occlusion, alpha, bbox (4), dims (3), location (3),
+    rotation_y and, `with_score`, the score."""
     if labels.raw is not None:
         return labels.raw.tolist()
     numbers = [labels.bbox2d, labels.dims, labels.location, labels.rotation_y]
@@ -337,10 +331,12 @@ def _frame_lines(frame: int, labels: Labels, with_id: bool,
         numbers.append(labels.score)
     heads = ([[str(frame), str(i)] for i in labels.track_id.tolist()] if with_id
              else itertools.repeat([str(frame)]))
-    return [_format_fields(head, *row) for head, *row in zip(
-        heads, labels.obj_type.tolist(), labels.truncated.tolist(),
-        labels.occluded.tolist(), labels.alpha.tolist(),
-        np.column_stack(numbers).tolist())]
+    return [" ".join([*head, obj_type, _fmt(truncated), str(occluded), _fmt(alpha),
+                      *map(_fmt, row)])
+            for head, obj_type, truncated, occluded, alpha, row in zip(
+                heads, labels.obj_type.tolist(), labels.truncated.tolist(),
+                labels.occluded.tolist(), labels.alpha.tolist(),
+                np.column_stack(numbers).tolist())]
 
 
 def _write_lines(path, lines: list):
@@ -354,36 +350,38 @@ def write_detections(frames, path):
                         for line in _frame_lines(frame, labels, False, True)])
 
 
+def _id_lines(frame: int, labels: Labels, with_score: bool) -> list:
+    """One id-bearing frame's lines, ids ascending."""
+    labels = labels.take(np.argsort(labels.track_id, kind="stable"))
+    return _frame_lines(frame, labels, True, with_score)
+
+
 def write_annotations(frames, path):
     """Write ground-truth frames (id-bearing, no score column), ids ascending
     within a frame."""
-    lines = []
-    for frame, labels in enumerate(map(as_labels, frames)):
-        labels = labels.take(np.argsort(labels.track_id, kind="stable"))
-        lines += _frame_lines(frame, labels, True, False)
-    _write_lines(path, lines)
+    _write_lines(path, [line for frame, labels in enumerate(map(as_labels, frames))
+                        for line in _id_lines(frame, labels, False)])
+
+
+def _report_labels(report) -> Labels:
+    """A `FrameReport` as `Labels`, the inverse of `measurements_from`: each
+    position goes back to a camera location (see `camera_location`), and
+    truncation, occlusion and alpha are zero."""
+    n = len(report)
+    zeros = np.zeros(n)
+    location = np.column_stack((report.position[:, 0], report.elevation,
+                                report.position[:, 1]))
+    return Labels(obj_type=report.obj_type, truncated=zeros,
+                  occluded=np.zeros(n, dtype=np.int64), alpha=zeros,
+                  bbox2d=report.bbox2d, dims=report.dims, location=location,
+                  rotation_y=report.yaw, score=report.score, track_id=report.ids)
 
 
 def write_tracks(reports, path):
-    """Write `FrameReport`s as tracker output, ids ascending within a frame.
-
-    A row's location is its position mapped back to the camera frame (see
-    `camera_location`); truncation, occlusion and alpha are written as zero.
-    """
-    lines = []
-    for report in reports:
-        order = np.argsort(report.ids, kind="stable")
-        position = report.position[order]
-        numbers = np.column_stack((
-            report.bbox2d[order], report.dims[order], position[:, 0],
-            report.elevation[order], position[:, 1], report.yaw[order],
-            report.score[order])).tolist()
-        frame = str(report.frame)
-        lines += [_format_fields([frame, str(track_id)], obj_type, 0.0, 0, 0.0, row)
-                  for track_id, obj_type, row in zip(
-                      report.ids[order].tolist(), report.obj_type[order].tolist(),
-                      numbers)]
-    _write_lines(path, lines)
+    """Write `FrameReport`s as tracker output, ids ascending within a frame."""
+    _write_lines(path, [line for report in reports
+                        for line in _id_lines(report.frame, _report_labels(report),
+                                              True)])
 
 
 def export_trajectory_csv(trajectory, path):

@@ -1,4 +1,4 @@
-"""Tracking quality metrics: CLEAR-MOT counters, identity F1, localization, latency."""
+"""Tracking quality metrics: CLEAR-MOT counters, identity F1, latency."""
 from __future__ import annotations
 
 import math
@@ -34,20 +34,6 @@ class IdSummary:
     idfp: int
     idfn: int
     threshold: float
-
-
-@dataclass
-class PhaseStats:
-    count: int
-    mean: float
-    std: float
-
-
-@dataclass
-class TrackError:
-    track_id: int
-    observed: PhaseStats
-    occluded: PhaseStats
 
 
 @dataclass
@@ -164,46 +150,6 @@ def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
     idr = idtp / total_gt if total_gt else 0.0
     return IdSummary(idf1=score, idp=idp, idr=idr, idtp=idtp, idfp=idfp,
                      idfn=idfn, threshold=threshold)
-
-
-def _phase_stats(errors) -> PhaseStats:
-    n = len(errors)
-    if n == 0:
-        return PhaseStats(count=0, mean=math.nan, std=math.nan)
-    arr = np.asarray(errors, dtype=float)
-    std = float(arr.std(ddof=1)) if n > 1 else 0.0
-    return PhaseStats(count=n, mean=float(arr.mean()), std=std)
-
-
-def localization_error(gt_trajectories: dict, est_trajectories: dict,
-                       occluded_frames: dict | None = None,
-                       id_map: dict | None = None):
-    """Per-track position error statistics split by occlusion phase.
-
-    Trajectories are {track_id: {frame: position}}. `id_map` maps estimate
-    ids to ground-truth ids (identity when omitted). `occluded_frames` lists
-    the frames during which the ground-truth object was occluded.
-    """
-    occluded_frames = occluded_frames or {}
-    results = []
-    for est_id in sorted(est_trajectories):
-        gt_id = id_map.get(est_id, est_id) if id_map else est_id
-        if gt_id not in gt_trajectories:
-            continue
-        gt_traj = gt_trajectories[gt_id]
-        est_traj = est_trajectories[est_id]
-        occ = set(occluded_frames.get(gt_id, ()))
-        observed, hidden = [], []
-        for frame in sorted(est_traj):
-            if frame not in gt_traj:
-                continue
-            err = float(np.linalg.norm(np.asarray(est_traj[frame], dtype=float)
-                                       - np.asarray(gt_traj[frame], dtype=float)))
-            (hidden if frame in occ else observed).append(err)
-        results.append(TrackError(track_id=gt_id,
-                                  observed=_phase_stats(observed),
-                                  occluded=_phase_stats(hidden)))
-    return results
 
 
 def measure_latency(frames, baseline_cfg, dynamic_cfg,

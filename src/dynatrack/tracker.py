@@ -181,28 +181,25 @@ class TrackBank:
     diagonal of W that predict applies (exact ones for saturated weights and
     whenever dynamics are off), and the smoothed `weights (N, axes, 4)`.
     Dynamics: `window`, one cleaned-position buffer per row, and the raw
-    weight rings `ring (N, smoothing_window, axes, 4)` with their fill
-    `ring_len` and next slot `ring_idx`. Lifecycle: `ids`, `hits`, `misses`
-    and `status`, an index into STATUSES. Reported: `elevation`, `yaw` and
-    `dims (N, 3)`, smoothed over the matches, and `score`, `bbox2d (N, 4)`
-    and the `obj_type` labels (an object array) of the last match.
+    weight rings `ring (N, smoothing_window, axes, 4)`, whose fill and next
+    slot follow from `hits`. Lifecycle: `ids`, `hits`, `misses` and `status`,
+    an index into STATUSES. Reported: `elevation`, `yaw` and `dims (N, 3)`,
+    smoothed over the matches, and `score`, `bbox2d (N, 4)` and the
+    `obj_type` labels (an object array) of the last match.
     """
 
     FIELDS = ("ids", "mean", "cov", "weight_diag", "weights", "ring",
-              "ring_len", "ring_idx", "hits", "misses", "status") + REPORTED
+              "hits", "misses", "status") + REPORTED
 
-    def __init__(self, dim: int, window: int, smoothing: int,
-                 axes: int = flt.GROUND_AXES):
-        weights = (axes, dyn.WEIGHT_COLUMNS)
-        self.window = dyn.DynamicsWindow(window, axes)
+    def __init__(self, dim: int, window: int, smoothing: int):
+        weights = (flt.GROUND_AXES, dyn.WEIGHT_COLUMNS)
+        self.window = dyn.DynamicsWindow(window, flt.GROUND_AXES)
         self.ids = np.zeros(0, dtype=np.int64)
         self.mean = np.zeros((0, dim))
         self.cov = np.zeros((0, dim, dim))
         self.weight_diag = np.zeros((0, dim))
         self.weights = np.zeros((0,) + weights)
         self.ring = np.zeros((0, smoothing) + weights)
-        self.ring_len = np.zeros(0, dtype=np.intp)
-        self.ring_idx = np.zeros(0, dtype=np.intp)
         self.hits = np.zeros(0, dtype=np.intp)
         self.misses = np.zeros(0, dtype=np.intp)
         self.status = np.zeros(0, dtype=np.int8)
@@ -339,7 +336,7 @@ class MultiObjectTracker:
         self.cfg = cfg
         order = cfg.model_order
         self._order = order
-        self._trans = flt.build_transition(order, cfg.dt)
+        self._F = flt.build_transition(order, cfg.dt)
         self._noise = flt.build_noise(order, cfg.dt, cfg.process_noise,
                                       cfg.measurement_noise)
         self._H = flt.measurement_matrix(order)
@@ -347,7 +344,7 @@ class MultiObjectTracker:
         self._factors = dyn.dynamics_factors(
             cfg.factor_velocity, cfg.factor_acceleration, cfg.factor_jerk)
         self._cold = dyn.cold_start_weights(cfg.cold_start_mode)
-        dim = self._trans.F.shape[0]
+        dim = self._F.shape[0]
         # Without dynamics weighting every row predicts with exact ones, which
         # is bitwise the unweighted transition.
         self._birth_diag = (dyn.weight_diagonal(self._cold, order)
@@ -373,7 +370,9 @@ class MultiObjectTracker:
 
         Rows whose window is still below support take the cold-start
         weights; the others are stacked by window fill, one dynamics-vector
-        call per fill level.
+        call per fill level. A refresh runs once per match, before
+        `_apply_matches` counts it in `hits`, so this is a row's `hits`-th
+        refresh: its slot is `(hits - 1) % size` and its fill `min(hits, size)`.
         """
         bank = self.bank
         count = bank.window.count[rows]
@@ -384,12 +383,10 @@ class MultiObjectTracker:
             stack = bank.window.positions[rows[group], :n]
             raw[group] = dyn.update_weights(dyn.dynamics_vectors(stack),
                                             self._factors)
-        slot = bank.ring_idx[rows]
-        bank.ring[rows, slot] = raw
+        hits = bank.hits[rows]
         size = bank.ring.shape[1]
-        bank.ring_idx[rows] = (slot + 1) % size
-        filled = np.minimum(bank.ring_len[rows] + 1, size)
-        bank.ring_len[rows] = filled
+        bank.ring[rows, (hits - 1) % size] = raw
+        filled = np.minimum(hits, size)
         # Unfilled slots are zero, so the full-ring sum is the sum of the
         # filled rows; dividing by the fill count gives their mean.
         smoothed = bank.ring[rows].sum(axis=1) / filled[:, None, None]
@@ -432,8 +429,6 @@ class MultiObjectTracker:
             weight_diag=np.tile(self._birth_diag, (k, 1)),
             weights=np.tile(self._cold, (k, 1, 1)),
             ring=np.zeros((k,) + bank.ring.shape[1:]),
-            ring_len=np.zeros(k, dtype=np.intp),
-            ring_idx=np.zeros(k, dtype=np.intp),
             hits=np.ones(k, dtype=np.intp),
             misses=np.zeros(k, dtype=np.intp),
             status=np.full(k, CONFIRMED if cfg.min_hits <= 1 else TENTATIVE,
@@ -467,7 +462,7 @@ class MultiObjectTracker:
         columns = _detection_columns(detections)
         z = columns["position"]
         bank = self.bank
-        pred = flt.predict(flt.StateEstimate(bank.mean, bank.cov), self._trans,
+        pred = flt.predict(flt.StateEstimate(bank.mean, bank.cov), self._F,
                            bank.weight_diag, self._noise)
         predicted = pred.mean[:, self._pos_idx]
         assignment = associate(predicted, z, self.cfg.gate_distance)

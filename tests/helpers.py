@@ -77,9 +77,9 @@ def validate_estimate(est, tol=1e-9):
 
 # -- reference filter: one state per call, the per-track loop's arithmetic ---
 
-def reference_predict(est, trans, weights, noise):
+def reference_predict(est, F, weights, noise):
     """Weighted predict of one state; `weights` is its diagonal or None."""
-    F = trans.F if weights is None else trans.F * np.asarray(weights, dtype=float)
+    F = F if weights is None else F * np.asarray(weights, dtype=float)
     cov = F @ est.cov @ F.T + noise.Q
     return StateEstimate(mean=F @ est.mean, cov=0.5 * (cov + cov.T))
 
@@ -412,8 +412,9 @@ def format_record(record, with_id, with_score):
     if with_score:
         numbers.append(record.score)
     head = [str(record.frame)] + ([str(record.track_id)] if with_id else [])
-    return kitti_io._format_fields(head, record.obj_type, record.truncated,
-                                   record.occluded, record.alpha, numbers)
+    return " ".join(head + [record.obj_type, f"{record.truncated:.9f}",
+                            str(record.occluded), f"{record.alpha:.9f}",
+                            *(f"{v:.9f}" for v in numbers)])
 
 
 def reference_occlude(det_path, gt_path, spec, out_path):

@@ -283,6 +283,46 @@ def test_evaluate_rejects_ids_beyond_int64(scenario_dir, capsys, bad):
                    "'99999999999999999999'\n")
 
 
+@pytest.mark.parametrize("key,value", [("seed", 0),
+                                       ("noise_term_strategy", "innovation")])
+def test_track_rejects_removed_config_key(scenario_dir, tmp_path, capsys, key,
+                                          value):
+    # A config_effective written before the key was removed names it.
+    cfg_path = tmp_path / "config_effective"
+    save_config(RunConfig(), cfg_path)
+    cfg_path.write_text(cfg_path.read_text() + f"{key}: {value}\n")
+    rc = cli.main(["track", str(scenario_dir / "detections.txt"),
+                   "--config", str(cfg_path), "--output", str(tmp_path / "run")])
+    assert rc == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("evaluate", ["--threshold", "-1"]),
+    ("evaluate", ["--threshold", "nan"]),
+    ("evaluate", ["--threshold", "0"]),
+    ("compare", ["--threshold", "-1"]),
+    ("compare", ["--warmup", "-5"]),
+])
+def test_bad_scoring_flag_is_a_usage_error(scenario_dir, capsys, command, flags):
+    out = scenario_dir / "run"
+    assert cli.main(["track", str(scenario_dir / "detections.txt"),
+                     "--output", str(out), "--min-hits", "1"]) == 0
+    inputs = {"evaluate": [scenario_dir / "gt.txt",
+                           out / "tracks" / "detections.txt"],
+              "compare": [scenario_dir / "detections.txt",
+                          scenario_dir / "gt.txt"]}[command]
+    capsys.readouterr()
+    rc = cli.main([command, *map(str, inputs), *flags,
+                   "--output", str(scenario_dir / "scored")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {flags[0]} must be")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (scenario_dir / "scored").exists()
+
+
 def test_compare_runs_both_configurations(scenario_dir, capsys):
     out = scenario_dir / "cmp"
     rc = cli.main(["compare", str(scenario_dir / "detections.txt"),

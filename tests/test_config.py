@@ -1,5 +1,10 @@
 """Config defaults, validation messages, YAML round trip, override merging."""
+import re
+from pathlib import Path
+
 import pytest
+
+import dynatrack
 
 from dynatrack.config import (FIELD_TYPES, RunConfig, config_from_mapping,
                               load_config, merge_overrides, save_config)
@@ -20,7 +25,6 @@ def test_defaults():
     assert (cfg.min_hits, cfg.max_misses) == (3, 23)
     assert cfg.dt == 0.1
     assert cfg.cold_start_mode == "identity"
-    assert cfg.noise_term_strategy == "innovation"
 
 
 @pytest.mark.parametrize("key,value", [
@@ -37,7 +41,6 @@ def test_defaults():
     ("max_misses", -1),
     ("dt", 0.0),
     ("cold_start_mode", "warm"),
-    ("noise_term_strategy", "residual"),
 ])
 def test_validation_names_offending_key(key, value):
     with pytest.raises(ConfigurationError, match=f"config key '{key}'"):
@@ -91,8 +94,7 @@ def test_mapping_type_coercion():
 
 
 def test_save_load_round_trip(tmp_path):
-    cfg = RunConfig(model_order=2, factor_velocity=0.7, seed=42,
-                    dynamics_enabled=False)
+    cfg = RunConfig(model_order=2, factor_velocity=0.7, dynamics_enabled=False)
     path = tmp_path / "config.yaml"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -119,3 +121,14 @@ def test_merge_overrides_skips_none():
     assert merged.min_hits == 5
     assert merged.dynamics_enabled is True
     assert merge_overrides(cfg, {"dt": None}) == cfg
+
+
+def test_every_config_key_is_read_outside_config():
+    # A key nothing reads is a dead knob: it is accepted, echoed to
+    # config_effective and offered as a flag, yet changes no result.
+    package = Path(dynatrack.__file__).parent
+    source = "\n".join(path.read_text() for path in sorted(package.glob("*.py"))
+                       if path.name != "config.py")
+    unread = [key for key in FIELD_TYPES
+              if not re.search(rf"\bcfg\.{key}\b", source)]
+    assert unread == []

@@ -230,7 +230,7 @@ def test_weight_diagonal_matches_matrix():
     # diagonal weight matrix W, entry for entry.
     w = np.array([[1.0, 0.5, 0.25, 0.1], [1.0, 0.4, 0.2, 0.05]])
     diag = dyn.weight_diagonal(w, order=3)
-    F = flt.build_transition(3, 0.1).F
+    F = flt.build_transition(3, 0.1)
     npt.assert_array_equal(F * diag, F @ np.diag(diag))
 
 

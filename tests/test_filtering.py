@@ -37,11 +37,11 @@ def test_transition_rejects_bad_order():
 
 
 def test_build_transition_block_diagonal():
-    trans = flt.build_transition(3, 0.1)
-    assert trans.F.shape == (8, 8)
-    npt.assert_array_equal(trans.F[:4, 4:], np.zeros((4, 4)))
-    npt.assert_array_equal(trans.F[4:, :4], np.zeros((4, 4)))
-    npt.assert_array_equal(trans.F[:4, :4], trans.F[4:, 4:])
+    F = flt.build_transition(3, 0.1)
+    assert F.shape == (8, 8)
+    npt.assert_array_equal(F[:4, 4:], np.zeros((4, 4)))
+    npt.assert_array_equal(F[4:, :4], np.zeros((4, 4)))
+    npt.assert_array_equal(F[:4, :4], F[4:, 4:])
 
 
 def test_process_noise_cv_closed_form():
@@ -89,47 +89,47 @@ def _eight_state(px=0.0, vx=2.0, ax=1.0, jx=0.6):
 
 def test_predict_weighted_hand_value():
     # one axis active: weights [1, 1, .5, .5], dt=1 -> 0 + 2 + .25 + .05
-    trans = flt.build_transition(3, 1.0)
+    F = flt.build_transition(3, 1.0)
     noise = flt.build_noise(3, 1.0, 1.0, 0.3)
     w = np.array([1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0])
-    pred = flt.predict(_eight_state(), trans, w, noise)
+    pred = flt.predict(_eight_state(), F, w, noise)
     assert pred.mean[0] == pytest.approx(2.30, abs=1e-12)
 
 
 def test_predict_zero_weights_freeze_position():
-    trans = flt.build_transition(3, 1.0)
+    F = flt.build_transition(3, 1.0)
     noise = flt.build_noise(3, 1.0, 1.0, 0.3)
     w = np.array([1.0, 0.0, 0.0, 0.0] * 2)
     est = _eight_state(px=7.25)
-    pred = flt.predict(est, trans, w, noise)
+    pred = flt.predict(est, F, w, noise)
     assert pred.mean[0] == 7.25
     assert pred.mean[1] == 0.0  # frozen derivatives are zeroed, not kept
 
 
 def test_predict_identity_weights_bitwise_equal_unweighted():
     rng = np.random.default_rng(11)
-    trans = flt.build_transition(3, 0.1)
+    F = flt.build_transition(3, 0.1)
     noise = flt.build_noise(3, 0.1, 1.0, 0.3)
     for _ in range(20):
         A = rng.normal(size=(8, 8))
         est = flt.StateEstimate(mean=rng.normal(size=8), cov=A @ A.T)
-        plain = reference_predict(est, trans, None, noise)
-        ones = flt.predict(est, trans, np.ones(8), noise)
+        plain = reference_predict(est, F, None, noise)
+        ones = flt.predict(est, F, np.ones(8), noise)
         npt.assert_array_equal(plain.mean, ones.mean)
         npt.assert_array_equal(plain.cov, ones.cov)
 
 
 def test_predict_dimension_mismatch():
-    trans = flt.build_transition(3, 0.1)
+    F = flt.build_transition(3, 0.1)
     noise = flt.build_noise(3, 0.1, 1.0, 0.3)
     bad = flt.StateEstimate(mean=np.zeros(4), cov=np.eye(4))
     with pytest.raises(ContractViolationError):
-        flt.predict(bad, trans, np.ones(4), noise)
+        flt.predict(bad, F, np.ones(4), noise)
     est = _eight_state()
     with pytest.raises(ContractViolationError):
-        flt.predict(est, trans, np.ones(5), noise)
+        flt.predict(est, F, np.ones(5), noise)
     with pytest.raises(ContractViolationError):
-        flt.predict(est, trans, np.eye(8), noise)  # weights are a diagonal
+        flt.predict(est, F, np.eye(8), noise)  # weights are a diagonal
 
 
 def _scalar(mean, var):
@@ -172,14 +172,14 @@ def test_update_huge_noise_keeps_prior():
 
 def test_update_random_walk_stays_psd():
     rng = np.random.default_rng(3)
-    trans = flt.build_transition(3, 0.1)
+    F = flt.build_transition(3, 0.1)
     noise = flt.build_noise(3, 0.1, 1.0, 0.3)
     H = flt.measurement_matrix(3)
     est = flt.initial_estimate(np.zeros(2), 3, 0.3)
     for step in range(1000):
         w = rng.uniform(0.0, 1.0, size=8)
         w[0] = w[4] = 1.0
-        est = flt.predict(est, trans, w, noise)
+        est = flt.predict(est, F, w, noise)
         est, _, _ = flt.update(est, rng.normal(scale=3.0, size=2), noise, H)
         if step % 97 == 0:
             assert validate_estimate(est)
@@ -188,12 +188,12 @@ def test_update_random_walk_stays_psd():
 
 def test_update_shrinks_measured_subspace():
     rng = np.random.default_rng(5)
-    trans = flt.build_transition(3, 0.1)
+    F = flt.build_transition(3, 0.1)
     noise = flt.build_noise(3, 0.1, 1.0, 0.3)
     H = flt.measurement_matrix(3)
     est = flt.initial_estimate(np.zeros(2), 3, 0.3)
     for _ in range(50):
-        est = flt.predict(est, trans, np.ones(8), noise)
+        est = flt.predict(est, F, np.ones(8), noise)
         before = np.trace(H @ est.cov @ H.T)
         est, _, _ = flt.update(est, rng.normal(scale=0.3, size=2), noise, H)
         after = np.trace(H @ est.cov @ H.T)
@@ -291,7 +291,7 @@ def _stacked(results, shape):
 @settings(max_examples=150, deadline=None)
 @given(_stacks())
 def test_batched_filter_matches_per_state_reference(inputs):
-    est, weights, ones, z, trans, noise, ridge = inputs
+    est, weights, ones, z, F, noise, ridge = inputs
     H = flt.measurement_matrix(3)
     rows = list(zip(est.mean, est.cov))
     if ridge:
@@ -299,13 +299,13 @@ def test_batched_filter_matches_per_state_reference(inputs):
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(S)
 
-    pred = flt.predict(est, trans, weights, noise)
-    ref = [reference_predict(flt.StateEstimate(m, P), trans, w, noise)
+    pred = flt.predict(est, F, weights, noise)
+    ref = [reference_predict(flt.StateEstimate(m, P), F, w, noise)
            for (m, P), w in zip(rows, weights)]
     assert _close(pred.mean, _stacked([r.mean for r in ref], pred.mean.shape))
     assert _close(pred.cov, _stacked([r.cov for r in ref], pred.cov.shape))
     for i in np.flatnonzero(ones):
-        plain = reference_predict(flt.StateEstimate(*rows[i]), trans, None, noise)
+        plain = reference_predict(flt.StateEstimate(*rows[i]), F, None, noise)
         npt.assert_array_equal(pred.mean[i], plain.mean)
         npt.assert_array_equal(pred.cov[i], plain.cov)
 

@@ -1,5 +1,4 @@
-"""Metric correctness: CLEAR-MOT counters, IDF1 pairing, error phases, latency."""
-import math
+"""Metric correctness: CLEAR-MOT counters, IDF1 pairing, latency."""
 
 import numpy as np
 import pytest
@@ -8,8 +7,7 @@ from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
 from dynatrack.errors import UndefinedMetricError
-from dynatrack.metrics import (clearmot, idf1, localization_error,
-                               measure_latency)
+from dynatrack.metrics import clearmot, idf1, measure_latency
 
 from helpers import (frames_from_positions, random_tracking_scene,
                      reference_clearmot, reference_idf1)
@@ -236,43 +234,6 @@ def test_clearmot_accepts_mixed_input_kinds():
     m = clearmot(gt, per_frame)   # SequenceDataset vs snapshot lists
     assert m.gt_total == 12
     assert m.mota > 0.9
-
-
-def test_localization_error_phases():
-    gt = {1: {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0), 3: (3.0, 0.0)}}
-    est = {1: {0: (0.0, 1.0), 1: (1.0, 2.0), 2: (2.0, 3.0), 3: (3.0, 0.0)}}
-    results = localization_error(gt, est, occluded_frames={1: [1, 2]})
-    assert len(results) == 1
-    r = results[0]
-    assert r.track_id == 1
-    assert r.observed.count == 2
-    assert r.observed.mean == pytest.approx(0.5)
-    assert r.observed.std == pytest.approx(np.std([1.0, 0.0], ddof=1))
-    assert r.occluded.count == 2
-    assert r.occluded.mean == pytest.approx(2.5)
-
-
-def test_localization_error_single_and_empty_phases():
-    gt = {1: {0: (0.0, 0.0)}}
-    est = {1: {0: (0.0, 2.0)}}
-    r = localization_error(gt, est)[0]
-    assert r.observed.count == 1
-    assert r.observed.mean == 2.0
-    assert r.observed.std == 0.0
-    assert r.occluded.count == 0
-    assert math.isnan(r.occluded.mean)
-
-
-def test_localization_error_id_map_and_missing_frames():
-    gt = {5: {0: (0.0, 0.0), 2: (2.0, 0.0)}}
-    est = {1: {0: (0.5, 0.0), 1: (1.5, 0.0), 2: (2.5, 0.0)},
-           9: {0: (100.0, 0.0)}}
-    results = localization_error(gt, est, id_map={1: 5})
-    assert len(results) == 1
-    r = results[0]
-    assert r.track_id == 5
-    assert r.observed.count == 2   # frame 1 has no ground truth and is skipped
-    assert r.observed.mean == pytest.approx(0.5)
 
 
 def test_measure_latency_shape():

@@ -5,17 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynatrack import dynamics as dyn
 from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError, NumericalError
 from dynatrack.filtering import StateEstimate
 from dynatrack.kitti_io import TRAJECTORY_SOURCES
-from dynatrack.tracker import (STATUSES, Detections, FrameReport,
+from dynatrack.tracker import (COASTING, STATUSES, Detections, FrameReport,
                                MultiObjectTracker, associate, gated_assignment,
                                gated_pairs)
 
-from helpers import (_min_cost_pairs, detections, frames_from_positions,
-                     run_single_target, single_target_config,
-                     trajectory_by_source, validate_estimate)
+from helpers import (_min_cost_pairs, detections, dynamics_vector,
+                     frames_from_positions, run_single_target,
+                     single_target_config, smooth_weights, trajectory_by_source,
+                     validate_estimate)
 
 
 # -- association ---------------------------------------------------------
@@ -447,6 +449,46 @@ def test_weights_frozen_while_coasting():
     assert STATUSES[bank.status[0]] == "coasting"
     npt.assert_array_equal(bank.weights[0], before)
     npt.assert_array_equal(bank.weight_diag[0], before_diag)
+
+
+@pytest.mark.parametrize("smoothing", [1, 3, 4])
+def test_weight_ring_matches_reference_smoothing(smoothing):
+    # Object 0 coasts through frames 12-15 and is reacquired, object 1
+    # leaves after frame 19 and its row is dropped, object 2 is born at
+    # frame 10. After every step each row's weights must be the mean of its
+    # last `smoothing` raw weights, rebuilt here from the row's window.
+    cfg = RunConfig(smoothing_window=smoothing, max_misses=5)
+    factors = dyn.dynamics_factors(cfg.factor_velocity, cfg.factor_acceleration,
+                                   cfg.factor_jerk)
+    cold = dyn.cold_start_weights(cfg.cold_start_mode)
+    support = max(dyn.MIN_WINDOW, cfg.model_order + 1)
+    rng = np.random.default_rng(7)
+    tracker = MultiObjectTracker(cfg)
+    bank = tracker.bank
+    raw, hits, coasted, reacquired = {}, {}, set(), set()
+    for frame in range(40):
+        t = 0.1 * frame
+        points = np.array([p for p, shown in zip(
+            [(1.5 * t, 0.0), (0.0, 20.0 + 0.6 * t), (30.0 - t, 40.0 + 0.2 * t * t)],
+            [not 12 <= frame < 16, frame < 20, frame >= 10]) if shown])
+        tracker.step(frame, detections(points + rng.normal(0.0, 0.1, points.shape)))
+        for row, track_id in enumerate(bank.ids.tolist()):
+            if bank.hits[row] > hits.get(track_id, 1):  # matched this step
+                count = bank.window.count[row]
+                window = bank.window.positions[row, :count]
+                raw.setdefault(track_id, []).append(
+                    dyn.update_weights(dynamics_vector(window), factors)
+                    if count >= support else cold)
+                if track_id in coasted:
+                    reacquired.add(track_id)
+            hits[track_id] = bank.hits[row]
+            if bank.status[row] == COASTING:
+                coasted.add(track_id)
+            expected = (smooth_weights(raw[track_id], smoothing)
+                        if track_id in raw else cold)
+            npt.assert_allclose(bank.weights[row], expected, rtol=0, atol=1e-12)
+    assert reacquired
+    assert len(bank) < tracker.births
 
 
 def test_stationary_target_downweights_motion():
