@@ -197,6 +197,9 @@ def cmd_compare(args) -> int:
     ds = kitti_io.parse_detections(det_path)
     gt = kitti_io.parse_annotations(gt_path)
     frames = kitti_io.measurements_from(ds)
+    if args.warmup >= len(frames):  # no frame would be left to time
+        raise _Usage(f"--warmup must be less than the {len(frames)} frames, "
+                     f"got {args.warmup}")
     baseline_cfg = cfg.replace(dynamics_enabled=False)
     dynamic_cfg = cfg.replace(dynamics_enabled=True)
     latency = metrics.measure_latency(frames, baseline_cfg, dynamic_cfg,

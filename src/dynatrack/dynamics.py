@@ -44,16 +44,14 @@ class DynamicsWindow:
         self.positions[rows, np.minimum(count, capacity - 1)] = positions
         self.count[rows] = np.minimum(count + 1, capacity)
 
-    def add_rows(self, n: int):
-        """Append n empty rows."""
-        self.positions = np.concatenate(
-            [self.positions, np.zeros((n,) + self.positions.shape[1:])])
-        self.count = np.concatenate([self.count, np.zeros(n, dtype=np.intp)])
-
-    def keep(self, mask: np.ndarray):
-        """Drop the rows where `mask` is false."""
-        self.positions = self.positions[mask]
-        self.count = self.count[mask]
+    def rebuild(self, keep: np.ndarray, first: np.ndarray):
+        """Keep the rows where `keep` is true, then add one row per position
+        in `first` (n, axes) after them, holding just that position."""
+        born = np.zeros((len(first),) + self.positions.shape[1:])
+        born[:, 0] = first
+        self.positions = np.concatenate([self.positions[keep], born])
+        self.count = np.concatenate([self.count[keep],
+                                     np.ones(len(first), dtype=np.intp)])
 
 
 def finite_differences(positions: np.ndarray):
@@ -129,7 +127,8 @@ def weight_diagonal(weights: np.ndarray, order: int) -> np.ndarray:
     `weights` is (axes, 4) or a stack (..., axes, 4); the result is (..., D).
     """
     w = np.asarray(weights, dtype=float)
-    return w[..., :order + 1].reshape(w.shape[:-2] + (-1,))
+    axes = w.shape[-2]
+    return w[..., :order + 1].reshape(w.shape[:-2] + (axes * (order + 1),))
 
 
 def cold_start_weights(mode: str) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Tracking quality metrics: CLEAR-MOT counters, identity F1, latency."""
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -9,7 +8,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, UndefinedMetricError
-from .kitti_io import SequenceDataset, as_labels, ground_position
+from .kitti_io import as_labels, ground_position
 from .tracker import (FrameReport, MultiObjectTracker, distance, gated_pairs,
                       in_gate)
 
@@ -62,13 +61,7 @@ def _frame_arrays(frame):
 
 def _as_frames(gt, hyp):
     """Both inputs as per-frame (ids, positions) arrays, padded to one length."""
-    frames = []
-    for obj in (gt, hyp):
-        if isinstance(obj, SequenceDataset):
-            if obj.ground_truth is None:
-                raise InputError("dataset carries no ground-truth frames")
-            obj = obj.ground_truth
-        frames.append([_frame_arrays(frame) for frame in obj])
+    frames = [[_frame_arrays(frame) for frame in obj] for obj in (gt, hyp)]
     n = max(map(len, frames))
     empty = _frame_arrays([])
     return [f + [empty] * (n - len(f)) for f in frames]
@@ -156,9 +149,14 @@ def measure_latency(frames, baseline_cfg, dynamic_cfg,
                     warmup: int = 10) -> LatencyReport:
     """Per-frame wall time of both configurations on identical input.
 
-    The report also keeps each timed pass's per-frame reports, so a caller
-    can score them instead of tracking the sequence again.
+    The means cover the frames after the first `warmup`, so there must be
+    more frames than that. The report also keeps each timed pass's per-frame
+    reports, so a caller can score them instead of tracking the sequence again.
     """
+    if warmup >= len(frames):
+        raise InputError(f"warmup of {warmup} frames leaves none of the "
+                         f"{len(frames)} frames to time")
+
     def _run(cfg):
         tracker = MultiObjectTracker(cfg)
         times, reports = [], []
@@ -171,13 +169,10 @@ def measure_latency(frames, baseline_cfg, dynamic_cfg,
 
     baseline_ms, baseline_reports = _run(baseline_cfg)
     dynamic_ms, dynamic_reports = _run(dynamic_cfg)
-    steady_b = baseline_ms[warmup:]
-    steady_d = dynamic_ms[warmup:]
-    mean_b = float(np.mean(steady_b)) if steady_b else math.nan
-    mean_d = float(np.mean(steady_d)) if steady_d else math.nan
-    delta = mean_d - mean_b if steady_b and steady_d else math.nan
+    mean_b = float(np.mean(baseline_ms[warmup:]))
+    mean_d = float(np.mean(dynamic_ms[warmup:]))
     return LatencyReport(baseline_ms=baseline_ms, dynamic_ms=dynamic_ms,
                          mean_baseline_ms=mean_b, mean_dynamic_ms=mean_d,
-                         mean_delta_ms=delta, warmup=warmup,
+                         mean_delta_ms=mean_d - mean_b, warmup=warmup,
                          baseline_reports=baseline_reports,
                          dynamic_reports=dynamic_reports)

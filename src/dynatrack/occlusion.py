@@ -42,12 +42,10 @@ class ObjectTracklet:
 
 def match_detections_to_gt(dataset: SequenceDataset, gt_frames,
                            threshold: float = 2.0):
-    """Associate detections with ground truth per frame.
+    """Associate detections with ground-truth frames, frame by frame.
 
-    Returns (tracklets keyed by ground-truth id, unmatched (frame, index) pairs).
+    Returns one tracklet per matched ground-truth id, in ascending id order.
     """
-    if isinstance(gt_frames, SequenceDataset):
-        gt_frames = gt_frames.ground_truth
     if gt_frames is None:
         raise InputError("ground truth is required to build tracklets")
     if len(dataset.detections) != len(gt_frames):
@@ -55,19 +53,14 @@ def match_detections_to_gt(dataset: SequenceDataset, gt_frames,
             f"frame ranges differ: detections cover {len(dataset.detections)} "
             f"frames, ground truth covers {len(gt_frames)}")
     observations: dict = {}
-    unmatched = []
     for frame, (dets, gts) in enumerate(zip(map(as_labels, dataset.detections),
                                             map(as_labels, gt_frames))):
         rows, cols = gated_pairs(ground_position(gts), ground_position(dets),
                                  threshold)
         for track_id, c in zip(gts.track_id[rows].tolist(), cols.tolist()):
             observations.setdefault(track_id, []).append((frame, c))
-        free = np.ones(len(dets), dtype=bool)
-        free[cols] = False
-        unmatched.extend((frame, j) for j in np.flatnonzero(free).tolist())
-    tracklets = [ObjectTracklet(track_id=tid, observations=obs)
-                 for tid, obs in sorted(observations.items())]
-    return tracklets, unmatched
+    return [ObjectTracklet(track_id=tid, observations=obs)
+            for tid, obs in sorted(observations.items())]
 
 
 def occlusion_cut(n_observations: int, spec: OcclusionSpec):
@@ -109,6 +102,5 @@ def simulate_occlusion(dataset: SequenceDataset, tracklets, spec: OcclusionSpec)
 
 def occlude_dataset(dataset: SequenceDataset, gt_frames, spec: OcclusionSpec):
     """Match then simulate in one call; see the two steps for details."""
-    tracklets, _ = match_detections_to_gt(dataset, gt_frames,
-                                          spec.match_threshold)
+    tracklets = match_detections_to_gt(dataset, gt_frames, spec.match_threshold)
     return simulate_occlusion(dataset, tracklets, spec)

@@ -29,9 +29,11 @@ NUMERIC = {"position": (flt.GROUND_AXES,), **SMOOTHED, **PASSED}
 REPORTED = (*SMOOTHED, *PASSED, "obj_type")
 
 
-# The bank stores a status as its index here.
-STATUSES = ("tentative", "confirmed", "coasting", "dead")
-TENTATIVE, CONFIRMED, COASTING, DEAD = range(len(STATUSES))
+# A report stores a status as its index here. A row's status follows from its
+# counters: tentative while `hits < min_hits` (never reported), then coasting
+# while `misses > 0` and confirmed otherwise.
+STATUSES = ("tentative", "confirmed", "coasting")
+TENTATIVE, CONFIRMED, COASTING = range(len(STATUSES))
 
 # A trajectory row stores its source as its index here.
 TRAJECTORY_SOURCES = ("measurement", "predicted", "updated", "ground_truth")
@@ -177,19 +179,19 @@ class TrackIds:
 class TrackBank:
     """Every live track's state as one row of stacked arrays.
 
-    Filter: `mean (N, D)`, `cov (N, D, D)`, `weight_diag (N, D)`, the
-    diagonal of W that predict applies (exact ones for saturated weights and
-    whenever dynamics are off), and the smoothed `weights (N, axes, 4)`.
-    Dynamics: `window`, one cleaned-position buffer per row, and the raw
-    weight rings `ring (N, smoothing_window, axes, 4)`, whose fill and next
-    slot follow from `hits`. Lifecycle: `ids`, `hits`, `misses` and `status`,
-    an index into STATUSES. Reported: `elevation`, `yaw` and `dims (N, 3)`,
-    smoothed over the matches, and `score`, `bbox2d (N, 4)` and the
-    `obj_type` labels (an object array) of the last match.
+    Filter: `mean (N, D)`, `cov (N, D, D)` and the smoothed
+    `weights (N, axes, 4)`, whose `weight_diagonal` predict applies (exact
+    ones whenever dynamics are off). Dynamics: `window`, one cleaned-position
+    buffer per row, and the raw weight rings
+    `ring (N, smoothing_window, axes, 4)`, whose fill and next slot follow
+    from `hits`. Lifecycle: `ids` and the `hits` and `misses` counters, from
+    which a row's status follows. Reported: `elevation`, `yaw` and
+    `dims (N, 3)`, smoothed over the matches, and `score`, `bbox2d (N, 4)`
+    and the `obj_type` labels (an object array) of the last match.
     """
 
-    FIELDS = ("ids", "mean", "cov", "weight_diag", "weights", "ring",
-              "hits", "misses", "status") + REPORTED
+    FIELDS = ("ids", "mean", "cov", "weights", "ring", "hits",
+              "misses") + REPORTED
 
     def __init__(self, dim: int, window: int, smoothing: int):
         weights = (flt.GROUND_AXES, dyn.WEIGHT_COLUMNS)
@@ -197,12 +199,10 @@ class TrackBank:
         self.ids = np.zeros(0, dtype=np.int64)
         self.mean = np.zeros((0, dim))
         self.cov = np.zeros((0, dim, dim))
-        self.weight_diag = np.zeros((0, dim))
         self.weights = np.zeros((0,) + weights)
         self.ring = np.zeros((0, smoothing) + weights)
         self.hits = np.zeros(0, dtype=np.intp)
         self.misses = np.zeros(0, dtype=np.intp)
-        self.status = np.zeros(0, dtype=np.int8)
         for name, shape in {**SMOOTHED, **PASSED}.items():
             setattr(self, name, np.zeros((0,) + shape))
         self.obj_type = np.zeros(0, dtype=object)
@@ -210,17 +210,13 @@ class TrackBank:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def append(self, rows: dict):
-        """Add rows at the end; `rows` holds an array for every field."""
+    def rebuild(self, keep: np.ndarray, born: dict):
+        """Keep the rows where `keep` is true, then add the `born` rows after
+        them; `born` holds an array for every field and the birth `position`s."""
         for name in self.FIELDS:
-            setattr(self, name, np.concatenate([getattr(self, name), rows[name]]))
-        self.window.add_rows(len(rows["ids"]))
-
-    def keep(self, mask: np.ndarray):
-        """Drop the rows where `mask` is false."""
-        for name in self.FIELDS:
-            setattr(self, name, getattr(self, name)[mask])
-        self.window.keep(mask)
+            setattr(self, name,
+                    np.concatenate([getattr(self, name)[keep], born[name]]))
+        self.window.rebuild(keep, born["position"])
 
 
 @dataclass(eq=False)
@@ -325,7 +321,10 @@ class MultiObjectTracker:
     """Frame-stepped tracker; one instance per sequence.
 
     Track state lives in `bank`, one row per live track; `tracks` is a view
-    of the live tracks' identities in row order. With `record_trajectories`,
+    of the live tracks' identities in row order. A track is born at an
+    unmatched detection, reported from its `min_hits`-th match on, and
+    dropped at a miss before then or at its `max_misses + 1`-th miss in a
+    row. With `record_trajectories`,
     `trajectory` gets one `(frame, ids, positions (n, 2), sources)` entry per
     step: the predicted position of every track, and the measured and
     updated positions of every matched or born one, with `sources` indexing
@@ -345,10 +344,10 @@ class MultiObjectTracker:
             cfg.factor_velocity, cfg.factor_acceleration, cfg.factor_jerk)
         self._cold = dyn.cold_start_weights(cfg.cold_start_mode)
         dim = self._F.shape[0]
-        # Without dynamics weighting every row predicts with exact ones, which
-        # is bitwise the unweighted transition.
-        self._birth_diag = (dyn.weight_diagonal(self._cold, order)
-                            if cfg.dynamics_enabled else np.ones(dim))
+        # Without dynamics weighting every row keeps exact ones, which predict
+        # bitwise with the unweighted transition.
+        self._birth_weights = (self._cold if cfg.dynamics_enabled
+                               else np.ones_like(self._cold))
         # Weights are computed only once every consumed fluctuation series has
         # at least two samples; a single-sample sigma is definitionally zero
         # and would zero that derivative's weight regardless of its factor.
@@ -389,9 +388,7 @@ class MultiObjectTracker:
         filled = np.minimum(hits, size)
         # Unfilled slots are zero, so the full-ring sum is the sum of the
         # filled rows; dividing by the fill count gives their mean.
-        smoothed = bank.ring[rows].sum(axis=1) / filled[:, None, None]
-        bank.weights[rows] = smoothed
-        bank.weight_diag[rows] = dyn.weight_diagonal(smoothed, self._order)
+        bank.weights[rows] = bank.ring[rows].sum(axis=1) / filled[:, None, None]
 
     def _apply_matches(self, rows: np.ndarray, matched: dict):
         bank = self.bank
@@ -401,49 +398,33 @@ class MultiObjectTracker:
             column[rows] = a * matched[name] + (1.0 - a) * column[rows]
         for name in (*PASSED, "obj_type"):
             getattr(bank, name)[rows] = matched[name]
-        hits = bank.hits[rows] + 1
-        bank.hits[rows] = hits
+        bank.hits[rows] += 1
         bank.misses[rows] = 0
-        status = bank.status[rows]
-        confirm = (status == COASTING) | ((status == TENTATIVE)
-                                          & (hits >= self.cfg.min_hits))
-        bank.status[rows] = np.where(confirm, CONFIRMED, status)
 
-    def _apply_misses(self, rows: np.ndarray):
-        bank = self.bank
-        misses = bank.misses[rows] + 1
-        bank.misses[rows] = misses
-        dies = (bank.status[rows] == TENTATIVE) | (misses > self.cfg.max_misses)
-        bank.status[rows] = np.where(dies, DEAD, COASTING)
-
-    def _add_births(self, born: dict):
+    def _born_rows(self, born: dict) -> dict:
+        """Bank rows, as `TrackBank.rebuild` takes them, for the tracks the
+        `born` detection columns start; their ids follow the last one given."""
         cfg = self.cfg
-        bank = self.bank
         z = born["position"]
         k = len(z)
-        first = len(bank)
         est = flt.initial_estimate(z, cfg.model_order, cfg.measurement_noise)
-        ids = np.arange(self.births + 1, self.births + 1 + k)
-        bank.append(dict(
-            ids=ids, mean=est.mean, cov=est.cov,
-            weight_diag=np.tile(self._birth_diag, (k, 1)),
-            weights=np.tile(self._cold, (k, 1, 1)),
-            ring=np.zeros((k,) + bank.ring.shape[1:]),
+        return dict(
+            ids=np.arange(self.births + 1, self.births + 1 + k),
+            mean=est.mean, cov=est.cov,
+            weights=np.tile(self._birth_weights, (k, 1, 1)),
+            ring=np.zeros((k,) + self.bank.ring.shape[1:]),
             hits=np.ones(k, dtype=np.intp),
             misses=np.zeros(k, dtype=np.intp),
-            status=np.full(k, CONFIRMED if cfg.min_hits <= 1 else TENTATIVE,
-                           dtype=np.int8),
-            **{name: born[name] for name in REPORTED},
-        ))
-        bank.window.push(np.arange(first, first + k), z)
-        self.births += k
+            **{name: born[name] for name in ("position", *REPORTED)},
+        )
 
     def _report(self, frame: int) -> FrameReport:
         bank = self.bank
-        shown = np.flatnonzero((bank.status == CONFIRMED)
-                               | (bank.status == COASTING))
+        shown = np.flatnonzero(bank.hits >= self.cfg.min_hits)
+        status = np.where(bank.misses[shown] > 0, COASTING, CONFIRMED)
         return FrameReport(frame, bank.ids[shown],
-                           bank.mean[shown][:, self._pos_idx], bank.status[shown],
+                           bank.mean[shown][:, self._pos_idx],
+                           status.astype(np.int8),
                            **{name: getattr(bank, name)[shown] for name in REPORTED})
 
     # -- main loop ---------------------------------------------------------
@@ -463,7 +444,8 @@ class MultiObjectTracker:
         z = columns["position"]
         bank = self.bank
         pred = flt.predict(flt.StateEstimate(bank.mean, bank.cov), self._F,
-                           bank.weight_diag, self._noise)
+                           dyn.weight_diagonal(bank.weights, self._order),
+                           self._noise)
         predicted = pred.mean[:, self._pos_idx]
         assignment = associate(predicted, z, self.cfg.gate_distance)
         rows, cols = assignment.rows, assignment.cols
@@ -493,13 +475,14 @@ class MultiObjectTracker:
                                                         self._H))
             self._refresh_weights(rows)
         self._apply_matches(rows, {name: columns[name][cols] for name in REPORTED})
-        self._apply_misses(assignment.unmatched_tracks)
-        if len(born):
-            self._add_births({name: column[born] for name, column in columns.items()})
-
-        alive = bank.status != DEAD
-        if not alive.all():
-            bank.keep(alive)
+        # A miss ends a tentative track and a track past `max_misses`.
+        bank.misses[assignment.unmatched_tracks] += 1
+        keep = (bank.misses == 0) | ((bank.hits >= self.cfg.min_hits)
+                                     & (bank.misses <= self.cfg.max_misses))
+        if len(born) or not keep.all():
+            bank.rebuild(keep, self._born_rows(
+                {name: column[born] for name, column in columns.items()}))
+            self.births += len(born)
         return self._report(frame)
 
     def run(self, frames) -> list:

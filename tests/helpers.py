@@ -120,6 +120,54 @@ def smooth_weights(history, window):
     return stack.mean(axis=0)
 
 
+# -- reference track lifecycle: an explicit state machine per object ----------
+
+LIFECYCLE_STATUSES = ("tentative", "confirmed", "coasting", "dead")
+TENTATIVE, CONFIRMED, COASTING, DEAD = range(len(LIFECYCLE_STATUSES))
+
+
+def reference_lifecycle(seen, min_hits, max_misses):
+    """Per frame, the reported (ids, status names) and the births so far.
+
+    `seen[frame][k]` says whether object k is detected that frame. Objects
+    are far enough apart that a detection only ever matches its own object's
+    track. A track is born tentative (confirmed when `min_hits` is 1),
+    confirmed at its `min_hits`-th match, and dies at a miss while tentative
+    or at its `max_misses + 1`-th miss in a row; a coasting track that
+    matches is confirmed again. A dead track's object starts a new track,
+    with a new id, at its next detection.
+    """
+    tracks = {}   # object -> [id, status, hits, misses]
+    births = 0
+    steps = []
+    for flags in seen:
+        for obj, detected in enumerate(flags):
+            track = tracks.get(obj)
+            if track is None:
+                if detected:
+                    births += 1
+                    tracks[obj] = [births,
+                                   CONFIRMED if min_hits <= 1 else TENTATIVE, 1, 0]
+                continue
+            if detected:
+                track[2] += 1
+                track[3] = 0
+                if track[1] == COASTING or (track[1] == TENTATIVE
+                                            and track[2] >= min_hits):
+                    track[1] = CONFIRMED
+            else:
+                track[3] += 1
+                track[1] = (DEAD if track[1] == TENTATIVE or track[3] > max_misses
+                            else COASTING)
+            if track[1] == DEAD:
+                del tracks[obj]
+        shown = sorted((track_id, LIFECYCLE_STATUSES[status])
+                       for track_id, status, _, _ in tracks.values()
+                       if status in (CONFIRMED, COASTING))
+        steps.append(([i for i, _ in shown], [s for _, s in shown], births))
+    return steps
+
+
 # -- reference metric implementations (exhaustive, tiny inputs only) --------
 
 def _min_cost_pairs(dist, threshold):

@@ -230,8 +230,8 @@ def test_occluded_corpus_metrics():
         for name, cfg in configs.items():
             tracker = MultiObjectTracker(cfg)
             hyp = [tracker.step(f, d) for f, d in enumerate(frames)]
-            row[name + "_mota"] = clearmot(gt, hyp).mota
-            row[name + "_idf1"] = idf1(gt, hyp).idf1
+            row[name + "_mota"] = clearmot(gt.ground_truth, hyp).mota
+            row[name + "_idf1"] = idf1(gt.ground_truth, hyp).idf1
         rows.append(row)
     base_mota = float(np.mean([r["base_mota"] for r in rows]))
     dyn_mota = float(np.mean([r["dyn_mota"] for r in rows]))
@@ -378,8 +378,8 @@ def test_occlusion_simulator_contract():
         spec = OcclusionSpec(kind=("mid", "late")[case % 2],
                              length=int(rng.integers(1, 21)),
                              start_after=int(rng.integers(0, 40)))
-        tracklets, _ = match_detections_to_gt(dets, gt.ground_truth,
-                                              spec.match_threshold)
+        tracklets = match_detections_to_gt(dets, gt.ground_truth,
+                                           spec.match_threshold)
         out, _ = simulate_occlusion(dets, tracklets, spec)
         in_lines = [[format_record(r, False, True) for r in frame]
                     for frame in dets.detections]

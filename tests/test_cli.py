@@ -303,6 +303,8 @@ def test_track_rejects_removed_config_key(scenario_dir, tmp_path, capsys, key,
     ("evaluate", ["--threshold", "0"]),
     ("compare", ["--threshold", "-1"]),
     ("compare", ["--warmup", "-5"]),
+    ("compare", ["--warmup", "40"]),  # the scene's frame count
+    ("compare", ["--warmup", "1000"]),
 ])
 def test_bad_scoring_flag_is_a_usage_error(scenario_dir, capsys, command, flags):
     out = scenario_dir / "run"

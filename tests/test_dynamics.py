@@ -50,10 +50,10 @@ def test_window_push_touches_only_the_given_rows():
     npt.assert_array_equal(_filled(win, 1).ravel(), [-1.0])
     npt.assert_array_equal(_filled(win, 2).ravel(), [20.0, 30.0, 40.0])
     npt.assert_array_equal(win.count, [3, 1, 3])
-    win.add_rows(1)
-    win.keep(np.array([False, True, True, True]))
-    npt.assert_array_equal(win.count, [1, 3, 0])
+    win.rebuild(np.array([False, True, True]), np.array([[7.0]]))
+    npt.assert_array_equal(win.count, [1, 3, 1])
     npt.assert_array_equal(_filled(win, 1).ravel(), [20.0, 30.0, 40.0])
+    npt.assert_array_equal(_filled(win, 2).ravel(), [7.0])
 
 
 def test_window_capacity_validation():
@@ -223,6 +223,7 @@ def test_weight_diagonal_stacks():
     assert diags.shape == (3, 6)
     for row, diag in zip(w, diags):
         npt.assert_array_equal(diag, dyn.weight_diagonal(row, order=2))
+    assert dyn.weight_diagonal(np.zeros((0, 2, 4)), order=3).shape == (0, 8)
 
 
 def test_weight_diagonal_matches_matrix():

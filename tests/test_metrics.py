@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
-from dynatrack.errors import UndefinedMetricError
+from dynatrack.errors import InputError, UndefinedMetricError
 from dynatrack.metrics import clearmot, idf1, measure_latency
 
 from helpers import (frames_from_positions, random_tracking_scene,
@@ -231,7 +231,7 @@ def test_clearmot_accepts_mixed_input_kinds():
     from dynatrack.kitti_io import measurements_from
     tracker = MultiObjectTracker(RunConfig(min_hits=1))
     per_frame = tracker.run(measurements_from(dets))
-    m = clearmot(gt, per_frame)   # SequenceDataset vs snapshot lists
+    m = clearmot(gt.ground_truth, per_frame)   # KITTI labels vs frame reports
     assert m.gt_total == 12
     assert m.mota > 0.9
 
@@ -248,3 +248,11 @@ def test_measure_latency_shape():
     assert report.mean_delta_ms == pytest.approx(
         report.mean_dynamic_ms - report.mean_baseline_ms)
     assert all(t >= 0.0 for t in report.baseline_ms)
+
+
+@pytest.mark.parametrize("warmup", [30, 1000])
+def test_measure_latency_rejects_warmup_without_timed_frames(warmup):
+    frames = frames_from_positions([[(0.0, 10.0)]] * 30)
+    with pytest.raises(InputError, match="leaves none of the 30 frames"):
+        measure_latency(frames, RunConfig(dynamics_enabled=False), RunConfig(),
+                        warmup=warmup)

@@ -114,29 +114,15 @@ def test_simulate_removes_exactly_the_cuts(scene, spec):
 
 def test_match_builds_one_tracklet_per_object():
     gt, dets = _scenario()
-    tracklets, unmatched = match_detections_to_gt(dets, gt.ground_truth)
+    tracklets = match_detections_to_gt(dets, gt.ground_truth)
     assert [t.track_id for t in tracklets] == [1, 2]
     assert all(len(t.observations) == 60 for t in tracklets)
-    assert unmatched == []
     frames = [frame for frame, _ in tracklets[0].observations]
     assert frames == sorted(frames)
 
 
-def test_match_reports_spurious_detections():
+def test_match_checks_alignment():
     gt, dets = _scenario()
-    spurious = kio.DetectionRecord(
-        frame=2, obj_type="Car", truncated=0.0, occluded=0, alpha=0.0,
-        bbox2d=(0.0, 0.0, 1.0, 1.0), dims=(1.5, 1.8, 4.2),
-        location=(500.0, 1.5, 500.0), rotation_y=0.0, score=0.9)
-    dets.detections[2].append(spurious)
-    _, unmatched = match_detections_to_gt(dets, gt.ground_truth)
-    assert unmatched == [(2, len(dets.detections[2]) - 1)]
-
-
-def test_match_accepts_dataset_and_checks_alignment():
-    gt, dets = _scenario()
-    tracklets, _ = match_detections_to_gt(dets, gt)
-    assert len(tracklets) == 2
     with pytest.raises(InputError, match="frame ranges differ"):
         match_detections_to_gt(dets, gt.ground_truth[:-1])
     with pytest.raises(InputError, match="ground truth is required"):
@@ -146,7 +132,7 @@ def test_match_accepts_dataset_and_checks_alignment():
 def test_simulate_removes_only_the_cut():
     gt, dets = _scenario()
     spec = OcclusionSpec(kind="mid", start_after=10, length=20)
-    tracklets, _ = match_detections_to_gt(dets, gt.ground_truth)
+    tracklets = match_detections_to_gt(dets, gt.ground_truth)
     occluded, dropped = simulate_occlusion(dets, tracklets, spec)
     assert sorted(dropped) == [1, 2]
     assert dropped[1] == list(range(20, 40))
@@ -161,7 +147,7 @@ def test_simulate_removes_only_the_cut():
 def test_simulate_skips_short_tracklets():
     gt, dets = _scenario()
     spec = OcclusionSpec(kind="mid", start_after=50, length=20)
-    tracklets, _ = match_detections_to_gt(dets, gt.ground_truth)
+    tracklets = match_detections_to_gt(dets, gt.ground_truth)
     occluded, dropped = simulate_occlusion(dets, tracklets, spec)
     assert dropped == {}
     assert [len(f) for f in occluded.detections] == [2] * 60
@@ -195,7 +181,7 @@ def test_occlude_dataset_end_to_end():
 
 def test_tracklet_observation_indices_refer_to_frame_lists():
     gt, dets = _scenario()
-    tracklets, _ = match_detections_to_gt(dets, gt.ground_truth)
+    tracklets = match_detections_to_gt(dets, gt.ground_truth)
     for tracklet in tracklets:
         for frame, j in tracklet.observations[:5]:
             rec = dets.detections[frame][j]

@@ -10,14 +10,14 @@ from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError, NumericalError
 from dynatrack.filtering import StateEstimate
 from dynatrack.kitti_io import TRAJECTORY_SOURCES
-from dynatrack.tracker import (COASTING, STATUSES, Detections, FrameReport,
+from dynatrack.tracker import (STATUSES, Detections, FrameReport,
                                MultiObjectTracker, associate, gated_assignment,
                                gated_pairs)
 
 from helpers import (_min_cost_pairs, detections, dynamics_vector,
-                     frames_from_positions, run_single_target,
-                     single_target_config, smooth_weights, trajectory_by_source,
-                     validate_estimate)
+                     frames_from_positions, reference_lifecycle,
+                     run_single_target, single_target_config, smooth_weights,
+                     trajectory_by_source, validate_estimate)
 
 
 # -- association ---------------------------------------------------------
@@ -249,6 +249,35 @@ def test_track_dies_after_max_misses():
     assert len(tracker.tracks) == 0
 
 
+@st.composite
+def _lifecycle_scenes(draw):
+    """Lifecycle settings and per-frame detection flags of a few objects."""
+    objects = draw(st.integers(1, 4))
+    seen = draw(st.lists(st.lists(st.booleans(), min_size=objects,
+                                  max_size=objects),
+                         min_size=2, max_size=40))
+    return draw(st.integers(1, 4)), draw(st.integers(0, 3)), seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lifecycle_scenes())
+@example((3, 0, [[True], [True], [True], [False], [True], [False], [True]]))
+@example((2, 1, [[True, False], [False, True], [True, True], [False, True],
+                 [False, True], [True, False]]))
+def test_lifecycle_matches_reference_state_machine(scene):
+    # Stationary objects 50 m apart: each detection matches its own object's
+    # track, so ids, statuses and births are set by the lifecycle alone.
+    min_hits, max_misses, seen = scene
+    tracker = MultiObjectTracker(RunConfig(min_hits=min_hits,
+                                           max_misses=max_misses))
+    expected = reference_lifecycle(seen, min_hits, max_misses)
+    for frame, (flags, (ids, statuses, births)) in enumerate(zip(seen, expected)):
+        report = tracker.step(frame, detections(
+            [(50.0 * k, 10.0) for k, shown in enumerate(flags) if shown]))
+        assert [(s.track_id, s.status) for s in report] == list(zip(ids, statuses))
+        assert tracker.births == births
+
+
 def test_step_requires_increasing_frames():
     tracker = MultiObjectTracker(RunConfig())
     tracker.step(0, detections())
@@ -381,15 +410,22 @@ def test_bank_invariants_over_hit_miss_schedules(schedule):
         tracker.step(frame, detections([xy for xy, seen in zip(noisy, flags)
                                         if seen]))
         bank = tracker.bank
+        # Every per-row array, including one added later, keeps one row per
+        # live track through births and deaths.
+        for owner in (bank, bank.window):
+            for name in dir(owner):
+                value = getattr(owner, name)
+                if isinstance(value, np.ndarray):
+                    assert len(value) == len(bank), name
         for row, track in enumerate(tracker.tracks):
             assert validate_estimate(StateEstimate(bank.mean[row], bank.cov[row]))
             key = track.track_id
-            weights = (bank.weights[row].tobytes(), bank.weight_diag[row].tobytes())
-            if STATUSES[bank.status[row]] == "coasting" and key in frozen:
+            weights = bank.weights[row].tobytes()
+            if bank.misses[row] > 0 and key in frozen:
                 assert weights == frozen[key]
             frozen[key] = weights
             if not dynamics:
-                assert np.all(bank.weight_diag[row] == 1.0)
+                assert np.all(bank.weights[row] == 1.0)
 
 
 # -- dynamics interplay ---------------------------------------------------
@@ -406,7 +442,7 @@ def test_dynamics_off_never_touches_window():
     bank = tracker.bank
     assert bank.window.count[0] == 1  # only the birth measurement
     # exact ones: predict applies bitwise the unweighted transition
-    assert np.all(bank.weight_diag[0] == 1.0)
+    assert np.all(bank.weights[0] == 1.0)
 
 
 def test_dynamics_on_populates_window_and_weights():
@@ -443,12 +479,10 @@ def test_weights_frozen_while_coasting():
         tracker.step(frame, detections([positions[frame]]))
     bank = tracker.bank
     before = bank.weights[0].copy()
-    before_diag = bank.weight_diag[0].copy()
     for frame in range(30, 36):
-        tracker.step(frame, detections())
-    assert STATUSES[bank.status[0]] == "coasting"
+        report = tracker.step(frame, detections())
+    assert [s.status for s in report] == ["coasting"]
     npt.assert_array_equal(bank.weights[0], before)
-    npt.assert_array_equal(bank.weight_diag[0], before_diag)
 
 
 @pytest.mark.parametrize("smoothing", [1, 3, 4])
@@ -482,7 +516,7 @@ def test_weight_ring_matches_reference_smoothing(smoothing):
                 if track_id in coasted:
                     reacquired.add(track_id)
             hits[track_id] = bank.hits[row]
-            if bank.status[row] == COASTING:
+            if bank.misses[row] > 0:
                 coasted.add(track_id)
             expected = (smooth_weights(raw[track_id], smoothing)
                         if track_id in raw else cold)
