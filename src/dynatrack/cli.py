@@ -18,7 +18,7 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 # Argument parser for each non-boolean config key type; booleans take true/false.
-_FLAG_TYPES = {"int": int, "float": float, "str": str}
+_FLAG_TYPES = {"int": int, "float": float}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):

@@ -13,10 +13,15 @@ from .errors import ConfigurationError
 CONFIG_ENV_VAR = "DYNATRACK_CONFIG"
 
 VALID_ORDERS = (1, 2, 3)
-COLD_START_MODES = ("identity", "constant_velocity")
 
 # Fewest positions a dynamics window may hold: two differences need three.
 MIN_WINDOW = 3
+
+
+def min_support(order: int) -> int:
+    """Fewest window positions from which a model of `order` gets weights: each
+    fluctuation series it consumes needs two samples, as one sample's sigma is 0."""
+    return max(MIN_WINDOW, order + 1)
 
 
 @dataclass
@@ -36,7 +41,6 @@ class RunConfig:
     min_hits: int = 3
     max_misses: int = 23
     dt: float = 0.1
-    cold_start_mode: str = "identity"
 
     def __post_init__(self):
         validate_config(self)
@@ -53,7 +57,7 @@ def require(cond: bool, key: str, message: str):
 
 # Annotation name -> (accepted types, what is expected); only "bool" takes a bool.
 _KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-          "bool": (bool, "a boolean"), "str": (str, "a string")}
+          "bool": (bool, "a boolean")}
 
 
 def validate_config(cfg: RunConfig):
@@ -65,8 +69,10 @@ def validate_config(cfg: RunConfig):
                 key, f"expected {expected}, got {value!r}")
     require(cfg.model_order in VALID_ORDERS, "model_order",
             f"must be one of {VALID_ORDERS}, got {cfg.model_order}")
-    require(cfg.transition_window >= MIN_WINDOW, "transition_window",
-            f"must be >= {MIN_WINDOW}, got {cfg.transition_window}")
+    support = min_support(cfg.model_order)
+    require(cfg.transition_window >= support, "transition_window",
+            f"must be >= {support} for model_order {cfg.model_order}, "
+            f"got {cfg.transition_window}")
     require(cfg.smoothing_window >= 1, "smoothing_window",
             f"must be >= 1, got {cfg.smoothing_window}")
     for key in ("factor_velocity", "factor_acceleration", "factor_jerk",
@@ -76,11 +82,9 @@ def validate_config(cfg: RunConfig):
     require(cfg.min_hits >= 1, "min_hits", f"must be >= 1, got {cfg.min_hits}")
     require(cfg.max_misses >= 0, "max_misses",
             f"must be >= 0, got {cfg.max_misses}")
-    require(cfg.cold_start_mode in COLD_START_MODES, "cold_start_mode",
-            f"must be one of {COLD_START_MODES}, got {cfg.cold_start_mode!r}")
 
 
-# Key -> annotation name ("int", "float", "bool" or "str"). The annotations are
+# Key -> annotation name ("int", "float" or "bool"). The annotations are
 # strings under `from __future__ import annotations`; the dataclass above is
 # the one place a key's type is written.
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import COLD_START_MODES, MIN_WINDOW, require
+from .config import MIN_WINDOW, require
 from .errors import ContractViolationError, InsufficientDataError
 from .filtering import GROUND_AXES
 
@@ -20,29 +20,28 @@ WEIGHT_COLUMNS = 4
 class DynamicsWindow:
     """Fixed-capacity chronological buffers of cleaned ground-plane positions.
 
-    One buffer per row: `positions` is (rows, capacity, axes) and row r holds
-    `count[r]` positions, oldest first, in its first slots.
+    One buffer per row: `positions` is (rows, capacity, axes). A row given n
+    positions holds the last `min(n, capacity)`, oldest first, in its first
+    slots; the window stores no n, the caller passes it to `push`.
     """
 
-    __slots__ = ("positions", "count")
+    __slots__ = ("positions",)
 
     def __init__(self, capacity: int, axes: int = GROUND_AXES, rows: int = 0):
         require(capacity >= MIN_WINDOW, "transition_window",
                 f"must be >= {MIN_WINDOW}, got {capacity}")
         self.positions = np.zeros((rows, capacity, axes))
-        self.count = np.zeros(rows, dtype=np.intp)
 
-    def push(self, rows, positions):
-        """Append positions[i] to row rows[i] (rows distinct), evicting the
-        oldest position of a full row."""
+    def push(self, rows, positions, given):
+        """Append positions[i] to row rows[i] (rows distinct), which was given
+        `given[i]` positions before, evicting the oldest position of a full row."""
         rows = np.asarray(rows, dtype=np.intp)
+        given = np.asarray(given, dtype=np.intp)
         capacity = self.positions.shape[1]
-        count = self.count[rows]
-        full = rows[count == capacity]
+        full = rows[given >= capacity]
         if full.size:
             self.positions[full, :-1] = self.positions[full, 1:]
-        self.positions[rows, np.minimum(count, capacity - 1)] = positions
-        self.count[rows] = np.minimum(count + 1, capacity)
+        self.positions[rows, np.minimum(given, capacity - 1)] = positions
 
     def rebuild(self, keep: np.ndarray, first: np.ndarray):
         """Keep the rows where `keep` is true, then add one row per position
@@ -50,8 +49,6 @@ class DynamicsWindow:
         born = np.zeros((len(first),) + self.positions.shape[1:])
         born[:, 0] = first
         self.positions = np.concatenate([self.positions[keep], born])
-        self.count = np.concatenate([self.count[keep],
-                                     np.ones(len(first), dtype=np.intp)])
 
 
 def finite_differences(positions: np.ndarray):
@@ -129,12 +126,3 @@ def weight_diagonal(weights: np.ndarray, order: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     axes = w.shape[-2]
     return w[..., :order + 1].reshape(w.shape[:-2] + (axes * (order + 1),))
-
-
-def cold_start_weights(mode: str) -> np.ndarray:
-    """Raw weights `(GROUND_AXES, 4)` used until the window can support estimation."""
-    require(mode in COLD_START_MODES, "cold_start_mode",
-            f"must be one of {COLD_START_MODES}, got {mode!r}")
-    row = (np.ones(WEIGHT_COLUMNS) if mode == "identity"
-           else np.array([1.0, 1.0, 0.0, 0.0]))
-    return np.tile(row, (GROUND_AXES, 1))

@@ -277,11 +277,11 @@ def _parse(path: Path, n_fields: int, labeled: bool) -> list:
         _raise_first_error(path, lines, n_fields, labeled)
 
 
-def parse_detections(path, sequence_id: str | None = None) -> SequenceDataset:
+def parse_detections(path) -> SequenceDataset:
     """Parse a 17-column detection file into a dense per-frame dataset."""
     path = Path(path)
     frames = _parse(path, DETECTION_FIELDS, labeled=False)
-    return SequenceDataset(sequence_id=sequence_id or path.stem, detections=frames)
+    return SequenceDataset(sequence_id=path.stem, detections=frames)
 
 
 def parse_annotations(path) -> list:
@@ -301,14 +301,13 @@ def _no_labels(labeled: bool) -> Labels:
                        np.zeros(0, dtype=np.int64) if labeled else None)
 
 
-def load_sequence(detection_path, annotation_path=None) -> SequenceDataset:
-    """Detections plus optional aligned ground truth, padded to a common length."""
+def load_sequence(detection_path, annotation_path) -> SequenceDataset:
+    """Detections plus aligned ground truth, padded to a common length."""
     ds = parse_detections(detection_path)
-    if annotation_path is not None:
-        gt = parse_annotations(annotation_path)
-        n = max(len(ds.detections), len(gt))
-        ds.detections += [_no_labels(False)] * (n - len(ds.detections))
-        ds.ground_truth = gt + [_no_labels(True)] * (n - len(gt))
+    gt = parse_annotations(annotation_path)
+    n = max(len(ds.detections), len(gt))
+    ds.detections += [_no_labels(False)] * (n - len(ds.detections))
+    ds.ground_truth = gt + [_no_labels(True)] * (n - len(gt))
     return ds
 
 

@@ -29,6 +29,11 @@ DEFAULT_BBOX = (0.0, 0.0, 80.0, 40.0)
 DETECTION_SCORE = 0.9
 
 
+def _finite(values, n: int) -> bool:
+    """Whether `values` holds exactly `n` finite numbers."""
+    return len(values) == n and bool(np.all(np.isfinite(values)))
+
+
 @dataclass(frozen=True)
 class RegimeSegment:
     kind: str
@@ -39,8 +44,8 @@ class RegimeSegment:
         require(self.kind in SEGMENT_KINDS, "kind",
                 f"must be one of {SEGMENT_KINDS}, got {self.kind!r}")
         require(self.duration >= 1, "duration", f"must be >= 1, got {self.duration}")
-        require(self.value is None or len(self.value) == 2, "value",
-                f"needs one entry per axis, got {self.value!r}")
+        require(self.value is None or _finite(self.value, 2), "value",
+                f"needs 2 finite entries, one per axis, got {self.value!r}")
 
 
 @dataclass
@@ -53,6 +58,15 @@ class ObjectSpec:
     dims: tuple = DEFAULT_DIMS
     elevation: float = DEFAULT_ELEVATION
     obj_type: str = "Car"
+
+    def __post_init__(self):
+        for key, v, n in (("initial", self.initial_position, 2), ("dims", self.dims, 3),
+                          ("velocity", self.velocity, 2), ("jerk", self.jerk, 2),
+                          ("acceleration", self.acceleration, 2)):
+            require(_finite(v, n), key, f"needs {n} finite entries, got {v!r}")
+        require(np.isfinite(self.elevation), "elevation",
+                f"must be finite, got {self.elevation!r}")
+        require(bool(self.segments), "segments", "at least one segment required")
 
 
 @dataclass

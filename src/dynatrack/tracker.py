@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import dynamics as dyn
 from . import filtering as flt
-from .config import RunConfig
+from .config import RunConfig, min_support
 from .errors import ContractViolationError
 
 # Exponential smoothing factor applied to elevation/yaw/dims on each match.
@@ -36,8 +36,8 @@ STATUSES = ("tentative", "confirmed", "coasting")
 TENTATIVE, CONFIRMED, COASTING = range(len(STATUSES))
 
 # A trajectory row stores its source as its index here.
-TRAJECTORY_SOURCES = ("measurement", "predicted", "updated", "ground_truth")
-MEASUREMENT, PREDICTED, UPDATED = range(3)
+TRAJECTORY_SOURCES = ("measurement", "predicted", "updated")
+MEASUREMENT, PREDICTED, UPDATED = range(len(TRAJECTORY_SOURCES))
 
 
 @dataclass
@@ -181,13 +181,15 @@ class TrackBank:
 
     Filter: `mean (N, D)`, `cov (N, D, D)` and the smoothed
     `weights (N, axes, 4)`, whose `weight_diagonal` predict applies (exact
-    ones whenever dynamics are off). Dynamics: `window`, one cleaned-position
-    buffer per row, and the raw weight rings
-    `ring (N, smoothing_window, axes, 4)`, whose fill and next slot follow
-    from `hits`. Lifecycle: `ids` and the `hits` and `misses` counters, from
-    which a row's status follows. Reported: `elevation`, `yaw` and
-    `dims (N, 3)`, smoothed over the matches, and `score`, `bbox2d (N, 4)`
-    and the `obj_type` labels (an object array) of the last match.
+    ones from birth until the window supports an estimate, and always with
+    dynamics off). Dynamics: `window`, one cleaned-position buffer per row,
+    and the raw weight rings `ring (N, smoothing_window, axes, 4)`. Lifecycle:
+    `ids` and the `hits` and `misses` counters, from which a row's status
+    follows. With dynamics on, the window's fill
+    `min(hits, transition_window)` and the ring's fill and next slot follow
+    from `hits` too. Reported: `elevation`, `yaw` and `dims (N, 3)`,
+    smoothed over the matches, and `score`, `bbox2d (N, 4)` and the
+    `obj_type` labels (an object array) of the last match.
     """
 
     FIELDS = ("ids", "mean", "cov", "weights", "ring", "hits",
@@ -342,17 +344,8 @@ class MultiObjectTracker:
         self._pos_idx = list(flt.position_indices(order))
         self._factors = dyn.dynamics_factors(
             cfg.factor_velocity, cfg.factor_acceleration, cfg.factor_jerk)
-        self._cold = dyn.cold_start_weights(cfg.cold_start_mode)
-        dim = self._F.shape[0]
-        # Without dynamics weighting every row keeps exact ones, which predict
-        # bitwise with the unweighted transition.
-        self._birth_weights = (self._cold if cfg.dynamics_enabled
-                               else np.ones_like(self._cold))
-        # Weights are computed only once every consumed fluctuation series has
-        # at least two samples; a single-sample sigma is definitionally zero
-        # and would zero that derivative's weight regardless of its factor.
-        self._min_support = max(dyn.MIN_WINDOW, order + 1)
-        self.bank = TrackBank(dim, cfg.transition_window, cfg.smoothing_window)
+        self.bank = TrackBank(self._F.shape[0], cfg.transition_window,
+                              cfg.smoothing_window)
         self.frame: int | None = None
         self.births = 0    # tracks started so far; the next id is births + 1
         self.trajectory: list[tuple] = []
@@ -367,22 +360,23 @@ class MultiObjectTracker:
     def _refresh_weights(self, rows: np.ndarray):
         """Push each row's raw weights into its ring and re-smooth.
 
-        Rows whose window is still below support take the cold-start
-        weights; the others are stacked by window fill, one dynamics-vector
-        call per fill level. A refresh runs once per match, before
-        `_apply_matches` counts it in `hits`, so this is a row's `hits`-th
-        refresh: its slot is `(hits - 1) % size` and its fill `min(hits, size)`.
+        A refresh runs once per match, after the match's position is pushed
+        and before `_apply_matches` counts it in `hits`. So this is a row's
+        `hits`-th refresh: its window holds `min(hits + 1, transition_window)`
+        positions, its ring slot is `(hits - 1) % size` and the ring's fill
+        `min(hits, size)`. Rows whose window is still below support take
+        exact ones; the others are stacked by window fill, one
+        dynamics-vector call per fill level.
         """
         bank = self.bank
-        count = bank.window.count[rows]
-        raw = np.empty((len(rows),) + self._cold.shape)
-        raw[:] = self._cold
-        for n in np.unique(count[count >= self._min_support]).tolist():
-            group = count == n
+        hits = bank.hits[rows]
+        fill = np.minimum(hits + 1, bank.window.positions.shape[1])
+        raw = np.ones((len(rows),) + bank.weights.shape[1:])
+        for n in np.unique(fill[fill >= min_support(self._order)]).tolist():
+            group = fill == n
             stack = bank.window.positions[rows[group], :n]
             raw[group] = dyn.update_weights(dyn.dynamics_vectors(stack),
                                             self._factors)
-        hits = bank.hits[rows]
         size = bank.ring.shape[1]
         bank.ring[rows, (hits - 1) % size] = raw
         filled = np.minimum(hits, size)
@@ -411,7 +405,7 @@ class MultiObjectTracker:
         return dict(
             ids=np.arange(self.births + 1, self.births + 1 + k),
             mean=est.mean, cov=est.cov,
-            weights=np.tile(self._birth_weights, (k, 1, 1)),
+            weights=np.ones((k,) + self.bank.weights.shape[1:]),
             ring=np.zeros((k,) + self.bank.ring.shape[1:]),
             hits=np.ones(k, dtype=np.intp),
             misses=np.zeros(k, dtype=np.intp),
@@ -471,8 +465,8 @@ class MultiObjectTracker:
         pred.cov[rows] = post.cov
         bank.mean, bank.cov = pred.mean, pred.cov
         if self.cfg.dynamics_enabled and len(rows):
-            bank.window.push(rows, flt.post_measurement(z[cols], K, residual,
-                                                        self._H))
+            cleaned = flt.post_measurement(z[cols], K, residual, self._H)
+            bank.window.push(rows, cleaned, bank.hits[rows])
             self._refresh_weights(rows)
         self._apply_matches(rows, {name: columns[name][cols] for name in REPORTED})
         # A miss ends a tentative track and a track past `max_misses`.

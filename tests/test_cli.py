@@ -97,6 +97,14 @@ def test_synth_bad_scenario_exits_two(tmp_path, capsys):
     ("dt: 0.1", "dt: .nan"),
     ("noise_sigma: 0.2", "noise_sigma: [0.2]"),
     ("seed: 4", "seed: -1"),
+    ("initial: [0.0, 10.0]", "initial: [1.0]"),
+    ("initial: [0.0, 10.0]", "initial: [0, 10, 5]"),
+    ("initial: [0.0, 10.0]", "initial: [.nan, 0.0]"),
+    ("initial: [0.0, 10.0]", "initial: [0.0, 10.0]\n    velocity: [1.0]"),
+    ("initial: [20.0, 30.0]", "initial: [20.0, 30.0]\n    dims: [1.0]"),
+    ("initial: [20.0, 30.0]", "initial: [20.0, 30.0]\n    elevation: .inf"),
+    ("value: [1.0, 0.0]", "value: [.inf, 0.0]"),
+    ("segments:\n      - {kind: stationary, duration: 40}", "segments: []"),
 ])
 def test_synth_malformed_scenario_exits_two(tmp_path, capsys, old, new):
     path = tmp_path / "bad.yaml"
@@ -284,7 +292,8 @@ def test_evaluate_rejects_ids_beyond_int64(scenario_dir, capsys, bad):
 
 
 @pytest.mark.parametrize("key,value", [("seed", 0),
-                                       ("noise_term_strategy", "innovation")])
+                                       ("noise_term_strategy", "innovation"),
+                                       ("cold_start_mode", "identity")])
 def test_track_rejects_removed_config_key(scenario_dir, tmp_path, capsys, key,
                                           value):
     # A config_effective written before the key was removed names it.

@@ -24,13 +24,15 @@ def test_defaults():
     assert cfg.gate_distance == 2.5
     assert (cfg.min_hits, cfg.max_misses) == (3, 23)
     assert cfg.dt == 0.1
-    assert cfg.cold_start_mode == "identity"
+    assert len(FIELD_TYPES) == 13
 
 
 @pytest.mark.parametrize("key,value", [
     ("model_order", 0),
     ("model_order", 4),
     ("transition_window", 2),
+    # order 3 needs 4 positions: a window of 3 could never adapt
+    ("transition_window", 3),
     ("smoothing_window", 0),
     ("factor_velocity", 0.0),
     ("factor_jerk", -0.1),
@@ -40,7 +42,6 @@ def test_defaults():
     ("min_hits", 0),
     ("max_misses", -1),
     ("dt", 0.0),
-    ("cold_start_mode", "warm"),
 ])
 def test_validation_names_offending_key(key, value):
     with pytest.raises(ConfigurationError, match=f"config key '{key}'"):
@@ -52,8 +53,7 @@ def _wrong_types():
     defaults = RunConfig()
     wrong = {"int": lambda d: [float(d), True, str(d)],
              "float": lambda d: [True, str(d)],
-             "bool": lambda d: [int(d)],
-             "str": lambda d: [1]}
+             "bool": lambda d: [int(d)]}
     cases = [(key, value) for key, kind in FIELD_TYPES.items()
              for value in wrong[kind](getattr(defaults, key))]
     # wrong types that the value checks alone would pass or crash on
@@ -68,6 +68,13 @@ def test_wrong_type_names_key_from_python_and_mappings(key, value):
         RunConfig(**{key: value})
     with pytest.raises(ConfigurationError, match=f"config key '{key}': expected"):
         config_from_mapping({key: value})
+
+
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+    assert sorted(keys) == sorted(FIELD_TYPES)
 
 
 def test_replace_revalidates():

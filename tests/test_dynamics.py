@@ -17,43 +17,36 @@ STD_VEL_1234 = 1.2909944487358056       # stdev([1, 2, 3, 4])
 STD_01234 = 1.5811388300841898          # stdev([0, 1, 2, 3, 4])
 
 
-def _filled(win, row):
-    """Row `row`'s buffered positions, oldest first."""
-    return win.positions[row, :win.count[row]]
-
-
-def _window(values, capacity=None):
-    """Positions left in a one-row window after pushing `values` in order."""
+def _window(values):
+    """Positions of a one-row window as long as `values`, after pushing them in order."""
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
-    win = dyn.DynamicsWindow(capacity or len(values), axes=values.shape[1], rows=1)
-    for row in values:
-        win.push([0], row[None])
-    return _filled(win, 0)
+    win = dyn.DynamicsWindow(len(values), axes=values.shape[1], rows=1)
+    for given, row in enumerate(values):
+        win.push([0], row[None], [given])
+    return win.positions[0]
 
 
 def test_window_push_and_eviction_order():
     win = dyn.DynamicsWindow(3, axes=1, rows=1)
-    for v in (1.0, 2.0, 3.0, 4.0):
-        win.push([0], np.array([[v]]))
-    npt.assert_array_equal(_filled(win, 0).ravel(), [2.0, 3.0, 4.0])
-    assert win.count[0] == 3
+    for given, v in enumerate((1.0, 2.0, 3.0, 4.0)):
+        win.push([0], np.array([[v]]), [given])
+    npt.assert_array_equal(win.positions[0].ravel(), [2.0, 3.0, 4.0])
 
 
 def test_window_push_touches_only_the_given_rows():
+    # A row given n positions before a push holds the last min(n + 1, 3)
+    # of them after it, oldest first, and zeros after those.
     win = dyn.DynamicsWindow(3, axes=1, rows=3)
-    for v in (1.0, 2.0, 3.0):
-        win.push([0, 2], np.array([[v], [10.0 * v]]))
-    win.push([2, 1], np.array([[40.0], [-1.0]]))
-    npt.assert_array_equal(_filled(win, 0).ravel(), [1.0, 2.0, 3.0])
-    npt.assert_array_equal(_filled(win, 1).ravel(), [-1.0])
-    npt.assert_array_equal(_filled(win, 2).ravel(), [20.0, 30.0, 40.0])
-    npt.assert_array_equal(win.count, [3, 1, 3])
+    for given, v in enumerate((1.0, 2.0, 3.0)):
+        win.push([0, 2], np.array([[v], [10.0 * v]]), [given, given])
+    win.push([2, 1], np.array([[40.0], [-1.0]]), [3, 0])
+    npt.assert_array_equal(win.positions[..., 0],
+                           [[1.0, 2.0, 3.0], [-1.0, 0.0, 0.0], [20.0, 30.0, 40.0]])
     win.rebuild(np.array([False, True, True]), np.array([[7.0]]))
-    npt.assert_array_equal(win.count, [1, 3, 1])
-    npt.assert_array_equal(_filled(win, 1).ravel(), [20.0, 30.0, 40.0])
-    npt.assert_array_equal(_filled(win, 2).ravel(), [7.0])
+    npt.assert_array_equal(win.positions[..., 0],
+                           [[-1.0, 0.0, 0.0], [20.0, 30.0, 40.0], [7.0, 0.0, 0.0]])
 
 
 def test_window_capacity_validation():
@@ -233,15 +226,6 @@ def test_weight_diagonal_matches_matrix():
     diag = dyn.weight_diagonal(w, order=3)
     F = flt.build_transition(3, 0.1)
     npt.assert_array_equal(F * diag, F @ np.diag(diag))
-
-
-def test_cold_start_modes():
-    npt.assert_array_equal(dyn.cold_start_weights("identity"),
-                           np.ones((2, 4)))
-    npt.assert_array_equal(dyn.cold_start_weights("constant_velocity"),
-                           [[1.0, 1.0, 0.0, 0.0]] * 2)
-    with pytest.raises(ConfigurationError):
-        dyn.cold_start_weights("warm")
 
 
 def test_noise_free_constant_velocity_weights():

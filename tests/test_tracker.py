@@ -301,7 +301,6 @@ def _state(tracker):
     bank = tracker.bank
     arrays = {name: getattr(bank, name) for name in bank.FIELDS if name != "obj_type"}
     arrays["window"] = bank.window.positions
-    arrays["window_count"] = bank.window.count
     trajectory = [(frame, ids.tobytes(), xy.tobytes(), sources.tobytes())
                   for frame, ids, xy, sources in tracker.trajectory]
     return ({name: (a.shape, a.tobytes()) for name, a in arrays.items()},
@@ -388,17 +387,16 @@ def _schedules(draw):
     hits = draw(st.lists(st.lists(st.booleans(), min_size=objects,
                                   max_size=objects),
                          min_size=frames, max_size=frames))
-    cold = draw(st.sampled_from(["identity", "constant_velocity"]))
-    return hits, draw(st.integers(0, 2 ** 16)), draw(st.booleans()), cold
+    return hits, draw(st.integers(0, 2 ** 16)), draw(st.booleans())
 
 
 @settings(max_examples=60, deadline=None)
 @given(_schedules())
 def test_bank_invariants_over_hit_miss_schedules(schedule):
-    hits, seed, dynamics, cold = schedule
+    hits, seed, dynamics = schedule
     rng = np.random.default_rng(seed)
     cfg = RunConfig(min_hits=2, max_misses=3, gate_distance=4.0,
-                    dynamics_enabled=dynamics, cold_start_mode=cold)
+                    dynamics_enabled=dynamics)
     tracker = MultiObjectTracker(cfg)
     start = rng.uniform(-5.0, 5.0, size=(len(hits[0]), 2)) \
         + np.arange(len(hits[0]))[:, None] * [50.0, 0.0]
@@ -438,9 +436,12 @@ def _noisy_cv_positions(n=60, seed=2, sigma=0.3, speed=1.2):
 
 def test_dynamics_off_never_touches_window():
     cfg = single_target_config(dynamics_enabled=False)
-    tracker = run_single_target(_noisy_cv_positions(), cfg)
+    positions = _noisy_cv_positions()
+    tracker = run_single_target(positions, cfg)
     bank = tracker.bank
-    assert bank.window.count[0] == 1  # only the birth measurement
+    # only the birth measurement
+    npt.assert_array_equal(bank.window.positions[0, 0], positions[0])
+    assert not bank.window.positions[0, 1:].any()
     # exact ones: predict applies bitwise the unweighted transition
     assert np.all(bank.weights[0] == 1.0)
 
@@ -449,7 +450,8 @@ def test_dynamics_on_populates_window_and_weights():
     cfg = single_target_config()
     tracker = run_single_target(_noisy_cv_positions(), cfg)
     bank = tracker.bank
-    assert bank.window.count[0] == cfg.transition_window
+    assert bank.hits[0] >= cfg.transition_window
+    assert bank.window.positions[0].all()
     weights = bank.weights[0]
     assert weights.shape == (2, 4)
     assert np.all(weights[:, 0] == 1.0)
@@ -494,7 +496,7 @@ def test_weight_ring_matches_reference_smoothing(smoothing):
     cfg = RunConfig(smoothing_window=smoothing, max_misses=5)
     factors = dyn.dynamics_factors(cfg.factor_velocity, cfg.factor_acceleration,
                                    cfg.factor_jerk)
-    cold = dyn.cold_start_weights(cfg.cold_start_mode)
+    ones = np.ones((2, 4))
     support = max(dyn.MIN_WINDOW, cfg.model_order + 1)
     rng = np.random.default_rng(7)
     tracker = MultiObjectTracker(cfg)
@@ -508,18 +510,19 @@ def test_weight_ring_matches_reference_smoothing(smoothing):
         tracker.step(frame, detections(points + rng.normal(0.0, 0.1, points.shape)))
         for row, track_id in enumerate(bank.ids.tolist()):
             if bank.hits[row] > hits.get(track_id, 1):  # matched this step
-                count = bank.window.count[row]
+                # the birth position and one per match, the last W of them
+                count = min(bank.hits[row], cfg.transition_window)
                 window = bank.window.positions[row, :count]
                 raw.setdefault(track_id, []).append(
                     dyn.update_weights(dynamics_vector(window), factors)
-                    if count >= support else cold)
+                    if count >= support else ones)
                 if track_id in coasted:
                     reacquired.add(track_id)
             hits[track_id] = bank.hits[row]
             if bank.misses[row] > 0:
                 coasted.add(track_id)
             expected = (smooth_weights(raw[track_id], smoothing)
-                        if track_id in raw else cold)
+                        if track_id in raw else ones)
             npt.assert_allclose(bank.weights[row], expected, rtol=0, atol=1e-12)
     assert reacquired
     assert len(bank) < tracker.births
