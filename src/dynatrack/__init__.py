@@ -3,8 +3,7 @@
 from .config import RunConfig, load_config, save_config
 from .dynamics import DynamicsWindow, update_weights
 from .filtering import (NoiseModel, StateEstimate, build_noise,
-                        build_transition, measurement_matrix, post_measurement,
-                        predict, update)
+                        post_measurement, predict, transition_block, update)
 from .kitti_io import Labels, SequenceDataset, load_sequence, parse_detections
 from .metrics import clearmot, idf1, measure_latency
 from .occlusion import OcclusionSpec, occlude_dataset, simulate_occlusion
@@ -18,8 +17,8 @@ __all__ = [
     "RunConfig", "load_config", "save_config",
     "DynamicsWindow", "update_weights",
     "NoiseModel", "StateEstimate",
-    "build_noise", "build_transition", "measurement_matrix",
-    "post_measurement", "predict", "update",
+    "build_noise", "post_measurement", "predict", "transition_block",
+    "update",
     "Labels", "SequenceDataset", "load_sequence", "parse_detections",
     "clearmot", "idf1", "measure_latency",
     "OcclusionSpec", "occlude_dataset", "simulate_occlusion",

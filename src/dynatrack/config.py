@@ -60,13 +60,19 @@ _KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
           "bool": (bool, "a boolean")}
 
 
+def check_kind(value, kind: str, key: str):
+    """`value` if it is of `kind` ("int", "float" or "bool"); else
+    ConfigurationError naming `key`."""
+    types, expected = _KINDS[kind]
+    require(isinstance(value, types) and isinstance(value, bool) == (kind == "bool"),
+            key, f"expected {expected}, got {value!r}")
+    return value
+
+
 def validate_config(cfg: RunConfig):
     """Raise ConfigurationError naming the offending key; types are checked first."""
     for key, kind in FIELD_TYPES.items():
-        types, expected = _KINDS[kind]
-        value = getattr(cfg, key)
-        require(isinstance(value, types) and isinstance(value, bool) == (kind == "bool"),
-                key, f"expected {expected}, got {value!r}")
+        check_kind(getattr(cfg, key), kind, key)
     require(cfg.model_order in VALID_ORDERS, "model_order",
             f"must be one of {VALID_ORDERS}, got {cfg.model_order}")
     support = min_support(cfg.model_order)

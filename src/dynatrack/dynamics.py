@@ -119,10 +119,6 @@ def update_weights(d: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 
 def weight_diagonal(weights: np.ndarray, order: int) -> np.ndarray:
-    """Diagonal of the weight matrix W over the state layout, as predict takes it.
-
-    `weights` is (axes, 4) or a stack (..., axes, 4); the result is (..., D).
-    """
-    w = np.asarray(weights, dtype=float)
-    axes = w.shape[-2]
-    return w[..., :order + 1].reshape(w.shape[:-2] + (axes * (order + 1),))
+    """Diagonal of each axis's weight matrix W, as predict takes it: the first
+    `order + 1` columns of `weights (..., axes, 4)`."""
+    return np.asarray(weights, dtype=float)[..., :order + 1]

@@ -15,7 +15,6 @@ mapping is inverted on write.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -313,10 +312,6 @@ def load_sequence(detection_path, annotation_path) -> SequenceDataset:
 
 # -- writing -----------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return f"{value:.9f}"
-
-
 def _frame_lines(frame: int, labels: Labels, with_id: bool,
                  with_score: bool) -> list:
     """One frame's lines: its parsed lines if it has them, else its rows
@@ -325,16 +320,18 @@ def _frame_lines(frame: int, labels: Labels, with_id: bool,
     rotation_y and, `with_score`, the score."""
     if labels.raw is not None:
         return labels.raw.tolist()
-    numbers = [labels.bbox2d, labels.dims, labels.location, labels.rotation_y]
+    numbers = [labels.alpha, labels.bbox2d, labels.dims, labels.location,
+               labels.rotation_y]
     if with_score:
         numbers.append(labels.score)
-    heads = ([[str(frame), str(i)] for i in labels.track_id.tolist()] if with_id
-             else itertools.repeat([str(frame)]))
-    return [" ".join([*head, obj_type, _fmt(truncated), str(occluded), _fmt(alpha),
-                      *map(_fmt, row)])
-            for head, obj_type, truncated, occluded, alpha, row in zip(
-                heads, labels.obj_type.tolist(), labels.truncated.tolist(),
-                labels.occluded.tolist(), labels.alpha.tolist(),
+    # One format per row: "%.9f" % x is f"{x:.9f}", and "%d" % i is str(i).
+    fmt = (f"{frame} %d" if with_id else f"{frame}") + " %s %.9f %d" \
+        + " %.9f" * (12 + with_score)
+    heads = zip(labels.track_id.tolist(), labels.obj_type.tolist()) if with_id \
+        else zip(labels.obj_type.tolist())
+    return [fmt % (*head, truncated, occluded, *row)
+            for head, truncated, occluded, row in zip(
+                heads, labels.truncated.tolist(), labels.occluded.tolist(),
                 np.column_stack(numbers).tolist())]
 
 
@@ -392,13 +389,13 @@ def export_trajectory_csv(trajectory, path):
                       for f, i, xy, s in trajectory]
     frame, ids, x, y, source = map(np.concatenate, zip(*rows))
     order = np.lexsort((source, ids, frame))
+    # The csv module's default row: comma-separated, "\r\n"-terminated; no
+    # field here holds a comma, quote or line break, so none is quoted.
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRAJECTORY_HEADER)
-        writer.writerows(zip(frame[order].tolist(), ids[order].tolist(),
-                             map(repr, x[order].tolist()),
-                             map(repr, y[order].tolist()),
-                             [TRAJECTORY_SOURCES[k] for k in source[order].tolist()]))
+        handle.write(",".join(TRAJECTORY_HEADER) + "\r\n")
+        handle.writelines("%d,%d,%r,%r,%s\r\n" % row for row in zip(
+            frame[order].tolist(), ids[order].tolist(), x[order].tolist(),
+            y[order].tolist(), [TRAJECTORY_SOURCES[k] for k in source[order].tolist()]))
 
 
 # -- readers -----------------------------------------------------------------

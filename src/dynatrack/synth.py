@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import check_mapping, require
+from .config import check_kind, check_mapping, require
 from .errors import ConfigurationError
 from .kitti_io import DetectionRecord, GroundTruthRecord, SequenceDataset, camera_location
 from .occlusion import OcclusionSpec
@@ -67,6 +67,9 @@ class ObjectSpec:
         require(np.isfinite(self.elevation), "elevation",
                 f"must be finite, got {self.elevation!r}")
         require(bool(self.segments), "segments", "at least one segment required")
+        # The type is one field of a whitespace-separated label line.
+        word = isinstance(self.obj_type, str) and self.obj_type.split() == [self.obj_type]
+        require(word, "type", f"must be one word, got {self.obj_type!r}")
 
 
 @dataclass
@@ -159,7 +162,7 @@ def _segment_from_mapping(data) -> RegimeSegment:
     check_mapping(data, ("kind", "duration", "value"), "segment")
     value = data.get("value")
     return RegimeSegment(kind=data.get("kind", ""),
-                         duration=int(data.get("duration", 0)),
+                         duration=check_kind(data.get("duration", 0), "int", "duration"),
                          value=tuple(map(float, value)) if value is not None else None)
 
 
@@ -176,7 +179,7 @@ def _object_from_mapping(data) -> ObjectSpec:
         segments=[_segment_from_mapping(s) for s in data["segments"]],
         dims=tuple(map(float, data.get("dims", DEFAULT_DIMS))),
         elevation=float(data.get("elevation", DEFAULT_ELEVATION)),
-        obj_type=str(data.get("type", "Car")),
+        obj_type=data.get("type", "Car"),
     )
 
 
@@ -188,15 +191,15 @@ def _scenario_from_mapping(data) -> ScenarioSpec:
                                                 "match_threshold"), "occlusion")
         occlusion = OcclusionSpec(
             kind=occ.get("kind", ""),
-            start_after=int(occ.get("start_after", 0)),
-            length=int(occ.get("length", 0)),
+            start_after=check_kind(occ.get("start_after", 0), "int", "start_after"),
+            length=check_kind(occ.get("length", 0), "int", "length"),
             match_threshold=float(occ.get("match_threshold", 2.0)),
         )
     return ScenarioSpec(
         objects=[_object_from_mapping(o) for o in data.get("objects", [])],
         dt=float(data.get("dt", 0.1)),
         noise_sigma=float(data.get("noise_sigma", 0.3)),
-        seed=int(data.get("seed", 0)),
+        seed=check_kind(data.get("seed", 0), "int", "seed"),
         occlusion=occlusion,
     )
 

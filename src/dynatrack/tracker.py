@@ -179,8 +179,9 @@ class TrackIds:
 class TrackBank:
     """Every live track's state as one row of stacked arrays.
 
-    Filter: `mean (N, D)`, `cov (N, D, D)` and the smoothed
-    `weights (N, axes, 4)`, whose `weight_diagonal` predict applies (exact
+    Filter: one filter per ground axis, `mean (N, axes, n)` and
+    `cov (N, axes, n, n)` with n = model_order + 1, and the smoothed
+    `weights (N, axes, 4)`, whose first n columns predict applies (exact
     ones from birth until the window supports an estimate, and always with
     dynamics off). Dynamics: `window`, one cleaned-position buffer per row,
     and the raw weight rings `ring (N, smoothing_window, axes, 4)`. Lifecycle:
@@ -195,12 +196,12 @@ class TrackBank:
     FIELDS = ("ids", "mean", "cov", "weights", "ring", "hits",
               "misses") + REPORTED
 
-    def __init__(self, dim: int, window: int, smoothing: int):
+    def __init__(self, n: int, window: int, smoothing: int):
         weights = (flt.GROUND_AXES, dyn.WEIGHT_COLUMNS)
         self.window = dyn.DynamicsWindow(window, flt.GROUND_AXES)
         self.ids = np.zeros(0, dtype=np.int64)
-        self.mean = np.zeros((0, dim))
-        self.cov = np.zeros((0, dim, dim))
+        self.mean = np.zeros((0, flt.GROUND_AXES, n))
+        self.cov = np.zeros((0, flt.GROUND_AXES, n, n))
         self.weights = np.zeros((0,) + weights)
         self.ring = np.zeros((0, smoothing) + weights)
         self.hits = np.zeros(0, dtype=np.intp)
@@ -337,14 +338,12 @@ class MultiObjectTracker:
         self.cfg = cfg
         order = cfg.model_order
         self._order = order
-        self._F = flt.build_transition(order, cfg.dt)
+        self._F = flt.transition_block(order, cfg.dt)
         self._noise = flt.build_noise(order, cfg.dt, cfg.process_noise,
                                       cfg.measurement_noise)
-        self._H = flt.measurement_matrix(order)
-        self._pos_idx = list(flt.position_indices(order))
         self._factors = dyn.dynamics_factors(
             cfg.factor_velocity, cfg.factor_acceleration, cfg.factor_jerk)
-        self.bank = TrackBank(self._F.shape[0], cfg.transition_window,
+        self.bank = TrackBank(order + 1, cfg.transition_window,
                               cfg.smoothing_window)
         self.frame: int | None = None
         self.births = 0    # tracks started so far; the next id is births + 1
@@ -417,7 +416,7 @@ class MultiObjectTracker:
         shown = np.flatnonzero(bank.hits >= self.cfg.min_hits)
         status = np.where(bank.misses[shown] > 0, COASTING, CONFIRMED)
         return FrameReport(frame, bank.ids[shown],
-                           bank.mean[shown][:, self._pos_idx],
+                           bank.mean[shown, :, 0],
                            status.astype(np.int8),
                            **{name: getattr(bank, name)[shown] for name in REPORTED})
 
@@ -426,10 +425,10 @@ class MultiObjectTracker:
     def step(self, frame: int, detections: Detections) -> FrameReport:
         """Advance one frame; returns the report of confirmed and coasting tracks.
 
-        A malformed or non-finite detection column, or an innovation
-        covariance that cannot be factored, raises before anything changes:
-        detections are checked and the whole predict and update computed
-        before the bank is written.
+        A malformed or non-finite detection column, or an innovation variance
+        that is not finite and positive (named by its bank row), raises
+        before anything changes: detections are checked and the whole
+        predict and update computed before the bank is written.
         """
         if self.frame is not None and frame <= self.frame:
             raise ContractViolationError(
@@ -440,12 +439,12 @@ class MultiObjectTracker:
         pred = flt.predict(flt.StateEstimate(bank.mean, bank.cov), self._F,
                            dyn.weight_diagonal(bank.weights, self._order),
                            self._noise)
-        predicted = pred.mean[:, self._pos_idx]
+        predicted = pred.mean[..., 0]
         assignment = associate(predicted, z, self.cfg.gate_distance)
         rows, cols = assignment.rows, assignment.cols
         post, K, residual = flt.update(
             flt.StateEstimate(pred.mean[rows], pred.cov[rows]), z[cols],
-            self._noise, self._H)
+            self._noise, labels=rows)
         born = assignment.unmatched_detections
 
         self.frame = frame
@@ -456,7 +455,7 @@ class MultiObjectTracker:
                 np.concatenate([bank.ids, matched, matched,
                                 np.arange(self.births + 1,
                                           self.births + 1 + len(born))]),
-                np.concatenate([predicted, z[cols], post.mean[:, self._pos_idx],
+                np.concatenate([predicted, z[cols], post.mean[..., 0],
                                 z[born]]),
                 np.repeat(np.array([PREDICTED, MEASUREMENT, UPDATED, MEASUREMENT],
                                    dtype=np.int8),
@@ -465,7 +464,7 @@ class MultiObjectTracker:
         pred.cov[rows] = post.cov
         bank.mean, bank.cov = pred.mean, pred.cov
         if self.cfg.dynamics_enabled and len(rows):
-            cleaned = flt.post_measurement(z[cols], K, residual, self._H)
+            cleaned = flt.post_measurement(z[cols], K, residual)
             bank.window.push(rows, cleaned, bank.hits[rows])
             self._refresh_weights(rows)
         self._apply_matches(rows, {name: columns[name][cols] for name in REPORTED})

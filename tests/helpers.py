@@ -10,8 +10,8 @@ import scipy.linalg
 from dynatrack import dynamics, kitti_io
 from dynatrack.config import RunConfig
 from dynatrack.errors import (ConfigurationError, ContractViolationError,
-                              InsufficientDataError, NumericalError, ParseError)
-from dynatrack.filtering import INNOVATION_RIDGE, StateEstimate
+                              InsufficientDataError, ParseError)
+from dynatrack.filtering import NoiseModel, StateEstimate
 from dynatrack.kitti_io import TRAJECTORY_HEADER, TRAJECTORY_SOURCES
 from dynatrack.occlusion import occlusion_cut
 from dynatrack.synth import ObjectSpec
@@ -65,17 +65,37 @@ def trajectory_by_source(tracker, source):
 
 
 def validate_estimate(est, tol=1e-9):
-    """Check covariance symmetry and an eigenvalue floor scaled by the trace."""
-    cov = est.cov
-    scale = max(np.abs(cov).max(), 1.0)
-    if not np.allclose(cov, cov.T, atol=tol * scale):
-        return False
-    eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-    floor = -tol * max(np.trace(cov), 0.0) - tol
-    return bool(eigvals.min() >= floor)
+    """Check that each covariance block of `est.cov (..., n, n)` is symmetric
+    with an eigenvalue floor scaled by its trace."""
+    for cov in np.reshape(est.cov, (-1,) + np.shape(est.cov)[-2:]):
+        scale = max(np.abs(cov).max(), 1.0)
+        if not np.allclose(cov, cov.T, atol=tol * scale):
+            return False
+        eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+        floor = -tol * max(np.trace(cov), 0.0) - tol
+        if eigvals.min() < floor:
+            return False
+    return True
 
 
-# -- reference filter: one state per call, the per-track loop's arithmetic ---
+# -- reference filter: one dense state over both axes per call ---------------
+# The per-track loop's arithmetic from before the bank ran one filter per axis.
+
+def dense_model(F, noise, axes=2):
+    """The per-axis transition and noise as one dense model over the stacked
+    state [axis 0 block, axis 1 block, ...], with the position-selecting `H`."""
+    n = F.shape[0]
+    H = np.zeros((axes, axes * n))
+    H[range(axes), range(0, axes * n, n)] = 1.0
+    return (scipy.linalg.block_diag(*[F] * axes),
+            NoiseModel(Q=scipy.linalg.block_diag(*[noise.Q] * axes),
+                       R=noise.R * np.eye(axes)), H)
+
+
+def dense_state(mean, cov):
+    """One per-axis state `mean (axes, n)`, `cov (axes, n, n)` as a dense one."""
+    return StateEstimate(mean=np.ravel(mean), cov=scipy.linalg.block_diag(*cov))
+
 
 def reference_predict(est, F, weights, noise):
     """Weighted predict of one state; `weights` is its diagonal or None."""
@@ -84,25 +104,14 @@ def reference_predict(est, F, weights, noise):
     return StateEstimate(mean=F @ est.mean, cov=0.5 * (cov + cov.T))
 
 
-def _reference_gain(S, PHt):
-    """Gain via Cholesky and cho_solve; one ridge retry before giving up."""
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        ridge = INNOVATION_RIDGE * np.trace(S)
-        try:
-            L = np.linalg.cholesky(S + ridge * np.eye(S.shape[0]))
-        except np.linalg.LinAlgError:
-            raise NumericalError("innovation covariance not factorizable") from None
-    return scipy.linalg.cho_solve((L, True), PHt.T, check_finite=False).T
-
-
 def reference_update(pred, z, noise, H):
-    """Joseph-form update of one state; returns (posterior, gain, residual)."""
+    """Joseph-form update of one state, gain by Cholesky; returns (posterior,
+    gain, residual)."""
     residual = z - H @ pred.mean
     PHt = pred.cov @ H.T
     S = H @ PHt + noise.R
-    K = _reference_gain(0.5 * (S + S.T), PHt)
+    L = np.linalg.cholesky(0.5 * (S + S.T))
+    K = scipy.linalg.cho_solve((L, True), PHt.T, check_finite=False).T
     A = np.eye(pred.mean.shape[0]) - K @ H
     cov = A @ pred.cov @ A.T + K @ noise.R @ K.T
     return (StateEstimate(mean=pred.mean + K @ residual, cov=0.5 * (cov + cov.T)),

@@ -105,6 +105,16 @@ def test_synth_bad_scenario_exits_two(tmp_path, capsys):
     ("initial: [20.0, 30.0]", "initial: [20.0, 30.0]\n    elevation: .inf"),
     ("value: [1.0, 0.0]", "value: [.inf, 0.0]"),
     ("segments:\n      - {kind: stationary, duration: 40}", "segments: []"),
+    ("initial: [20.0, 30.0]", "initial: [20.0, 30.0]\n    type: ''"),
+    ("initial: [20.0, 30.0]", "initial: [20.0, 30.0]\n    type: Big Car"),
+    ("initial: [20.0, 30.0]", "initial: [20.0, 30.0]\n    type: ' Car'"),
+    ("initial: [20.0, 30.0]", "initial: [20.0, 30.0]\n    type: 7"),
+    ("duration: 40, value", "duration: 40.7, value"),
+    ("duration: 40, value", "duration: true, value"),
+    ("seed: 4", "seed: 4.0"),
+    ("seed: 4", "seed: false"),
+    ("seed: 4\n", "seed: 4\nocclusion: {kind: mid, start_after: 5, length: 8.5}\n"),
+    ("seed: 4\n", "seed: 4\nocclusion: {kind: mid, start_after: true, length: 8}\n"),
 ])
 def test_synth_malformed_scenario_exits_two(tmp_path, capsys, old, new):
     path = tmp_path / "bad.yaml"

@@ -195,37 +195,36 @@ def test_smooth_weights_stays_in_convex_hull():
 
 def test_weight_matrix_identity_when_all_ones():
     npt.assert_array_equal(dyn.weight_diagonal(np.ones((2, 4)), order=3),
-                           np.ones(8))
+                           np.ones((2, 4)))
 
 
 def test_weight_matrix_layout():
     w = np.array([[1.0, 0.5, 0.25, 0.1], [1.0, 0.4, 0.2, 0.05]])
-    npt.assert_array_equal(dyn.weight_diagonal(w, order=3),
-                           [1.0, 0.5, 0.25, 0.1, 1.0, 0.4, 0.2, 0.05])
+    npt.assert_array_equal(dyn.weight_diagonal(w, order=3), w)
 
 
 def test_weight_matrix_truncates_to_order():
     w = np.array([[1.0, 0.5, 0.25, 0.1]])
-    npt.assert_array_equal(dyn.weight_diagonal(w, order=1), [1.0, 0.5])
+    npt.assert_array_equal(dyn.weight_diagonal(w, order=1), [[1.0, 0.5]])
 
 
 def test_weight_diagonal_stacks():
     rng = np.random.default_rng(29)
     w = rng.uniform(0.0, 1.0, size=(3, 2, 4))
     diags = dyn.weight_diagonal(w, order=2)
-    assert diags.shape == (3, 6)
+    assert diags.shape == (3, 2, 3)
     for row, diag in zip(w, diags):
         npt.assert_array_equal(diag, dyn.weight_diagonal(row, order=2))
-    assert dyn.weight_diagonal(np.zeros((0, 2, 4)), order=3).shape == (0, 8)
+    assert dyn.weight_diagonal(np.zeros((0, 2, 4)), order=3).shape == (0, 2, 4)
 
 
 def test_weight_diagonal_matches_matrix():
-    # predict scales columns of F by the diagonal; that is F @ W for the
-    # diagonal weight matrix W, entry for entry.
+    # predict scales the columns of each axis's F by that axis's diagonal;
+    # that is F @ W for the diagonal weight matrix W, entry for entry.
     w = np.array([[1.0, 0.5, 0.25, 0.1], [1.0, 0.4, 0.2, 0.05]])
-    diag = dyn.weight_diagonal(w, order=3)
-    F = flt.build_transition(3, 0.1)
-    npt.assert_array_equal(F * diag, F @ np.diag(diag))
+    F = flt.transition_block(3, 0.1)
+    for diag in dyn.weight_diagonal(w, order=3):
+        npt.assert_array_equal(F * diag, F @ np.diag(diag))
 
 
 def test_noise_free_constant_velocity_weights():

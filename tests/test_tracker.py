@@ -374,8 +374,31 @@ def test_failed_update_leaves_bank_unchanged():
     tracker = _three_track_tracker()
     tracker.bank.cov[1] = np.nan
     before = _state(tracker)
-    with pytest.raises(NumericalError, match="cond="):
+    with pytest.raises(NumericalError,
+                       match=r"row 1: innovation variance \[nan, nan\]"):
         tracker.step(4, detections([(20.0 * k, 10.4) for k in range(3)]))
+    assert _state(tracker) == before
+
+
+def test_negative_innovation_variance_leaves_bank_unchanged():
+    # a position variance below -R on one axis: s < 0 after the predict
+    tracker = _three_track_tracker()
+    tracker.bank.cov[2, 0, 0, 0] = -1e3
+    before = _state(tracker)
+    with pytest.raises(NumericalError, match="row 2: innovation variance"):
+        tracker.step(4, detections([(20.0 * k, 10.4) for k in range(3)]))
+    assert _state(tracker) == before
+
+
+def test_failed_update_names_bank_row_after_unmatched_row():
+    # bank row 0 goes unmatched, so the failing bank row 2 is the second
+    # state of the matched stack; the error must name the bank row
+    tracker = _three_track_tracker()
+    tracker.bank.cov[2] = np.nan
+    before = _state(tracker)
+    with pytest.raises(NumericalError,
+                       match=r"row 2: innovation variance \[nan, nan\]"):
+        tracker.step(4, detections([(20.0 * k, 10.4) for k in (1, 2)]))
     assert _state(tracker) == before
 
 
@@ -552,9 +575,8 @@ def test_snapshot_position_is_posterior_mean():
     tracker = MultiObjectTracker(cfg)
     report = tracker.step(0, detections([(1.0, 2.0)]))
     mean = tracker.bank.mean[0]
-    n = cfg.model_order + 1
-    npt.assert_array_equal(report.position, [[mean[0], mean[n]]])
-    npt.assert_array_equal(next(iter(report)).position, [mean[0], mean[n]])
+    npt.assert_array_equal(report.position, [mean[:, 0]])
+    npt.assert_array_equal(next(iter(report)).position, mean[:, 0])
 
 
 def test_aux_fields_smoothed_on_match():
