@@ -14,7 +14,8 @@ class ContractViolationError(DynatrackError):
 
 
 class NumericalError(DynatrackError):
-    """Linear algebra failed beyond recovery (singular innovation)."""
+    """A filter state or step failed beyond recovery (a non-finite predicted
+    state, an innovation variance that is not finite and positive)."""
 
 
 class InsufficientDataError(DynatrackError):

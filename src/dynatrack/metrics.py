@@ -5,12 +5,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, UndefinedMetricError
 from .kitti_io import as_labels, ground_position
-from .tracker import (FrameReport, MultiObjectTracker, distance, gated_pairs,
-                      in_gate)
+from .tracker import (FrameReport, MultiObjectTracker, component_assignment,
+                      distance, gated_pairs, in_gate)
 
 
 @dataclass
@@ -119,7 +118,10 @@ def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
     """Identity scores from the globally optimal one-to-one id pairing.
 
     A (gt id, hyp id) pair gains one per frame in which the two are `in_gate`.
-    Ids that never overlap would add only zero rows or columns to the gain.
+    The pairing maximises the summed gain over the overlapping pairs, one
+    connected component of them at a time (`component_assignment`), so no
+    gt x hyp gain matrix is built; a component spanning more than
+    `tracker.MAX_CONTESTED_CELLS` cells raises InputError.
     """
     gt_frames, hyp_frames = _as_frames(gt, hyp)
     total_gt = sum(len(gids) for gids, _ in gt_frames)
@@ -129,12 +131,10 @@ def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
         rows, cols, _ = in_gate(gpos, hpos, threshold)
         pairs.append(np.column_stack((gids[rows], hids[cols])))
     overlap, counts = np.unique(np.concatenate(pairs), axis=0, return_counts=True)
-    gt_ids, g_at = np.unique(overlap[:, 0], return_inverse=True)
-    hyp_ids, h_at = np.unique(overlap[:, 1], return_inverse=True)
-    gain = np.zeros((len(gt_ids), len(hyp_ids)))
-    gain[g_at, h_at] = counts
-    rows, cols = linear_sum_assignment(-gain)
-    idtp = int(gain[rows, cols].sum())
+    g_at = np.unique(overlap[:, 0], return_inverse=True)[1]
+    h_at = np.unique(overlap[:, 1], return_inverse=True)[1]
+    matched = component_assignment(g_at, h_at, -counts, lambda shape: 0.0)
+    idtp = int(counts[matched].sum())
     idfn = total_gt - idtp
     idfp = total_hyp - idtp
     denom = 2 * idtp + idfp + idfn

@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import dynamics as dyn
 from . import filtering as flt
 from .config import RunConfig, min_support
-from .errors import ContractViolationError
+from .errors import ContractViolationError, InputError, NumericalError
 
 # Exponential smoothing factor applied to elevation/yaw/dims on each match.
 AUX_SMOOTHING = 0.7
@@ -59,23 +58,181 @@ class Assignment:
         return np.column_stack((self.rows, self.cols))
 
 
-def gated_assignment(dist: np.ndarray, gate: float):
-    """Min-distance one-to-one pairing of a (rows, cols) distance matrix.
+def _shortest_augmenting_paths(cost: list) -> list:
+    """Min-cost assignment of every row of a dense cost matrix, given as a
+    list of row lists with no more rows than columns; returns each row's
+    column.
+
+    This is the shortest augmenting path method of Crouse, "On implementing
+    2D rectangular assignment algorithms" (IEEE TAES 52(4), 2016): per row,
+    one Dijkstra search over reduced costs to a free column, a dual update
+    and one augmentation. The order in which a search scans the columns it
+    has not reached, and its preference for a free column among equal
+    reduced costs, fix which of several optimal pairings comes out; both
+    are those of the common reference implementation of the method, so the
+    two return the same pairs. The loops run over Python lists: on the
+    small blocks they solve, that is faster than numpy calls over columns.
+    """
+    n_cols = len(cost[0]) if cost else 0
+    inf = float("inf")
+    u = [0.0] * len(cost)
+    v = [0.0] * n_cols
+    col4row = [-1] * len(cost)
+    row4col = [-1] * n_cols
+    for start in range(len(cost)):
+        short = [inf] * n_cols   # reduced path cost to each column
+        path = [-1] * n_cols     # the row each column was last reached from
+        remaining = list(range(n_cols - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, low = start, 0.0
+        while True:
+            ci, ui = cost[i], u[i]
+            best, at = inf, -1
+            for k, j in enumerate(remaining):
+                r = low + ci[j] - ui - v[j]
+                s = short[j]
+                if r < s:
+                    path[j] = i
+                    short[j] = s = r
+                # Among equal costs prefer a free column: it ends the path.
+                if s < best or (s == best and row4col[j] < 0):
+                    best, at = s, k
+            low = best
+            j = remaining[at]
+            remaining[at] = remaining[-1]
+            remaining.pop()
+            cols_seen.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            rows_seen.append(i)
+        u[start] += low
+        for i in rows_seen:
+            u[i] += low - short[col4row[i]]
+        for k in cols_seen:
+            v[k] -= low - short[k]
+        while True:   # augment along the path back from free column j
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
+
+
+# The most cells one connected block of candidate pairs may span before
+# `component_assignment` refuses it. A solve at this size (400 x 400 points
+# within one gate of each other) takes under a second; the blocks of real
+# scenes are far smaller.
+MAX_CONTESTED_CELLS = 160_000
+
+
+def _components(rows: list, cols: list) -> list:
+    """The connected components of the bipartite graph of pairs
+    (rows[k], cols[k]), each as the list of its pairs' indices k."""
+    by_row: dict = {}
+    by_col: dict = {}
+    for k, (r, c) in enumerate(zip(rows, cols)):
+        by_row.setdefault(r, []).append(k)
+        by_col.setdefault(c, []).append(k)
+    parts = []
+    for first in rows:
+        if first not in by_row:
+            continue   # already in a component
+        part, reached = [], [by_row.pop(first)]
+        while reached:   # each row's pairs, pushed when the row is first reached
+            pairs = reached.pop()
+            part += pairs
+            for k in pairs:
+                for j in by_col.pop(cols[k], ()):
+                    if rows[j] in by_row:
+                        reached.append(by_row.pop(rows[j]))
+        parts.append(part)
+    return parts
+
+
+def component_assignment(rows, cols, cost, fill):
+    """Min-cost one-to-one assignment over sparse candidate pairs.
+
+    (rows[k], cols[k]) are distinct candidate pairs of row and column
+    indices, with finite `cost[k]`. A cell that is not a candidate costs
+    `fill(shape)` in a block of that shape, more than any candidate, and is
+    never kept; so the objective counts candidates only and is a sum over
+    the connected components of the bipartite graph they form. A pair whose
+    row and column have no other candidate is matched as it is; each larger
+    component is solved on its own dense block by the shortest augmenting
+    path method (on the transpose if it has more rows than columns).
+    Returns the indices k of the matched candidates, ascending.
+
+    A component spanning more than MAX_CONTESTED_CELLS cells raises
+    InputError naming its shape before its block is allocated; where the
+    pairs' degrees alone prove it too large, the error names that lower
+    bound and is raised before the components are searched. A cost in a
+    block that is not finite raises ContractViolationError.
+    """
+    row_degree, col_degree = np.bincount(rows)[rows], np.bincount(cols)[cols]
+    lone = (row_degree == 1) & (col_degree == 1)
+    if lone.all():
+        return np.arange(len(rows))
+    shared = np.flatnonzero(~lone)
+    if not np.isfinite(cost[shared]).all():
+        raise ContractViolationError("assignment cost holds a non-finite entry")
+    # The component of pair k spans at least col_degree[k] rows and
+    # row_degree[k] columns: refuse a dense crowd here, before the Python
+    # search below walks all of its pairs.
+    spans = col_degree[shared] * row_degree[shared]
+    if spans.max() > MAX_CONTESTED_CELLS:
+        k = shared[np.argmax(spans)]
+        raise InputError(
+            f"a connected block of at least {col_degree[k]} x "
+            f"{row_degree[k]} candidate pairs exceeds the bound of "
+            f"{MAX_CONTESTED_CELLS} cells")
+    # Contested pairs are few in real scenes, so their components are
+    # built and solved in Python, which beats numpy calls on tiny arrays.
+    shared_rows, shared_cols = rows[shared].tolist(), cols[shared].tolist()
+    shared_cost = cost[shared].tolist()
+    matched = []
+    for part in _components(shared_rows, shared_cols):
+        part_rows = [shared_rows[k] for k in part]
+        part_cols = [shared_cols[k] for k in part]
+        shape = (len(set(part_rows)), len(set(part_cols)))
+        if shape[0] * shape[1] > MAX_CONTESTED_CELLS:
+            raise InputError(
+                f"a connected block of {shape[0]} x {shape[1]} candidate "
+                f"pairs exceeds the bound of {MAX_CONTESTED_CELLS} cells")
+        if shape[0] > shape[1]:   # solve the transpose
+            part_rows, part_cols = part_cols, part_rows
+        row_at = {r: i for i, r in enumerate(sorted(set(part_rows)))}
+        col_at = {c: j for j, c in enumerate(sorted(set(part_cols)))}
+        no_pair = fill(shape)
+        block = [[no_pair] * len(col_at) for _ in row_at]
+        pair_at = [[-1] * len(col_at) for _ in row_at]
+        for r, c, k in zip(part_rows, part_cols, part):
+            i, j = row_at[r], col_at[c]
+            block[i][j] = shared_cost[k]
+            pair_at[i][j] = k
+        for i, j in enumerate(_shortest_augmenting_paths(block)):
+            if pair_at[i][j] >= 0:
+                matched.append(pair_at[i][j])
+    return np.sort(np.concatenate([np.flatnonzero(lone),
+                                   shared[np.array(matched, dtype=np.intp)]]))
+
+
+def _gated_candidates(rows, cols, dist, gate: float):
+    """Min-distance one-to-one pairing over in-gate candidate pairs
+    (rows[k], cols[k]) with their distances; returns the matched
+    (rows, cols), ascending.
 
     This is the CLEAR-MOT matching step (Bernardin & Stiefelhagen, 2008):
-    pairs farther apart than `gate` never match. Returns the matched
-    (rows, cols) index arrays in row order.
-
-    An out-of-gate pair costs more than any set of in-gate pairs can, so the
-    solver first maximises the number of in-gate pairs, then minimises their
-    summed distance. The penalty is sized to the matrix, not a fixed huge
+    pairs farther apart than `gate` never match. An out-of-gate cell costs
+    more than any set of in-gate pairs can, so each block is solved for the
+    most in-gate pairs first and then the least summed distance. The
+    penalty is sized to the block, `gate * min(shape) + 1`, not a fixed huge
     number, which would swallow small distance differences in rounding.
     """
-    penalty = gate * min(dist.shape) + 1.0
-    cost = np.where(dist <= gate, dist, penalty)
-    rows, cols = linear_sum_assignment(cost)
-    keep = dist[rows, cols] <= gate
-    return rows[keep], cols[keep]
+    k = component_assignment(rows, cols, dist,
+                             lambda shape: gate * min(shape) + 1.0)
+    return rows[k], cols[k]
 
 
 def distance(a: np.ndarray, b: np.ndarray):
@@ -115,34 +272,22 @@ def in_gate(a, b, gate: float):
 
 
 def gated_pairs(a, b, gate: float):
-    """`gated_assignment` of points `a (n, k)` to points `b (m, k)` by distance.
+    """Min-distance one-to-one pairing of points `a (n, k)` to points `b (m, k)`
+    in which pairs farther apart than `gate` never match.
 
-    Returns the matched (rows of a, rows of b) in ascending row order. An
-    `in_gate` pair whose points have no other in-gate partner is matched
-    directly; the others go to one `gated_assignment` over their rows and
-    columns, so the n x m distance matrix is never built.
+    Returns the matched (rows of a, rows of b) in ascending row order. Only
+    the `in_gate` pairs are candidates, so the n x m distance matrix is
+    never built: a pair whose points have no other in-gate partner is
+    matched directly, and each larger connected component of the in-gate
+    graph is solved on its own (`component_assignment`). A component
+    spanning more than MAX_CONTESTED_CELLS cells raises InputError.
 
-    The result equals `gated_assignment` on the full matrix: its objective,
-    most in-gate pairs and then least summed distance, is a sum over the
-    connected parts of the in-gate graph, and each part is either one lone
-    pair or lies whole in the sub-block. Only exactly tied alternatives can
-    come out differently.
+    The result equals a solve of the full n x m matrix with out-of-gate
+    cells penalised: its objective, most in-gate pairs and then least summed
+    distance, is a sum over the connected components. Only exactly tied
+    alternatives can come out differently.
     """
-    rows, cols, dist = in_gate(a, b, gate)
-    lone = ((np.bincount(rows, minlength=len(a))[rows] == 1)
-            & (np.bincount(cols, minlength=len(b))[cols] == 1))
-    if lone.all():
-        return rows, cols
-    shared = ~lone
-    sub_rows, r_at = np.unique(rows[shared], return_inverse=True)
-    sub_cols, c_at = np.unique(cols[shared], return_inverse=True)
-    block = np.full((len(sub_rows), len(sub_cols)), np.inf)
-    block[r_at, c_at] = dist[shared]
-    r, c = gated_assignment(block, gate)
-    rows = np.concatenate([rows[lone], sub_rows[r]])
-    cols = np.concatenate([cols[lone], sub_cols[c]])
-    by_row = np.argsort(rows, kind="stable")
-    return rows[by_row], cols[by_row]
+    return _gated_candidates(*in_gate(a, b, gate), gate)
 
 
 def associate(track_positions, detection_positions, gate: float) -> Assignment:
@@ -425,10 +570,16 @@ class MultiObjectTracker:
     def step(self, frame: int, detections: Detections) -> FrameReport:
         """Advance one frame; returns the report of confirmed and coasting tracks.
 
-        A malformed or non-finite detection column, or an innovation variance
-        that is not finite and positive (named by its bank row), raises
-        before anything changes: detections are checked and the whole
-        predict and update computed before the bank is written.
+        Each of these raises before anything changes, since detections are
+        checked and the whole predict, association and update computed
+        before the bank is written:
+        - a malformed or non-finite detection column (ContractViolationError);
+        - a predicted state mean that is not finite (NumericalError naming
+          the track ids);
+        - a connected block of in-gate (track, detection) pairs spanning more
+          than MAX_CONTESTED_CELLS cells (InputError, see `gated_pairs`);
+        - an innovation variance that is not finite and positive
+          (NumericalError naming the bank row).
         """
         if self.frame is not None and frame <= self.frame:
             raise ContractViolationError(
@@ -439,6 +590,10 @@ class MultiObjectTracker:
         pred = flt.predict(flt.StateEstimate(bank.mean, bank.cov), self._F,
                            dyn.weight_diagonal(bank.weights, self._order),
                            self._noise)
+        if not np.isfinite(pred.mean).all():
+            finite = np.isfinite(pred.mean).all(axis=(1, 2))
+            raise NumericalError(f"tracks {bank.ids[~finite].tolist()}: "
+                                 f"predicted state is not finite")
         predicted = pred.mean[..., 0]
         assignment = associate(predicted, z, self.cfg.gate_distance)
         rows, cols = assignment.rows, assignment.cols

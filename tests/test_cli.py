@@ -1,5 +1,6 @@
 """CLI subcommands end to end: synth, occlude, track, evaluate, compare."""
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from dynatrack import cli, metrics
 from dynatrack import kitti_io as kio
 from dynatrack.config import RunConfig, load_config, save_config
-from dynatrack.tracker import MultiObjectTracker
+from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker
 
 from helpers import read_trajectory_csv
 
@@ -278,6 +279,21 @@ def test_evaluate_empty_gt_exits_one(tmp_path, capsys):
     hyp.write_text("")
     assert cli.main(["evaluate", str(gt), str(hyp)]) == 1
     assert "undefined" in capsys.readouterr().err.lower()
+
+
+def test_evaluate_past_the_contested_bound_exits_one(tmp_path, capsys):
+    # every object of both files at one point: one connected block of ids
+    # just past the bound
+    side = math.isqrt(MAX_CONTESTED_CELLS)
+    line = "0 {} Car 0 0 0 0 0 10 10 1.5 1.6 3.9 5.0 1.0 5.0 0"
+    gt = tmp_path / "gt.txt"
+    gt.write_text("".join(line.format(i) + "\n" for i in range(side + 1)))
+    hyp = tmp_path / "trk.txt"
+    hyp.write_text("".join(line.format(i) + " 1.0\n" for i in range(side)))
+    assert cli.main(["evaluate", str(gt), str(hyp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{side + 1} x {side} candidate pairs exceeds the bound" in err
 
 
 @pytest.mark.parametrize("bad", ["gt", "tracks"])

@@ -1,5 +1,7 @@
 """Metric correctness: CLEAR-MOT counters, IDF1 pairing, latency."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from dynatrack.config import RunConfig
 from dynatrack.errors import InputError, UndefinedMetricError
 from dynatrack.metrics import clearmot, idf1, measure_latency
+from dynatrack.tracker import MAX_CONTESTED_CELLS
 
 from helpers import (frames_from_positions, random_tracking_scene,
                      reference_clearmot, reference_idf1)
@@ -218,6 +221,16 @@ def test_idf1_counts_duplicate_ids_per_occurrence():
     ref = reference_idf1(gt, hyp)
     assert (got.idtp, got.idfp, got.idfn) == (ref["idtp"], ref["idfp"], ref["idfn"])
     assert got.idtp == 4
+
+
+def test_idf1_past_the_contested_bound_raises():
+    # every gt id overlaps every hyp id in one frame: one component of
+    # (side + 1) x side ids, just past the bound
+    side = math.isqrt(MAX_CONTESTED_CELLS)
+    gt = [[(i, (0.0, 0.0)) for i in range(side + 1)]]
+    hyp = [[(i, (0.0, 0.0)) for i in range(side)]]
+    with pytest.raises(InputError, match=f"{side + 1} x {side} candidate"):
+        idf1(gt, hyp)
 
 
 def test_clearmot_accepts_mixed_input_kinds():

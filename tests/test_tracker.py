@@ -1,18 +1,22 @@
 """Tracker behavior: association, lifecycle, weighting interplay, trajectories."""
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from dynatrack import dynamics as dyn
 from dynatrack.config import RunConfig
-from dynatrack.errors import ContractViolationError, NumericalError
+from dynatrack.errors import ContractViolationError, InputError, NumericalError
 from dynatrack.filtering import StateEstimate
 from dynatrack.kitti_io import TRAJECTORY_SOURCES
-from dynatrack.tracker import (STATUSES, Detections, FrameReport,
-                               MultiObjectTracker, associate, gated_assignment,
-                               gated_pairs)
+from dynatrack import tracker as trk
+from dynatrack.tracker import (MAX_CONTESTED_CELLS, STATUSES, Detections,
+                               FrameReport, MultiObjectTracker, associate,
+                               component_assignment, gated_pairs)
 
 from helpers import (_min_cost_pairs, detections, dynamics_vector,
                      frames_from_positions, reference_lifecycle,
@@ -63,12 +67,21 @@ def test_associate_one_to_one_minimizes_total_distance():
     assert _pairs(a) == [(1, 0)]
 
 
+def _scipy_gated(dist, gate):
+    """scipy's solve of the whole penalised matrix, not split into
+    components; its in-gate pairs, in row order."""
+    rows, cols = linear_sum_assignment(
+        np.where(dist <= gate, dist, gate * min(dist.shape) + 1.0))
+    keep = dist[rows, cols] <= gate
+    return rows[keep], cols[keep]
+
+
 def _dense_reference(a, b, gate):
-    """`gated_assignment` over the full distance matrix, and that matrix."""
+    """`_scipy_gated` over the full distance matrix, and that matrix."""
     dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
     if dist.size == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), dist
-    return (*gated_assignment(dist, gate), dist)
+    return (*_scipy_gated(dist, gate), dist)
 
 
 def _unique_optimum(rows, cols, dist, gate):
@@ -81,7 +94,7 @@ def _unique_optimum(rows, cols, dist, gate):
     for r, c in zip(rows, cols):
         banned = dist.copy()
         banned[r, c] = np.inf
-        r2, c2 = gated_assignment(banned, gate)
+        r2, c2 = _scipy_gated(banned, gate)
         if len(r2) == len(rows) and abs(dist[r2, c2].sum() - total) <= 1e-12:
             return False
     return True
@@ -186,13 +199,109 @@ def _distance_matrices(draw):
          gate=0.25)
 @given(dist=_distance_matrices(), gate=st.sampled_from([0.25, 1.0, 2.0, 2.5]))
 def test_gated_assignment_matches_exhaustive_search(dist, gate):
-    rows, cols = gated_assignment(dist, gate)
+    rows, cols = np.nonzero(dist <= gate)
+    rows, cols = trk._gated_candidates(rows, cols, dist[rows, cols], gate)
     assert len(set(rows.tolist())) == len(rows)
     assert len(set(cols.tolist())) == len(cols)
     assert np.all(dist[rows, cols] <= gate)
     best = _min_cost_pairs(dist, gate)
     assert len(rows) == len(best)
     assert abs(dist[rows, cols].sum() - sum(dist[r, c] for r, c in best)) <= 1e-9
+
+
+# -- the assignment solver -----------------------------------------------
+
+def _dense_assignment(cost):
+    """`component_assignment` with every cell of `cost` a candidate. The
+    candidate graph is complete, so it is one component (or one lone pair)
+    and no cell is ever filled."""
+    rows, cols = np.indices(cost.shape).reshape(2, -1)
+    k = component_assignment(rows, cols, cost.ravel(), lambda shape: 0.0)
+    return rows[k], cols[k]
+
+
+@st.composite
+def _cost_matrices(draw):
+    """(kind, cost): a wide, tall or empty matrix up to 12 x 12 of small
+    integers (ties are common), of distances with the gate's penalty
+    entries, or of continuous uniform values (ties are not)."""
+    shape = (draw(st.integers(0, 12)), draw(st.integers(0, 12)))
+    kind = draw(st.sampled_from(["integer", "penalty", "continuous"]))
+    n = shape[0] * shape[1]
+    if kind == "continuous":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        return kind, rng.uniform(-100.0, 100.0, shape)
+    if kind == "integer":
+        cell = st.integers(-3, 3).map(float)
+    else:
+        penalty = GATE * min(shape) + 1.0
+        cell = st.sampled_from([0.0, 0.5, GATE, penalty]) | st.floats(0.0, GATE)
+    return kind, np.array(draw(st.lists(cell, min_size=n, max_size=n))).reshape(shape)
+
+
+@settings(max_examples=400, deadline=None)
+@example(drawn=("integer", np.zeros((0, 4))))
+@example(drawn=("integer", np.zeros((4, 0))))
+@example(drawn=("integer", np.zeros((12, 12))))
+@given(drawn=_cost_matrices())
+def test_solver_matches_scipy(drawn):
+    kind, cost = drawn
+    rows, cols = _dense_assignment(cost)
+    ref_rows, ref_cols = linear_sum_assignment(cost)
+    assert len(rows) == min(cost.shape)
+    assert len(set(rows.tolist())) == len(set(cols.tolist())) == len(rows)
+    assert abs(cost[rows, cols].sum() - cost[ref_rows, ref_cols].sum()) <= 1e-9
+    if kind == "continuous":
+        npt.assert_array_equal(rows, ref_rows)
+        npt.assert_array_equal(cols, ref_cols)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+def test_solver_rejects_non_finite_costs(bad):
+    cost = np.arange(6.0).reshape(2, 3)
+    cost[1, 2] = bad
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        _dense_assignment(cost)
+
+
+# Rows and columns of co-located points, each in the gate of all the
+# others: one component of side x side cells, at most the bound.
+_SIDE = math.isqrt(MAX_CONTESTED_CELLS)
+
+
+def test_contested_block_at_the_bound_solves():
+    rows, cols = gated_pairs(np.zeros((_SIDE, 2)), np.zeros((_SIDE, 2)), 1.0)
+    npt.assert_array_equal(rows, np.arange(_SIDE))
+    assert sorted(cols.tolist()) == list(range(_SIDE))
+
+
+def test_contested_block_past_the_bound_raises_before_the_search(monkeypatch):
+    # Every pair's degrees already prove the block too large, so the Python
+    # component search never walks the crowd.
+    def no_search(rows, cols):
+        raise AssertionError("component search ran")
+    monkeypatch.setattr(trk, "_components", no_search)
+    with pytest.raises(InputError,
+                       match=f"at least {_SIDE + 1} x {_SIDE} candidate"):
+        gated_pairs(np.zeros((_SIDE + 1, 2)), np.zeros((_SIDE, 2)), 1.0)
+
+
+def test_contested_chain_past_the_bound_raises():
+    # Points alternating one gate apart on a line: every point has at most
+    # two partners, so only the component search sees the block's size.
+    a = np.column_stack((2.0 * np.arange(_SIDE + 1), np.zeros(_SIDE + 1)))
+    b = a + [1.0, 0.0]
+    with pytest.raises(InputError, match=f"of {_SIDE + 1} x {_SIDE + 1} candidate"):
+        gated_pairs(a, b, 1.0)
+
+
+def test_step_past_the_contested_bound_raises_without_changing_state():
+    tracker = MultiObjectTracker(single_target_config(), record_trajectories=True)
+    tracker.step(0, detections([(0.0, 10.0)] * (_SIDE + 1)))
+    before = _state(tracker)
+    with pytest.raises(InputError, match=f"{_SIDE + 1} x {_SIDE} candidate"):
+        tracker.step(1, detections([(0.0, 10.0)] * _SIDE))
+    assert _state(tracker) == before
 
 
 # -- lifecycle -----------------------------------------------------------
@@ -386,6 +495,19 @@ def test_negative_innovation_variance_leaves_bank_unchanged():
     tracker.bank.cov[2, 0, 0, 0] = -1e3
     before = _state(tracker)
     with pytest.raises(NumericalError, match="row 2: innovation variance"):
+        tracker.step(4, detections([(20.0 * k, 10.4) for k in range(3)]))
+    assert _state(tracker) == before
+
+
+def test_non_finite_predicted_mean_raises_without_changing_state():
+    # Unchecked, such a track could never match again (its distance is
+    # nan): it would be reported at x = nan and a duplicate born at its
+    # detection.
+    tracker = _three_track_tracker()
+    tracker.bank.mean[1, 0, 1] = np.nan
+    before = _state(tracker)
+    with pytest.raises(NumericalError,
+                       match=r"tracks \[2\]: predicted state is not finite"):
         tracker.step(4, detections([(20.0 * k, 10.4) for k in range(3)]))
     assert _state(tracker) == before
 
