@@ -52,32 +52,35 @@ class DynamicsWindow:
 
 
 def finite_differences(positions: np.ndarray):
-    """First and second differences along the second-to-last axis.
+    """First and second differences along the leading (time) axis.
 
-    `positions` is (n, axes) or a batch (..., n, axes); n must be at least three.
+    `positions` is (n, ...): one window (n, axes) or a time-major stack
+    (n, batch, axes); n must be at least three.
     """
     z = np.asarray(positions, dtype=float)
-    if z.shape[-2] < MIN_WINDOW:
+    if z.shape[0] < MIN_WINDOW:
         raise InsufficientDataError(
-            f"dynamics window holds {z.shape[-2]} positions, need {MIN_WINDOW}")
-    d1 = z[..., 1:, :] - z[..., :-1, :]
-    d2 = d1[..., 1:, :] - d1[..., :-1, :]
+            f"dynamics window holds {z.shape[0]} positions, need {MIN_WINDOW}")
+    d1 = z[1:] - z[:-1]
+    d2 = d1[1:] - d1[:-1]
     return d1, d2
 
 
 def _sample_std(series: np.ndarray) -> np.ndarray:
-    """Sample standard deviation over the second-to-last axis (divisor n-1).
+    """Sample standard deviation over the leading axis (divisor n-1).
 
     Series shorter than 2 have zero deviation by definition. Spelled out
     rather than delegated to ndarray.std so one formulation serves both the
-    single-window and the batched path.
+    single-window and the batched path. Each sum runs over the leading axis,
+    so numpy adds the slots one by one, in order, with every later axis in
+    the inner loop.
     """
-    n = series.shape[-2]
+    n = series.shape[0]
     if n < 2:
-        return np.zeros(series.shape[:-2] + series.shape[-1:])
-    mean = series.sum(axis=-2) / n
-    dev = series - mean[..., None, :]
-    return np.sqrt((dev * dev).sum(axis=-2) / (n - 1))
+        return np.zeros(series.shape[1:])
+    mean = series.sum(axis=0) / n
+    dev = series - mean
+    return np.sqrt((dev * dev).sum(axis=0) / (n - 1))
 
 
 def dynamics_vectors(stacks: np.ndarray) -> np.ndarray:
@@ -90,12 +93,15 @@ def dynamics_vectors(stacks: np.ndarray) -> np.ndarray:
     if z.ndim != 3:
         raise ContractViolationError(
             f"expected a (batch, n, axes) stack, got shape {z.shape}")
+    # One time-major copy: a sum over the middle axis of (batch, n, axes)
+    # runs an inner loop over just `axes` elements per slot.
+    z = np.ascontiguousarray(z.transpose(1, 0, 2))
     d1, d2 = finite_differences(z)
-    d = np.empty((z.shape[0], z.shape[2], WEIGHT_COLUMNS))
-    d[:, :, 0] = 1.0
-    d[:, :, 1] = _sample_std(z)
-    d[:, :, 2] = _sample_std(d1)
-    d[:, :, 3] = _sample_std(d2)
+    d = np.empty(z.shape[1:] + (WEIGHT_COLUMNS,))
+    d[..., 0] = 1.0
+    d[..., 1] = _sample_std(z)
+    d[..., 2] = _sample_std(d1)
+    d[..., 3] = _sample_std(d2)
     return d
 
 

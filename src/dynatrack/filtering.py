@@ -94,6 +94,13 @@ def _transpose(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked outer products a_i b_j; one product per entry, so bitwise the
+    broadcast `a[..., :, None] * b[..., None, :]`, without its loops over
+    n-element inner axes."""
+    return np.einsum("...i,...j->...ij", a, b)
+
+
 def predict(est: StateEstimate, F: np.ndarray, weights,
             noise: NoiseModel) -> StateEstimate:
     """Weighted prediction: mean' = F W mean, cov' = (F W) cov (F W)^T + Q.
@@ -117,7 +124,7 @@ def predict(est: StateEstimate, F: np.ndarray, weights,
     # As F (W P W) F^T: F is shared by every state, so each product with it
     # is one 2-D matrix multiply over the whole stack. The second product
     # gives (F P F^T)^T, which the symmetrisation below makes no different.
-    Pw = est.cov * (W[..., :, None] * W[..., None, :])
+    Pw = est.cov * _outer(W, W)
     mean = (F @ (est.mean * W)[..., None])[..., 0]
     PFt = (Pw.reshape(-1, n) @ F.T).reshape(Pw.shape)
     cov = (_transpose(PFt).reshape(-1, n) @ F.T).reshape(Pw.shape) + noise.Q
@@ -157,8 +164,8 @@ def update(pred: StateEstimate, z: np.ndarray, noise: NoiseModel, labels=None):
     residual = z - mean[..., 0]
     # Joseph form A P A^T + R K K^T with A = I - K e0^T, expanded: P e0 = p
     # and e0^T P e0 + R = s, so it is P - K p^T - p K^T + s K K^T.
-    Kp = K[..., :, None] * p[..., None, :]
-    KK = K[..., :, None] * K[..., None, :]
+    Kp = _outer(K, p)
+    KK = _outer(K, K)
     cov = P - Kp - _transpose(Kp) + s[..., None, None] * KK
     cov = 0.5 * (cov + _transpose(cov))
     return StateEstimate(mean=mean + K * residual[..., None], cov=cov), K, residual

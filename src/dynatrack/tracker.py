@@ -236,10 +236,18 @@ def _gated_candidates(rows, cols, dist, gate: float):
 
 
 def distance(a: np.ndarray, b: np.ndarray):
-    """Euclidean distance over the last axis, bitwise `np.linalg.norm(a - b, axis=-1)`;
-    every gate decision uses it, so a pair at the gate is judged alike everywhere."""
+    """Euclidean distance over the last axis; every gate decision uses it, so
+    a pair at the gate is judged alike everywhere.
+
+    The squared coordinates are added column by column, in order, which for
+    points of fewer than 8 coordinates is bitwise `np.linalg.norm(a - b,
+    axis=-1)` without a reduction over a 2-element inner axis.
+    """
     d = a - b
-    return np.sqrt(np.add.reduce(d * d, axis=-1))
+    total = d[..., 0] * d[..., 0]
+    for k in range(1, d.shape[-1]):
+        total += d[..., k] * d[..., k]
+    return np.sqrt(total)
 
 
 # `in_gate` widens its x window by this share of |x| + gate, far more than the
@@ -258,10 +266,17 @@ def in_gate(a, b, gate: float):
         return none, none, np.zeros(0)
     order = np.argsort(b[:, 0], kind="stable")
     bx = b[order, 0]
-    ax = a[:, 0]
+    # numpy's binary search starts from the previous key's bound when the
+    # keys ascend, so the points of a are searched in ascending x and their
+    # `lo` and `counts` put back in a's row order.
+    by_x = np.argsort(a[:, 0], kind="stable")
+    ax = a[by_x, 0]
     reach = gate + X_WINDOW_MARGIN * (np.abs(ax) + gate)
-    lo = np.searchsorted(bx, ax - reach, side="left")
-    counts = np.searchsorted(bx, ax + reach, side="right") - lo
+    lo = np.empty(len(a), dtype=np.intp)
+    counts = np.empty(len(a), dtype=np.intp)
+    lo[by_x] = np.searchsorted(bx, ax - reach, side="left")
+    counts[by_x] = np.searchsorted(bx, ax + reach, side="right")
+    counts -= lo
     rows = np.repeat(np.arange(len(a)), counts)
     # Candidate i of row r sits at sorted index lo[r] + (i - first[r]).
     first = np.cumsum(counts) - counts
@@ -456,12 +471,11 @@ def _detection_columns(detections: Detections) -> dict:
         if column.shape != expected:
             raise ContractViolationError(
                 f"detection {name} column has shape {column.shape}, expected {expected}")
-        if name in NUMERIC:
+        if name in NUMERIC and not np.isfinite(column).all():
             finite = np.isfinite(column).all(axis=tuple(range(1, column.ndim)))
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise ContractViolationError(
-                    f"detection {i} has a non-finite {name} {column[i].tolist()}")
+            i = int(np.argmin(finite))
+            raise ContractViolationError(
+                f"detection {i} has a non-finite {name} {column[i].tolist()}")
     return columns
 
 
@@ -525,8 +539,11 @@ class MultiObjectTracker:
         bank.ring[rows, (hits - 1) % size] = raw
         filled = np.minimum(hits, size)
         # Unfilled slots are zero, so the full-ring sum is the sum of the
-        # filled rows; dividing by the fill count gives their mean.
-        bank.weights[rows] = bank.ring[rows].sum(axis=1) / filled[:, None, None]
+        # filled rows; dividing by the fill count gives their mean. The sum
+        # runs over the leading axis of a slot-major copy, so its inner loop
+        # spans a slot of every row rather than one row's 8 entries.
+        slots = np.ascontiguousarray(bank.ring[rows].swapaxes(0, 1))
+        bank.weights[rows] = slots.sum(axis=0) / filled[:, None, None]
 
     def _apply_matches(self, rows: np.ndarray, matched: dict):
         bank = self.bank

@@ -332,13 +332,52 @@ def segment_frames(obj: ObjectSpec):
 
 # -- single-window dynamics and the algebraic clamp -------------------------
 
+def _reference_finite_differences(positions):
+    """First and second differences along the second-to-last axis."""
+    z = np.asarray(positions, dtype=float)
+    if z.shape[-2] < dynamics.MIN_WINDOW:
+        raise InsufficientDataError(
+            f"dynamics window holds {z.shape[-2]} positions, need {dynamics.MIN_WINDOW}")
+    d1 = z[..., 1:, :] - z[..., :-1, :]
+    d2 = d1[..., 1:, :] - d1[..., :-1, :]
+    return d1, d2
+
+
+def _reference_sample_std(series):
+    """Sample standard deviation over the second-to-last axis (divisor n-1)."""
+    n = series.shape[-2]
+    if n < 2:
+        return np.zeros(series.shape[:-2] + series.shape[-1:])
+    mean = series.sum(axis=-2) / n
+    dev = series - mean[..., None, :]
+    return np.sqrt((dev * dev).sum(axis=-2) / (n - 1))
+
+
+def reference_dynamics_vectors(stacks):
+    """`dynamics.dynamics_vectors` reducing over the window axis where it
+    lies, the middle axis of (batch, n, axes): the reference the time-major
+    code must match bitwise."""
+    z = np.asarray(stacks, dtype=float)
+    if z.ndim != 3:
+        raise ContractViolationError(
+            f"expected a (batch, n, axes) stack, got shape {z.shape}")
+    d1, d2 = _reference_finite_differences(z)
+    d = np.empty((z.shape[0], z.shape[2], dynamics.WEIGHT_COLUMNS))
+    d[:, :, 0] = 1.0
+    d[:, :, 1] = _reference_sample_std(z)
+    d[:, :, 2] = _reference_sample_std(d1)
+    d[:, :, 3] = _reference_sample_std(d2)
+    return d
+
+
 def dynamics_vector(positions):
-    """Per-axis [1, sigma_pos, sigma_vel, sigma_acc] of one window, (axes, 4)."""
+    """Per-axis [1, sigma_pos, sigma_vel, sigma_acc] of one window, (axes, 4),
+    from the reference."""
     z = np.asarray(positions, dtype=float)
     if z.ndim != 2:
         raise ContractViolationError(
             f"expected an (n, axes) position array, got shape {z.shape}")
-    return dynamics.dynamics_vectors(z[None])[0]
+    return reference_dynamics_vectors(z[None])[0]
 
 
 def clamped_weights_algebraic(d_norm):

@@ -2,8 +2,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from helpers import clamped_weights_algebraic, dynamics_vector, smooth_weights
+from helpers import (clamped_weights_algebraic, dynamics_vector,
+                     reference_dynamics_vectors, smooth_weights)
 
 from dynatrack import dynamics as dyn
 from dynatrack import filtering as flt
@@ -26,6 +30,11 @@ def _window(values):
     for given, row in enumerate(values):
         win.push([0], row[None], [given])
     return win.positions[0]
+
+
+def _vector(positions):
+    """The program's dynamics vector of one (n, axes) window."""
+    return dyn.dynamics_vectors(np.asarray(positions, dtype=float)[None])[0]
 
 
 def test_window_push_and_eviction_order():
@@ -66,12 +75,12 @@ def test_finite_differences_insufficient():
 
 
 def test_dynamics_vector_constant_positions():
-    d = dynamics_vector(_window([5.0] * 6))
+    d = _vector(_window([5.0] * 6))
     npt.assert_array_equal(d, [[1.0, 0.0, 0.0, 0.0]])
 
 
 def test_dynamics_vector_linear_ramp():
-    d = dynamics_vector(_window([0.0, 1.0, 2.0, 3.0, 4.0]))
+    d = _vector(_window([0.0, 1.0, 2.0, 3.0, 4.0]))
     assert d[0, 0] == 1.0
     assert d[0, 1] == pytest.approx(STD_01234, abs=1e-14)
     assert d[0, 2] == 0.0
@@ -79,7 +88,7 @@ def test_dynamics_vector_linear_ramp():
 
 
 def test_dynamics_vector_frozen_example():
-    d = dynamics_vector(_window([0.0, 1.0, 3.0, 6.0, 10.0]))
+    d = _vector(_window([0.0, 1.0, 3.0, 6.0, 10.0]))
     assert d[0, 1] == pytest.approx(STD_POS_01361, abs=1e-13)
     assert d[0, 2] == pytest.approx(STD_VEL_1234, abs=1e-14)
     assert d[0, 3] == 0.0
@@ -88,7 +97,7 @@ def test_dynamics_vector_frozen_example():
 def test_dynamics_vector_axes_independent():
     a = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
     b = np.array([5.0, 5.0, 5.0, 5.0, 5.0])
-    d = dynamics_vector(np.stack([a, b], axis=1))
+    d = _vector(np.stack([a, b], axis=1))
     assert d.shape == (2, 4)
     assert d[0, 1] == pytest.approx(STD_POS_01361, abs=1e-13)
     npt.assert_array_equal(d[1], [1.0, 0.0, 0.0, 0.0])
@@ -102,11 +111,44 @@ def test_dynamics_vectors_batch_matches_single_windows():
     npt.assert_array_equal(batch, singles)
 
 
+@st.composite
+def _window_stacks(draw):
+    """(batch, n, axes) stacks of windows on both sides of 8 positions, at
+    magnitudes from 1e-6 to 1e6, some about a large offset and some constant."""
+    shape = (draw(st.integers(0, 30)), draw(st.integers(3, 12)),
+             draw(st.integers(1, 2)))
+    unit = hnp.arrays(float, shape, elements=st.floats(-1.0, 1.0))
+    stack = draw(unit) * 10.0 ** draw(st.integers(-6, 6))
+    stack += draw(st.sampled_from([0.0, 1.0, -1e3, 1e6]))
+    constant = draw(hnp.arrays(bool, shape[:1]))
+    stack[constant] = stack[constant, :1]
+    return stack
+
+
+@settings(max_examples=300, deadline=None)
+@example(stack=np.zeros((0, 8, 2)))
+@example(stack=np.full((3, 12, 2), 1e6 + 0.1))
+@given(stack=_window_stacks())
+def test_dynamics_vectors_match_the_middle_axis_reference(stack):
+    got = dyn.dynamics_vectors(stack)
+    want = reference_dynamics_vectors(stack)
+    batch, n, axes = stack.shape
+    if axes == 1 and n >= 8:
+        # One axis makes the window axis the reference's contiguous inner
+        # axis, where numpy sums 8 or more entries pairwise rather than in
+        # order: equal to a few roundings of the window's largest entry.
+        scale = np.abs(stack).max(axis=1, initial=0.0)[..., None]
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * n * np.finfo(float).eps * scale)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
 def test_dynamics_vectors_rejects_flat_input():
     with pytest.raises(ContractViolationError):
         dyn.dynamics_vectors(np.zeros((8, 2)))
     with pytest.raises(ContractViolationError):
-        dynamics_vector(np.zeros(8))
+        dyn.dynamics_vectors(np.zeros(8))
 
 
 def test_update_weights_hand_example():
@@ -231,7 +273,7 @@ def test_noise_free_constant_velocity_weights():
     # spacing 0.5 per step is exactly representable, so the higher-order
     # fluctuations vanish exactly and their weights must be exactly zero
     positions = np.arange(8.0)[:, None] * 0.5
-    d = dynamics_vector(positions)
+    d = _vector(positions)
     factors = dyn.dynamics_factors(0.5, 0.25, 0.15)
     w = dyn.update_weights(d, factors)
     assert w[0, 1] == 1.0

@@ -184,6 +184,26 @@ def test_gated_pairs_distances_are_the_dense_norm_bitwise():
         assert len(gated_pairs([p], [q], np.nextafter(gate, 0.0))[0]) == 0
 
 
+@pytest.mark.parametrize("arrange", ["descending", "shuffled"])
+def test_in_gate_pairs_do_not_depend_on_the_order_of_a(arrange):
+    # The points of a are searched in ascending x and their windows put back
+    # in row order; given in any other order, with some x shared, they must
+    # still get every in-gate pair, rows ascending, at the dense distance.
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.0, 20.0, (60, 2))
+    a[::7, 0] = a[1::7, 0][:len(a[::7])]
+    a = a[np.argsort(-a[:, 0])] if arrange == "descending" else a[rng.permutation(60)]
+    b = rng.uniform(0.0, 20.0, (80, 2))
+    rows, cols, dist = trk.in_gate(a, b, GATE)
+    dense = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    want_rows, want_cols = np.nonzero(dense <= GATE)
+    assert np.all(np.diff(rows) >= 0)
+    by_pair = np.lexsort((cols, rows))
+    npt.assert_array_equal(rows[by_pair], want_rows)
+    npt.assert_array_equal(cols[by_pair], want_cols)
+    assert dist[by_pair].tobytes() == dense[want_rows, want_cols].tobytes()
+
+
 @st.composite
 def _distance_matrices(draw):
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
