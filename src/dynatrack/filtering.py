@@ -1,14 +1,17 @@
 """Kalman filter core: weighted transition, scalar Joseph update, measurement clearing.
 
-A state is stored per ground axis: `mean (axes, n)` and `cov (axes, n, n)`,
-n = order + 1, each axis block holding [p, v, a, j] truncated to the order.
-The transition, process noise and birth covariance are the same block on
-every axis, and each axis measures its own position with independent noise,
-so the axes never correlate and each runs its own n-state filter with a
-scalar innovation. Only positions are measured; the weighted prediction
-step rescales each kinematic contribution before it is propagated.
-`predict`, `update` and `post_measurement` take one state or a stack of
-states with leading batch axes, through the same code.
+A state is stored per ground axis: `mean (axes, n)`, n = order + 1, each
+axis block holding [p, v, a, j] truncated to the order, and `cov (axes, U)`,
+each axis's symmetric covariance packed as its U = n(n+1)/2 unique entries
+`P[I, J]` in row-major upper-triangle order (`PACKED_INDICES[n]`). So a
+stored covariance is exactly symmetric, and entries 0..n-1 are its first
+row. The transition, process noise and birth covariance are the same block
+on every axis, and each axis measures its own position with independent
+noise, so the axes never correlate and each runs its own n-state filter
+with a scalar innovation. Only positions are measured; the weighted
+prediction step rescales each kinematic contribution before it is
+propagated. `predict`, `update` and `post_measurement` take one state or a
+stack of states with leading batch axes, through the same code.
 """
 from __future__ import annotations
 
@@ -25,10 +28,16 @@ GROUND_AXES = 2
 # Birth covariance scaling per derivative order, applied to sigma_meas**2.
 INITIAL_VARIANCE_SCALE = (10.0, 100.0, 1000.0, 10000.0)
 
+# The packed entries of an (n, n) block, `P[I, J]`, for every state size the
+# filter takes (1 for a lone position, up to max order + 1). Built once here:
+# `np.triu_indices` costs tens of microseconds a call.
+PACKED_INDICES = {n: np.triu_indices(n) for n in range(1, max(VALID_ORDERS) + 2)}
+
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """One axis's process noise block `Q (n, n)` and position variance `R`."""
+    """One axis's process noise block, packed as `Q (U,)`, and position
+    variance `R`."""
 
     Q: np.ndarray
     R: float
@@ -36,8 +45,8 @@ class NoiseModel:
 
 @dataclass
 class StateEstimate:
-    """One state, `mean (axes, n)` and `cov (axes, n, n)`, or a stack of states
-    with the same leading batch axes on both."""
+    """One state, `mean (axes, n)` and packed `cov (axes, U)`, or a stack of
+    states with the same leading batch axes on both."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -72,12 +81,14 @@ def process_noise_block(order: int, dt: float, q: float) -> np.ndarray:
 
 
 def build_noise(order: int, dt: float, q: float, sigma: float) -> NoiseModel:
-    """One axis's process noise block and its position variance `sigma**2`."""
-    return NoiseModel(Q=process_noise_block(order, dt, q), R=sigma ** 2)
+    """One axis's packed process noise block and its position variance `sigma**2`."""
+    Q = process_noise_block(order, dt, q)
+    return NoiseModel(Q=Q[PACKED_INDICES[order + 1]], R=sigma ** 2)
 
 
 def initial_estimate(position: np.ndarray, order: int, sigma: float) -> StateEstimate:
-    """Track-birth state: measured position, zero derivatives, inflated covariance.
+    """Track-birth state: measured position, zero derivatives, inflated
+    diagonal covariance, packed.
 
     `position` is (axes,) or a stack (..., axes); the estimate stacks alike.
     """
@@ -85,32 +96,58 @@ def initial_estimate(position: np.ndarray, order: int, sigma: float) -> StateEst
     n = order + 1
     mean = np.zeros(position.shape + (n,))
     mean[..., 0] = position
-    var = np.diag(np.asarray(INITIAL_VARIANCE_SCALE[:n]) * sigma ** 2)
-    cov = np.broadcast_to(var, mean.shape + (n,)).copy()
+    I, J = PACKED_INDICES[n]
+    var = np.zeros(len(I))
+    var[I == J] = np.asarray(INITIAL_VARIANCE_SCALE[:n]) * sigma ** 2
+    cov = np.broadcast_to(var, mean.shape[:-1] + var.shape).copy()
     return StateEstimate(mean=mean, cov=cov)
 
 
-def _transpose(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
+def _check_indices(n: int):
+    if n not in PACKED_INDICES:
+        raise ContractViolationError(
+            f"state size {n} is not one of {sorted(PACKED_INDICES)}")
+    return PACKED_INDICES[n]
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked outer products a_i b_j; one product per entry, so bitwise the
-    broadcast `a[..., :, None] * b[..., None, :]`, without its loops over
-    n-element inner axes."""
-    return np.einsum("...i,...j->...ij", a, b)
+@dataclass(frozen=True)
+class Transition:
+    """One axis's transition `F (n, n)` with its action on packed covariances:
+    `packed(F P F^T) = packed(P) @ M` for every symmetric P."""
+
+    F: np.ndarray
+    M: np.ndarray
 
 
-def predict(est: StateEstimate, F: np.ndarray, weights,
+def packed_transition(F: np.ndarray) -> Transition:
+    """`F` with the (U, U) matrix `M` that propagates packed covariances.
+
+    Entry (a, b) of F P F^T is the sum over (k, l) of F[a, k] P[k, l] F[b, l],
+    the row (a, b) of F kron F applied to P flattened. A symmetric P holds
+    P[k, l] = P[l, k] once, at packed entry u = (k, l) with k <= l, so the
+    columns (k, l) and (l, k) of F kron F fold into row u of M; only the
+    packed rows (a, b) are kept.
+    """
+    n = F.shape[0]
+    I, J = _check_indices(n)
+    kron = np.kron(F, F)[I * n + J]
+    folded = kron[:, I * n + J] + np.where(I != J, kron[:, J * n + I], 0.0)
+    return Transition(F=F, M=np.ascontiguousarray(folded.T))
+
+
+def predict(est: StateEstimate, transition: Transition, weights,
             noise: NoiseModel) -> StateEstimate:
     """Weighted prediction: mean' = F W mean, cov' = (F W) cov (F W)^T + Q.
 
-    `F` is the one-axis `transition_block`. `weights` is the diagonal of each
-    axis's weight matrix W, shaped like `est.mean`. A diagonal of exact ones
-    gives bitwise the unweighted step.
+    `transition` is the one-axis `packed_transition`. `weights` is the
+    diagonal of each axis's weight matrix W, shaped like `est.mean`. W P W
+    scales packed entry (i, j) by w_i w_j, and F acts on the packed entries
+    through `M`, so each product is one 2-D matrix multiply over the whole
+    stack. A diagonal of exact ones gives bitwise the unweighted step.
     """
-    n = F.shape[0]
-    if est.mean.shape[-1:] != (n,) or est.cov.shape != est.mean.shape + (n,):
+    F, M = transition.F, transition.M
+    n, size = len(F), len(M)
+    if est.mean.shape[-1:] != (n,) or est.cov.shape != est.mean.shape[:-1] + (size,):
         raise ContractViolationError(
             f"state {est.mean.shape} with covariance {est.cov.shape} does not "
             f"match transition {F.shape}")
@@ -118,17 +155,13 @@ def predict(est: StateEstimate, F: np.ndarray, weights,
     if W.shape != est.mean.shape:
         raise ContractViolationError(
             f"weight diagonal shape {W.shape} does not match state {est.mean.shape}")
-    if noise.Q.shape != (n, n):
+    if noise.Q.shape != (size,):
         raise ContractViolationError(
             f"process noise shape {noise.Q.shape} does not match state size {n}")
-    # As F (W P W) F^T: F is shared by every state, so each product with it
-    # is one 2-D matrix multiply over the whole stack. The second product
-    # gives (F P F^T)^T, which the symmetrisation below makes no different.
-    Pw = est.cov * _outer(W, W)
-    mean = (F @ (est.mean * W)[..., None])[..., 0]
-    PFt = (Pw.reshape(-1, n) @ F.T).reshape(Pw.shape)
-    cov = (_transpose(PFt).reshape(-1, n) @ F.T).reshape(Pw.shape) + noise.Q
-    cov = 0.5 * (cov + _transpose(cov))
+    I, J = PACKED_INDICES[n]
+    mean = ((est.mean * W).reshape(-1, n) @ F.T).reshape(est.mean.shape)
+    Pw = est.cov * (W[..., I] * W[..., J])
+    cov = (Pw.reshape(-1, size) @ M).reshape(est.cov.shape) + noise.Q
     return StateEstimate(mean=mean, cov=cov)
 
 
@@ -138,36 +171,37 @@ def update(pred: StateEstimate, z: np.ndarray, noise: NoiseModel, labels=None):
     `z` holds one position per axis, `(axes,)` or a stack `(..., axes)`
     matching `pred`. Each axis has the scalar innovation variance
     `s = P[0, 0] + R` and the gain `K = P[:, 0] / s` (Bar-Shalom, Li &
-    Kirubarajan, 2001). Returns (posterior, gain (..., axes, n),
-    residual (..., axes)). Raises NumericalError if any `s` is not finite
-    and positive; `s >= R > 0` for every finite positive semi-definite
-    covariance. The error names the first such state of the flattened stack
-    by its entry in `labels`, one per state, or else by its index.
+    Kirubarajan, 2001); P[0, :] is the first n packed entries. Returns
+    (posterior, gain (..., axes, n), residual (..., axes)). Raises
+    NumericalError if any `s` is not finite and positive; `s >= R > 0` for
+    every finite positive semi-definite covariance. The error names the
+    first such state of the flattened stack as `track <label>` by its entry
+    in `labels`, one per state, or else as `row <index>`.
     """
     z = np.asarray(z, dtype=float)
     mean, P = pred.mean, pred.cov
     n = mean.shape[-1]
-    if P.shape != mean.shape + (n,) or z.shape != mean.shape[:-1]:
+    I, J = _check_indices(n)
+    if P.shape != mean.shape[:-1] + (len(I),) or z.shape != mean.shape[:-1]:
         raise ContractViolationError(
             f"measurement {z.shape} does not match state {mean.shape} with "
             f"covariance {P.shape}")
-    s = P[..., 0, 0] + noise.R
+    s = P[..., 0] + noise.R
     bad = ~(np.isfinite(s) & (s > 0))
     if bad.any():
         flat = s.reshape(-1, s.shape[-1])
         row = int(np.argmax(bad.reshape(flat.shape).any(axis=1)))
-        label = row if labels is None else np.ravel(labels)[row]
-        raise NumericalError(f"row {label}: innovation variance {flat[row].tolist()} "
+        name = f"row {row}" if labels is None else f"track {np.ravel(labels)[row]}"
+        raise NumericalError(f"{name}: innovation variance {flat[row].tolist()} "
                              f"is not finite and positive")
-    p = P[..., :, 0]
+    p = P[..., :n]
     K = p / s[..., None]
     residual = z - mean[..., 0]
     # Joseph form A P A^T + R K K^T with A = I - K e0^T, expanded: P e0 = p
-    # and e0^T P e0 + R = s, so it is P - K p^T - p K^T + s K K^T.
-    Kp = _outer(K, p)
-    KK = _outer(K, K)
-    cov = P - Kp - _transpose(Kp) + s[..., None, None] * KK
-    cov = 0.5 * (cov + _transpose(cov))
+    # and e0^T P e0 + R = s, so entry (i, j) is
+    # P_ij - K_i p_j - p_i K_j + s K_i K_j.
+    KI, KJ = K[..., I], K[..., J]
+    cov = P - KI * p[..., J] - p[..., I] * KJ + s[..., None] * (KI * KJ)
     return StateEstimate(mean=mean + K * residual[..., None], cov=cov), K, residual
 
 

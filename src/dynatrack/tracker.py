@@ -340,7 +340,8 @@ class TrackBank:
     """Every live track's state as one row of stacked arrays.
 
     Filter: one filter per ground axis, `mean (N, axes, n)` and
-    `cov (N, axes, n, n)` with n = model_order + 1, and the smoothed
+    `cov (N, axes, U)` with n = model_order + 1, each axis's covariance
+    packed as its U = n(n+1)/2 unique entries (see `filtering`), and the smoothed
     `weights (N, axes, 4)`, whose first n columns predict applies (exact
     ones from birth until the window supports an estimate, and always with
     dynamics off). Dynamics: `window`, one cleaned-position buffer per row,
@@ -361,7 +362,7 @@ class TrackBank:
         self.window = dyn.DynamicsWindow(window, flt.GROUND_AXES)
         self.ids = np.zeros(0, dtype=np.int64)
         self.mean = np.zeros((0, flt.GROUND_AXES, n))
-        self.cov = np.zeros((0, flt.GROUND_AXES, n, n))
+        self.cov = np.zeros((0, flt.GROUND_AXES, n * (n + 1) // 2))
         self.weights = np.zeros((0,) + weights)
         self.ring = np.zeros((0, smoothing) + weights)
         self.hits = np.zeros(0, dtype=np.intp)
@@ -497,7 +498,8 @@ class MultiObjectTracker:
         self.cfg = cfg
         order = cfg.model_order
         self._order = order
-        self._F = flt.transition_block(order, cfg.dt)
+        self._transition = flt.packed_transition(
+            flt.transition_block(order, cfg.dt))
         self._noise = flt.build_noise(order, cfg.dt, cfg.process_noise,
                                       cfg.measurement_noise)
         self._factors = dyn.dynamics_factors(
@@ -596,7 +598,7 @@ class MultiObjectTracker:
         - a connected block of in-gate (track, detection) pairs spanning more
           than MAX_CONTESTED_CELLS cells (InputError, see `gated_pairs`);
         - an innovation variance that is not finite and positive
-          (NumericalError naming the bank row).
+          (NumericalError naming the track id).
         """
         if self.frame is not None and frame <= self.frame:
             raise ContractViolationError(
@@ -604,7 +606,8 @@ class MultiObjectTracker:
         columns = _detection_columns(detections)
         z = columns["position"]
         bank = self.bank
-        pred = flt.predict(flt.StateEstimate(bank.mean, bank.cov), self._F,
+        pred = flt.predict(flt.StateEstimate(bank.mean, bank.cov),
+                           self._transition,
                            dyn.weight_diagonal(bank.weights, self._order),
                            self._noise)
         if not np.isfinite(pred.mean).all():
@@ -616,7 +619,7 @@ class MultiObjectTracker:
         rows, cols = assignment.rows, assignment.cols
         post, K, residual = flt.update(
             flt.StateEstimate(pred.mean[rows], pred.cov[rows]), z[cols],
-            self._noise, labels=rows)
+            self._noise, labels=bank.ids[rows])
         born = assignment.unmatched_detections
 
         self.frame = frame

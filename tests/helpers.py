@@ -81,24 +81,45 @@ def validate_estimate(est, tol=1e-9):
 # -- reference filter: one dense state over both axes per call ---------------
 # The per-track loop's arithmetic from before the bank ran one filter per axis.
 
+def pack(P):
+    """The unique entries `P[..., I, J]` of symmetric blocks (..., n, n), in
+    the filter's row-major upper-triangle order."""
+    return P[(...,) + np.triu_indices(P.shape[-1])]
+
+
+def unpack(packed):
+    """Packed blocks (..., U) as full symmetric blocks (..., n, n)."""
+    packed = np.asarray(packed, dtype=float)
+    n = (math.isqrt(8 * packed.shape[-1] + 1) - 1) // 2
+    I, J = np.triu_indices(n)
+    full = np.empty(packed.shape[:-1] + (n, n))
+    full[..., I, J] = packed
+    full[..., J, I] = packed
+    return full
+
+
 def dense_model(F, noise, axes=2):
-    """The per-axis transition and noise as one dense model over the stacked
-    state [axis 0 block, axis 1 block, ...], with the position-selecting `H`."""
+    """The per-axis transition and packed noise as one dense model over the
+    stacked state [axis 0 block, axis 1 block, ...], with the
+    position-selecting `H`."""
     n = F.shape[0]
     H = np.zeros((axes, axes * n))
     H[range(axes), range(0, axes * n, n)] = 1.0
     return (scipy.linalg.block_diag(*[F] * axes),
-            NoiseModel(Q=scipy.linalg.block_diag(*[noise.Q] * axes),
+            NoiseModel(Q=scipy.linalg.block_diag(*[unpack(noise.Q)] * axes),
                        R=noise.R * np.eye(axes)), H)
 
 
 def dense_state(mean, cov):
-    """One per-axis state `mean (axes, n)`, `cov (axes, n, n)` as a dense one."""
-    return StateEstimate(mean=np.ravel(mean), cov=scipy.linalg.block_diag(*cov))
+    """One per-axis state `mean (axes, n)`, packed `cov (axes, U)` as a dense
+    one."""
+    return StateEstimate(mean=np.ravel(mean),
+                         cov=scipy.linalg.block_diag(*unpack(cov)))
 
 
 def reference_predict(est, F, weights, noise):
-    """Weighted predict of one state; `weights` is its diagonal or None."""
+    """Weighted predict of one dense state (`noise.Q` dense too); `weights` is
+    its diagonal or None."""
     F = F if weights is None else F * np.asarray(weights, dtype=float)
     cov = F @ est.cov @ F.T + noise.Q
     return StateEstimate(mean=F @ est.mean, cov=0.5 * (cov + cov.T))

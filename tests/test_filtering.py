@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import (dense_model, dense_state, reference_predict, reference_update,
-                     validate_estimate)
+from helpers import (dense_model, dense_state, pack, reference_predict,
+                     reference_update, unpack, validate_estimate)
 
 from dynatrack import filtering as flt
 from dynatrack.errors import (ConfigurationError, ContractViolationError,
@@ -55,30 +55,45 @@ def test_process_noise_symmetric_psd(order):
 
 def test_build_noise_shapes():
     noise = flt.build_noise(3, 0.1, 1.0, 0.3)
-    npt.assert_array_equal(noise.Q, flt.process_noise_block(3, 0.1, 1.0))
+    npt.assert_array_equal(unpack(noise.Q), flt.process_noise_block(3, 0.1, 1.0))
     assert noise.R == pytest.approx(0.09, rel=1e-15)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_packed_transition_propagates_packed_covariances(order):
+    # packed(F P F^T) = packed(P) @ M for symmetric P, entry for entry
+    rng = np.random.default_rng(order)
+    transition = flt.packed_transition(flt.transition_block(order, 0.3))
+    F, M = transition.F, transition.M
+    n = order + 1
+    assert M.shape == (n * (n + 1) // 2,) * 2
+    for _ in range(20):
+        A = rng.normal(size=(n, n))
+        P = A + A.T
+        npt.assert_allclose(pack(P) @ M, pack(F @ P @ F.T), rtol=0, atol=1e-14)
 
 
 def test_initial_estimate_variances():
     est = flt.initial_estimate(np.array([2.0, -3.0]), 3, 0.3)
     npt.assert_array_equal(est.mean, [[2.0, 0, 0, 0], [-3.0, 0, 0, 0]])
     expect = 0.09 * np.array([10.0, 100.0, 1000.0, 10000.0])
-    for cov in est.cov:
+    assert est.cov.shape == (2, 10)
+    for cov in unpack(est.cov):
         npt.assert_allclose(np.diag(cov), expect, rtol=1e-15)
         npt.assert_array_equal(cov - np.diag(np.diag(cov)), np.zeros((4, 4)))
     stacked = flt.initial_estimate(np.array([[2.0, -3.0], [1.0, 0.5]]), 1, 0.3)
-    assert stacked.mean.shape == (2, 2, 2) and stacked.cov.shape == (2, 2, 2, 2)
+    assert stacked.mean.shape == (2, 2, 2) and stacked.cov.shape == (2, 2, 3)
     npt.assert_array_equal(stacked.mean[1, :, 0], [1.0, 0.5])
 
 
 def _axis_state(px=0.0, vx=2.0, ax=1.0, jx=0.6):
     mean = np.array([[px, vx, ax, jx], [0.0, 0.0, 0.0, 0.0]])
-    return flt.StateEstimate(mean=mean, cov=np.broadcast_to(np.eye(4), (2, 4, 4)))
+    return flt.StateEstimate(mean=mean, cov=np.broadcast_to(pack(np.eye(4)), (2, 10)))
 
 
 def test_predict_weighted_hand_value():
     # one axis active: weights [1, 1, .5, .5], dt=1 -> 0 + 2 + .25 + .05
-    F = flt.transition_block(3, 1.0)
+    F = flt.packed_transition(flt.transition_block(3, 1.0))
     noise = flt.build_noise(3, 1.0, 1.0, 0.3)
     w = np.array([[1.0, 1.0, 0.5, 0.5], [1.0, 1.0, 1.0, 1.0]])
     pred = flt.predict(_axis_state(), F, w, noise)
@@ -86,7 +101,7 @@ def test_predict_weighted_hand_value():
 
 
 def test_predict_zero_weights_freeze_position():
-    F = flt.transition_block(3, 1.0)
+    F = flt.packed_transition(flt.transition_block(3, 1.0))
     noise = flt.build_noise(3, 1.0, 1.0, 0.3)
     w = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)
     est = _axis_state(px=7.25)
@@ -95,28 +110,37 @@ def test_predict_zero_weights_freeze_position():
     assert pred.mean[0, 1] == 0.0  # frozen derivatives are zeroed, not kept
 
 
+def _unweighted(est, transition, noise):
+    """The packed predict's two products with no weights applied."""
+    n, size = est.mean.shape[-1], est.cov.shape[-1]
+    mean = est.mean.reshape(-1, n) @ transition.F.T
+    cov = est.cov.reshape(-1, size) @ transition.M + noise.Q
+    return mean.reshape(est.mean.shape), cov.reshape(est.cov.shape)
+
+
 def test_predict_identity_weights_bitwise_equal_unweighted():
     rng = np.random.default_rng(11)
-    F = flt.transition_block(3, 0.1)
+    F = flt.packed_transition(flt.transition_block(3, 0.1))
     noise = flt.build_noise(3, 0.1, 1.0, 0.3)
     for _ in range(20):
         A = rng.normal(size=(2, 4, 4))
         est = flt.StateEstimate(mean=rng.normal(size=(2, 4)),
-                                cov=A @ np.swapaxes(A, -1, -2))
+                                cov=pack(A @ np.swapaxes(A, -1, -2)))
         ones = flt.predict(est, F, np.ones((2, 4)), noise)
-        for axis in range(2):
-            plain = reference_predict(
-                flt.StateEstimate(est.mean[axis], est.cov[axis]), F, None, noise)
-            npt.assert_array_equal(plain.mean, ones.mean[axis])
-            npt.assert_array_equal(plain.cov, ones.cov[axis])
+        mean, cov = _unweighted(est, F, noise)
+        npt.assert_array_equal(ones.mean, mean)
+        npt.assert_array_equal(ones.cov, cov)
 
 
 def test_predict_dimension_mismatch():
-    F = flt.transition_block(3, 0.1)
+    F = flt.packed_transition(flt.transition_block(3, 0.1))
     noise = flt.build_noise(3, 0.1, 1.0, 0.3)
-    bad = flt.StateEstimate(mean=np.zeros((2, 2)), cov=np.zeros((2, 2, 2)))
+    bad = flt.StateEstimate(mean=np.zeros((2, 2)), cov=np.zeros((2, 3)))
     with pytest.raises(ContractViolationError):
         flt.predict(bad, F, np.ones((2, 2)), noise)
+    with pytest.raises(ContractViolationError):
+        flt.predict(flt.StateEstimate(np.zeros((2, 4)), np.zeros((2, 4, 4))),
+                    F, np.ones((2, 4)), noise)
     est = _axis_state()
     with pytest.raises(ContractViolationError):
         flt.predict(est, F, np.ones((2, 5)), noise)
@@ -128,11 +152,11 @@ def test_predict_dimension_mismatch():
 
 def _scalar(mean, var):
     """One axis holding one state entry, its position."""
-    return flt.StateEstimate(mean=np.array([[mean]]), cov=np.array([[[var]]]))
+    return flt.StateEstimate(mean=np.array([[mean]]), cov=np.array([[var]]))
 
 
 def _scalar_noise(r):
-    return flt.NoiseModel(Q=np.array([[0.0]]), R=r)
+    return flt.NoiseModel(Q=np.array([0.0]), R=r)
 
 
 def test_update_scalar_hand_values():
@@ -142,7 +166,7 @@ def test_update_scalar_hand_values():
     assert K[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert residual[0] == 2.0
     assert post.mean[0, 0] == pytest.approx(1.0, abs=1e-15)
-    assert post.cov[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
+    assert post.cov[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_update_gain_monotone_in_measurement_noise():
@@ -157,12 +181,12 @@ def test_update_huge_noise_keeps_prior():
     prior = _scalar(3.0, 2.0)
     post, _, _ = flt.update(prior, np.array([100.0]), _scalar_noise(1e12))
     assert abs(post.mean[0, 0] - 3.0) < 1e-6
-    assert abs(post.cov[0, 0, 0] - 2.0) < 1e-6
+    assert abs(post.cov[0, 0] - 2.0) < 1e-6
 
 
 def test_update_random_walk_stays_psd():
     rng = np.random.default_rng(3)
-    F = flt.transition_block(3, 0.1)
+    F = flt.packed_transition(flt.transition_block(3, 0.1))
     noise = flt.build_noise(3, 0.1, 1.0, 0.3)
     est = flt.initial_estimate(np.zeros(2), 3, 0.3)
     for step in range(1000):
@@ -171,20 +195,20 @@ def test_update_random_walk_stays_psd():
         est = flt.predict(est, F, w, noise)
         est, _, _ = flt.update(est, rng.normal(scale=3.0, size=2), noise)
         if step % 97 == 0:
-            assert validate_estimate(est)
-    assert validate_estimate(est)
+            assert validate_estimate(flt.StateEstimate(est.mean, unpack(est.cov)))
+    assert validate_estimate(flt.StateEstimate(est.mean, unpack(est.cov)))
 
 
 def test_update_shrinks_measured_subspace():
     rng = np.random.default_rng(5)
-    F = flt.transition_block(3, 0.1)
+    F = flt.packed_transition(flt.transition_block(3, 0.1))
     noise = flt.build_noise(3, 0.1, 1.0, 0.3)
     est = flt.initial_estimate(np.zeros(2), 3, 0.3)
     for _ in range(50):
         est = flt.predict(est, F, np.ones((2, 4)), noise)
-        before = est.cov[:, 0, 0].copy()
+        before = est.cov[:, 0].copy()
         est, _, _ = flt.update(est, rng.normal(scale=0.3, size=2), noise)
-        assert np.all(est.cov[:, 0, 0] <= before + 1e-12)
+        assert np.all(est.cov[:, 0] <= before + 1e-12)
 
 
 def test_update_singular_innovation_raises():
@@ -199,7 +223,10 @@ def test_update_dimension_checks():
     with pytest.raises(ContractViolationError):
         flt.update(est, np.zeros(3), noise)
     with pytest.raises(ContractViolationError):
-        flt.update(flt.StateEstimate(np.zeros((2, 4)), np.zeros((2, 3, 3))),
+        flt.update(flt.StateEstimate(np.zeros((2, 4)), np.zeros((2, 4, 4))),
+                   np.zeros(2), noise)
+    with pytest.raises(ContractViolationError):
+        flt.update(flt.StateEstimate(np.zeros((2, 5)), np.zeros((2, 15))),
                    np.zeros(2), noise)
 
 
@@ -237,6 +264,61 @@ def _close(actual, expected, rel=1e-12):
                        <= rel * np.maximum(1.0, np.abs(expected))))
 
 
+def _psd(draw, shape, n):
+    """Random symmetric PSD blocks A A^T + 0.1 I of the given leading shape."""
+    A = draw(hnp.arrays(float, shape + (n, n), elements=st.floats(-1.0, 1.0)))
+    return A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(n)
+
+
+def _model(draw, order):
+    """A packed transition and packed noise at a drawn dt, q and sigma."""
+    dt = draw(st.sampled_from([0.05, 0.1, 1.0]))
+    noise = flt.build_noise(order, dt, draw(st.floats(0.1, 10.0)),
+                            draw(st.floats(0.1, 1.0)))
+    return flt.packed_transition(flt.transition_block(order, dt)), noise
+
+
+@st.composite
+def _steps(draw):
+    """One predict and update of a few rows at order 1-3: PSD covariances,
+    weights in (0, 1] with some rows exact ones, and measurements."""
+    order = draw(st.integers(1, 3))
+    n = order + 1
+    rows = draw(st.integers(1, 4))
+    P = _psd(draw, (rows, 2), n)
+    mean = draw(hnp.arrays(float, (rows, 2, n), elements=st.floats(-50.0, 50.0)))
+    weights = draw(hnp.arrays(float, (rows, 2, n), elements=st.floats(
+        0.0, 1.0, exclude_min=True)))
+    weights[draw(hnp.arrays(bool, rows))] = 1.0
+    z = draw(hnp.arrays(float, (rows, 2), elements=st.floats(-50.0, 50.0)))
+    return (mean, P, weights, z) + _model(draw, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_steps())
+def test_packed_filter_matches_dense_reference_per_axis(step):
+    mean, P, weights, z, transition, noise = step
+    dense_F, axis_noise, H = dense_model(transition.F, noise, axes=1)
+    pred = flt.predict(flt.StateEstimate(mean, pack(P)), transition, weights, noise)
+    post, _, _ = flt.update(pred, z, noise)
+    predicted, updated = unpack(pred.cov), unpack(post.cov)
+    for i, axis in np.ndindex(z.shape):
+        ref = reference_predict(flt.StateEstimate(mean[i, axis], P[i, axis]),
+                                dense_F, weights[i, axis], axis_noise)
+        assert _close(pred.mean[i, axis], ref.mean, rel=1e-13)
+        assert _close(predicted[i, axis], ref.cov, rel=1e-13)
+        ref, _, _ = reference_update(
+            flt.StateEstimate(pred.mean[i, axis], predicted[i, axis]),
+            z[i, axis:axis + 1], axis_noise, H)
+        assert _close(post.mean[i, axis], ref.mean, rel=1e-13)
+        assert _close(updated[i, axis], ref.cov, rel=1e-13)
+    # rows of exact-one weights predict bitwise like the unweighted products
+    plain = _unweighted(flt.StateEstimate(mean, pack(P)), transition, noise)
+    ones = (weights == 1.0).all(axis=(1, 2))
+    npt.assert_array_equal(pred.mean[ones], plain[0][ones])
+    npt.assert_array_equal(pred.cov[ones], plain[1][ones])
+
+
 @st.composite
 def _runs(draw):
     """A few bank rows through a few steps at order 1-3.
@@ -249,38 +331,31 @@ def _runs(draw):
     n = order + 1
     rows = draw(st.integers(0, 5))
     steps = draw(st.integers(1, 6))
-    A = draw(hnp.arrays(float, (rows, 2, n, n), elements=st.floats(-1.0, 1.0)))
-    cov = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(n)
+    cov = pack(_psd(draw, (rows, 2), n))
     mean = draw(hnp.arrays(float, (rows, 2, n), elements=st.floats(-50.0, 50.0)))
     weights = draw(hnp.arrays(float, (steps, rows, 2, n),
                               elements=st.floats(0.0, 1.0)))
     weights[draw(hnp.arrays(bool, (steps, rows)))] = 1.0
     hits = draw(hnp.arrays(bool, (steps, rows)))
     z = draw(hnp.arrays(float, (steps, rows, 2), elements=st.floats(-50.0, 50.0)))
-    dt = draw(st.sampled_from([0.05, 0.1, 1.0]))
-    noise = flt.build_noise(order, dt, draw(st.floats(0.1, 10.0)),
-                            draw(st.floats(0.1, 1.0)))
-    return (flt.StateEstimate(mean=mean, cov=cov), weights, hits, z,
-            flt.transition_block(order, dt), noise)
+    return (flt.StateEstimate(mean=mean, cov=cov), weights, hits, z) \
+        + _model(draw, order)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_runs())
 def test_batched_filter_matches_per_state_reference(run):
-    est, weights, hits, z, F, noise = run
-    n = F.shape[0]
-    dense_F, dense_noise, H = dense_model(F, noise)
+    est, weights, hits, z, transition, noise = run
+    n = transition.F.shape[0]
+    dense_F, dense_noise, H = dense_model(transition.F, noise)
     ref = [dense_state(m, P) for m, P in zip(est.mean, est.cov)]
     for w, hit, zk in zip(weights, hits, z):
-        pred = flt.predict(est, F, w, noise)
+        pred = flt.predict(est, transition, w, noise)
         # a row of exact-one weights predicts bitwise like the unweighted step
-        for i in np.flatnonzero((w == 1.0).all(axis=(1, 2))):
-            for axis in range(2):
-                plain = reference_predict(
-                    flt.StateEstimate(est.mean[i, axis], est.cov[i, axis]),
-                    F, None, noise)
-                npt.assert_array_equal(pred.mean[i, axis], plain.mean)
-                npt.assert_array_equal(pred.cov[i, axis], plain.cov)
+        ones = (w == 1.0).all(axis=(1, 2))
+        plain = _unweighted(est, transition, noise)
+        npt.assert_array_equal(pred.mean[ones], plain[0][ones])
+        npt.assert_array_equal(pred.cov[ones], plain[1][ones])
         rows = np.flatnonzero(hit)
         post, K, residual = flt.update(
             flt.StateEstimate(pred.mean[rows], pred.cov[rows]), zk[rows], noise)
@@ -295,7 +370,7 @@ def test_batched_filter_matches_per_state_reference(run):
         pred.mean[rows] = post.mean
         pred.cov[rows] = post.cov
         est = pred
-        assert validate_estimate(est)
+        assert validate_estimate(flt.StateEstimate(est.mean, unpack(est.cov)))
         for i in range(len(ref)):
             ref[i] = reference_predict(ref[i], dense_F, w[i].ravel(), dense_noise)
             if hit[i]:
@@ -309,7 +384,7 @@ def test_batched_filter_matches_per_state_reference(run):
 
 
 def test_update_stack_names_condition_of_unfactorizable_state():
-    cov = np.stack([np.broadcast_to(np.eye(4), (2, 4, 4)), np.full((2, 4, 4), np.nan)])
+    cov = np.stack([np.broadcast_to(pack(np.eye(4)), (2, 10)), np.full((2, 10), np.nan)])
     est = flt.StateEstimate(mean=np.zeros((2, 2, 4)), cov=cov)
     with pytest.raises(NumericalError,
                        match=r"row 1: innovation variance \[nan, nan\]"):
@@ -319,8 +394,8 @@ def test_update_stack_names_condition_of_unfactorizable_state():
 def test_update_rejects_negative_innovation_variance():
     # P00 < -R on one axis of the second row gives s < 0, a state no PSD
     # covariance can reach; the update raises rather than divide by it.
-    cov = np.stack([np.broadcast_to(np.eye(4), (2, 4, 4))] * 3)
-    cov[2, 1, 0, 0] = -0.2
+    cov = np.stack([np.broadcast_to(pack(np.eye(4)), (2, 10))] * 3)
+    cov[2, 1, 0] = -0.2
     est = flt.StateEstimate(mean=np.zeros((3, 2, 4)), cov=cov)
     with pytest.raises(NumericalError, match="row 2: innovation variance"):
         flt.update(est, np.zeros((3, 2)), flt.build_noise(3, 0.1, 1.0, 0.3))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from dynatrack import dynamics as dyn
+from dynatrack import filtering as flt
 from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError, InputError, NumericalError
 from dynatrack.filtering import StateEstimate
@@ -21,7 +22,7 @@ from dynatrack.tracker import (MAX_CONTESTED_CELLS, STATUSES, Detections,
 from helpers import (_min_cost_pairs, detections, dynamics_vector,
                      frames_from_positions, reference_lifecycle,
                      run_single_target, single_target_config, smooth_weights,
-                     trajectory_by_source, validate_estimate)
+                     trajectory_by_source, unpack, validate_estimate)
 
 
 # -- association ---------------------------------------------------------
@@ -504,7 +505,7 @@ def test_failed_update_leaves_bank_unchanged():
     tracker.bank.cov[1] = np.nan
     before = _state(tracker)
     with pytest.raises(NumericalError,
-                       match=r"row 1: innovation variance \[nan, nan\]"):
+                       match=r"track 2: innovation variance \[nan, nan\]"):
         tracker.step(4, detections([(20.0 * k, 10.4) for k in range(3)]))
     assert _state(tracker) == before
 
@@ -512,9 +513,9 @@ def test_failed_update_leaves_bank_unchanged():
 def test_negative_innovation_variance_leaves_bank_unchanged():
     # a position variance below -R on one axis: s < 0 after the predict
     tracker = _three_track_tracker()
-    tracker.bank.cov[2, 0, 0, 0] = -1e3
+    tracker.bank.cov[2, 0, 0] = -1e3   # packed P00 of the first axis
     before = _state(tracker)
-    with pytest.raises(NumericalError, match="row 2: innovation variance"):
+    with pytest.raises(NumericalError, match="track 3: innovation variance"):
         tracker.step(4, detections([(20.0 * k, 10.4) for k in range(3)]))
     assert _state(tracker) == before
 
@@ -532,16 +533,40 @@ def test_non_finite_predicted_mean_raises_without_changing_state():
     assert _state(tracker) == before
 
 
-def test_failed_update_names_bank_row_after_unmatched_row():
+def test_failed_update_names_track_id_after_unmatched_row():
     # bank row 0 goes unmatched, so the failing bank row 2 is the second
-    # state of the matched stack; the error must name the bank row
+    # state of the matched stack; the error must name that row's track id
     tracker = _three_track_tracker()
     tracker.bank.cov[2] = np.nan
     before = _state(tracker)
     with pytest.raises(NumericalError,
-                       match=r"row 2: innovation variance \[nan, nan\]"):
+                       match=r"track 3: innovation variance \[nan, nan\]"):
         tracker.step(4, detections([(20.0 * k, 10.4) for k in (1, 2)]))
     assert _state(tracker) == before
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_step_builds_no_packing_table(monkeypatch, order):
+    # The packing index tables and the packed transition are built at import
+    # and at construction; one `np.triu_indices` call per step costs tens
+    # of microseconds, a tenth of a small scene's step.
+    tracker = MultiObjectTracker(RunConfig(model_order=order, min_hits=2,
+                                           gate_distance=4.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a packing table was built during a step")
+
+    for owner, name in ((np, "triu_indices"), (np, "kron"),
+                        (flt, "packed_transition")):
+        monkeypatch.setattr(owner, name, refuse)
+    for frame in range(12):
+        # three steady objects; one seen every other frame, born anew each
+        # time since a miss ends it while tentative; one new object a frame
+        points = [(20.0 * k + 0.1 * frame, 10.0) for k in range(3)]
+        points += [(80.0, 10.0)] * (frame % 2) + [(200.0 + 20.0 * frame, 0.0)]
+        tracker.step(frame, detections(points))
+    assert tracker.births == 3 + 6 + 12
+    assert (tracker.bank.weights != 1.0).any()
 
 
 @st.composite
@@ -581,7 +606,8 @@ def test_bank_invariants_over_hit_miss_schedules(schedule):
                 if isinstance(value, np.ndarray):
                     assert len(value) == len(bank), name
         for row, track in enumerate(tracker.tracks):
-            assert validate_estimate(StateEstimate(bank.mean[row], bank.cov[row]))
+            assert validate_estimate(StateEstimate(bank.mean[row],
+                                                   unpack(bank.cov[row])))
             key = track.track_id
             weights = bank.weights[row].tobytes()
             if bank.misses[row] > 0 and key in frozen:
