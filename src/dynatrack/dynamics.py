@@ -22,14 +22,15 @@ class DynamicsWindow:
 
     One buffer per row: `positions` is (rows, capacity, axes). A row given n
     positions holds the last `min(n, capacity)`, oldest first, in its first
-    slots; the window stores no n, the caller passes it to `push`.
+    slots; the window stores no n, the caller passes it to `push`. A window
+    of zero capacity holds nothing but keeps one (empty) buffer per row; the
+    tracker builds one when dynamics are off. `RunConfig` validates the
+    capacity a tracker asks for.
     """
 
     __slots__ = ("positions",)
 
     def __init__(self, capacity: int, axes: int = GROUND_AXES, rows: int = 0):
-        require(capacity >= MIN_WINDOW, "transition_window",
-                f"must be >= {MIN_WINDOW}, got {capacity}")
         self.positions = np.zeros((rows, capacity, axes))
 
     def push(self, rows, positions, given):
@@ -47,8 +48,9 @@ class DynamicsWindow:
         """Keep the rows where `keep` is true, then add one row per position
         in `first` (n, axes) after them, holding just that position."""
         born = np.zeros((len(first),) + self.positions.shape[1:])
-        born[:, 0] = first
-        self.positions = np.concatenate([self.positions[keep], born])
+        born[:, :1] = first[:, None]   # nothing at zero capacity
+        self.positions = np.concatenate(
+            [np.compress(keep, self.positions, axis=0), born])
 
 
 def finite_differences(positions: np.ndarray):

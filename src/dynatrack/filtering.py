@@ -140,7 +140,8 @@ def predict(est: StateEstimate, transition: Transition, weights,
     """Weighted prediction: mean' = F W mean, cov' = (F W) cov (F W)^T + Q.
 
     `transition` is the one-axis `packed_transition`. `weights` is the
-    diagonal of each axis's weight matrix W, shaped like `est.mean`. W P W
+    diagonal of each axis's weight matrix W, shaped like `est.mean`, or None
+    for the unweighted step (W = I), which skips the rescaling. W P W
     scales packed entry (i, j) by w_i w_j, and F acts on the packed entries
     through `M`, so each product is one 2-D matrix multiply over the whole
     stack. A diagonal of exact ones gives bitwise the unweighted step.
@@ -151,17 +152,19 @@ def predict(est: StateEstimate, transition: Transition, weights,
         raise ContractViolationError(
             f"state {est.mean.shape} with covariance {est.cov.shape} does not "
             f"match transition {F.shape}")
-    W = np.asarray(weights, dtype=float)
-    if W.shape != est.mean.shape:
-        raise ContractViolationError(
-            f"weight diagonal shape {W.shape} does not match state {est.mean.shape}")
     if noise.Q.shape != (size,):
         raise ContractViolationError(
             f"process noise shape {noise.Q.shape} does not match state size {n}")
-    I, J = PACKED_INDICES[n]
-    mean = ((est.mean * W).reshape(-1, n) @ F.T).reshape(est.mean.shape)
-    Pw = est.cov * (W[..., I] * W[..., J])
-    cov = (Pw.reshape(-1, size) @ M).reshape(est.cov.shape) + noise.Q
+    mean, P = est.mean, est.cov
+    if weights is not None:
+        W = np.asarray(weights, dtype=float)
+        if W.shape != mean.shape:
+            raise ContractViolationError(
+                f"weight diagonal shape {W.shape} does not match state {mean.shape}")
+        I, J = PACKED_INDICES[n]
+        mean, P = mean * W, P * (W[..., I] * W[..., J])
+    mean = (mean.reshape(-1, n) @ F.T).reshape(est.mean.shape)
+    cov = (P.reshape(-1, size) @ M).reshape(est.cov.shape) + noise.Q
     return StateEstimate(mean=mean, cov=cov)
 
 

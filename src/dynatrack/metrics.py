@@ -149,26 +149,25 @@ def measure_latency(frames, baseline_cfg, dynamic_cfg,
                     warmup: int = 10) -> LatencyReport:
     """Per-frame wall time of both configurations on identical input.
 
-    The means cover the frames after the first `warmup`, so there must be
-    more frames than that. The report also keeps each timed pass's per-frame
-    reports, so a caller can score them instead of tracking the sequence again.
+    The two trackers step in lockstep, frame by frame, and take turns at
+    going first, so a slow spell of the machine lands on both alike rather
+    than on whichever pass it falls in. The means cover the frames after
+    the first `warmup`, so there must be more frames than that. The report
+    also keeps each tracker's per-frame reports, so a caller can score them
+    instead of tracking the sequence again.
     """
     if warmup >= len(frames):
         raise InputError(f"warmup of {warmup} frames leaves none of the "
                          f"{len(frames)} frames to time")
-
-    def _run(cfg):
-        tracker = MultiObjectTracker(cfg)
-        times, reports = [], []
-        for frame, detections in enumerate(frames):
+    trackers = (MultiObjectTracker(baseline_cfg), MultiObjectTracker(dynamic_cfg))
+    times, reports = ([], []), ([], [])
+    for frame, detections in enumerate(frames):
+        for k in ((0, 1), (1, 0))[frame % 2]:
             start = time.perf_counter()
-            report = tracker.step(frame, detections)
-            times.append((time.perf_counter() - start) * 1e3)
-            reports.append(report)
-        return times, reports
-
-    baseline_ms, baseline_reports = _run(baseline_cfg)
-    dynamic_ms, dynamic_reports = _run(dynamic_cfg)
+            report = trackers[k].step(frame, detections)
+            times[k].append((time.perf_counter() - start) * 1e3)
+            reports[k].append(report)
+    (baseline_ms, dynamic_ms), (baseline_reports, dynamic_reports) = times, reports
     mean_b = float(np.mean(baseline_ms[warmup:]))
     mean_d = float(np.mean(dynamic_ms[warmup:]))
     return LatencyReport(baseline_ms=baseline_ms, dynamic_ms=dynamic_ms,

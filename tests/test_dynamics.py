@@ -58,9 +58,14 @@ def test_window_push_touches_only_the_given_rows():
                            [[-1.0, 0.0, 0.0], [20.0, 30.0, 40.0], [7.0, 0.0, 0.0]])
 
 
-def test_window_capacity_validation():
-    with pytest.raises(ConfigurationError):
-        dyn.DynamicsWindow(2, axes=1)
+def test_zero_capacity_window_keeps_one_empty_buffer_per_row():
+    # The tracker's window with dynamics off: rebuilds keep and add rows,
+    # and no position is stored.
+    win = dyn.DynamicsWindow(0, rows=3)
+    win.rebuild(np.array([True, False, True]), np.array([[1.0, 2.0]]))
+    assert win.positions.shape == (3, 0, 2)
+    win.rebuild(np.zeros(3, dtype=bool), np.zeros((0, 2)))
+    assert win.positions.shape == (0, 0, 2)
 
 
 def test_finite_differences_exact():

@@ -319,6 +319,17 @@ def test_packed_filter_matches_dense_reference_per_axis(step):
     npt.assert_array_equal(pred.cov[ones], plain[1][ones])
 
 
+@settings(max_examples=100, deadline=None)
+@given(_steps())
+def test_predict_without_weights_equals_exact_ones_bitwise(step):
+    mean, P, _, _, transition, noise = step
+    est = flt.StateEstimate(mean, pack(P))
+    plain = flt.predict(est, transition, None, noise)
+    ones = flt.predict(est, transition, np.ones_like(mean), noise)
+    assert plain.mean.tobytes() == ones.mean.tobytes()
+    assert plain.cov.tobytes() == ones.cov.tobytes()
+
+
 @st.composite
 def _runs(draw):
     """A few bank rows through a few steps at order 1-3.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dynatrack.config import RunConfig
 from dynatrack.errors import InputError, UndefinedMetricError
 from dynatrack.metrics import clearmot, idf1, measure_latency
-from dynatrack.tracker import MAX_CONTESTED_CELLS
+from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker
 
 from helpers import (frames_from_positions, random_tracking_scene,
                      reference_clearmot, reference_idf1)
@@ -261,6 +261,31 @@ def test_measure_latency_shape():
     assert report.mean_delta_ms == pytest.approx(
         report.mean_dynamic_ms - report.mean_baseline_ms)
     assert all(t >= 0.0 for t in report.baseline_ms)
+
+
+def test_measure_latency_steps_in_lockstep_taking_turns(monkeypatch):
+    # Frame by frame, both trackers step, the baseline first on even frames;
+    # each keeps the reports it would give on its own.
+    frames = frames_from_positions([[(0.1 * t, 10.0), (20.0, 10.0 + 0.2 * t)]
+                                    for t in range(6)])
+    alone = [MultiObjectTracker(cfg).run(frames)
+             for cfg in (RunConfig(dynamics_enabled=False), RunConfig())]
+    calls = []
+    real = MultiObjectTracker.step
+
+    def recording(tracker, frame, detections):
+        calls.append((frame, tracker.cfg.dynamics_enabled))
+        return real(tracker, frame, detections)
+
+    monkeypatch.setattr(MultiObjectTracker, "step", recording)
+    report = measure_latency(frames, RunConfig(dynamics_enabled=False),
+                             RunConfig(), warmup=2)
+    assert calls == [(f, dynamic) for f in range(6)
+                     for dynamic in ((False, True), (True, False))[f % 2]]
+    for expected, got in zip(alone, (report.baseline_reports,
+                                     report.dynamic_reports)):
+        assert [(r.ids.tolist(), r.position.tolist()) for r in got] == \
+            [(r.ids.tolist(), r.position.tolist()) for r in expected]
 
 
 @pytest.mark.parametrize("warmup", [30, 1000])

@@ -20,8 +20,9 @@ from dynatrack.tracker import (MAX_CONTESTED_CELLS, STATUSES, Detections,
                                component_assignment, gated_pairs)
 
 from helpers import (_min_cost_pairs, detections, dynamics_vector,
-                     frames_from_positions, reference_lifecycle,
-                     run_single_target, single_target_config, smooth_weights,
+                     frames_from_positions, random_tracking_scene,
+                     reference_lifecycle, run_single_target,
+                     single_target_config, smooth_weights,
                      trajectory_by_source, unpack, validate_estimate)
 
 
@@ -625,16 +626,52 @@ def _noisy_cv_positions(n=60, seed=2, sigma=0.3, speed=1.2):
     return truth + rng.normal(0.0, sigma, size=truth.shape)
 
 
-def test_dynamics_off_never_touches_window():
-    cfg = single_target_config(dynamics_enabled=False)
-    positions = _noisy_cv_positions()
-    tracker = run_single_target(positions, cfg)
-    bank = tracker.bank
-    # only the birth measurement
-    npt.assert_array_equal(bank.window.positions[0, 0], positions[0])
-    assert not bank.window.positions[0, 1:].any()
-    # exact ones: predict applies bitwise the unweighted transition
-    assert np.all(bank.weights[0] == 1.0)
+def _lifecycle_scene(seed, n_frames=40):
+    """Detections of 6 moving objects, about a third of them dropped, plus
+    clutter: tracks are born, matched, coast, and die under max_misses=1."""
+    _, hyps = random_tracking_scene(np.random.default_rng(seed), n_objects=6,
+                                    n_frames=n_frames, drop=0.3, spurious=0.8)
+    return frames_from_positions([[p for _, p in frame] for frame in hyps])
+
+
+def _saw_whole_lifecycle(tracker, coasted):
+    """Births, matches, coasting and deaths all happened in the run."""
+    return (coasted and tracker.bank.hits.max() > 3
+            and tracker.births > len(tracker.bank))
+
+
+def test_dynamics_off_never_touches_window(monkeypatch):
+    # Dynamics off carries no dynamics state: the window and ring keep zero
+    # capacity and one row per track through births, matches, misses and
+    # deaths, every weight stays exactly one, and predict gets no weights.
+    # With dynamics on, predict gets each row's (axes, n) diagonal.
+    seen = []
+    real = flt.predict
+
+    def recording(est, transition, weights, noise):
+        seen.append(None if weights is None else np.shape(weights))
+        return real(est, transition, weights, noise)
+
+    monkeypatch.setattr(flt, "predict", recording)
+    for dynamics in (False, True):
+        tracker = MultiObjectTracker(RunConfig(dynamics_enabled=dynamics,
+                                               max_misses=1))
+        bank, coasted = tracker.bank, False
+        for frame, dets in enumerate(_lifecycle_scene(seed=3)):
+            rows = len(bank)
+            tracker.step(frame, dets)
+            coasted |= bool(bank.misses.any())
+            if dynamics:
+                assert seen[-1] == (rows, 2, 4)
+                continue
+            assert seen[-1] is None
+            assert bank.window.positions.shape == (len(bank), 0, 2)
+            assert bank.ring.shape == (len(bank), 0, 2, 4)
+            assert bank.weights.shape == (len(bank), 2, 4)
+            assert np.all(bank.weights == 1.0)
+        assert len(seen) == frame + 1
+        seen.clear()
+        assert _saw_whole_lifecycle(tracker, coasted)
 
 
 def test_dynamics_on_populates_window_and_weights():
@@ -662,6 +699,23 @@ def test_saturated_factors_match_baseline_exactly():
     base_pred = trajectory_by_source(base, "predicted")
     sat_pred = trajectory_by_source(sat, "predicted")
     assert base_pred == sat_pred
+    # The same over a scene with births, deaths, coasting and clutter at every
+    # order: dynamics off predicts unweighted, saturated dynamics on with
+    # exact-one weights, and the two must agree bitwise after every step.
+    for order in (1, 2, 3):
+        cfg = RunConfig(model_order=order, max_misses=1)
+        base = MultiObjectTracker(cfg.replace(dynamics_enabled=False))
+        sat = MultiObjectTracker(cfg.replace(
+            factor_velocity=1e-9, factor_acceleration=1e-9, factor_jerk=1e-9))
+        coasted = False
+        for frame, dets in enumerate(_lifecycle_scene(seed=order)):
+            b, s = base.step(frame, dets), sat.step(frame, dets)
+            assert b.ids.tobytes() == s.ids.tobytes()
+            assert b.position.tobytes() == s.position.tobytes()
+            assert base.bank.mean.tobytes() == sat.bank.mean.tobytes()
+            assert base.bank.cov.tobytes() == sat.bank.cov.tobytes()
+            coasted |= bool(base.bank.misses.any())
+        assert _saw_whole_lifecycle(base, coasted)
 
 
 def test_weights_frozen_while_coasting():
