@@ -223,6 +223,7 @@ def cmd_compare(args) -> int:
     lines.append(f"{'latency (ms)':<18}{latency.mean_baseline_ms:>14.4f}"
                  f"{latency.mean_dynamic_ms:>14.4f}")
     lines.append(f"mean per-frame latency delta: {latency.mean_delta_ms:+.4f} ms")
+    lines.append(f"adaptive/baseline latency ratio: {latency.ratio:.4f}")
     text = "\n".join(lines)
     print(text)
     if args.output:
@@ -231,7 +232,8 @@ def cmd_compare(args) -> int:
         cfg_mod.save_config(cfg, out_dir / "config_effective")
         rows += [("latency_baseline_ms", f"{latency.mean_baseline_ms:.6f}", ""),
                  ("latency_dynamic_ms", f"{latency.mean_dynamic_ms:.6f}", ""),
-                 ("latency_delta_ms", f"{latency.mean_delta_ms:.6f}", "")]
+                 ("latency_delta_ms", f"{latency.mean_delta_ms:.6f}", ""),
+                 ("latency_ratio", f"{latency.ratio:.6f}", "")]
         _write_report(out_dir, "compare", text, ["metric", "baseline", "dynamic"],
                       rows)
     return EXIT_OK

@@ -6,8 +6,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigurationError
 
 CONFIG_ENV_VAR = "DYNATRACK_CONFIG"
@@ -125,6 +123,7 @@ def config_from_mapping(mapping: dict) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     """Load a flat key-value YAML config file."""
+    import yaml   # here, so that importing the package does not load PyYAML
     try:
         data = yaml.safe_load(Path(path).read_text())
         return config_from_mapping({} if data is None else data)
@@ -134,6 +133,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def save_config(cfg: RunConfig, path: str | Path):
     """Write the config as a flat key-value YAML document (reloadable)."""
+    import yaml
     Path(path).write_text(yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True))
 
 

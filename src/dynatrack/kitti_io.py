@@ -127,9 +127,27 @@ def as_labels(frame) -> Labels:
                        track_id)
 
 
+# The camera location columns of the ground plane's (lateral, longitudinal).
+GROUND_COLUMNS = [0, 2]
+
+
 def ground_position(labels: Labels) -> np.ndarray:
     """Ground-plane (lateral, longitudinal) rows `(n, 2)` from camera locations."""
-    return labels.location[:, [0, 2]]
+    return labels.location[:, GROUND_COLUMNS]
+
+
+def stack_frames(frames) -> tuple:
+    """Frames of labels (`Labels` or record lists) stacked in order: (every
+    row's track id, None if a frame has none; every row's ground position
+    `(N, 2)`)."""
+    frames = list(map(as_labels, frames))
+    location = np.concatenate([np.zeros((0, 3))]
+                              + [labels.location for labels in frames])
+    ids = None
+    if all(labels.track_id is not None for labels in frames):
+        ids = np.concatenate([np.zeros(0, dtype=np.int64)]
+                             + [labels.track_id for labels in frames])
+    return ids, location[:, GROUND_COLUMNS]
 
 
 def camera_location(position, elevation: float) -> tuple:
@@ -359,25 +377,37 @@ def write_annotations(frames, path):
                         for line in _id_lines(frame, labels, False)])
 
 
-def _report_labels(report) -> Labels:
-    """A `FrameReport` as `Labels`, the inverse of `measurements_from`: each
-    position goes back to a camera location (see `camera_location`), and
-    truncation, occlusion and alpha are zero."""
-    n = len(report)
-    zeros = np.zeros(n)
-    location = np.column_stack((report.position[:, 0], report.elevation,
-                                report.position[:, 1]))
-    return Labels(obj_type=report.obj_type, truncated=zeros,
-                  occluded=np.zeros(n, dtype=np.int64), alpha=zeros,
-                  bbox2d=report.bbox2d, dims=report.dims, location=location,
-                  rotation_y=report.yaw, score=report.score, track_id=report.ids)
-
-
 def write_tracks(reports, path):
-    """Write `FrameReport`s as tracker output, ids ascending within a frame."""
-    _write_lines(path, [line for report in reports
-                        for line in _id_lines(report.frame, _report_labels(report),
-                                              True)])
+    """Write `FrameReport`s as tracker output, ids ascending within a frame.
+
+    Each position goes back to a camera location, the inverse of
+    `measurements_from` (see `camera_location`); a track has no truncation,
+    occlusion or alpha, so they are written as zeros. The whole sequence is
+    stacked, ordered by report and then id with one lexsort, and formatted
+    in one pass.
+    """
+    reports = list(reports)
+    if not reports:
+        _write_lines(path, [])
+        return
+
+    def column(name):
+        return np.concatenate([getattr(report, name) for report in reports])
+
+    counts = [len(report) for report in reports]
+    ids = column("ids")
+    order = np.lexsort((ids, np.repeat(np.arange(len(reports)), counts)))
+    frame = np.repeat([report.frame for report in reports], counts)
+    position = column("position")
+    numbers = np.column_stack((column("bbox2d"), column("dims"), position[:, 0],
+                               column("elevation"), position[:, 1],
+                               column("yaw"), column("score")))
+    # "%.9f" % x is f"{x:.9f}", and "%d" % i is str(i).
+    fmt = "%d %d %s 0.000000000 0 0.000000000" + " %.9f" * 12
+    _write_lines(path, [fmt % (f, i, t, *row) for f, i, t, row in zip(
+        frame.take(order).tolist(), ids.take(order).tolist(),
+        column("obj_type").take(order).tolist(),
+        numbers.take(order, axis=0).tolist())])
 
 
 def export_trajectory_csv(trajectory, path):

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, UndefinedMetricError
-from .kitti_io import as_labels, ground_position
-from .tracker import (FrameReport, MultiObjectTracker, component_assignment,
-                      distance, gated_pairs, in_gate)
+from .kitti_io import as_labels, ground_position, stack_frames
+from .tracker import (FrameReport, MultiObjectTracker, _gated_candidates,
+                      component_assignment, frame_chunks, in_gate_by_frame)
 
 
 @dataclass
@@ -45,25 +45,68 @@ class LatencyReport:
     baseline_reports: list = field(repr=False)
     dynamic_reports: list = field(repr=False)
 
+    @property
+    def ratio(self) -> float:
+        """The adaptive mean over the baseline mean. On a shared host it
+        moves less from run to run than `mean_delta_ms`, which scales with
+        the host's speed."""
+        return self.mean_dynamic_ms / self.mean_baseline_ms
+
+
+def _is_labels(frame) -> bool:
+    """Whether a frame is KITTI labels: not a `FrameReport` and not a list of
+    (id, position) pairs."""
+    return not isinstance(frame, FrameReport) and not (
+        isinstance(frame, list) and frame and isinstance(frame[0], tuple))
+
 
 def _frame_arrays(frame):
     """One frame as (ids, positions (n, 2)): from a `FrameReport`'s columns,
     from a list of (id, position) pairs, or from id-bearing KITTI labels."""
     if isinstance(frame, FrameReport):
         return frame.ids, frame.position
-    if isinstance(frame, list) and frame and isinstance(frame[0], tuple):
+    if not _is_labels(frame):
         return (np.array([i for i, _ in frame], dtype=np.int64),
                 np.array([p for _, p in frame], dtype=float).reshape(len(frame), 2))
     labels = as_labels(frame)
     return labels.track_id, ground_position(labels)
 
 
-def _as_frames(gt, hyp):
-    """Both inputs as per-frame (ids, positions) arrays, padded to one length."""
-    frames = [[_frame_arrays(frame) for frame in obj] for obj in (gt, hyp)]
-    n = max(map(len, frames))
-    empty = _frame_arrays([])
-    return [f + [empty] * (n - len(f)) for f in frames]
+def _stacked(frames):
+    """Frames stacked in order, as (ids, positions (N, 2))."""
+    if all(map(_is_labels, frames)):   # one column selection, not one a frame
+        return stack_frames(frames)
+    parts = [_frame_arrays(frame) for frame in frames]
+    ids = np.concatenate([np.zeros(0, dtype=np.int64)] + [i for i, _ in parts])
+    positions = np.concatenate([np.zeros((0, 2))] + [p for _, p in parts])
+    return ids, positions
+
+
+def _gated_chunks(gt, hyp, threshold: float):
+    """Both sequences, padded to one length, a chunk of frames at a time
+    (`frame_chunks`). Yields per chunk (gt ids, gt rows per frame, hyp ids,
+    hyp rows per frame, (gt rows, hyp rows, distances)), the last holding
+    its frames' in-gate pairs (`in_gate_by_frame`) as rows of the chunk."""
+    gt, hyp = list(gt), list(hyp)
+    g_counts, h_counts = (np.zeros(max(len(gt), len(hyp)), dtype=np.intp)
+                          for _ in range(2))
+    g_counts[:len(gt)] = [len(frame) for frame in gt]
+    h_counts[:len(hyp)] = [len(frame) for frame in hyp]
+    for frames in frame_chunks(g_counts, h_counts):
+        (gids, gpos), (hids, hpos) = _stacked(gt[frames]), _stacked(hyp[frames])
+        yield gids, g_counts[frames], hids, h_counts[frames], in_gate_by_frame(
+            gpos, hpos, g_counts[frames], h_counts[frames], threshold)
+
+
+def _last_of_id(ids, counts):
+    """Whether each row is the last of its id in its frame; frames hold
+    `counts` rows each, in order."""
+    frame = np.repeat(np.arange(len(counts)), counts)
+    order = np.lexsort((ids, frame))
+    last = np.ones(len(ids), dtype=bool)
+    last[order[:-1]] = ((np.diff(frame.take(order)) != 0)
+                        | (np.diff(ids.take(order)) != 0))
+    return last
 
 
 def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
@@ -73,39 +116,51 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
     threshold; the remainder is matched by min-distance assignment. A switch
     is counted when a ground-truth object's matched id changes relative to
     its last known correspondence.
+
+    The in-gate pairs come from one grouped `in_gate_by_frame` call per
+    chunk of frames; the frame loop keeps only the carry-over, which
+    depends on the frame before, and the assignment of each frame's
+    remaining pairs.
     """
     fp = fn = idsw = gt_total = matches_total = 0
     active: dict = {}      # gt id -> hyp id carried from the previous frame
     last_match: dict = {}  # gt id -> most recent matched hyp id
-    for (gids, gpos), (hids, hpos) in zip(*_as_frames(gt, hyp)):
-        gids, hids = gids.tolist(), hids.tolist()
+    for gids, g_counts, hids, h_counts, (rows, cols, dist) in _gated_chunks(
+            gt, hyp, threshold):
         gt_total += len(gids)
-        hyp_row = {hid: k for k, hid in enumerate(hids)}  # last row of an id
-        # Carry-over candidates: gt rows whose last hyp id is present again,
-        # with every candidate's distance from one `distance` call.
-        carried = [(g, hyp_row[active[gid]]) for g, gid in enumerate(gids)
-                   if active.get(gid) in hyp_row]
-        g_at, h_at = np.array(carried, dtype=np.intp).reshape(len(carried), 2).T
-        near = (distance(gpos[g_at], hpos[h_at]) <= threshold).tolist()
-        matched: dict = {}
-        used = set()
-        for g, k, inside in zip(g_at.tolist(), h_at.tolist(), near):
-            if inside and hids[k] not in used:
-                matched[gids[g]] = hids[k]
-                used.add(hids[k])
-        rest_gt = [g for g, gid in enumerate(gids) if gid not in matched]
-        rest_hyp = [k for k, hid in enumerate(hids) if hid not in used]
-        rows, cols = gated_pairs(gpos[rest_gt], hpos[rest_hyp], threshold)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            matched[gids[rest_gt[r]]] = hids[rest_hyp[c]]
-        for gid, hid in matched.items():
-            if gid in last_match and last_match[gid] != hid:
-                idsw += 1
-            last_match[gid] = hid
-        fn += len(gids) - len(matched)
-        fp += len(hids) - len(matched)
-        matches_total += len(matched)
-        active = matched
+        p_end = np.searchsorted(rows, np.cumsum(g_counts))
+        # A pair carries a correspondence over only through the last row of
+        # its hyp id in the frame, as the carried id's row is looked up by id.
+        carries = _last_of_id(hids, h_counts).take(cols).tolist()
+        pair_gid, pair_hid = gids.take(rows).tolist(), hids.take(cols).tolist()
+        rows, cols, dist = rows.tolist(), cols.tolist(), dist.tolist()
+        g0 = h0 = p0 = 0
+        for n_g, n_h, p1 in zip(g_counts.tolist(), h_counts.tolist(),
+                                p_end.tolist()):
+            matched: dict = {}
+            used = set()
+            for k in range(p0, p1):   # carried over while still in the gate
+                hid = pair_hid[k]
+                if carries[k] and active.get(pair_gid[k]) == hid and hid not in used:
+                    matched[pair_gid[k]] = hid
+                    used.add(hid)
+            rest = [k for k in range(p0, p1)
+                    if pair_gid[k] not in matched and pair_hid[k] not in used]
+            if rest:
+                for j in _gated_candidates(
+                        np.array([rows[k] - g0 for k in rest]),
+                        np.array([cols[k] - h0 for k in rest]),
+                        np.array([dist[k] for k in rest]), threshold).tolist():
+                    matched[pair_gid[rest[j]]] = pair_hid[rest[j]]
+            for gid, hid in matched.items():
+                if gid in last_match and last_match[gid] != hid:
+                    idsw += 1
+                last_match[gid] = hid
+            fn += n_g - len(matched)
+            fp += n_h - len(matched)
+            matches_total += len(matched)
+            active = matched
+            g0, h0, p0 = g0 + n_g, h0 + n_h, p1
     if gt_total == 0:
         raise UndefinedMetricError("MOTA undefined: ground truth holds no objects")
     mota = 1.0 - (fn + fp + idsw) / gt_total
@@ -117,23 +172,29 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
 def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
     """Identity scores from the globally optimal one-to-one id pairing.
 
-    A (gt id, hyp id) pair gains one per frame in which the two are `in_gate`.
-    The pairing maximises the summed gain over the overlapping pairs, one
-    connected component of them at a time (`component_assignment`), so no
-    gt x hyp gain matrix is built; a component spanning more than
-    `tracker.MAX_CONTESTED_CELLS` cells raises InputError.
+    A (gt id, hyp id) pair gains one per frame in which the two are `in_gate`;
+    the pairs come from one grouped `in_gate_by_frame` call per chunk of
+    frames. The pairing maximises the summed gain over the overlapping
+    pairs, one connected component of them at a time
+    (`component_assignment`), so no gt x hyp gain matrix is built; a
+    component spanning more than `tracker.MAX_CONTESTED_CELLS` cells raises
+    InputError.
     """
-    gt_frames, hyp_frames = _as_frames(gt, hyp)
-    total_gt = sum(len(gids) for gids, _ in gt_frames)
-    total_hyp = sum(len(hids) for hids, _ in hyp_frames)
-    pairs = [np.zeros((0, 2), dtype=np.int64)]
-    for (gids, gpos), (hids, hpos) in zip(gt_frames, hyp_frames):
-        rows, cols, _ = in_gate(gpos, hpos, threshold)
-        pairs.append(np.column_stack((gids[rows], hids[cols])))
-    overlap, counts = np.unique(np.concatenate(pairs), axis=0, return_counts=True)
-    g_at = np.unique(overlap[:, 0], return_inverse=True)[1]
-    h_at = np.unique(overlap[:, 1], return_inverse=True)[1]
-    matched = component_assignment(g_at, h_at, -counts, lambda shape: 0.0)
+    total_gt = total_hyp = 0
+    pair_gid, pair_hid = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for gids, _, hids, _, (rows, cols, _) in _gated_chunks(gt, hyp, threshold):
+        total_gt += len(gids)
+        total_hyp += len(hids)
+        pair_gid.append(gids.take(rows))
+        pair_hid.append(hids.take(cols))
+    # Ids as their ranks, and an overlapping pair as one integer key; the
+    # keys sort as the (gt id, hyp id) pairs do.
+    g_at = np.unique(np.concatenate(pair_gid), return_inverse=True)[1]
+    h_ids, h_at = np.unique(np.concatenate(pair_hid), return_inverse=True)
+    stride = max(len(h_ids), 1)
+    overlap, counts = np.unique(g_at * stride + h_at, return_counts=True)
+    matched = component_assignment(overlap // stride, overlap % stride, -counts,
+                                   lambda shape: 0.0)
     idtp = int(counts[matched].sum())
     idfn = total_gt - idtp
     idfp = total_hyp - idtp

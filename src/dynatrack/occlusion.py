@@ -7,8 +7,8 @@ import numpy as np
 
 from .config import require
 from .errors import InputError
-from .kitti_io import SequenceDataset, as_labels, ground_position
-from .tracker import gated_pairs
+from .kitti_io import SequenceDataset, as_labels, stack_frames
+from .tracker import _gated_candidates, frame_chunks, in_gate_by_frame
 
 OCCLUSION_KINDS = ("mid", "late")
 
@@ -44,7 +44,11 @@ def match_detections_to_gt(dataset: SequenceDataset, gt_frames,
                            threshold: float = 2.0):
     """Associate detections with ground-truth frames, frame by frame.
 
-    Returns one tracklet per matched ground-truth id, in ascending id order.
+    The frames are matched a chunk at a time (`frame_chunks`): one grouped
+    `in_gate_by_frame` call, then one min-distance pairing of all of the
+    chunk's pairs, which is each frame's own pairing, since no connected
+    block of pairs spans two frames. Returns one tracklet per matched
+    ground-truth id, in ascending id order, its observations in frame order.
     """
     if gt_frames is None:
         raise InputError("ground truth is required to build tracklets")
@@ -52,13 +56,30 @@ def match_detections_to_gt(dataset: SequenceDataset, gt_frames,
         raise InputError(
             f"frame ranges differ: detections cover {len(dataset.detections)} "
             f"frames, ground truth covers {len(gt_frames)}")
+    g_counts = np.array([len(frame) for frame in gt_frames], dtype=np.intp)
+    d_counts = np.array([len(frame) for frame in dataset.detections], dtype=np.intp)
     observations: dict = {}
-    for frame, (dets, gts) in enumerate(zip(map(as_labels, dataset.detections),
-                                            map(as_labels, gt_frames))):
-        rows, cols = gated_pairs(ground_position(gts), ground_position(dets),
-                                 threshold)
-        for track_id, c in zip(gts.track_id[rows].tolist(), cols.tolist()):
-            observations.setdefault(track_id, []).append((frame, c))
+    for frames in frame_chunks(g_counts, d_counts):
+        track_id, g_pos = stack_frames(gt_frames[frames])
+        _, d_pos = stack_frames(dataset.detections[frames])
+        rows, cols, dist = in_gate_by_frame(g_pos, d_pos, g_counts[frames],
+                                            d_counts[frames], threshold)
+        matched = _gated_candidates(rows, cols, dist, threshold)
+        # Each id's matches in frame order: sort them by id, stably.
+        tids = track_id.take(rows.take(matched))
+        by_id = np.argsort(tids, kind="stable")
+        ids, starts = np.unique(tids.take(by_id), return_index=True)
+        cols = cols.take(matched.take(by_id))
+        counts = d_counts[frames]
+        frame = np.repeat(np.arange(len(counts)), counts).take(cols)
+        index = cols - (np.cumsum(counts) - counts).take(frame)
+        # One int object per frame, shared by its observations, not one each.
+        frame_ints = list(range(frames.start, frames.stop))
+        chunk = list(zip(map(frame_ints.__getitem__, frame.tolist()),
+                         index.tolist()))
+        bounds = starts.tolist() + [len(chunk)]
+        for tid, start, stop in zip(ids.tolist(), bounds, bounds[1:]):
+            observations.setdefault(tid, []).extend(chunk[start:stop])
     return [ObjectTracklet(track_id=tid, observations=obs)
             for tid, obs in sorted(observations.items())]
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .config import check_kind, check_mapping, require
 from .errors import ConfigurationError
@@ -206,6 +205,7 @@ def _scenario_from_mapping(data) -> ScenarioSpec:
 
 def load_scenario(path) -> ScenarioSpec:
     """Read a scenario from a YAML document; malformed ones raise ConfigurationError."""
+    import yaml   # here, so that importing the package does not load PyYAML
     try:
         return _scenario_from_mapping(yaml.safe_load(Path(path).read_text()))
     except (ConfigurationError, yaml.YAMLError, TypeError, ValueError) as exc:

@@ -229,8 +229,8 @@ def component_assignment(rows, cols, cost, fill):
 
 def _gated_candidates(rows, cols, dist, gate: float):
     """Min-distance one-to-one pairing over in-gate candidate pairs
-    (rows[k], cols[k]) with their distances; returns the matched
-    (rows, cols), ascending.
+    (rows[k], cols[k]) with their distances; returns the indices k of the
+    matched pairs, ascending.
 
     This is the CLEAR-MOT matching step (Bernardin & Stiefelhagen, 2008):
     pairs farther apart than `gate` never match. An out-of-gate cell costs
@@ -239,9 +239,8 @@ def _gated_candidates(rows, cols, dist, gate: float):
     penalty is sized to the block, `gate * min(shape) + 1`, not a fixed huge
     number, which would swallow small distance differences in rounding.
     """
-    k = component_assignment(rows, cols, dist,
-                             lambda shape: gate * min(shape) + 1.0)
-    return rows[k], cols[k]
+    return component_assignment(rows, cols, dist,
+                                lambda shape: gate * min(shape) + 1.0)
 
 
 def distance(a: np.ndarray, b: np.ndarray):
@@ -264,10 +263,20 @@ def distance(a: np.ndarray, b: np.ndarray):
 X_WINDOW_MARGIN = 1e-9
 
 
-def in_gate(a, b, gate: float):
+def in_gate(a, b, gate: float, groups=None):
     """Every pair of points `a (n, k)`, `b (m, k)` within `gate`, as (rows of a,
     rows of b, distances) with rows ascending. Only the points of b within
-    +-gate in x of a point of a, found by binary search, get a distance."""
+    +-gate in x of a point of a, found by binary search, get a distance.
+
+    `groups`, if given, is a pair of integer label arrays `(n,)` and `(m,)`:
+    then only points with equal labels pair. The result is exactly that of
+    one ungrouped call per label, rows mapped back to a and b: the same
+    pairs, each row's pairs in the same order, the same distances bitwise.
+    A row of b is then found by the exact integer key `s * (m + 1) + r`,
+    where `s` is where its label's rows start in label order and `r` is the
+    rank of its x among all of b's x, so the labels' x windows never
+    overlap whatever the labels or coordinates.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
@@ -285,6 +294,8 @@ def in_gate(a, b, gate: float):
     counts = np.empty(len(a), dtype=np.intp)
     lo[by_x] = np.searchsorted(bx, ax - reach, side="left")
     counts[by_x] = np.searchsorted(bx, ax + reach, side="right")
+    if groups is not None:
+        order, lo, counts = _label_windows(order, lo, counts, *groups)
     counts -= lo
     rows = np.repeat(np.arange(len(a)), counts)
     # Candidate i of row r sits at sorted index lo[r] + (i - first[r]).
@@ -293,6 +304,63 @@ def in_gate(a, b, gate: float):
     dist = distance(a.take(rows, axis=0), b.take(cols, axis=0))
     inside = np.flatnonzero(dist <= gate)
     return rows.take(inside), cols.take(inside), dist.take(inside)
+
+
+def _label_windows(order, lo, hi, a_labels, b_labels):
+    """`in_gate`'s x windows [lo, hi) into b's x order, narrowed to each
+    point's label: returns b's order by (label, x) and the windows into it.
+
+    Within one label the x ranks ascend, so a window of ranks is a window
+    of keys; an a label that b lacks gets an empty window.
+    """
+    m = len(order)
+    labels = np.asarray(b_labels).take(order)
+    by_label = np.argsort(labels, kind="stable")
+    labels = labels.take(by_label)
+    start = np.searchsorted(labels, labels, side="left")
+    keys = start * (m + 1) + by_label
+    a_labels = np.asarray(a_labels)
+    a_start = np.searchsorted(labels, a_labels, side="left")
+    a_stop = np.searchsorted(labels, a_labels, side="right")
+    base = a_start * (m + 1)
+    lo = np.searchsorted(keys, base + lo, side="left")
+    hi = np.minimum(np.searchsorted(keys, base + hi, side="left"), a_stop)
+    return order.take(by_label), lo, np.maximum(hi, lo)
+
+
+# Most rows of either side in one chunk of `frame_chunks`. A sequence gated a
+# chunk at a time allocates what one chunk needs however long it is; one
+# chunk of this many points takes a few milliseconds.
+GATE_CHUNK_POINTS = 1 << 14
+
+
+def frame_chunks(a_counts, b_counts) -> list:
+    """Runs of whole frames, as slices in frame order, each holding at most
+    GATE_CHUNK_POINTS rows of either side unless it is one frame; frame f
+    has `a_counts[f]` and `b_counts[f]` rows."""
+    a_end, b_end = np.cumsum(a_counts), np.cumsum(b_counts)
+    chunks, f = [], 0
+    while f < len(a_end):
+        a0 = a_end[f - 1] if f else 0
+        b0 = b_end[f - 1] if f else 0
+        stop = max(f + 1, int(min(
+            np.searchsorted(a_end, a0 + GATE_CHUNK_POINTS, side="right"),
+            np.searchsorted(b_end, b0 + GATE_CHUNK_POINTS, side="right"))))
+        chunks.append(slice(f, stop))
+        f = stop
+    return chunks
+
+
+def in_gate_by_frame(a, b, a_counts, b_counts, gate: float):
+    """`in_gate` within each frame of stacked frames, in one grouped call.
+
+    `a` and `b` hold frames in order, `a_counts[f]` and `b_counts[f]` rows of
+    frame f. Returns (rows of a, rows of b, distances), rows ascending: each
+    frame's `in_gate` pairs, as rows of the stacked arrays.
+    """
+    frames = np.arange(len(a_counts))
+    return in_gate(a, b, gate, (np.repeat(frames, a_counts),
+                                np.repeat(frames, b_counts)))
 
 
 def gated_pairs(a, b, gate: float):
@@ -311,7 +379,9 @@ def gated_pairs(a, b, gate: float):
     distance, is a sum over the connected components. Only exactly tied
     alternatives can come out differently.
     """
-    return _gated_candidates(*in_gate(a, b, gate), gate)
+    rows, cols, dist = in_gate(a, b, gate)
+    k = _gated_candidates(rows, cols, dist, gate)
+    return rows[k], cols[k]
 
 
 def associate(track_positions, detection_positions, gate: float) -> Assignment:

@@ -373,6 +373,12 @@ def test_compare_runs_both_configurations(scenario_dir, capsys):
     assert compare_csv[0] == "metric,baseline,dynamic"
     assert any(line.startswith("mota,") for line in compare_csv)
     assert (out / "config_effective").exists()
+    # The ratio row is the adaptive mean over the baseline mean.
+    assert "adaptive/baseline latency ratio" in text
+    rows = {line.split(",")[0]: line.split(",")[1] for line in compare_csv[1:]}
+    assert float(rows["latency_ratio"]) == pytest.approx(
+        float(rows["latency_dynamic_ms"]) / float(rows["latency_baseline_ms"]),
+        rel=1e-4)
 
 
 def test_compare_tracks_each_configuration_once(scenario_dir, monkeypatch):

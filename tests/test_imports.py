@@ -38,3 +38,22 @@ def test_importing_the_package_and_cli_loads_no_scipy():
                           text=True, timeout=60, check=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_package_loads_no_yaml_and_bad_yaml_still_fails(tmp_path):
+    # PyYAML is imported by the functions that read or write YAML, not by
+    # the package; a malformed config must still fail as a config error.
+    (tmp_path / "bad.yaml").write_text("model_order: [1,\n")
+    code = ("import sys, dynatrack\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'yaml']\n"
+            "from dynatrack.errors import ConfigurationError\n"
+            "try:\n"
+            f"    dynatrack.load_config({str(tmp_path / 'bad.yaml')!r})\n"
+            "except ConfigurationError as exc:\n"
+            "    print('config error:', exc)\n")
+    path = os.pathsep.join(filter(None, [str(SOURCE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.startswith("config error:")

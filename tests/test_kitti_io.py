@@ -2,7 +2,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dynatrack import kitti_io as kio
@@ -410,8 +410,18 @@ def _trajectories(draw):
     return trajectory
 
 
+def _empty_report(frame):
+    return FrameReport(frame=frame, ids=np.zeros(0, dtype=np.int64),
+                       position=np.zeros((0, 2)), elevation=np.zeros(0),
+                       yaw=np.zeros(0), dims=np.zeros((0, 3)), score=np.zeros(0),
+                       bbox2d=np.zeros((0, 4)), status=np.zeros(0, dtype=np.int8),
+                       obj_type=np.zeros(0, dtype=object))
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(reports=[], trajectory=[])
+@example(reports=[_empty_report(0), _empty_report(3)], trajectory=[])
 @given(reports=_reports(), trajectory=_trajectories())
 def test_columnar_writers_match_per_row_reference(tmp_path, reports, trajectory):
     for write, reference, data, name in (

@@ -1,6 +1,11 @@
 """Metric correctness: CLEAR-MOT counters, IDF1 pairing, latency."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
+import dynatrack
+from dynatrack import tracker as trk
 from dynatrack.errors import InputError, UndefinedMetricError
 from dynatrack.metrics import clearmot, idf1, measure_latency
 from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker
@@ -72,6 +79,16 @@ def test_clearmot_keeps_previous_correspondence():
     # also when the carried pair lies exactly at the threshold
     hyp = _frames([(7, 0.0, 0.0)], [(7, 2.0, 0.0), (8, 0.5, 0.0)])
     assert clearmot(gt, hyp, threshold=2.0).id_switches == 0
+
+
+def test_clearmot_carries_over_through_the_last_row_of_an_id():
+    # Hyp 7 appears twice in frame 1; its correspondence is looked up by id,
+    # so only its last row, out of the gate, can carry it over, and gt 1
+    # then takes the nearer hyp 9: one switch.
+    gt = _frames([(1, 0.0, 0.0)], [(1, 0.0, 0.0)])
+    hyp = _frames([(7, 0.0, 0.0)], [(7, 1.9, 0.0), (9, 0.0, 0.0), (7, 50.0, 0.0)])
+    got = clearmot(gt, hyp)
+    assert got.id_switches == reference_clearmot(gt, hyp)["id_switches"] == 1
 
 
 def test_clearmot_respects_threshold():
@@ -213,6 +230,72 @@ def test_metrics_match_reference_on_tiny_scenes(scene, threshold):
          ref["gt_total"], ref["matches"])
 
 
+_KINDS = ("empty", "gt only", "hyp only", "both")
+
+
+@st.composite
+def _mixed_sequences(draw):
+    """Up to 3 gt and 3 hyp objects over 4 to 10 frames among which every
+    kind occurs: empty, gt rows only, hyp rows only and both; one side may
+    end early, and one hyp id may appear twice in a frame. Also a chunk
+    budget for `frame_chunks`."""
+    extra = draw(st.lists(st.sampled_from(_KINDS), max_size=6))
+    kinds = draw(st.permutations(list(_KINDS) + extra))
+    gt_ids, hyp_ids = [1, 2, 3], [101, 102, 103]
+    gt = [draw(_objects(gt_ids).filter(bool)) if kind in ("gt only", "both")
+          else [] for kind in kinds]
+    hyp = [draw(_objects(hyp_ids).filter(bool)) if kind in ("hyp only", "both")
+           else [] for kind in kinds]
+    if draw(st.booleans()):
+        frame = draw(st.sampled_from([f for f in hyp if f]))
+        frame.append((draw(st.sampled_from([i for i, _ in frame])),
+                      np.array([draw(_COORDS), draw(_COORDS)])))
+    cut = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        gt = gt[:len(gt) - cut]
+    else:
+        hyp = hyp[:len(hyp) - cut]
+    return gt, hyp, draw(st.sampled_from([1, 2, 5, trk.GATE_CHUNK_POINTS]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene=_mixed_sequences(), threshold=st.sampled_from([0.5, 1.0, 2.0]))
+def test_sequence_scores_match_reference_across_empty_and_one_sided_frames(
+        scene, threshold):
+    gt, hyp, budget = scene
+    with mock.patch.object(trk, "GATE_CHUNK_POINTS", budget):
+        got_id = idf1(gt, hyp, threshold)
+        got = clearmot(gt, hyp, threshold) if any(gt) else None
+    ref_id = reference_idf1(gt, hyp, threshold)
+    assert (got_id.idtp, got_id.idfp, got_id.idfn) == \
+        (ref_id["idtp"], ref_id["idfp"], ref_id["idfn"])
+    if got is not None:
+        ref = reference_clearmot(gt, hyp, threshold)
+        assert (got.false_positives, got.false_negatives, got.id_switches,
+                got.gt_total, got.matches) == \
+            (ref["false_positives"], ref["false_negatives"], ref["id_switches"],
+             ref["gt_total"], ref["matches"])
+
+
+@pytest.mark.parametrize("budget", [1, 50, trk.GATE_CHUNK_POINTS])
+def test_idf1_crowd_in_mid_sequence_raises_the_crowds_error(budget, monkeypatch):
+    # A crowd past the contested bound in frame 2 of 5 raises the error the
+    # crowd raises alone, however the frames are chunked.
+    monkeypatch.setattr(trk, "GATE_CHUNK_POINTS", budget)
+    side = math.isqrt(MAX_CONTESTED_CELLS)
+    crowd_gt = [(i, (0.0, 0.0)) for i in range(side + 1)]
+    crowd_hyp = [(i, (0.0, 0.0)) for i in range(side)]
+    with pytest.raises(InputError) as alone:
+        idf1([crowd_gt], [crowd_hyp])
+    quiet = _frames([(10_000, 5.0, 5.0)], [])[0]
+    quiet_hyp = _frames([(20_000, 5.0, 5.0)], [])[0]
+    with pytest.raises(InputError) as mid:
+        idf1([quiet, quiet, crowd_gt, quiet, quiet],
+             [quiet_hyp, quiet_hyp, crowd_hyp, quiet_hyp, quiet_hyp])
+    assert str(mid.value) == str(alone.value)
+    assert f"{side + 1} x {side} candidate" in str(mid.value)
+
+
 def test_idf1_counts_duplicate_ids_per_occurrence():
     # id 1 and id 7 both appear twice in frame 0: all four pairings overlap
     gt = _frames([(1, 0.0, 0.0), (1, 0.5, 0.0)], [(1, 0.0, 0.0)])
@@ -294,3 +377,50 @@ def test_measure_latency_rejects_warmup_without_timed_frames(warmup):
     with pytest.raises(InputError, match="leaves none of the 30 frames"):
         measure_latency(frames, RunConfig(dynamics_enabled=False), RunConfig(),
                         warmup=warmup)
+
+
+# 200 objects over 2,000 frames as parsed label frames: ground truth, a
+# hypothesis at other ids and detections, each within 0.3 m noise.
+_LONG_SEQUENCE = """
+import resource
+import numpy as np
+from dynatrack import kitti_io as kio, metrics, occlusion
+
+n_objects, n_frames = 200, 2000
+rng = np.random.default_rng(0)
+start = rng.uniform(0.0, 400.0, (n_objects, 2))
+velocity = rng.uniform(-1.0, 1.0, (n_objects, 2))
+truth = (start + 0.1 * np.arange(n_frames)[:, None, None] * velocity).reshape(-1, 2)
+ids = np.tile(np.arange(n_objects), n_frames)
+
+
+def frames(xy, track_id):
+    block = np.zeros((len(xy), kio.FLOAT_BLOCK))
+    block[:, 9], block[:, 11] = xy[:, 0], xy[:, 1]
+    table = kio._from_block(block, np.full(len(xy), "Car", dtype=object),
+                            np.zeros(len(xy), dtype=np.int64), track_id)
+    return [table.take(slice(f * n_objects, (f + 1) * n_objects))
+            for f in range(n_frames)]
+
+
+gt = frames(truth, ids)
+hyp = frames(truth + rng.normal(0.0, 0.3, truth.shape), ids + 1000)
+dets = kio.SequenceDataset("long", frames(truth + rng.normal(0.0, 0.3, truth.shape),
+                                          None))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert metrics.idf1(gt, hyp).idtp > 0
+assert occlusion.occlude_dataset(dets, gt, occlusion.OcclusionSpec("mid", 35, 20))[1]
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_long_sequence_scoring_and_occlusion_stay_within_a_memory_bound():
+    # Gated a chunk of frames at a time, the peak grows by the pairs and the
+    # tracklets, about 30 MB here on Linux; gating the whole sequence in one
+    # grouped call grew it by 135 MB.
+    source = Path(dynatrack.__file__).parent.parent
+    path = os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _LONG_SEQUENCE],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert float(done.stdout) < 60.0

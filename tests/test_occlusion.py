@@ -1,4 +1,7 @@
 """Occlusion simulation: cut placement, gt matching, detection deletion."""
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 from dynatrack import cli
 from dynatrack import kitti_io as kio
+from dynatrack import tracker as trk
 from dynatrack.errors import ConfigurationError, InputError
 from dynatrack.occlusion import (ObjectTracklet, OcclusionSpec,
                                  match_detections_to_gt, occlude_dataset,
@@ -229,3 +233,83 @@ def test_occlude_matches_records_reference(tmp_path_factory, scene, spec, thresh
     # the kept lines are a subsequence of the input's lines
     original = iter((work / "det.txt").read_text().splitlines())
     assert all(line in original for line in out.decode().splitlines())
+
+
+def _record(frame, x, z, track_id=None):
+    """A Car label at camera (x, 1.5, z); id-bearing when `track_id` is set."""
+    fields = dict(frame=frame, obj_type="Car", truncated=0.0, occluded=0,
+                  alpha=0.0, bbox2d=(0.0,) * 4, dims=(1.5, 1.8, 4.2),
+                  location=(x, 1.5, z), rotation_y=0.0, score=0.9)
+    if track_id is None:
+        return kio.DetectionRecord(**fields)
+    return kio.GroundTruthRecord(**fields, track_id=track_id)
+
+
+_KINDS = ("empty", "gt only", "detections only", "both")
+_OFFSETS = st.sampled_from([0.0, 0.5, -1.0, 2.0, 2.5]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _mixed_files(draw):
+    """Ground truth and detections over 4 to 16 frames among which every
+    kind occurs: empty, gt only, detections only and, most often, both.
+    Objects 1-4 sit 3 m apart; a detection is one object's position moved by
+    up to 3 m, often by a grid step, so it falls within, at or past the
+    threshold."""
+    extra = draw(st.lists(st.sampled_from(_KINDS + ("both",) * 3), max_size=12))
+    kinds = draw(st.permutations(list(_KINDS) + extra))
+    gt, dets = [], []
+    for frame, kind in enumerate(kinds):
+        ids = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True))
+        gt.append([_record(frame, 3.0 * i, 10.0, i) for i in ids]
+                  if kind in ("gt only", "both") else [])
+        near = draw(st.lists(st.tuples(st.integers(1, 4), _OFFSETS, _OFFSETS),
+                             min_size=1, max_size=5))
+        dets.append([_record(frame, 3.0 * i + x, 10.0 + z) for i, x, z in near]
+                    if kind in ("detections only", "both") else [])
+    return gt, dets
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene=_mixed_files(),
+       spec=st.builds(OcclusionSpec, kind=st.sampled_from(["mid", "late"]),
+                      start_after=st.integers(1, 3), length=st.integers(1, 3),
+                      match_threshold=st.sampled_from([0.5, 1.0, 2.0])),
+       budget=st.sampled_from([1, 4, trk.GATE_CHUNK_POINTS]))
+def test_occlude_matches_reference_across_empty_and_one_sided_frames(
+        tmp_path_factory, scene, spec, budget):
+    gt, dets = scene
+    work = tmp_path_factory.mktemp("mixed")
+    kio.write_annotations(gt, work / "gt.txt")
+    kio.write_detections(dets, work / "det.txt")
+    with mock.patch.object(trk, "GATE_CHUNK_POINTS", budget):
+        assert cli.main(["occlude", str(work / "det.txt"), str(work / "gt.txt"),
+                         "--kind", spec.kind, "--start-after",
+                         str(spec.start_after), "--length", str(spec.length),
+                         "--match-threshold", str(spec.match_threshold),
+                         "--output", str(work / "out.txt")]) == 0
+    reference_occlude(work / "det.txt", work / "gt.txt", spec,
+                      work / "reference.txt")
+    assert (work / "out.txt").read_bytes() == (work / "reference.txt").read_bytes()
+
+
+@pytest.mark.parametrize("budget", [1, 50, trk.GATE_CHUNK_POINTS])
+def test_occlude_crowd_in_mid_sequence_raises_the_crowds_error(budget,
+                                                               monkeypatch):
+    # A crowd past the contested bound in frame 2 of 5 raises the error that
+    # matching that frame alone raises, however the frames are chunked.
+    monkeypatch.setattr(trk, "GATE_CHUNK_POINTS", budget)
+    side = math.isqrt(trk.MAX_CONTESTED_CELLS)
+    crowd_gt = [_record(2, 0.0, 0.0, i) for i in range(side + 1)]
+    crowd_dets = [_record(2, 0.0, 0.0) for _ in range(side)]
+    with pytest.raises(InputError) as alone:
+        trk.gated_pairs([record_position(r) for r in crowd_gt],
+                        [record_position(r) for r in crowd_dets], 2.0)
+    gt = [[_record(f, 5.0, 5.0, 1)] for f in range(5)]
+    dets = [[_record(f, 5.0, 5.0)] for f in range(5)]
+    gt[2], dets[2] = crowd_gt, crowd_dets
+    dataset = kio.SequenceDataset("crowd", detections=dets, ground_truth=gt)
+    with pytest.raises(InputError) as mid:
+        occlude_dataset(dataset, gt, OcclusionSpec("mid", 1, 1))
+    assert str(mid.value) == str(alone.value)
+    assert f"{side + 1} x {side} candidate" in str(mid.value)

@@ -206,6 +206,94 @@ def test_in_gate_pairs_do_not_depend_on_the_order_of_a(arrange):
     assert dist[by_pair].tobytes() == dense[want_rows, want_cols].tobytes()
 
 
+# Labels up to 2^62 in size, in no order, some on one side only; coordinates
+# on a 0.5 grid (pairs land exactly at the gate) or free, around offsets up
+# to 1e15 in size.
+_LABELS = st.integers(-2 ** 62, 2 ** 62)
+_GRID_OR_FREE = st.one_of(st.integers(-8, 8).map(lambda k: 0.5 * k),
+                          st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _grouped_points(draw):
+    shared = draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True))
+    a_only = draw(st.lists(_LABELS, max_size=2))
+    b_only = draw(st.lists(_LABELS, max_size=2))
+    offset = draw(st.sampled_from([0.0, -3e3, 1e6, -1e9, 1e12, 1e15, -1e15]))
+
+    def side(labels):
+        rows = draw(st.lists(st.tuples(st.sampled_from(labels), _GRID_OR_FREE,
+                                       _GRID_OR_FREE), max_size=14))
+        return (np.array([(offset + x, offset + y) for _, x, y in rows],
+                         dtype=float).reshape(len(rows), 2),
+                np.array([label for label, _, _ in rows], dtype=np.int64))
+
+    return (*side(shared + a_only), *side(shared + b_only),
+            draw(st.sampled_from([0.5, 1.0, 2.5])))
+
+
+@settings(max_examples=400, deadline=None)
+@example(case=(np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
+               np.zeros((1, 2)), np.array([3]), 1.0))
+@given(case=_grouped_points())
+def test_grouped_in_gate_equals_one_ungrouped_call_per_label(case):
+    a, a_labels, b, b_labels, gate = case
+    got = trk.in_gate(a, b, gate, (a_labels, b_labels))
+    parts = [[np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)],
+             [np.zeros(0)]]
+    for label in set(a_labels.tolist()) | set(b_labels.tolist()):
+        in_a = np.flatnonzero(a_labels == label)
+        in_b = np.flatnonzero(b_labels == label)
+        rows, cols, dist = trk.in_gate(a[in_a], b[in_b], gate)
+        for part, value in zip(parts, (in_a[rows], in_b[cols], dist)):
+            part.append(value)
+    rows, cols, dist = map(np.concatenate, parts)
+    # Each label's rows ascend; a stable sort by row keeps each row's pairs
+    # in their order, which the grouped call must reproduce.
+    by_row = np.argsort(rows, kind="stable")
+    assert got[0].tolist() == rows[by_row].tolist()
+    assert got[1].tolist() == cols[by_row].tolist()
+    assert got[2].tobytes() == dist[by_row].tobytes()
+
+
+def test_in_gate_by_frame_equals_one_call_per_frame():
+    # Frames of 0 to 9 points a side, at overlapping coordinates: one call
+    # gives each frame's pairs, shifted to stacked rows, and none across.
+    rng = np.random.default_rng(11)
+    a_counts, b_counts = rng.integers(0, 10, (2, 40))
+    a = rng.uniform(0.0, 6.0, (a_counts.sum(), 2))
+    b = rng.uniform(0.0, 6.0, (b_counts.sum(), 2))
+    a0 = np.cumsum(a_counts) - a_counts
+    b0 = np.cumsum(b_counts) - b_counts
+    want = [[], [], []]
+    for f in range(40):
+        rows, cols, dist = trk.in_gate(a[a0[f]:a0[f] + a_counts[f]],
+                                       b[b0[f]:b0[f] + b_counts[f]], 1.5)
+        for part, value in zip(want, (rows + a0[f], cols + b0[f], dist)):
+            part.append(value)
+    got = trk.in_gate_by_frame(a, b, a_counts, b_counts, 1.5)
+    for got_part, want_part in zip(got, want):
+        assert got_part.tobytes() == np.concatenate(want_part).tobytes()
+    assert len(got[0]) > 100
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7, 20, trk.GATE_CHUNK_POINTS])
+def test_frame_chunks_take_whole_frames_up_to_the_budget(budget, monkeypatch):
+    # In order and without gaps; within the budget on both sides unless a
+    # chunk is one frame; and no chunk could take its next frame as well.
+    monkeypatch.setattr(trk, "GATE_CHUNK_POINTS", budget)
+    a_counts, b_counts = np.random.default_rng(12).integers(0, 10, (2, 60))
+    chunks = trk.frame_chunks(a_counts, b_counts)
+    assert [f for chunk in chunks for f in range(60)[chunk]] == list(range(60))
+    for chunk in chunks:
+        fits = [a_counts[chunk].sum() <= budget, b_counts[chunk].sum() <= budget]
+        assert all(fits) or chunk.stop - chunk.start == 1
+        if chunk.stop < 60:
+            wider = slice(chunk.start, chunk.stop + 1)
+            assert (a_counts[wider].sum() > budget or b_counts[wider].sum() > budget)
+    assert trk.frame_chunks([], []) == []
+
+
 @st.composite
 def _distance_matrices(draw):
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -222,7 +310,8 @@ def _distance_matrices(draw):
 @given(dist=_distance_matrices(), gate=st.sampled_from([0.25, 1.0, 2.0, 2.5]))
 def test_gated_assignment_matches_exhaustive_search(dist, gate):
     rows, cols = np.nonzero(dist <= gate)
-    rows, cols = trk._gated_candidates(rows, cols, dist[rows, cols], gate)
+    k = trk._gated_candidates(rows, cols, dist[rows, cols], gate)
+    rows, cols = rows[k], cols[k]
     assert len(set(rows.tolist())) == len(rows)
     assert len(set(cols.tolist())) == len(cols)
     assert np.all(dist[rows, cols] <= gate)
