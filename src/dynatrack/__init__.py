@@ -7,7 +7,7 @@ from .filtering import (NoiseModel, StateEstimate, build_noise,
                         transition_block, update)
 from .kitti_io import Labels, SequenceDataset, load_sequence, parse_detections
 from .metrics import clearmot, idf1, measure_latency
-from .occlusion import OcclusionSpec, occlude_dataset, simulate_occlusion
+from .occlusion import OcclusionSpec, occlude_dataset
 from .synth import ObjectSpec, RegimeSegment, ScenarioSpec, generate
 from .tracker import (Detections, FrameReport, MultiObjectTracker,
                       TrackSnapshot, associate)
@@ -22,7 +22,7 @@ __all__ = [
     "transition_block", "update",
     "Labels", "SequenceDataset", "load_sequence", "parse_detections",
     "clearmot", "idf1", "measure_latency",
-    "OcclusionSpec", "occlude_dataset", "simulate_occlusion",
+    "OcclusionSpec", "occlude_dataset",
     "ObjectSpec", "RegimeSegment", "ScenarioSpec", "generate",
     "Detections", "FrameReport", "MultiObjectTracker", "TrackSnapshot",
     "associate",

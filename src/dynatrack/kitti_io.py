@@ -136,20 +136,6 @@ def ground_position(labels: Labels) -> np.ndarray:
     return labels.location[:, GROUND_COLUMNS]
 
 
-def stack_frames(frames) -> tuple:
-    """Frames of labels (`Labels` or record lists) stacked in order: (every
-    row's track id, None if a frame has none; every row's ground position
-    `(N, 2)`)."""
-    frames = list(map(as_labels, frames))
-    location = np.concatenate([np.zeros((0, 3))]
-                              + [labels.location for labels in frames])
-    ids = None
-    if all(labels.track_id is not None for labels in frames):
-        ids = np.concatenate([np.zeros(0, dtype=np.int64)]
-                             + [labels.track_id for labels in frames])
-    return ids, location[:, GROUND_COLUMNS]
-
-
 def camera_location(position, elevation: float) -> tuple:
     """Invert ground_position for one point: (x, y, z) camera coordinates."""
     return (float(position[0]), float(elevation), float(position[1]))
@@ -330,51 +316,60 @@ def load_sequence(detection_path, annotation_path) -> SequenceDataset:
 
 # -- writing -----------------------------------------------------------------
 
-def _frame_lines(frame: int, labels: Labels, with_id: bool,
-                 with_score: bool) -> list:
-    """One frame's lines: its parsed lines if it has them, else its rows
-    formatted under index `frame`: the frame and, `with_id`, the track id,
-    then type, truncation, occlusion, alpha, bbox (4), dims (3), location (3),
-    rotation_y and, `with_score`, the score."""
-    if labels.raw is not None:
-        return labels.raw.tolist()
-    numbers = [labels.alpha, labels.bbox2d, labels.dims, labels.location,
-               labels.rotation_y]
-    if with_score:
-        numbers.append(labels.score)
-    # One format per row: "%.9f" % x is f"{x:.9f}", and "%d" % i is str(i).
-    fmt = (f"{frame} %d" if with_id else f"{frame}") + " %s %.9f %d" \
-        + " %.9f" * (12 + with_score)
-    heads = zip(labels.track_id.tolist(), labels.obj_type.tolist()) if with_id \
-        else zip(labels.obj_type.tolist())
-    return [fmt % (*head, truncated, occluded, *row)
-            for head, truncated, occluded, row in zip(
-                heads, labels.truncated.tolist(), labels.occluded.tolist(),
-                np.column_stack(numbers).tolist())]
+def is_word(value) -> bool:
+    """Whether `value` can be one field of a whitespace-separated label line:
+    a string that `str.split` keeps whole (not empty, no whitespace)."""
+    return isinstance(value, str) and value.split() == [value]
 
 
-def _write_lines(path, lines: list):
+def _write_lines(path, lines: list, types=()):
+    """Write `lines` once each distinct object type among their rows' `types`
+    is one word (`is_word`), so that every line parses back."""
+    bad = [obj_type for obj_type in dict.fromkeys(types) if not is_word(obj_type)]
+    if bad:
+        raise ContractViolationError(f"{path}: object type {bad[0]!r} is not one word")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
+def _write_frames(frames, path, with_id: bool):
+    """Write label frames (`Labels` or record lists): each frame's parsed
+    lines if it has them, else its rows formatted under the frame's index:
+    the frame and, `with_id` (annotations, ids ascending within a frame),
+    the track id, then type, truncation, occlusion, alpha, bbox (4), dims (3),
+    location (3), rotation_y and, without an id (detections), the score."""
+    lines, types = [], []
+    for frame, labels in enumerate(map(as_labels, frames)):
+        if with_id:
+            labels = labels.take(np.argsort(labels.track_id, kind="stable"))
+        types += labels.obj_type.tolist()
+        if labels.raw is not None:
+            lines += labels.raw.tolist()
+            continue
+        numbers = [labels.alpha, labels.bbox2d, labels.dims, labels.location,
+                   labels.rotation_y]
+        if not with_id:
+            numbers.append(labels.score)
+        # One format per row: "%.9f" % x is f"{x:.9f}", and "%d" % i is str(i).
+        fmt = (f"{frame} %d" if with_id else f"{frame}") + " %s %.9f %d" \
+            + " %.9f" * (13 - with_id)
+        heads = zip(labels.track_id.tolist(), labels.obj_type.tolist()) if with_id \
+            else zip(labels.obj_type.tolist())
+        lines += [fmt % (*head, truncated, occluded, *row)
+                  for head, truncated, occluded, row in zip(
+                      heads, labels.truncated.tolist(), labels.occluded.tolist(),
+                      np.column_stack(numbers).tolist())]
+    _write_lines(path, lines, types)
+
+
 def write_detections(frames, path):
-    """Write detection frames (`Labels` or record lists); parsed rows keep
-    their original line."""
-    _write_lines(path, [line for frame, labels in enumerate(map(as_labels, frames))
-                        for line in _frame_lines(frame, labels, False, True)])
-
-
-def _id_lines(frame: int, labels: Labels, with_score: bool) -> list:
-    """One id-bearing frame's lines, ids ascending."""
-    labels = labels.take(np.argsort(labels.track_id, kind="stable"))
-    return _frame_lines(frame, labels, True, with_score)
+    """Write detection frames; parsed rows keep their original line."""
+    _write_frames(frames, path, with_id=False)
 
 
 def write_annotations(frames, path):
     """Write ground-truth frames (id-bearing, no score column), ids ascending
     within a frame."""
-    _write_lines(path, [line for frame, labels in enumerate(map(as_labels, frames))
-                        for line in _id_lines(frame, labels, False)])
+    _write_frames(frames, path, with_id=True)
 
 
 def write_tracks(reports, path):
@@ -394,6 +389,7 @@ def write_tracks(reports, path):
     def column(name):
         return np.concatenate([getattr(report, name) for report in reports])
 
+    obj_type = column("obj_type")
     counts = [len(report) for report in reports]
     ids = column("ids")
     order = np.lexsort((ids, np.repeat(np.arange(len(reports)), counts)))
@@ -406,8 +402,8 @@ def write_tracks(reports, path):
     fmt = "%d %d %s 0.000000000 0 0.000000000" + " %.9f" * 12
     _write_lines(path, [fmt % (f, i, t, *row) for f, i, t, row in zip(
         frame.take(order).tolist(), ids.take(order).tolist(),
-        column("obj_type").take(order).tolist(),
-        numbers.take(order, axis=0).tolist())])
+        obj_type.take(order).tolist(),
+        numbers.take(order, axis=0).tolist())], obj_type.tolist())
 
 
 def export_trajectory_csv(trajectory, path):

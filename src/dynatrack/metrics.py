@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, UndefinedMetricError
-from .kitti_io import as_labels, ground_position, stack_frames
-from .tracker import (FrameReport, MultiObjectTracker, _gated_candidates,
-                      component_assignment, frame_chunks, in_gate_by_frame)
+from .kitti_io import GROUND_COLUMNS, as_labels, ground_position
+from .tracker import (FrameReport, MultiObjectTracker, component_assignment,
+                      frame_chunks, gated_candidates, in_gate)
 
 
 @dataclass
@@ -73,20 +73,26 @@ def _frame_arrays(frame):
 
 
 def _stacked(frames):
-    """Frames stacked in order, as (ids, positions (N, 2))."""
-    if all(map(_is_labels, frames)):   # one column selection, not one a frame
-        return stack_frames(frames)
-    parts = [_frame_arrays(frame) for frame in frames]
-    ids = np.concatenate([np.zeros(0, dtype=np.int64)] + [i for i, _ in parts])
-    positions = np.concatenate([np.zeros((0, 2))] + [p for _, p in parts])
-    return ids, positions
+    """Frames stacked in order, as (ids, positions (N, 2)); the ids are None
+    for labels that have none (detections)."""
+    if not all(map(_is_labels, frames)):   # so there is at least one frame
+        ids, positions = zip(*map(_frame_arrays, frames))
+        return np.concatenate(ids), np.concatenate(positions)
+    frames = list(map(as_labels, frames))
+    ids = [np.zeros(0, dtype=np.int64)] + [labels.track_id for labels in frames]
+    # One column selection over the stack, not one a frame.
+    location = np.concatenate([np.zeros((0, 3))]
+                              + [labels.location for labels in frames])
+    return (None if any(i is None for i in ids) else np.concatenate(ids),
+            location[:, GROUND_COLUMNS])
 
 
-def _gated_chunks(gt, hyp, threshold: float):
+def gated_chunks(gt, hyp, threshold: float):
     """Both sequences, padded to one length, a chunk of frames at a time
     (`frame_chunks`). Yields per chunk (gt ids, gt rows per frame, hyp ids,
     hyp rows per frame, (gt rows, hyp rows, distances)), the last holding
-    its frames' in-gate pairs (`in_gate_by_frame`) as rows of the chunk."""
+    each frame's `in_gate` pairs as rows of the chunk, rows ascending: one
+    `in_gate` call grouped by frame, so no pair spans two frames."""
     gt, hyp = list(gt), list(hyp)
     g_counts, h_counts = (np.zeros(max(len(gt), len(hyp)), dtype=np.intp)
                           for _ in range(2))
@@ -94,8 +100,10 @@ def _gated_chunks(gt, hyp, threshold: float):
     h_counts[:len(hyp)] = [len(frame) for frame in hyp]
     for frames in frame_chunks(g_counts, h_counts):
         (gids, gpos), (hids, hpos) = _stacked(gt[frames]), _stacked(hyp[frames])
-        yield gids, g_counts[frames], hids, h_counts[frames], in_gate_by_frame(
-            gpos, hpos, g_counts[frames], h_counts[frames], threshold)
+        label = np.arange(frames.stop - frames.start)
+        groups = np.repeat(label, g_counts[frames]), np.repeat(label, h_counts[frames])
+        yield gids, g_counts[frames], hids, h_counts[frames], in_gate(
+            gpos, hpos, threshold, groups)
 
 
 def _last_of_id(ids, counts):
@@ -117,7 +125,7 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
     is counted when a ground-truth object's matched id changes relative to
     its last known correspondence.
 
-    The in-gate pairs come from one grouped `in_gate_by_frame` call per
+    The in-gate pairs come from `gated_chunks`, one grouped call per
     chunk of frames; the frame loop keeps only the carry-over, which
     depends on the frame before, and the assignment of each frame's
     remaining pairs.
@@ -125,7 +133,7 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
     fp = fn = idsw = gt_total = matches_total = 0
     active: dict = {}      # gt id -> hyp id carried from the previous frame
     last_match: dict = {}  # gt id -> most recent matched hyp id
-    for gids, g_counts, hids, h_counts, (rows, cols, dist) in _gated_chunks(
+    for gids, g_counts, hids, h_counts, (rows, cols, dist) in gated_chunks(
             gt, hyp, threshold):
         gt_total += len(gids)
         p_end = np.searchsorted(rows, np.cumsum(g_counts))
@@ -147,7 +155,7 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
             rest = [k for k in range(p0, p1)
                     if pair_gid[k] not in matched and pair_hid[k] not in used]
             if rest:
-                for j in _gated_candidates(
+                for j in gated_candidates(
                         np.array([rows[k] - g0 for k in rest]),
                         np.array([cols[k] - h0 for k in rest]),
                         np.array([dist[k] for k in rest]), threshold).tolist():
@@ -173,7 +181,7 @@ def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
     """Identity scores from the globally optimal one-to-one id pairing.
 
     A (gt id, hyp id) pair gains one per frame in which the two are `in_gate`;
-    the pairs come from one grouped `in_gate_by_frame` call per chunk of
+    the pairs come from `gated_chunks`, one grouped call per chunk of
     frames. The pairing maximises the summed gain over the overlapping
     pairs, one connected component of them at a time
     (`component_assignment`), so no gt x hyp gain matrix is built; a
@@ -182,7 +190,7 @@ def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
     """
     total_gt = total_hyp = 0
     pair_gid, pair_hid = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for gids, _, hids, _, (rows, cols, _) in _gated_chunks(gt, hyp, threshold):
+    for gids, _, hids, _, (rows, cols, _) in gated_chunks(gt, hyp, threshold):
         total_gt += len(gids)
         total_hyp += len(hids)
         pair_gid.append(gids.take(rows))

@@ -1,4 +1,4 @@
-"""Synthetic occlusion injection: delete detection runs from matched tracklets."""
+"""Synthetic occlusion injection: delete a run of each object's matched detections."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,8 +7,9 @@ import numpy as np
 
 from .config import require
 from .errors import InputError
-from .kitti_io import SequenceDataset, as_labels, stack_frames
-from .tracker import _gated_candidates, frame_chunks, in_gate_by_frame
+from .kitti_io import SequenceDataset, as_labels
+from .metrics import gated_chunks
+from .tracker import gated_candidates
 
 OCCLUSION_KINDS = ("mid", "late")
 
@@ -32,58 +33,6 @@ class OcclusionSpec:
                 f"must be positive, got {self.match_threshold}")
 
 
-@dataclass
-class ObjectTracklet:
-    """One ground-truth object's matched detections as (frame, index) pairs."""
-
-    track_id: int
-    observations: list
-
-
-def match_detections_to_gt(dataset: SequenceDataset, gt_frames,
-                           threshold: float = 2.0):
-    """Associate detections with ground-truth frames, frame by frame.
-
-    The frames are matched a chunk at a time (`frame_chunks`): one grouped
-    `in_gate_by_frame` call, then one min-distance pairing of all of the
-    chunk's pairs, which is each frame's own pairing, since no connected
-    block of pairs spans two frames. Returns one tracklet per matched
-    ground-truth id, in ascending id order, its observations in frame order.
-    """
-    if gt_frames is None:
-        raise InputError("ground truth is required to build tracklets")
-    if len(dataset.detections) != len(gt_frames):
-        raise InputError(
-            f"frame ranges differ: detections cover {len(dataset.detections)} "
-            f"frames, ground truth covers {len(gt_frames)}")
-    g_counts = np.array([len(frame) for frame in gt_frames], dtype=np.intp)
-    d_counts = np.array([len(frame) for frame in dataset.detections], dtype=np.intp)
-    observations: dict = {}
-    for frames in frame_chunks(g_counts, d_counts):
-        track_id, g_pos = stack_frames(gt_frames[frames])
-        _, d_pos = stack_frames(dataset.detections[frames])
-        rows, cols, dist = in_gate_by_frame(g_pos, d_pos, g_counts[frames],
-                                            d_counts[frames], threshold)
-        matched = _gated_candidates(rows, cols, dist, threshold)
-        # Each id's matches in frame order: sort them by id, stably.
-        tids = track_id.take(rows.take(matched))
-        by_id = np.argsort(tids, kind="stable")
-        ids, starts = np.unique(tids.take(by_id), return_index=True)
-        cols = cols.take(matched.take(by_id))
-        counts = d_counts[frames]
-        frame = np.repeat(np.arange(len(counts)), counts).take(cols)
-        index = cols - (np.cumsum(counts) - counts).take(frame)
-        # One int object per frame, shared by its observations, not one each.
-        frame_ints = list(range(frames.start, frames.stop))
-        chunk = list(zip(map(frame_ints.__getitem__, frame.tolist()),
-                         index.tolist()))
-        bounds = starts.tolist() + [len(chunk)]
-        for tid, start, stop in zip(ids.tolist(), bounds, bounds[1:]):
-            observations.setdefault(tid, []).extend(chunk[start:stop])
-    return [ObjectTracklet(track_id=tid, observations=obs)
-            for tid, obs in sorted(observations.items())]
-
-
 def occlusion_cut(n_observations: int, spec: OcclusionSpec):
     """Ordinal range [start, stop) of detections to delete; None if ineligible."""
     if n_observations < spec.start_after + spec.length:
@@ -95,33 +44,50 @@ def occlusion_cut(n_observations: int, spec: OcclusionSpec):
     return start, start + spec.length
 
 
-def simulate_occlusion(dataset: SequenceDataset, tracklets, spec: OcclusionSpec):
-    """Remove each eligible tracklet's occluded run; everything else unchanged.
-
-    Returns (occluded dataset, {track_id: [occluded frames]}).
-    """
-    deleted: dict = {}     # frame -> indices of its deleted detections
-    occluded_frames: dict = {}
-    for tracklet in tracklets:
-        cut = occlusion_cut(len(tracklet.observations), spec)
-        if cut is None:
-            continue
-        start, stop = cut
-        chunk = tracklet.observations[start:stop]
-        for frame, j in chunk:
-            deleted.setdefault(frame, []).append(j)
-        occluded_frames[tracklet.track_id] = [frame for frame, _ in chunk]
-    frames = list(map(as_labels, dataset.detections))
-    for frame, rows in deleted.items():
-        keep = np.ones(len(frames[frame]), dtype=bool)
-        keep[rows] = False
-        frames[frame] = frames[frame].take(keep)
-    out = SequenceDataset(sequence_id=dataset.sequence_id, detections=frames,
-                          ground_truth=dataset.ground_truth)
-    return out, occluded_frames
-
-
 def occlude_dataset(dataset: SequenceDataset, gt_frames, spec: OcclusionSpec):
-    """Match then simulate in one call; see the two steps for details."""
-    tracklets = match_detections_to_gt(dataset, gt_frames, spec.match_threshold)
-    return simulate_occlusion(dataset, tracklets, spec)
+    """Remove a run of each eligible object's matched detections; everything
+    else is unchanged. Returns (occluded dataset, {track_id: [occluded
+    frames]}), ids ascending.
+
+    Detections match ground truth as CLEAR-MOT pairs them: one
+    `gated_candidates` call per chunk of `metrics.gated_chunks`, which is
+    each frame's own pairing, since no connected block of pairs spans two
+    frames. Each object's matches, in frame order, lose the run that
+    `occlusion_cut` picks for their count. One keep mask over the sequence's
+    detection rows takes every cut; only the frames that lose a row are rebuilt.
+    """
+    if gt_frames is None:
+        raise InputError("ground truth is required to build tracklets")
+    if len(dataset.detections) != len(gt_frames):
+        raise InputError(
+            f"frame ranges differ: detections cover {len(dataset.detections)} "
+            f"frames, ground truth covers {len(gt_frames)}")
+    frames = list(map(as_labels, dataset.detections))
+    counts = np.array([len(labels) for labels in frames], dtype=np.intp)
+    ids, rows, d0 = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.intp)], 0
+    for gids, _, _, d_counts, (g, d, dist) in gated_chunks(
+            gt_frames, frames, spec.match_threshold):
+        matched = gated_candidates(g, d, dist, spec.match_threshold)
+        ids.append(gids.take(g.take(matched)))
+        rows.append(d.take(matched) + d0)
+        d0 += int(d_counts.sum())
+    # Each id's matches in frame order: sort them by id, stably.
+    ids = np.concatenate(ids)
+    by_id = np.argsort(ids, kind="stable")
+    tids, starts, n_matches = np.unique(ids.take(by_id), return_index=True,
+                                        return_counts=True)
+    rows = np.concatenate(rows).take(by_id)
+    frame_of = np.repeat(np.arange(len(frames)), counts)
+    keep = np.ones(len(frame_of), dtype=bool)
+    dropped = {}
+    for tid, start, n in zip(tids.tolist(), starts.tolist(), n_matches.tolist()):
+        cut = occlusion_cut(n, spec)
+        if cut is not None:
+            cut_rows = rows[start + cut[0]:start + cut[1]]
+            keep[cut_rows] = False
+            dropped[tid] = frame_of.take(cut_rows).tolist()
+    ends = np.cumsum(counts)
+    for f in np.unique(frame_of[~keep]).tolist():
+        frames[f] = frames[f].take(keep[ends[f] - counts[f]:ends[f]])
+    return SequenceDataset(sequence_id=dataset.sequence_id, detections=frames,
+                           ground_truth=dataset.ground_truth), dropped

@@ -7,14 +7,15 @@ still-active derivatives stay continuous across the boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import check_kind, check_mapping, require
 from .errors import ConfigurationError
-from .kitti_io import DetectionRecord, GroundTruthRecord, SequenceDataset, camera_location
+from .kitti_io import (DetectionRecord, GroundTruthRecord, SequenceDataset,
+                       camera_location, is_word)
 from .occlusion import OcclusionSpec
 
 SEGMENT_KINDS = ("stationary", "cv", "ca", "cj")
@@ -66,9 +67,8 @@ class ObjectSpec:
         require(np.isfinite(self.elevation), "elevation",
                 f"must be finite, got {self.elevation!r}")
         require(bool(self.segments), "segments", "at least one segment required")
-        # The type is one field of a whitespace-separated label line.
-        word = isinstance(self.obj_type, str) and self.obj_type.split() == [self.obj_type]
-        require(word, "type", f"must be one word, got {self.obj_type!r}")
+        require(is_word(self.obj_type), "type",
+                f"must be one word, got {self.obj_type!r}")
 
 
 @dataclass

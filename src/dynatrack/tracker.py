@@ -227,7 +227,7 @@ def component_assignment(rows, cols, cost, fill):
                                    shared[np.array(matched, dtype=np.intp)]]))
 
 
-def _gated_candidates(rows, cols, dist, gate: float):
+def gated_candidates(rows, cols, dist, gate: float):
     """Min-distance one-to-one pairing over in-gate candidate pairs
     (rows[k], cols[k]) with their distances; returns the indices k of the
     matched pairs, ascending.
@@ -351,18 +351,6 @@ def frame_chunks(a_counts, b_counts) -> list:
     return chunks
 
 
-def in_gate_by_frame(a, b, a_counts, b_counts, gate: float):
-    """`in_gate` within each frame of stacked frames, in one grouped call.
-
-    `a` and `b` hold frames in order, `a_counts[f]` and `b_counts[f]` rows of
-    frame f. Returns (rows of a, rows of b, distances), rows ascending: each
-    frame's `in_gate` pairs, as rows of the stacked arrays.
-    """
-    frames = np.arange(len(a_counts))
-    return in_gate(a, b, gate, (np.repeat(frames, a_counts),
-                                np.repeat(frames, b_counts)))
-
-
 def gated_pairs(a, b, gate: float):
     """Min-distance one-to-one pairing of points `a (n, k)` to points `b (m, k)`
     in which pairs farther apart than `gate` never match.
@@ -380,7 +368,7 @@ def gated_pairs(a, b, gate: float):
     alternatives can come out differently.
     """
     rows, cols, dist = in_gate(a, b, gate)
-    k = _gated_candidates(rows, cols, dist, gate)
+    k = gated_candidates(rows, cols, dist, gate)
     return rows[k], cols[k]
 
 

@@ -508,15 +508,6 @@ def label_records(frames):
     return out
 
 
-def tagged_labels(tags):
-    """A `Labels` frame of zero-valued rows whose `raw` lines are `tags`."""
-    n = len(tags)
-    labels = kitti_io.as_labels([kitti_io.DetectionRecord(
-        0, "Car", 0.0, 0, 0.0, (0.0,) * 4, (0.0,) * 3, (0.0,) * 3, 0.0, 0.0)] * n)
-    labels.raw = np.array(tags, dtype=object).reshape(n)
-    return labels
-
-
 def record_position(record):
     """Ground-plane (lateral, longitudinal) of one record's camera location."""
     x, _, z = record.location
@@ -534,30 +525,41 @@ def format_record(record, with_id, with_score):
                             *(f"{v:.9f}" for v in numbers)])
 
 
+def reference_tracklets(det_frames, gt_frames, threshold):
+    """Each gt id's matched detections as (frame, index) pairs in frame
+    order: record frames matched one frame at a time by `gated_pairs` on
+    ground positions, a frame's pairs in gt row order."""
+    observations = {}
+    for frame, (det_records, gt_records) in enumerate(zip(det_frames, gt_frames)):
+        rows, cols = gated_pairs([record_position(r) for r in gt_records],
+                                 [record_position(r) for r in det_records],
+                                 threshold)
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            observations.setdefault(gt_records[r].track_id, []).append((frame, c))
+    return observations
+
+
 def reference_occlude(det_path, gt_path, spec, out_path):
     """`occlude` on records: parse per line, match each frame by ground
-    position, drop each eligible run and write the kept input lines."""
+    position (`reference_tracklets`), drop each eligible run and write the
+    kept input lines. Returns {gt id: [occluded frames]}, ids ascending."""
     dets, det_raw = reference_parse(det_path, "detections")
     gts, _ = reference_parse(gt_path, "annotations")
     n = max(len(dets), len(gts))
     dets += [[]] * (n - len(dets))
     det_raw += [[]] * (n - len(det_raw))
     gts += [[]] * (n - len(gts))
-    observations = {}
-    for frame, (det_records, gt_records) in enumerate(zip(dets, gts)):
-        rows, cols = gated_pairs([record_position(r) for r in gt_records],
-                                 [record_position(r) for r in det_records],
-                                 spec.match_threshold)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            observations.setdefault(gt_records[r].track_id, []).append((frame, c))
-    deleted = set()
-    for _, obs in sorted(observations.items()):
-        cut = occlusion_cut(len(obs), spec)
+    deleted, dropped = set(), {}
+    tracklets = reference_tracklets(dets, gts, spec.match_threshold)
+    for track_id, observations in sorted(tracklets.items()):
+        cut = occlusion_cut(len(observations), spec)
         if cut is not None:
-            deleted.update(obs[cut[0]:cut[1]])
+            deleted.update(observations[cut[0]:cut[1]])
+            dropped[track_id] = [f for f, _ in observations[cut[0]:cut[1]]]
     lines = [line for frame, frame_lines in enumerate(det_raw)
              for j, line in enumerate(frame_lines) if (frame, j) not in deleted]
     Path(out_path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    return dropped
 
 
 # -- reference writers: one record or one point per row ---------------------

@@ -10,16 +10,15 @@ import time
 import numpy as np
 
 from helpers import (clamped_weights_algebraic, format_record, label_records,
-                     reference_clearmot, reference_idf1, run_single_target,
-                     single_target_config, trajectory_by_source)
+                     reference_clearmot, reference_idf1, reference_tracklets,
+                     run_single_target, single_target_config,
+                     trajectory_by_source)
 
 from dynatrack import dynamics as dyn
 from dynatrack.config import RunConfig
 from dynatrack.kitti_io import measurements_from
 from dynatrack.metrics import clearmot, idf1, measure_latency
-from dynatrack.occlusion import (OcclusionSpec, match_detections_to_gt,
-                                 occlusion_cut, occlude_dataset,
-                                 simulate_occlusion)
+from dynatrack.occlusion import OcclusionSpec, occlusion_cut, occlude_dataset
 from dynatrack.synth import (ObjectSpec, RegimeSegment, ScenarioSpec,
                              generate, object_truth)
 from dynatrack.tracker import MultiObjectTracker
@@ -378,26 +377,29 @@ def test_occlusion_simulator_contract():
         spec = OcclusionSpec(kind=("mid", "late")[case % 2],
                              length=int(rng.integers(1, 21)),
                              start_after=int(rng.integers(0, 40)))
-        tracklets = match_detections_to_gt(dets, gt.ground_truth,
-                                           spec.match_threshold)
-        out, _ = simulate_occlusion(dets, tracklets, spec)
+        out, dropped = occlude_dataset(dets, gt.ground_truth, spec)
         in_lines = [[format_record(r, False, True) for r in frame]
                     for frame in dets.detections]
         out_lines = [[format_record(r, False, True) for r in frame]
                      for frame in label_records(out.detections)]
-        # Output is the input minus each eligible tracklet's occluded run.
-        expect_removed = set()
-        for tracklet in tracklets:
-            cut = occlusion_cut(len(tracklet.observations), spec)
-            if cut is None:
-                continue
-            chunk = tracklet.observations[cut[0]:cut[1]]
-            frames_cut = [frame for frame, _ in chunk]
-            if (len(chunk) != spec.length
-                    or frames_cut != list(range(frames_cut[0],
-                                                frames_cut[0] + len(chunk)))):
-                violations.append((case, "cut shape", tracklet.track_id))
-            expect_removed.update(chunk)
+        # Each cut is `length` matches in contiguous frames.
+        for track_id, frames_cut in dropped.items():
+            if frames_cut != list(range(frames_cut[0],
+                                        frames_cut[0] + spec.length)):
+                violations.append((case, "cut shape", track_id))
+        # Output is the input minus each eligible object's occluded run of
+        # the matches that one frame at a time matching finds.
+        expect_removed, expect_dropped = set(), {}
+        tracklets = reference_tracklets(dets.detections, gt.ground_truth,
+                                        spec.match_threshold)
+        for track_id, observations in sorted(tracklets.items()):
+            cut = occlusion_cut(len(observations), spec)
+            if cut is not None:
+                chunk = observations[cut[0]:cut[1]]
+                expect_dropped[track_id] = [frame for frame, _ in chunk]
+                expect_removed.update(chunk)
+        if list(dropped.items()) != list(expect_dropped.items()):
+            violations.append((case, "dropped", sorted(dropped)))
         for frame, records in enumerate(in_lines):
             kept = [line for j, line in enumerate(records)
                     if (frame, j) not in expect_removed]

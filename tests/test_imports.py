@@ -28,6 +28,20 @@ def test_no_module_imports_scipy():
     assert {name: imports for name, imports in found.items() if imports} == {}
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # A name another module needs gets a public name; "from .x import _y"
+    # and "from dynatrack.x import _y" both count.
+    found = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "dynatrack"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                if private:
+                    found.setdefault(path.name, []).extend(private)
+    assert found == {}
+
+
 def test_importing_the_package_and_cli_loads_no_scipy():
     # Also catches a dependency that imports scipy on the package's behalf.
     code = ("import sys, dynatrack, dynatrack.cli; "

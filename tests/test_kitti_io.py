@@ -6,12 +6,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dynatrack import kitti_io as kio
-from dynatrack.errors import ParseError
-from dynatrack.tracker import STATUSES, TRAJECTORY_SOURCES, FrameReport
+from dynatrack.config import RunConfig
+from dynatrack.errors import ContractViolationError, ParseError
+from dynatrack.tracker import (STATUSES, TRAJECTORY_SOURCES, FrameReport,
+                               MultiObjectTracker)
 
-from helpers import (format_record, label_records, read_trajectory_csv,
-                     reference_export_trajectory_csv, reference_parse,
-                     reference_write_tracks)
+from helpers import (detections, format_record, label_records,
+                     read_trajectory_csv, reference_export_trajectory_csv,
+                     reference_parse, reference_write_tracks)
 
 DET_LINE = ("0 Car 0.00 0 -1.50 100.0 120.0 150.0 160.0 "
             "1.50 1.70 4.20 2.50 1.40 30.00 0.10 0.92")
@@ -310,6 +312,71 @@ def test_id_position_frames(tmp_path):
     tid, pos = frames[0][0]
     assert tid == 7
     npt.assert_array_equal(pos, [2.5, 30.0])
+
+
+@pytest.mark.parametrize("obj_type", ["Big Car", ""])
+def test_write_tracks_rejects_a_type_its_parser_would_reject(obj_type, tmp_path):
+    # Written, "Big Car" would give a 19-field line and "" a 17-field one.
+    tracker = MultiObjectTracker(RunConfig(min_hits=1))
+    reports = [tracker.step(frame, detections([(0.0, 10.0 + frame)],
+                                              obj_type=obj_type))
+               for frame in range(2)]
+    assert [len(report) for report in reports] == [1, 1]
+    path = tmp_path / "tracks.txt"
+    with pytest.raises(ContractViolationError, match="not one word"):
+        kio.write_tracks(reports, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("write", [kio.write_detections, kio.write_annotations])
+def test_label_writers_reject_a_type_their_parser_would_reject(write, tmp_path):
+    record = kio.GroundTruthRecord(0, "Big Car", 0.0, 0, 0.0, (0.0,) * 4,
+                                   (1.0,) * 3, (0.0,) * 3, 0.0, 1.0, track_id=1)
+    path = tmp_path / "labels.txt"
+    for frames in ([[record]], [kio.as_labels([record])]):
+        with pytest.raises(ContractViolationError, match="'Big Car'"):
+            write(frames, path)
+        assert not path.exists()
+
+
+# Types from a few letters and the characters that split a field or a line.
+_types = st.text(st.sampled_from(list("aZé-_ \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028")),
+                 max_size=4) | st.text(max_size=3)
+
+
+def test_a_file_any_writer_accepts_parses_back_row_for_row(tmp_path):
+    # A writer either refuses a type before writing anything or writes
+    # lines that parse back into as many rows, with the types written.
+    path = tmp_path / "labels.txt"
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(types=st.lists(_types, min_size=1, max_size=3),
+           kind=st.sampled_from(["detections", "annotations", "tracks"]))
+    def check(types, kind):
+        path.unlink(missing_ok=True)
+        write, parse = {
+            "detections": (kio.write_detections,
+                           lambda: kio.parse_detections(path).detections),
+            "annotations": (kio.write_annotations,
+                            lambda: kio.parse_annotations(path)),
+            "tracks": (kio.write_tracks, lambda: kio.parse_tracks(path))}[kind]
+        if kind == "tracks":
+            frames = [_report(f, [1], [(0.0, 10.0)], obj_type=t)
+                      for f, t in enumerate(types)]
+        else:
+            frames = [[kio.GroundTruthRecord(f, t, 0.0, 0, 0.0, (0.0,) * 4,
+                                             (1.0,) * 3, (0.0,) * 3, 0.0, 1.0,
+                                             track_id=f)]
+                      for f, t in enumerate(types)]
+        try:
+            write(frames, path)
+        except ContractViolationError:
+            assert not all(map(kio.is_word, types)) and not path.exists()
+            return
+        assert [labels.obj_type.tolist() for labels in parse()] == [[t] for t in types]
+
+    check()
 
 
 # Values with at most three decimals survive the writers' nine-decimal format.

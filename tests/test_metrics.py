@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
 import dynatrack
-from dynatrack import tracker as trk
+from dynatrack import metrics, tracker as trk
 from dynatrack.errors import InputError, UndefinedMetricError
 from dynatrack.metrics import clearmot, idf1, measure_latency
 from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker
@@ -277,6 +277,38 @@ def test_sequence_scores_match_reference_across_empty_and_one_sided_frames(
              ref["gt_total"], ref["matches"])
 
 
+@pytest.mark.parametrize("budget", [1, 20, trk.GATE_CHUNK_POINTS])
+def test_gated_chunks_equal_one_in_gate_call_per_frame(budget, monkeypatch):
+    # Frames of 0 to 9 points a side, at overlapping coordinates, one side
+    # ending early: the chunks give each frame's pairs, in order, and none
+    # across frames. Each point's id is its row of the whole sequence.
+    monkeypatch.setattr(trk, "GATE_CHUNK_POINTS", budget)
+    rng = np.random.default_rng(11)
+    a_counts, b_counts = rng.integers(0, 10, (2, 40))
+    b_counts[35:] = 0
+    a = rng.uniform(0.0, 6.0, (a_counts.sum(), 2))
+    b = rng.uniform(0.0, 6.0, (b_counts.sum(), 2))
+    a0 = np.cumsum(a_counts) - a_counts
+    b0 = np.cumsum(b_counts) - b_counts
+    want = [[], [], []]
+    for f in range(40):
+        rows, cols, dist = trk.in_gate(a[a0[f]:a0[f] + a_counts[f]],
+                                       b[b0[f]:b0[f] + b_counts[f]], 1.5)
+        for part, value in zip(want, (rows + a0[f], cols + b0[f], dist)):
+            part.extend(value.tolist())
+    gt = [[(int(a0[f] + k), a[a0[f] + k]) for k in range(a_counts[f])]
+          for f in range(40)]
+    hyp = [[(int(b0[f] + k), b[b0[f] + k]) for k in range(b_counts[f])]
+           for f in range(35)]
+    got = [[], [], []]
+    for gids, _, hids, _, (rows, cols, dist) in metrics.gated_chunks(gt, hyp, 1.5):
+        for part, value in zip(got, (gids[rows], hids[cols], dist)):
+            part.extend(value.tolist())
+    assert got[:2] == want[:2]
+    assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+    assert len(got[0]) > 100
+
+
 @pytest.mark.parametrize("budget", [1, 50, trk.GATE_CHUNK_POINTS])
 def test_idf1_crowd_in_mid_sequence_raises_the_crowds_error(budget, monkeypatch):
     # A crowd past the contested bound in frame 2 of 5 raises the error the
@@ -416,7 +448,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 
 def test_long_sequence_scoring_and_occlusion_stay_within_a_memory_bound():
     # Gated a chunk of frames at a time, the peak grows by the pairs and the
-    # tracklets, about 30 MB here on Linux; gating the whole sequence in one
+    # matches, about 27 MB here on Linux; gating the whole sequence in one
     # grouped call grew it by 135 MB.
     source = Path(dynatrack.__file__).parent.parent
     path = os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))

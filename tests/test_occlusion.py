@@ -4,19 +4,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynatrack import cli
 from dynatrack import kitti_io as kio
 from dynatrack import tracker as trk
 from dynatrack.errors import ConfigurationError, InputError
-from dynatrack.occlusion import (ObjectTracklet, OcclusionSpec,
-                                 match_detections_to_gt, occlude_dataset,
-                                 occlusion_cut, simulate_occlusion)
+from dynatrack.occlusion import OcclusionSpec, occlude_dataset, occlusion_cut
 from dynatrack.synth import ObjectSpec, RegimeSegment, ScenarioSpec, generate
 
-from helpers import record_position, reference_occlude, tagged_labels
+from helpers import record_position, reference_occlude
 
 
 def _scenario(n_frames=60, noise=0.05, seed=3):
@@ -76,10 +74,17 @@ def test_cut_invariants(n, spec):
         assert stop == n
 
 
+def _row(frame, x, track_id=None):
+    """A Car label at ground (x, 0); id-bearing when `track_id` is set."""
+    return _record(frame, x, 0.0, track_id)
+
+
 @st.composite
 def _tracklet_scenes(draw):
-    """Frames of placeholder rows, each owned by one of 3 objects or none;
-    a row's `raw` line names its (frame, index)."""
+    """Frames of detection rows, each owned by one of 3 objects or none,
+    row j at ground x = 10 j; each owned row has a gt row of its owner at
+    the same point, so an object can own several rows of a frame. Returns
+    the dataset, the gt frames and each owner's (frame, row) pairs."""
     owners = draw(st.lists(st.lists(st.sampled_from([None, 1, 2, 3]), max_size=4),
                            min_size=1, max_size=25))
     observations: dict = {}
@@ -88,56 +93,56 @@ def _tracklet_scenes(draw):
             if owner is not None:
                 observations.setdefault(owner, []).append((frame, j))
     dataset = kio.SequenceDataset(
-        sequence_id="s", detections=[tagged_labels([f"{frame} {j}"
-                                                    for j in range(len(o))])
+        sequence_id="s", detections=[[_row(frame, 10.0 * j) for j in range(len(o))]
                                      for frame, o in enumerate(owners)])
-    tracklets = [ObjectTracklet(tid, obs) for tid, obs in observations.items()]
-    return dataset, tracklets
+    gt = [[_row(frame, 10.0 * j, owner) for j, owner in enumerate(o)
+           if owner is not None] for frame, o in enumerate(owners)]
+    return dataset, gt, observations
 
 
 @settings(max_examples=200, deadline=None)
 @given(scene=_tracklet_scenes(), spec=_SPECS)
 def test_simulate_removes_exactly_the_cuts(scene, spec):
-    dataset, tracklets = scene
-    occluded, dropped = simulate_occlusion(dataset, tracklets, spec)
-    removed = set()
-    for tracklet in tracklets:
-        cut = occlusion_cut(len(tracklet.observations), spec)
-        if cut is None:
-            assert tracklet.track_id not in dropped
-            continue
-        chunk = tracklet.observations[cut[0]:cut[1]]
-        assert len(chunk) == spec.length
-        assert dropped[tracklet.track_id] == [frame for frame, _ in chunk]
-        removed.update(chunk)
-    # each row's line is its own (frame, index), so what survives is checkable
-    assert [labels.raw.tolist() for labels in occluded.detections] == [
-        [f"{frame} {j}" for j in range(len(labels)) if (frame, j) not in removed]
-        for frame, labels in enumerate(dataset.detections)]
+    dataset, gt, observations = scene
+    occluded, dropped = occlude_dataset(dataset, gt, spec)
+    removed, want = set(), {}
+    for track_id, obs in sorted(observations.items()):
+        cut = occlusion_cut(len(obs), spec)
+        if cut is not None:
+            chunk = obs[cut[0]:cut[1]]
+            assert len(chunk) == spec.length
+            want[track_id] = [frame for frame, _ in chunk]
+            removed.update(chunk)
+    assert list(dropped.items()) == list(want.items())
+    # each row's x is its own index, so what survives is checkable
+    assert [labels.location[:, 0].tolist() for labels in occluded.detections] == [
+        [10.0 * j for j in range(len(frame)) if (f, j) not in removed]
+        for f, frame in enumerate(dataset.detections)]
 
 
 def test_match_builds_one_tracklet_per_object():
+    # Both objects match a detection in each of the 60 frames: a late cut
+    # of one after 59 matches takes frame 59 of each, one after 60 none.
     gt, dets = _scenario()
-    tracklets = match_detections_to_gt(dets, gt.ground_truth)
-    assert [t.track_id for t in tracklets] == [1, 2]
-    assert all(len(t.observations) == 60 for t in tracklets)
-    frames = [frame for frame, _ in tracklets[0].observations]
-    assert frames == sorted(frames)
+    _, dropped = occlude_dataset(dets, gt.ground_truth, OcclusionSpec("late", 59, 1))
+    assert dropped == {1: [59], 2: [59]}
+    _, dropped = occlude_dataset(dets, gt.ground_truth, OcclusionSpec("late", 60, 1))
+    assert dropped == {}
 
 
 def test_match_checks_alignment():
     gt, dets = _scenario()
+    spec = OcclusionSpec(kind="mid", start_after=10, length=20)
     with pytest.raises(InputError, match="frame ranges differ"):
-        match_detections_to_gt(dets, gt.ground_truth[:-1])
+        occlude_dataset(dets, gt.ground_truth[:-1], spec)
     with pytest.raises(InputError, match="ground truth is required"):
-        match_detections_to_gt(dets, None)
+        occlude_dataset(dets, None, spec)
 
 
 def test_simulate_removes_only_the_cut():
     gt, dets = _scenario()
     spec = OcclusionSpec(kind="mid", start_after=10, length=20)
-    tracklets = match_detections_to_gt(dets, gt.ground_truth)
-    occluded, dropped = simulate_occlusion(dets, tracklets, spec)
+    occluded, dropped = occlude_dataset(dets, gt.ground_truth, spec)
     assert sorted(dropped) == [1, 2]
     assert dropped[1] == list(range(20, 40))
     counts = [len(f) for f in occluded.detections]
@@ -151,8 +156,7 @@ def test_simulate_removes_only_the_cut():
 def test_simulate_skips_short_tracklets():
     gt, dets = _scenario()
     spec = OcclusionSpec(kind="mid", start_after=50, length=20)
-    tracklets = match_detections_to_gt(dets, gt.ground_truth)
-    occluded, dropped = simulate_occlusion(dets, tracklets, spec)
+    occluded, dropped = occlude_dataset(dets, gt.ground_truth, spec)
     assert dropped == {}
     assert [len(f) for f in occluded.detections] == [2] * 60
 
@@ -184,16 +188,21 @@ def test_occlude_dataset_end_to_end():
 
 
 def test_tracklet_observation_indices_refer_to_frame_lists():
-    gt, dets = _scenario()
-    tracklets = match_detections_to_gt(dets, gt.ground_truth)
-    for tracklet in tracklets:
-        for frame, j in tracklet.observations[:5]:
-            rec = dets.detections[frame][j]
-            gt_rec = next(r for r in gt.ground_truth[frame]
-                          if r.track_id == tracklet.track_id)
-            det_pos = record_position(rec)
-            gt_pos = record_position(gt_rec)
-            assert np.linalg.norm(det_pos - gt_pos) <= 2.0
+    # Each frame loses, for each object cut there, one detection within the
+    # match threshold of that object's ground truth.
+    gt, dets = _scenario(noise=0.3)
+    occluded, dropped = occlude_dataset(dets, gt.ground_truth,
+                                        OcclusionSpec("late", 5, 25))
+    assert sorted(dropped) == [1, 2]
+    for frame, (before, after) in enumerate(zip(dets.detections,
+                                                occluded.detections)):
+        kept = after.location.tolist()
+        lost = [record_position(r) for r in before if list(r.location) not in kept]
+        owners = [tid for tid, frames in dropped.items() if frame in frames]
+        assert len(lost) == len(owners)
+        for tid in owners:
+            gt_rec = next(r for r in gt.ground_truth[frame] if r.track_id == tid)
+            assert min(np.linalg.norm(p - record_position(gt_rec)) for p in lost) <= 2.0
 
 
 @st.composite
@@ -225,9 +234,12 @@ def test_occlude_matches_records_reference(tmp_path_factory, scene, spec, thresh
                      "--kind", spec.kind, "--start-after", str(spec.start_after),
                      "--length", str(spec.length), "--match-threshold",
                      str(threshold), "--output", str(work / "out.txt")]) == 0
-    reference_occlude(work / "det.txt", work / "gt.txt",
-                      OcclusionSpec(spec.kind, spec.start_after, spec.length,
-                                    threshold), work / "reference.txt")
+    spec = OcclusionSpec(spec.kind, spec.start_after, spec.length, threshold)
+    want = reference_occlude(work / "det.txt", work / "gt.txt", spec,
+                             work / "reference.txt")
+    parsed = kio.load_sequence(work / "det.txt", work / "gt.txt")
+    assert list(occlude_dataset(parsed, parsed.ground_truth, spec)[1].items()) \
+        == list(want.items())
     out = (work / "out.txt").read_bytes()
     assert out == (work / "reference.txt").read_bytes()
     # the kept lines are a subsequence of the input's lines
@@ -253,15 +265,18 @@ _OFFSETS = st.sampled_from([0.0, 0.5, -1.0, 2.0, 2.5]) | st.floats(-3.0, 3.0)
 def _mixed_files(draw):
     """Ground truth and detections over 4 to 16 frames among which every
     kind occurs: empty, gt only, detections only and, most often, both.
-    Objects 1-4 sit 3 m apart; a detection is one object's position moved by
-    up to 3 m, often by a grid step, so it falls within, at or past the
-    threshold."""
+    Ground truth sits at slots 1-4, 3 m apart, under ids 1-4 that a frame
+    may repeat, so an id can match several detections of a frame; a
+    detection is one slot's position moved by up to 3 m, often by a grid
+    step, so it falls within, at or past the threshold."""
     extra = draw(st.lists(st.sampled_from(_KINDS + ("both",) * 3), max_size=12))
     kinds = draw(st.permutations(list(_KINDS) + extra))
     gt, dets = [], []
     for frame, kind in enumerate(kinds):
-        ids = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True))
-        gt.append([_record(frame, 3.0 * i, 10.0, i) for i in ids]
+        slots = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True))
+        ids = draw(st.lists(st.integers(1, 4), min_size=len(slots),
+                            max_size=len(slots)))
+        gt.append([_record(frame, 3.0 * s, 10.0, i) for s, i in zip(slots, ids)]
                   if kind in ("gt only", "both") else [])
         near = draw(st.lists(st.tuples(st.integers(1, 4), _OFFSETS, _OFFSETS),
                              min_size=1, max_size=5))
@@ -270,7 +285,14 @@ def _mixed_files(draw):
     return gt, dets
 
 
+# Id 1 matches both detections of frame 0, in the reverse of their file
+# order; a late cut of one takes the match of its second gt row.
+_TWO_MATCHES_ONE_ID = ([[_record(0, 0.0, 10.0, 1), _record(0, 3.0, 10.0, 1)]],
+                       [[_record(0, 3.0, 10.0), _record(0, 0.0, 10.0)]])
+
+
 @settings(max_examples=100, deadline=None)
+@example(scene=_TWO_MATCHES_ONE_ID, spec=OcclusionSpec("late", 1, 1), budget=1)
 @given(scene=_mixed_files(),
        spec=st.builds(OcclusionSpec, kind=st.sampled_from(["mid", "late"]),
                       start_after=st.integers(1, 3), length=st.integers(1, 3),
@@ -288,9 +310,12 @@ def test_occlude_matches_reference_across_empty_and_one_sided_frames(
                          str(spec.start_after), "--length", str(spec.length),
                          "--match-threshold", str(spec.match_threshold),
                          "--output", str(work / "out.txt")]) == 0
-    reference_occlude(work / "det.txt", work / "gt.txt", spec,
-                      work / "reference.txt")
+        parsed = kio.load_sequence(work / "det.txt", work / "gt.txt")
+        _, dropped = occlude_dataset(parsed, parsed.ground_truth, spec)
+    want = reference_occlude(work / "det.txt", work / "gt.txt", spec,
+                             work / "reference.txt")
     assert (work / "out.txt").read_bytes() == (work / "reference.txt").read_bytes()
+    assert list(dropped.items()) == list(want.items())
 
 
 @pytest.mark.parametrize("budget", [1, 50, trk.GATE_CHUNK_POINTS])

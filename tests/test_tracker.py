@@ -256,27 +256,6 @@ def test_grouped_in_gate_equals_one_ungrouped_call_per_label(case):
     assert got[2].tobytes() == dist[by_row].tobytes()
 
 
-def test_in_gate_by_frame_equals_one_call_per_frame():
-    # Frames of 0 to 9 points a side, at overlapping coordinates: one call
-    # gives each frame's pairs, shifted to stacked rows, and none across.
-    rng = np.random.default_rng(11)
-    a_counts, b_counts = rng.integers(0, 10, (2, 40))
-    a = rng.uniform(0.0, 6.0, (a_counts.sum(), 2))
-    b = rng.uniform(0.0, 6.0, (b_counts.sum(), 2))
-    a0 = np.cumsum(a_counts) - a_counts
-    b0 = np.cumsum(b_counts) - b_counts
-    want = [[], [], []]
-    for f in range(40):
-        rows, cols, dist = trk.in_gate(a[a0[f]:a0[f] + a_counts[f]],
-                                       b[b0[f]:b0[f] + b_counts[f]], 1.5)
-        for part, value in zip(want, (rows + a0[f], cols + b0[f], dist)):
-            part.append(value)
-    got = trk.in_gate_by_frame(a, b, a_counts, b_counts, 1.5)
-    for got_part, want_part in zip(got, want):
-        assert got_part.tobytes() == np.concatenate(want_part).tobytes()
-    assert len(got[0]) > 100
-
-
 @pytest.mark.parametrize("budget", [1, 3, 7, 20, trk.GATE_CHUNK_POINTS])
 def test_frame_chunks_take_whole_frames_up_to_the_budget(budget, monkeypatch):
     # In order and without gaps; within the budget on both sides unless a
@@ -310,7 +289,7 @@ def _distance_matrices(draw):
 @given(dist=_distance_matrices(), gate=st.sampled_from([0.25, 1.0, 2.0, 2.5]))
 def test_gated_assignment_matches_exhaustive_search(dist, gate):
     rows, cols = np.nonzero(dist <= gate)
-    k = trk._gated_candidates(rows, cols, dist[rows, cols], gate)
+    k = trk.gated_candidates(rows, cols, dist[rows, cols], gate)
     rows, cols = rows[k], cols[k]
     assert len(set(rows.tolist())) == len(rows)
     assert len(set(cols.tolist())) == len(cols)
