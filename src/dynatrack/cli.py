@@ -163,8 +163,8 @@ def _write_report(out_dir: Path, name: str, text: str, header: list, rows):
     """reports/<name>.txt holding `text`, and reports/<name>.csv."""
     reports = out_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
-    (reports / f"{name}.txt").write_text(text + "\n")
-    with open(reports / f"{name}.csv", "w", newline="") as handle:
+    (reports / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    with open(reports / f"{name}.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)

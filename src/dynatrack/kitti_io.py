@@ -5,9 +5,11 @@ Line formats (whitespace separated):
   annotations  frame id type trunc occ alpha bbox(4) dims(3) loc(3) rot_y
   tracks       frame id type trunc occ alpha bbox(4) dims(3) loc(3) rot_y score
 
-A file parses into one `Labels` per frame: that frame's rows as columns, in
-file order, sliced from one table per file. Frames are dense; a frame with
-no rows is an empty `Labels`.
+A UTF-8 file parses into one `Labels` per frame: that frame's rows as
+columns, in file order, sliced from one table per file. Frames are dense; a
+frame with no rows is an empty `Labels`. numpy's C reader reads the table;
+a file it refuses is read again line by line with `int` and `float`, the
+definition, which raises the first bad line as a ParseError.
 
 Camera locations (x right, y down, z forward) map to the tracking ground
 plane as (lateral, longitudinal) = (x, z) with y kept as elevation; the
@@ -15,8 +17,8 @@ mapping is inverted on write.
 """
 from __future__ import annotations
 
-import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,8 +92,13 @@ class Labels:
 
     def take(self, index) -> Labels:
         """The rows at `index`: a slice, a boolean mask or row positions."""
-        return Labels(**{name: None if column is None else column[index]
-                         for name, column in vars(self).items()})
+        track_id, raw = self.track_id, self.raw
+        return Labels(self.obj_type[index], self.truncated[index],
+                      self.occluded[index], self.alpha[index], self.bbox2d[index],
+                      self.dims[index], self.location[index],
+                      self.rotation_y[index], self.score[index],
+                      None if track_id is None else track_id[index],
+                      None if raw is None else raw[index])
 
 
 # Columns of the float block a file or a record list is read into.
@@ -186,73 +193,43 @@ def _int_field(token: str, path, line_no: int, column: int) -> int:
     return value
 
 
-# Lines split at a time. Only one chunk's tokens (about 1.3 KB a line) exist
-# at once, so parsing needs little more memory than its result. On a 2-vCPU
-# Xeon, 256-line chunks parsed faster than 1,024-line chunks or whole files.
-CHUNK_LINES = 256
+def _row_dtype(n_fields: int, labeled: bool) -> np.dtype:
+    """A line as a structured row; the floats after `occluded` form `numbers`."""
+    head = [("frame", "i8")] + [("track_id", "i8")] * labeled
+    return np.dtype(head + [("obj_type", "O"), ("truncated", "f8"), ("occluded", "i8"),
+                            ("numbers", "f8", (n_fields - len(head) - 3,))])
 
 
-def _ints(column: tuple) -> np.ndarray:
-    return np.fromiter(map(int, column), np.int64, len(column))
-
-
-def _table(lines: list, n_fields: int, labeled: bool) -> list:
-    """Dense per-frame `Labels` from a file's lines.
-
-    Every check runs on whole columns; any failure raises ValueError or
-    OverflowError (an integer outside int64), and the caller then finds the
-    first bad line.
-    """
-    raw = [line for line in lines if line and not line.isspace()]
-    n = len(raw)
-    if not n:
-        return []
-    type_at = 2 if labeled else 1
-    frame, occluded, track_id = (np.empty(n, dtype=np.int64) for _ in range(3))
-    obj_type = np.empty(n, dtype=object)
-    block = np.ones((FLOAT_BLOCK, n))
-    for start in range(0, n, CHUNK_LINES):
-        rows = [line.split() for line in raw[start:start + CHUNK_LINES]]
-        if any(len(fields) != n_fields for fields in rows):
-            raise ValueError("field count")
-        columns = list(zip(*rows))
-        part = slice(start, start + len(rows))
-        frame[part] = _ints(columns[0])
-        if labeled:
-            track_id[part] = _ints(columns[1])
-        obj_type[part] = columns[type_at]
-        occluded[part] = _ints(columns[type_at + 2])
-        # truncated, then alpha through rotation_y and the score if present
-        numbers = [columns[type_at + 1], *columns[type_at + 3:]]
-        block[:len(numbers), part] = np.fromiter(
-            map(float, itertools.chain.from_iterable(numbers)), float,
-            len(numbers) * len(rows)).reshape(len(numbers), len(rows))
-    if frame.min() < 0 or frame.max() > MAX_FRAME:
+def _table(raw: list, n_fields: int, labeled: bool) -> np.ndarray:
+    """A file's non-blank lines as rows, read by numpy's C reader: it splits
+    as `str.split` and converts as `int` and `float` do, but refuses more
+    (digit underscores, non-ASCII digits). A refusal, a bad frame index, a
+    non-finite value or numpy < 2's warning on reading an int through a
+    float raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        rows = np.loadtxt(raw, dtype=_row_dtype(n_fields, labeled),
+                          comments=None, ndmin=1)
+    if rows["frame"].min() < 0 or rows["frame"].max() > MAX_FRAME:
         raise ValueError("frame range")
-    if not np.isfinite(block).all():
+    if not (np.isfinite(rows["truncated"]).all()
+            and np.isfinite(rows["numbers"]).all()):
         raise ValueError("non-finite")
-    order = np.argsort(frame, kind="stable")
-    table = _from_block(block.T[order], obj_type[order], occluded[order],
-                        track_id[order] if labeled else None,
-                        np.array(raw, dtype=object)[order])
-    bounds = np.cumsum(np.bincount(frame)).tolist()
-    empty = table.take(slice(0, 0))
-    return [table.take(slice(start, stop)) if stop > start else empty
-            for start, stop in zip([0] + bounds, bounds)]
+    return rows
 
 
-def _raise_first_error(path, lines: list, n_fields: int, labeled: bool):
-    """Check each line in turn and raise the first failure as a ParseError.
-
-    Per line: the field count, then each numeric token from left to right
-    (a track line's score first), then the frame range.
-    """
+def _table_by_line(path, lines: list, n_fields: int, labeled: bool) -> np.ndarray:
+    """The definition of the rows `_table` reads, raising the first bad line
+    as a ParseError. Per line: the field count, then each numeric token left
+    to right with `int` or `float` (a track line's score first), then the
+    frame range."""
     type_at = 2 if labeled else 1
     checks = [(_int_field, i) for i in range(type_at)]
     checks += [(_float_field, type_at + 1), (_int_field, type_at + 2)]
     checks += [(_float_field, i) for i in range(type_at + 3, n_fields)]
     if n_fields == TRACK_FIELDS:
         checks.insert(0, checks.pop())
+    rows = []
     for line_no, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
@@ -261,23 +238,45 @@ def _raise_first_error(path, lines: list, n_fields: int, labeled: bool):
             raise ParseError(
                 f"{path}:{line_no}: expected {n_fields} fields, got {len(fields)}")
         for check, i in checks:
-            check(fields[i], path, line_no, i + 1)
-        frame = int(fields[0])
-        if frame < 0:
+            fields[i] = check(fields[i], path, line_no, i + 1)
+        if fields[0] < 0:
             raise ParseError(f"{path}:{line_no}: column 1: negative frame index")
-        if frame > MAX_FRAME:
+        if fields[0] > MAX_FRAME:
             raise ParseError(f"{path}:{line_no}: column 1: frame index "
-                             f"{frame} exceeds {MAX_FRAME}")
-    raise ContractViolationError(f"{path}: the column checks failed but no line did")
+                             f"{fields[0]} exceeds {MAX_FRAME}")
+        rows.append((*fields[:type_at + 3], fields[type_at + 3:]))
+    return np.array(rows, dtype=_row_dtype(n_fields, labeled))
 
 
 def _parse(path: Path, n_fields: int, labeled: bool) -> list:
-    """Dense per-frame `Labels` of one file; a bad line raises ParseError."""
-    lines = path.read_text().splitlines()
+    """Dense per-frame `Labels` of one file; a bad line raises ParseError.
+    A file `_table` refuses is read again by the definition."""
     try:
-        return _table(lines, n_fields, labeled)
-    except (ValueError, OverflowError):
-        _raise_first_error(path, lines, n_fields, labeled)
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # The line of the first bad byte, counted as `splitlines` counts.
+        line_no = len((exc.object[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"{path}:{line_no}: not UTF-8 text") from None
+    raw = [line for line in lines if line and not line.isspace()]
+    if not raw:
+        return []
+    try:
+        rows = _table(raw, n_fields, labeled)
+    except (ValueError, OverflowError, DeprecationWarning):
+        rows = _table_by_line(path, lines, n_fields, labeled)
+    bounds = np.cumsum(np.bincount(rows["frame"])).tolist()
+    order = np.argsort(rows["frame"], kind="stable")
+    numbers = rows["numbers"]
+    block = np.column_stack((rows["truncated"], numbers, np.ones(  # 1.0: no score
+        (len(rows), FLOAT_BLOCK - 1 - numbers.shape[1]))))
+    obj_type, occluded = rows["obj_type"][order], rows["occluded"][order]
+    track_id = rows["track_id"][order] if labeled else None
+    del rows, numbers  # freed before the block is sorted: one table copy at a time
+    table = _from_block(block[order], obj_type, occluded, track_id,
+                        np.array(raw, dtype=object)[order])
+    empty = table.take(slice(0, 0))
+    return [table.take(slice(start, stop)) if stop > start else empty
+            for start, stop in zip([0] + bounds, bounds)]
 
 
 def parse_detections(path) -> SequenceDataset:
@@ -328,7 +327,8 @@ def _write_lines(path, lines: list, types=()):
     bad = [obj_type for obj_type in dict.fromkeys(types) if not is_word(obj_type)]
     if bad:
         raise ContractViolationError(f"{path}: object type {bad[0]!r} is not one word")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
+                          encoding="utf-8")
 
 
 def _write_frames(frames, path, with_id: bool):
@@ -417,7 +417,7 @@ def export_trajectory_csv(trajectory, path):
     order = np.lexsort((source, ids, frame))
     # The csv module's default row: comma-separated, "\r\n"-terminated; no
     # field here holds a comma, quote or line break, so none is quoted.
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(TRAJECTORY_HEADER) + "\r\n")
         handle.writelines("%d,%d,%r,%r,%s\r\n" % row for row in zip(
             frame[order].tolist(), ids[order].tolist(), x[order].tolist(),

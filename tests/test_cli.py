@@ -421,3 +421,14 @@ def test_build_parser_lists_subcommands():
     text = parser.format_help()
     for name in ("track", "synth", "occlude", "evaluate", "compare"):
         assert name in text
+
+
+@pytest.mark.parametrize("command", ["evaluate", "track", "occlude"])
+def test_label_file_that_is_not_utf8_exits_one(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1 Fu\xdfg 0 0 0 0 0 10 10 1.5 1.6 3.9 5.0 1.0 5.0 0\n")
+    argv = {"evaluate": ["evaluate", bad, bad],
+            "track": ["track", bad, "--output", tmp_path / "out"],
+            "occlude": ["occlude", bad, bad, "--output", tmp_path / "occ.txt"]}
+    assert cli.main([str(arg) for arg in argv[command]]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {bad}:1: not UTF-8 text\n"

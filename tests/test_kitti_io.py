@@ -1,10 +1,17 @@
 """Label file parsing/writing, trajectory CSV round trips, coordinate mapping."""
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import dynatrack
 from dynatrack import kitti_io as kio
 from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError, ParseError
@@ -518,41 +525,48 @@ def _underscored(token, at):
 
 
 @st.composite
-def _int_token(draw, values):
+def _int_token(draw, values, underscores=True):
     value = draw(values)
     token = draw(st.sampled_from([str(value), f"+{value}" if value >= 0
                                   else str(value), f"{value:03d}"]))
-    return _underscored(token, draw(st.integers(0, 4))) if draw(st.booleans()) \
-        else token
+    return _underscored(token, draw(st.integers(0, 4))) \
+        if underscores and draw(st.booleans()) else token
 
 
 @st.composite
-def _float_token(draw):
+def _float_token(draw, underscores=True):
     value = draw(_number)
     token = draw(st.sampled_from([repr(value), f"{value:.9f}", f"{value:e}",
-                                  f"{value:.3g}"]))
+                                  f"{value:.3g}", f"{value:016.4f}"]))
     if draw(st.booleans()) and not token.startswith("-"):
         token = "+" + token
-    return _underscored(token, draw(st.integers(0, 6))) if draw(st.booleans()) \
-        else token
+    return _underscored(token, draw(st.integers(0, 6))) \
+        if underscores and draw(st.booleans()) else token
+
+
+# What `str.split` splits at, besides the ASCII blanks: a unit separator, a
+# no-break space and an ideographic space.
+_SEPARATORS = [" ", "  ", "\t", "\x1f", "\xa0", "\u3000"]
 
 
 @st.composite
-def _label_file(draw, kind):
+def _label_file(draw, kind, underscores=True):
     """Text of a valid label file of `kind`: frames out of order and with
     gaps, blank and whitespace-only lines, mixed line ends, and numeric
-    tokens in several spellings."""
+    tokens in several spellings (digit underscores only if `underscores`)."""
     n_fields = _KINDS[kind][1]
     lines = []
     for _ in range(draw(st.integers(0, 8))):
-        tokens = [draw(_int_token(st.integers(0, 40)))]
+        tokens = [draw(_int_token(st.integers(0, 40), underscores))]
         if kind != "detections":
-            tokens.append(draw(_int_token(st.integers(-10 ** 12, 10 ** 12))))
+            tokens.append(draw(_int_token(st.integers(-10 ** 12, 10 ** 12),
+                                          underscores)))
         tokens.append(draw(st.sampled_from(["Car", "Van", "Fußgänger", "DontCare"])))
-        tokens.append(draw(_float_token()))
-        tokens.append(draw(_int_token(st.integers(0, 3))))
-        tokens += [draw(_float_token()) for _ in range(n_fields - len(tokens))]
-        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        tokens.append(draw(_float_token(underscores)))
+        tokens.append(draw(_int_token(st.integers(0, 3), underscores)))
+        tokens += [draw(_float_token(underscores))
+                   for _ in range(n_fields - len(tokens))]
+        sep = draw(st.sampled_from(_SEPARATORS))
         lines.append(draw(st.sampled_from(["", " "])) + sep.join(tokens))
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))),
@@ -562,28 +576,115 @@ def _label_file(draw, kind):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
-def _raw_lines(frames):
-    return [labels.raw.tolist() for labels in frames]
+def _assert_parses_as_reference(path, kind):
+    frames = _KINDS[kind][0](path)
+    records, raw = reference_parse(path, kind)
+    # repr tells -0.0 from 0.0 and shows every float exactly
+    assert repr(label_records(frames)) == repr(records)
+    assert [labels.raw.tolist() for labels in frames] == raw
+
+
+def _refuse_per_token_checks(monkeypatch):
+    """Make the per-line path fail: only numpy's reader may read a file."""
+    def refuse(*args):
+        raise AssertionError("per-token check on the success path")
+
+    monkeypatch.setattr(kio, "_float_field", refuse)
+    monkeypatch.setattr(kio, "_int_field", refuse)
+
+
+def _count_per_line_reads(monkeypatch) -> list:
+    calls = []
+    by_line = kio._table_by_line
+    monkeypatch.setattr(kio, "_table_by_line",
+                        lambda *args: calls.append(args[0]) or by_line(*args))
+    return calls
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
-def test_parser_matches_per_line_reference(kind, tmp_path, monkeypatch):
-    parse = _KINDS[kind][0]
-    monkeypatch.setattr(kio, "CHUNK_LINES", 3)  # files span several chunks
-
+def test_parser_matches_per_line_reference(kind, tmp_path):
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_label_file(kind))
     def check(text):
         path = tmp_path / "labels.txt"
         path.write_bytes(text.encode())
-        frames = parse(path)
-        records, raw = reference_parse(path, kind)
-        # repr tells -0.0 from 0.0 and shows every float exactly
-        assert repr(label_records(frames)) == repr(records)
-        assert _raw_lines(frames) == raw
+        _assert_parses_as_reference(path, kind)
 
     check()
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_plain_spellings_parse_as_the_reference_without_the_per_line_path(
+        kind, tmp_path, monkeypatch):
+    # repr, fixed, exponent and general floats, signs and leading zeros:
+    # spellings numpy's reader accepts, so no file may fall back.
+    _refuse_per_token_checks(monkeypatch)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_label_file(kind, underscores=False))
+    def check(text):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(text.encode())
+        _assert_parses_as_reference(path, kind)
+
+    check()
+
+
+@pytest.mark.parametrize("sep", [" ", "\x1f", "\xa0", "\u3000"])
+def test_tokens_split_where_str_split_does(sep, tmp_path, monkeypatch):
+    _refuse_per_token_checks(monkeypatch)
+    path = tmp_path / "d.txt"
+    path.write_bytes((sep.join(DET_LINE.split()) + sep + "\n").encode())
+    _assert_parses_as_reference(path, "detections")
+
+
+def test_a_type_holding_a_no_break_space_is_two_fields(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_bytes(DET_LINE.replace("Car", "Big\xa0Car").encode() + b"\n")
+    with pytest.raises(ParseError) as reference:
+        reference_parse(path, "detections")
+    with pytest.raises(ParseError) as parsed:
+        kio.parse_detections(path)
+    assert str(parsed.value) == str(reference.value) == \
+        f"{path}:1: expected 17 fields, got 18"
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("detections", "1_0" + DET_LINE[1:]),
+    ("detections", DET_LINE.replace("-1.50", "-1_000.5")),
+    ("annotations", GT_LINE.replace(" 7 ", " \u0661\u0662 ")),
+    ("annotations", "\u0663" + GT_LINE[1:].replace("30.00", "\u0663\u0660.\u0665")),
+    ("tracks", TRACK_LINE.replace("0.85", "0.8_5"))])
+def test_spellings_numpy_refuses_are_read_by_the_per_line_path(
+        kind, line, tmp_path, monkeypatch):
+    # Digit underscores and non-ASCII digits: `int` and `float` accept them.
+    calls = _count_per_line_reads(monkeypatch)
+    path = tmp_path / "labels.txt"
+    path.write_bytes((DET_LINE if kind == "detections" else TRACK_LINE
+                      if kind == "tracks" else GT_LINE).encode() + b"\n"
+                     + line.encode() + b"\n")
+    _assert_parses_as_reference(path, kind)
+    assert calls == [path]
+
+
+def test_a_deprecation_warning_from_numpy_sends_the_file_to_the_per_line_path(
+        tmp_path, monkeypatch):
+    # numpy < 2 reads "1.5" in an integer column as 1 and only warns.
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(kio.np, "loadtxt", warning_loadtxt)
+    calls = _count_per_line_reads(monkeypatch)
+    path = tmp_path / "gt.txt"
+    path.write_text(GT_LINE + "\n" + GT_LINE.replace(" 7 ", " 8 ") + "\n")
+    _assert_parses_as_reference(path, "annotations")
+    assert calls == [path]
 
 
 _BAD_TOKENS = ["nan", "inf", "-inf", "1e999", "x1"]
@@ -626,9 +727,8 @@ def _mutated_file(draw, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
-def test_parser_errors_match_per_line_reference(kind, tmp_path, monkeypatch):
+def test_parser_errors_match_per_line_reference(kind, tmp_path):
     parse = _KINDS[kind][0]
-    monkeypatch.setattr(kio, "CHUNK_LINES", 3)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -662,11 +762,7 @@ def test_huge_frame_index_is_a_parse_error(tmp_path):
 
 
 def test_valid_file_parses_without_per_token_checks(tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("per-token check on the success path")
-
-    monkeypatch.setattr(kio, "_float_field", refuse)
-    monkeypatch.setattr(kio, "_int_field", refuse)
+    _refuse_per_token_checks(monkeypatch)
     for name, text, parse in (
             ("d.txt", DET_LINE + "\n\n" + DET_LINE_F3 + "\n",
              lambda p: kio.parse_detections(p).detections),
@@ -675,3 +771,81 @@ def test_valid_file_parses_without_per_token_checks(tmp_path, monkeypatch):
         path = tmp_path / name
         path.write_text(text)
         assert sum(map(len, parse(path))) == text.count("\n") - text.count("\n\n")
+
+
+# -- text encoding and memory ------------------------------------------------
+
+@pytest.mark.parametrize("data, line_no", [
+    (b"0 7 Fu\xdfg", 1),
+    (GT_LINE.encode() + b"\n0 7 Fu\xdfg", 2),
+    (GT_LINE.encode() + b"\r\n\r\xff\n", 3)])
+def test_a_file_that_is_not_utf8_is_a_parse_error(data, line_no, tmp_path):
+    path = tmp_path / "gt.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=rf"gt\.txt:{line_no}: not UTF-8 text$"):
+        kio.parse_annotations(path)
+
+
+def _python(code: str, *args, **env) -> str:
+    """stdout of `code` run by a new interpreter that imports this dynatrack."""
+    source = Path(dynatrack.__file__).parent.parent
+    path = os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": path, **env}).stdout
+
+
+_ROUND_TRIP = """
+import sys
+from dynatrack import kitti_io
+frames = kitti_io.parse_annotations(sys.argv[1])
+kitti_io.write_annotations(frames, sys.argv[2])
+frames[0].raw = None  # formatted from the columns
+kitti_io.write_annotations(frames, sys.argv[3])
+"""
+
+
+def test_label_files_are_utf8_in_an_ascii_locale(tmp_path):
+    src = tmp_path / "gt.txt"
+    src.write_bytes(GT_LINE.replace("Car", "Fußgänger").encode() + b"\n")
+    _python(_ROUND_TRIP, src, tmp_path / "raw.txt", tmp_path / "formatted.txt",
+            LC_ALL="C", PYTHONUTF8="0")
+    assert (tmp_path / "raw.txt").read_bytes() == src.read_bytes()
+    assert "Fußgänger".encode() in (tmp_path / "formatted.txt").read_bytes()
+
+
+_LARGE_FILE = """
+import sys
+from dynatrack import kitti_io
+
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status
+                    if line.startswith("VmHWM:"))
+
+
+before = peak()
+frames = kitti_io.parse_detections(sys.argv[1]).detections
+assert sum(map(len, frames)) == int(sys.argv[2])
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS from Linux's VmHWM")
+def test_parsing_a_large_file_stays_within_a_memory_bound(tmp_path):
+    # The peak is this process's VmHWM: a child's ru_maxrss starts at its
+    # parent's peak, so after a large test it reads no growth at all. The
+    # parsed frames keep every source line, so the peak grows with the file:
+    # by 3.1 times its size on Linux, for lines formatted as the writers
+    # format them. Splitting every line of the file at once grew it by 10.3.
+    n = 200_000
+    path = tmp_path / "d.txt"
+    head = " Car 0.000000000 0" + " %.9f" * 8 % (-1.5, 100, 120, 150, 160, 1.5,
+                                                1.7, 4.2)
+    tail = " %.9f" * 4 % (1.4, 30, 0.1, 0.92) + "\n"
+    path.write_text("".join(f"{i // 200}{head} {i % 97}.250000000{tail}"
+                            for i in range(n)))
+    growth = float(_python(_LARGE_FILE, path, n))
+    assert growth < 4.5 * path.stat().st_size
