@@ -106,7 +106,7 @@ def cmd_synth(args) -> int:
     gt, dets = synth.generate(spec)
     kitti_io.write_annotations(gt.ground_truth, out_dir / "gt.txt")
     kitti_io.write_detections(dets.detections, out_dir / "detections.txt")
-    print(f"{gt.num_frames} frames, {len(spec.objects)} objects -> {out_dir}")
+    print(f"{len(gt.ground_truth)} frames, {len(spec.objects)} objects -> {out_dir}")
     if spec.occlusion is not None:
         occluded, dropped = occlusion.occlude_dataset(dets, gt.ground_truth,
                                                       spec.occlusion)

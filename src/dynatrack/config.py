@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,15 +55,17 @@ def require(cond: bool, key: str, message: str):
 
 
 # Annotation name -> (accepted types, what is expected); only "bool" takes a bool.
-_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
           "bool": (bool, "a boolean")}
 
 
 def check_kind(value, kind: str, key: str):
-    """`value` if it is of `kind` ("int", "float" or "bool"); else
+    """`value` if it is of `kind` ("int", "float" or "bool"; a "float" is an
+    int or float within the float range, so not nan or infinite); else
     ConfigurationError naming `key`."""
     types, expected = _KINDS[kind]
-    require(isinstance(value, types) and isinstance(value, bool) == (kind == "bool"),
+    require(isinstance(value, types) and isinstance(value, bool) == (kind == "bool")
+            and (kind != "float" or abs(value) <= sys.float_info.max),
             key, f"expected {expected}, got {value!r}")
     return value
 
@@ -112,7 +115,7 @@ def _coerce(key: str, value):
     if kind == "bool" and isinstance(value, str) and value.lower() in ("true", "false"):
         return value.lower() == "true"
     if kind == "float" and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        return float(check_kind(value, kind, key))
     return value
 
 
@@ -122,19 +125,21 @@ def config_from_mapping(mapping: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Load a flat key-value YAML config file."""
+    """Load a flat key-value UTF-8 YAML config file; a malformed one, or bytes
+    that are not UTF-8, raise ConfigurationError."""
     import yaml   # here, so that importing the package does not load PyYAML
     try:
-        data = yaml.safe_load(Path(path).read_text())
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         return config_from_mapping({} if data is None else data)
-    except (ConfigurationError, yaml.YAMLError) as exc:
+    except (ConfigurationError, yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config file {path}: {exc}") from None
 
 
 def save_config(cfg: RunConfig, path: str | Path):
     """Write the config as a flat key-value YAML document (reloadable)."""
     import yaml
-    Path(path).write_text(yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True))
+    Path(path).write_text(yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True),
+                          encoding="utf-8")
 
 
 def default_config_path() -> str | None:

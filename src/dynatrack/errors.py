@@ -27,7 +27,7 @@ class ParseError(DynatrackError):
 
 
 class InputError(DynatrackError):
-    """Two inputs that must agree (e.g. frame ranges) do not."""
+    """An input the operation cannot use (e.g. no ground truth to occlude by)."""
 
 
 class UndefinedMetricError(DynatrackError):

@@ -6,10 +6,11 @@ Line formats (whitespace separated):
   tracks       frame id type trunc occ alpha bbox(4) dims(3) loc(3) rot_y score
 
 A UTF-8 file parses into one `Labels` per frame: that frame's rows as
-columns, in file order, sliced from one table per file. Frames are dense; a
-frame with no rows is an empty `Labels`. numpy's C reader reads the table;
-a file it refuses is read again line by line with `int` and `float`, the
-definition, which raises the first bad line as a ParseError.
+columns, in file order, sliced from one table per file. Frames are dense up
+to the file's last labelled frame; a frame with no rows is an empty
+`Labels`. numpy's C reader reads the table; a file it refuses is read again
+line by line with `int` and `float`, the definition, which raises the first
+bad line as a ParseError.
 
 Camera locations (x right, y down, z forward) map to the tracking ground
 plane as (lateral, longitudinal) = (x, z) with y kept as elevation; the
@@ -150,7 +151,7 @@ def camera_location(position, elevation: float) -> tuple:
 
 @dataclass
 class SequenceDataset:
-    """Per-frame detections with optional aligned ground truth.
+    """Per-frame detections with optional ground truth, each as parsed.
 
     Frames are `Labels` when parsed, or record lists from `synth.generate`.
     """
@@ -158,13 +159,6 @@ class SequenceDataset:
     sequence_id: str
     detections: list = field(default_factory=list)
     ground_truth: list | None = None
-
-    @property
-    def num_frames(self) -> int:
-        n = len(self.detections)
-        if self.ground_truth is not None:
-            n = max(n, len(self.ground_truth))
-        return n
 
 
 # -- parsing -----------------------------------------------------------------
@@ -297,19 +291,11 @@ def parse_tracks(path) -> list:
     return _parse(Path(path), TRACK_FIELDS, labeled=True)
 
 
-def _no_labels(labeled: bool) -> Labels:
-    return _from_block(np.zeros((0, FLOAT_BLOCK)), np.zeros(0, dtype=object),
-                       np.zeros(0, dtype=np.int64),
-                       np.zeros(0, dtype=np.int64) if labeled else None)
-
-
 def load_sequence(detection_path, annotation_path) -> SequenceDataset:
-    """Detections plus aligned ground truth, padded to a common length."""
+    """Detections plus ground truth, each as parsed; `metrics.gated_chunks`
+    pairs them frame by frame."""
     ds = parse_detections(detection_path)
-    gt = parse_annotations(annotation_path)
-    n = max(len(ds.detections), len(gt))
-    ds.detections += [_no_labels(False)] * (n - len(ds.detections))
-    ds.ground_truth = gt + [_no_labels(True)] * (n - len(gt))
+    ds.ground_truth = parse_annotations(annotation_path)
     return ds
 
 
@@ -321,12 +307,15 @@ def is_word(value) -> bool:
     return isinstance(value, str) and value.split() == [value]
 
 
-def _write_lines(path, lines: list, types=()):
+def _write_lines(path, lines: list, types=(), numbers=()):
     """Write `lines` once each distinct object type among their rows' `types`
-    is one word (`is_word`), so that every line parses back."""
+    is one word (`is_word`) and every array of the `numbers` they were
+    formatted from is finite, so that every line parses back."""
     bad = [obj_type for obj_type in dict.fromkeys(types) if not is_word(obj_type)]
     if bad:
         raise ContractViolationError(f"{path}: object type {bad[0]!r} is not one word")
+    if not all(np.isfinite(block).all() for block in numbers):
+        raise ContractViolationError(f"{path}: a number to write is not finite")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
                           encoding="utf-8")
 
@@ -337,7 +326,7 @@ def _write_frames(frames, path, with_id: bool):
     the frame and, `with_id` (annotations, ids ascending within a frame),
     the track id, then type, truncation, occlusion, alpha, bbox (4), dims (3),
     location (3), rotation_y and, without an id (detections), the score."""
-    lines, types = [], []
+    lines, types, blocks = [], [], []
     for frame, labels in enumerate(map(as_labels, frames)):
         if with_id:
             labels = labels.take(np.argsort(labels.track_id, kind="stable"))
@@ -349,6 +338,8 @@ def _write_frames(frames, path, with_id: bool):
                    labels.rotation_y]
         if not with_id:
             numbers.append(labels.score)
+        block = np.column_stack(numbers)
+        blocks += [labels.truncated, block]
         # One format per row: "%.9f" % x is f"{x:.9f}", and "%d" % i is str(i).
         fmt = (f"{frame} %d" if with_id else f"{frame}") + " %s %.9f %d" \
             + " %.9f" * (13 - with_id)
@@ -357,8 +348,8 @@ def _write_frames(frames, path, with_id: bool):
         lines += [fmt % (*head, truncated, occluded, *row)
                   for head, truncated, occluded, row in zip(
                       heads, labels.truncated.tolist(), labels.occluded.tolist(),
-                      np.column_stack(numbers).tolist())]
-    _write_lines(path, lines, types)
+                      block.tolist())]
+    _write_lines(path, lines, types, blocks)
 
 
 def write_detections(frames, path):
@@ -403,7 +394,7 @@ def write_tracks(reports, path):
     _write_lines(path, [fmt % (f, i, t, *row) for f, i, t, row in zip(
         frame.take(order).tolist(), ids.take(order).tolist(),
         obj_type.take(order).tolist(),
-        numbers.take(order, axis=0).tolist())], obj_type.tolist())
+        numbers.take(order, axis=0).tolist())], obj_type.tolist(), [numbers])
 
 
 def export_trajectory_csv(trajectory, path):

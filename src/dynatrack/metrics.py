@@ -9,7 +9,7 @@ import numpy as np
 from .errors import InputError, UndefinedMetricError
 from .kitti_io import GROUND_COLUMNS, as_labels, ground_position
 from .tracker import (FrameReport, MultiObjectTracker, component_assignment,
-                      frame_chunks, gated_candidates, in_gate)
+                      gated_candidates, in_gate)
 
 
 @dataclass
@@ -87,12 +87,37 @@ def _stacked(frames):
             location[:, GROUND_COLUMNS])
 
 
+# Most rows of either side in one chunk of `frame_chunks`. A sequence gated a
+# chunk at a time allocates what one chunk needs however long it is; one
+# chunk of this many points takes a few milliseconds.
+GATE_CHUNK_POINTS = 1 << 14
+
+
+def frame_chunks(a_counts, b_counts) -> list:
+    """Runs of whole frames, as slices in frame order, each holding at most
+    GATE_CHUNK_POINTS rows of either side unless it is one frame; frame f
+    has `a_counts[f]` and `b_counts[f]` rows."""
+    a_end, b_end = np.cumsum(a_counts), np.cumsum(b_counts)
+    chunks, f = [], 0
+    while f < len(a_end):
+        a0 = a_end[f - 1] if f else 0
+        b0 = b_end[f - 1] if f else 0
+        stop = max(f + 1, int(min(
+            np.searchsorted(a_end, a0 + GATE_CHUNK_POINTS, side="right"),
+            np.searchsorted(b_end, b0 + GATE_CHUNK_POINTS, side="right"))))
+        chunks.append(slice(f, stop))
+        f = stop
+    return chunks
+
+
 def gated_chunks(gt, hyp, threshold: float):
-    """Both sequences, padded to one length, a chunk of frames at a time
-    (`frame_chunks`). Yields per chunk (gt ids, gt rows per frame, hyp ids,
-    hyp rows per frame, (gt rows, hyp rows, distances)), the last holding
-    each frame's `in_gate` pairs as rows of the chunk, rows ascending: one
-    `in_gate` call grouped by frame, so no pair spans two frames."""
+    """Both sequences, the shorter padded with empty frames to the length of
+    the longer, a chunk of frames at a time (`frame_chunks`): the one place
+    two sequences are aligned. Yields per chunk (gt ids, gt rows per frame,
+    hyp ids, hyp rows per frame, (gt rows, hyp rows, distances)), the last
+    holding each frame's `in_gate` pairs as rows of the chunk, rows
+    ascending: one `in_gate` call grouped by frame, so no pair spans two
+    frames."""
     gt, hyp = list(gt), list(hyp)
     g_counts, h_counts = (np.zeros(max(len(gt), len(hyp)), dtype=np.intp)
                           for _ in range(2))

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import require
+from .config import check_kind, require
 from .errors import InputError
 from .kitti_io import SequenceDataset, as_labels
 from .metrics import gated_chunks
@@ -26,10 +26,12 @@ class OcclusionSpec:
     def __post_init__(self):
         require(self.kind in OCCLUSION_KINDS, "kind",
                 f"must be one of {OCCLUSION_KINDS}, got {self.kind!r}")
-        require(self.start_after >= 1, "start_after",
-                f"must be >= 1, got {self.start_after}")
-        require(self.length >= 1, "length", f"must be >= 1, got {self.length}")
-        require(self.match_threshold > 0, "match_threshold",
+        require(check_kind(self.start_after, "int", "start_after") >= 1,
+                "start_after", f"must be >= 1, got {self.start_after}")
+        require(check_kind(self.length, "int", "length") >= 1, "length",
+                f"must be >= 1, got {self.length}")
+        require(check_kind(self.match_threshold, "float", "match_threshold") > 0,
+                "match_threshold",
                 f"must be positive, got {self.match_threshold}")
 
 
@@ -52,16 +54,14 @@ def occlude_dataset(dataset: SequenceDataset, gt_frames, spec: OcclusionSpec):
     Detections match ground truth as CLEAR-MOT pairs them: one
     `gated_candidates` call per chunk of `metrics.gated_chunks`, which is
     each frame's own pairing, since no connected block of pairs spans two
-    frames. Each object's matches, in frame order, lose the run that
-    `occlusion_cut` picks for their count. One keep mask over the sequence's
-    detection rows takes every cut; only the frames that lose a row are rebuilt.
+    frames. The two may differ in length: a detection frame past the last
+    ground-truth frame matches nothing and is kept. Each object's matches, in
+    frame order, lose the run that `occlusion_cut` picks for their count. One
+    keep mask over the sequence's detection rows takes every cut; only the
+    frames that lose a row are rebuilt.
     """
     if gt_frames is None:
         raise InputError("ground truth is required to build tracklets")
-    if len(dataset.detections) != len(gt_frames):
-        raise InputError(
-            f"frame ranges differ: detections cover {len(dataset.detections)} "
-            f"frames, ground truth covers {len(gt_frames)}")
     frames = list(map(as_labels, dataset.detections))
     counts = np.array([len(labels) for labels in frames], dtype=np.intp)
     ids, rows, d0 = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.intp)], 0

@@ -14,8 +14,8 @@ import numpy as np
 
 from .config import check_kind, check_mapping, require
 from .errors import ConfigurationError
-from .kitti_io import (DetectionRecord, GroundTruthRecord, SequenceDataset,
-                       camera_location, is_word)
+from .kitti_io import (MAX_FRAME, DetectionRecord, GroundTruthRecord,
+                       SequenceDataset, camera_location, is_word)
 from .occlusion import OcclusionSpec
 
 SEGMENT_KINDS = ("stationary", "cv", "ca", "cj")
@@ -29,9 +29,12 @@ DEFAULT_BBOX = (0.0, 0.0, 80.0, 40.0)
 DETECTION_SCORE = 0.9
 
 
-def _finite(values, n: int) -> bool:
-    """Whether `values` holds exactly `n` finite numbers."""
-    return len(values) == n and bool(np.all(np.isfinite(values)))
+def _numbers(values, n: int, key: str) -> tuple:
+    """`values`, a list or tuple of `n` finite numbers (`check_kind`), as a
+    tuple of floats; else ConfigurationError naming `key`."""
+    require(isinstance(values, (list, tuple)) and len(values) == n, key,
+            f"needs {n} finite entries, got {values!r}")
+    return tuple(float(check_kind(value, "float", key)) for value in values)
 
 
 @dataclass(frozen=True)
@@ -43,9 +46,10 @@ class RegimeSegment:
     def __post_init__(self):
         require(self.kind in SEGMENT_KINDS, "kind",
                 f"must be one of {SEGMENT_KINDS}, got {self.kind!r}")
-        require(self.duration >= 1, "duration", f"must be >= 1, got {self.duration}")
-        require(self.value is None or _finite(self.value, 2), "value",
-                f"needs 2 finite entries, one per axis, got {self.value!r}")
+        require(check_kind(self.duration, "int", "duration") >= 1, "duration",
+                f"must be >= 1, got {self.duration}")
+        if self.value is not None:
+            object.__setattr__(self, "value", _numbers(self.value, 2, "value"))
 
 
 @dataclass
@@ -60,12 +64,12 @@ class ObjectSpec:
     obj_type: str = "Car"
 
     def __post_init__(self):
-        for key, v, n in (("initial", self.initial_position, 2), ("dims", self.dims, 3),
-                          ("velocity", self.velocity, 2), ("jerk", self.jerk, 2),
-                          ("acceleration", self.acceleration, 2)):
-            require(_finite(v, n), key, f"needs {n} finite entries, got {v!r}")
-        require(np.isfinite(self.elevation), "elevation",
-                f"must be finite, got {self.elevation!r}")
+        self.initial_position = _numbers(self.initial_position, 2, "initial")
+        self.velocity = _numbers(self.velocity, 2, "velocity")
+        self.acceleration = _numbers(self.acceleration, 2, "acceleration")
+        self.jerk = _numbers(self.jerk, 2, "jerk")
+        self.dims = _numbers(self.dims, 3, "dims")
+        self.elevation = float(check_kind(self.elevation, "float", "elevation"))
         require(bool(self.segments), "segments", "at least one segment required")
         require(is_word(self.obj_type), "type",
                 f"must be one word, got {self.obj_type!r}")
@@ -80,11 +84,21 @@ class ScenarioSpec:
     occlusion: OcclusionSpec | None = None
 
     def __post_init__(self):
+        self.dt = float(check_kind(self.dt, "float", "dt"))
+        self.noise_sigma = float(check_kind(self.noise_sigma, "float", "noise_sigma"))
         require(self.dt > 0, "dt", f"must be positive, got {self.dt}")
         require(self.noise_sigma >= 0, "noise_sigma",
                 f"must be >= 0, got {self.noise_sigma}")
-        require(self.seed >= 0, "seed", f"must be >= 0, got {self.seed}")
+        require(check_kind(self.seed, "int", "seed") >= 0, "seed",
+                f"must be >= 0, got {self.seed}")
         require(bool(self.objects), "objects", "at least one object required")
+        # Checked before anything is integrated: frame indices past MAX_FRAME
+        # would be written, and no label file parser reads them.
+        for number, obj in enumerate(self.objects, start=1):
+            frames = sum(segment.duration for segment in obj.segments)
+            require(frames <= MAX_FRAME + 1, "segments",
+                    f"object {number} lasts {frames} frames, more than the "
+                    f"{MAX_FRAME + 1} of a label file")
 
 
 def object_truth(obj: ObjectSpec, dt: float) -> np.ndarray:
@@ -150,19 +164,15 @@ def generate(spec: ScenarioSpec):
                 rotation_y=0.0,
                 score=DETECTION_SCORE,
             ))
-    gt = SequenceDataset(sequence_id="synth",
-                         detections=[[] for _ in range(num_frames)],
-                         ground_truth=gt_frames)
+    gt = SequenceDataset(sequence_id="synth", ground_truth=gt_frames)
     dets = SequenceDataset(sequence_id="synth", detections=det_frames)
     return gt, dets
 
 
 def _segment_from_mapping(data) -> RegimeSegment:
     check_mapping(data, ("kind", "duration", "value"), "segment")
-    value = data.get("value")
-    return RegimeSegment(kind=data.get("kind", ""),
-                         duration=check_kind(data.get("duration", 0), "int", "duration"),
-                         value=tuple(map(float, value)) if value is not None else None)
+    return RegimeSegment(kind=data.get("kind", ""), duration=data.get("duration", 0),
+                         value=data.get("value"))
 
 
 def _object_from_mapping(data) -> ObjectSpec:
@@ -171,13 +181,13 @@ def _object_from_mapping(data) -> ObjectSpec:
     if "initial" not in data or "segments" not in data:
         raise ConfigurationError("each object needs 'initial' and 'segments'")
     return ObjectSpec(
-        initial_position=tuple(map(float, data["initial"])),
-        velocity=tuple(map(float, data.get("velocity", (0.0, 0.0)))),
-        acceleration=tuple(map(float, data.get("acceleration", (0.0, 0.0)))),
-        jerk=tuple(map(float, data.get("jerk", (0.0, 0.0)))),
+        initial_position=data["initial"],
+        velocity=data.get("velocity", (0.0, 0.0)),
+        acceleration=data.get("acceleration", (0.0, 0.0)),
+        jerk=data.get("jerk", (0.0, 0.0)),
         segments=[_segment_from_mapping(s) for s in data["segments"]],
-        dims=tuple(map(float, data.get("dims", DEFAULT_DIMS))),
-        elevation=float(data.get("elevation", DEFAULT_ELEVATION)),
+        dims=data.get("dims", DEFAULT_DIMS),
+        elevation=data.get("elevation", DEFAULT_ELEVATION),
         obj_type=data.get("type", "Car"),
     )
 
@@ -188,25 +198,25 @@ def _scenario_from_mapping(data) -> ScenarioSpec:
     if data.get("occlusion") is not None:
         occ = check_mapping(data["occlusion"], ("kind", "start_after", "length",
                                                 "match_threshold"), "occlusion")
-        occlusion = OcclusionSpec(
-            kind=occ.get("kind", ""),
-            start_after=check_kind(occ.get("start_after", 0), "int", "start_after"),
-            length=check_kind(occ.get("length", 0), "int", "length"),
-            match_threshold=float(occ.get("match_threshold", 2.0)),
-        )
+        occlusion = OcclusionSpec(kind=occ.get("kind", ""),
+                                  start_after=occ.get("start_after", 0),
+                                  length=occ.get("length", 0),
+                                  match_threshold=occ.get("match_threshold", 2.0))
     return ScenarioSpec(
         objects=[_object_from_mapping(o) for o in data.get("objects", [])],
-        dt=float(data.get("dt", 0.1)),
-        noise_sigma=float(data.get("noise_sigma", 0.3)),
-        seed=check_kind(data.get("seed", 0), "int", "seed"),
+        dt=data.get("dt", 0.1),
+        noise_sigma=data.get("noise_sigma", 0.3),
+        seed=data.get("seed", 0),
         occlusion=occlusion,
     )
 
 
 def load_scenario(path) -> ScenarioSpec:
-    """Read a scenario from a YAML document; malformed ones raise ConfigurationError."""
+    """Read a scenario from a UTF-8 YAML document; malformed ones, and bytes
+    that are not UTF-8, raise ConfigurationError."""
     import yaml   # here, so that importing the package does not load PyYAML
     try:
-        return _scenario_from_mapping(yaml.safe_load(Path(path).read_text()))
+        return _scenario_from_mapping(
+            yaml.safe_load(Path(path).read_text(encoding="utf-8")))
     except (ConfigurationError, yaml.YAMLError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"scenario file {path}: {exc}") from None

@@ -328,29 +328,6 @@ def _label_windows(order, lo, hi, a_labels, b_labels):
     return order.take(by_label), lo, np.maximum(hi, lo)
 
 
-# Most rows of either side in one chunk of `frame_chunks`. A sequence gated a
-# chunk at a time allocates what one chunk needs however long it is; one
-# chunk of this many points takes a few milliseconds.
-GATE_CHUNK_POINTS = 1 << 14
-
-
-def frame_chunks(a_counts, b_counts) -> list:
-    """Runs of whole frames, as slices in frame order, each holding at most
-    GATE_CHUNK_POINTS rows of either side unless it is one frame; frame f
-    has `a_counts[f]` and `b_counts[f]` rows."""
-    a_end, b_end = np.cumsum(a_counts), np.cumsum(b_counts)
-    chunks, f = [], 0
-    while f < len(a_end):
-        a0 = a_end[f - 1] if f else 0
-        b0 = b_end[f - 1] if f else 0
-        stop = max(f + 1, int(min(
-            np.searchsorted(a_end, a0 + GATE_CHUNK_POINTS, side="right"),
-            np.searchsorted(b_end, b0 + GATE_CHUNK_POINTS, side="right"))))
-        chunks.append(slice(f, stop))
-        f = stop
-    return chunks
-
-
 def gated_pairs(a, b, gate: float):
     """Min-distance one-to-one pairing of points `a (n, k)` to points `b (m, k)`
     in which pairs farther apart than `gate` never match.

@@ -2,11 +2,15 @@
 import csv
 import itertools
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
+import dynatrack
 from dynatrack import dynamics, kitti_io
 from dynatrack.config import RunConfig
 from dynatrack.errors import (ConfigurationError, ContractViolationError,
@@ -598,3 +602,24 @@ def reference_export_trajectory_csv(trajectory, path):
         writer.writerow(TRAJECTORY_HEADER)
         for frame, track_id, x, y, source in ordered:
             writer.writerow([frame, track_id, repr(x), repr(y), source])
+
+
+# Source of `peak()`, a script's peak RSS so far in bytes, from Linux's VmHWM:
+# a child's ru_maxrss starts at its parent's peak, so after a large test it
+# would read no growth at all.
+PEAK_RSS = """
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status
+                    if line.startswith("VmHWM:"))
+"""
+
+
+def python_stdout(code: str, *args, **env) -> str:
+    """stdout of `code` run by a new interpreter that imports this dynatrack,
+    with `env` added to the environment; a non-zero exit raises."""
+    source = Path(dynatrack.__file__).parent.parent
+    path = os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": path, **env}).stdout

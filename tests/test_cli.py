@@ -1,16 +1,24 @@
 """CLI subcommands end to end: synth, occlude, track, evaluate, compare."""
+import contextlib
 import csv
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynatrack import cli, metrics
 from dynatrack import kitti_io as kio
-from dynatrack.config import RunConfig, load_config, save_config
+from dynatrack.config import FIELD_TYPES, RunConfig, load_config, save_config
 from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker
 
-from helpers import read_trajectory_csv
+from helpers import python_stdout, read_trajectory_csv
+
+GOLDEN = Path(__file__).parent / "data" / "golden" / "seq8x60.txt"
 
 SCENARIO = """
 dt: 0.1
@@ -61,7 +69,7 @@ def test_synth_writes_gt_and_detections(scenario_dir, capsys):
     gt = kio.parse_annotations(gt_path)
     dets = kio.parse_detections(det_path)
     assert len(gt) == 40
-    assert dets.num_frames == 40
+    assert len(dets.detections) == 40
     assert {i for f in gt for i in f.track_id.tolist()} == {1, 2}
 
 
@@ -116,12 +124,36 @@ def test_synth_bad_scenario_exits_two(tmp_path, capsys):
     ("seed: 4", "seed: false"),
     ("seed: 4\n", "seed: 4\nocclusion: {kind: mid, start_after: 5, length: 8.5}\n"),
     ("seed: 4\n", "seed: 4\nocclusion: {kind: mid, start_after: true, length: 8}\n"),
+    ("dt: 0.1", "dt: true"),
+    ("initial: [0.0, 10.0]", "initial: [true, \"2\"]"),
+    ("initial: [20.0, 30.0]", "initial: [20.0, 30.0]\n    dims: [1, 2, true]"),
+    ("dt: 0.1", "dt: .inf"),
+    ("noise_sigma: 0.2", "noise_sigma: .inf"),
+    ("seed: 4\n", "seed: 4\nocclusion: {kind: mid, start_after: 5, length: 8, "
+                  "match_threshold: .inf}\n"),
+    # past the frames a label file holds, refused before it is integrated
+    ("duration: 40, value", "duration: 1000002, value"),
 ])
 def test_synth_malformed_scenario_exits_two(tmp_path, capsys, old, new):
     path = tmp_path / "bad.yaml"
     path.write_text(SCENARIO.replace(old, new))
     assert cli.main(["synth", str(path), "--output", str(tmp_path / "out")]) == 2
     assert f"error: scenario file {path}" in capsys.readouterr().err
+
+
+def test_synth_whose_motion_overflows_writes_no_label_file(tmp_path, capsys):
+    # Finite input, but the positions leave the float range by frame 1: the
+    # writer refuses rows its parser would refuse, before writing a line.
+    path = tmp_path / "far.yaml"
+    path.write_text("objects:\n  - initial: [1.7e+308, 0.0]\n"
+                    "    velocity: [1.0e+308, 0.0]\n"
+                    "    segments: [{kind: cv, duration: 5}]\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert cli.main(["synth", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {out / 'gt.txt'}: a number to write is not finite\n"
+    assert list(out.iterdir()) == []
 
 
 def test_occlude_command(scenario_dir, tmp_path, capsys):
@@ -244,6 +276,56 @@ def test_track_missing_config_exits_two(scenario_dir, capsys):
                    "--config", "/does/not/exist.yaml"])
     assert rc == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [("track", "--process-noise"),
+                                          ("track", "--gate-distance"),
+                                          ("occlude", "--match-threshold")])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_number_flag_that_is_not_finite_names_its_key(tmp_path, capsys, command,
+                                                      flag, value):
+    argv = {"track": ["track", GOLDEN],
+            "occlude": ["occlude", GOLDEN, GOLDEN]}[command]
+    rc = cli.main([*map(str, argv), f"{flag}={value}", "--output",
+                   str(tmp_path / "o")])
+    assert rc == 2
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == \
+        f"error: config key '{key}': expected a finite number, got {value}\n"
+
+
+@pytest.mark.parametrize("command", ["track", "synth"])
+def test_config_or_scenario_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"objects: []\nname: Fu\xdfg\n")
+    argv = {"track": ["track", GOLDEN, "--config", bad],
+            "synth": ["synth", bad]}[command]
+    rc = cli.main([*map(str, argv), "--output", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    what = {"track": "config", "synth": "scenario"}[command]
+    assert err.startswith(f"error: {what} file {bad}: ")
+    assert "can't decode byte 0xdf" in err and err.count("\n") == 1
+
+
+# `cli.main` in a new interpreter, so that it runs in the locale it is given.
+_MAIN = "import sys\nfrom dynatrack import cli\nsys.exit(cli.main(sys.argv[1:]))"
+
+
+def test_config_and_scenario_are_utf8_in_an_ascii_locale(tmp_path):
+    scenario = tmp_path / "scenario.yaml"
+    pedestrian = "initial: [20.0, 30.0]\n    type: Fußgänger"
+    scenario.write_text(SCENARIO.replace("initial: [20.0, 30.0]", pedestrian),
+                        encoding="utf-8")
+    config = tmp_path / "config.yaml"
+    config.write_text("# Größe\nmin_hits: 1\n", encoding="utf-8")
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+    python_stdout(_MAIN, "synth", scenario, "--output", tmp_path / "data",
+                  **ascii_locale)
+    python_stdout(_MAIN, "track", tmp_path / "data" / "detections.txt",
+                  "--config", config, "--output", tmp_path / "run", **ascii_locale)
+    assert "Fußgänger".encode() in (tmp_path / "data" / "gt.txt").read_bytes()
+    assert load_config(tmp_path / "run" / "config_effective").min_hits == 1
 
 
 def test_track_bad_override_exits_two(scenario_dir, capsys):
@@ -432,3 +514,123 @@ def test_label_file_that_is_not_utf8_exits_one(tmp_path, capsys, command):
             "occlude": ["occlude", bad, bad, "--output", tmp_path / "occ.txt"]}
     assert cli.main([str(arg) for arg in argv[command]]) == cli.EXIT_RUNTIME
     assert capsys.readouterr().err == f"error: {bad}:1: not UTF-8 text\n"
+
+
+# -- the YAML boundary, fuzzed -----------------------------------------------
+
+# Values of every YAML kind, including those a number key must refuse.
+_SCALARS = (st.booleans() | st.none() | st.integers(-3, 50) | st.floats()
+            | st.sampled_from([1e308, -1e308, 2 ** 70, 2 ** 1024, "3", "0.1", "true",
+                              "Car"])
+            | st.text(max_size=3))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                       max_leaves=4)
+# Short durations, or exactly one frame past what a label file holds, and
+# more: a scenario that would integrate at length is never drawn.
+_DURATIONS = st.integers(1, 60).map(
+    lambda d: {59: kio.MAX_FRAME + 2, 60: 10 ** 30}.get(d, min(d, 50)))
+
+
+def _vector(n, low=-50.0, high=50.0):
+    return st.lists(st.floats(low, high) | st.integers(int(low), int(high)),
+                    min_size=n, max_size=n)
+
+
+# Documents that load, mostly; `_broken` then breaks some.
+_SEGMENT = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["stationary", "cv", "ca", "cj"]),
+     "duration": _DURATIONS}, optional={"value": _vector(2, -5.0, 5.0)})
+_OBJECT = st.fixed_dictionaries(
+    {"initial": _vector(2), "segments": st.lists(_SEGMENT, min_size=1, max_size=3)},
+    optional={"velocity": _vector(2, -5.0, 5.0), "acceleration": _vector(2, -1.0, 1.0),
+              "jerk": _vector(2, -1.0, 1.0), "dims": _vector(3, 0.5, 5.0),
+              "elevation": st.floats(-2.0, 2.0),
+              "type": st.sampled_from(["Car", "Fußgänger", "Big Car"])})
+_SCENARIO = st.fixed_dictionaries(
+    {"objects": st.lists(_OBJECT, min_size=1, max_size=3)},
+    optional={"dt": st.floats(0.01, 1.0), "noise_sigma": st.floats(0.0, 2.0),
+              "seed": st.integers(0, 2 ** 70),
+              "occlusion": st.fixed_dictionaries(
+                  {"kind": st.sampled_from(["mid", "late"]),
+                   "start_after": st.integers(1, 20), "length": st.integers(1, 20)},
+                  optional={"match_threshold": st.floats(0.1, 5.0)})})
+_CONFIG = st.fixed_dictionaries({}, optional={
+    "model_order": st.integers(1, 3), "transition_window": st.integers(4, 12),
+    "smoothing_window": st.integers(1, 6), "min_hits": st.integers(1, 5),
+    "max_misses": st.integers(0, 30), "dynamics_enabled": st.booleans(),
+    "dt": st.floats(0.01, 1.0),
+    **{key: st.floats(0.01, 10.0) for key, kind in FIELD_TYPES.items()
+       if kind == "float" and key != "dt"}})
+
+
+def _paths(node, path=()):
+    """The path of `node` and of every value inside it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _broken(draw, documents):
+    """A document with up to 2 changes, each at a drawn path: its value
+    replaced by any value (the whole document, at the root), its key
+    dropped, or an unknown key added beside it."""
+    document = draw(documents)
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(document))))
+        value = draw(_VALUES)
+        if not path:
+            document = value
+            continue
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        change = draw(st.sampled_from(["replace", "drop", "add"]))
+        if change == "drop" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif change == "add" and isinstance(parent, dict):
+            parent["speed"] = value
+        else:
+            parent[path[-1]] = value
+    return document
+
+
+@st.composite
+def _documents(draw, documents):
+    """A drawn document as YAML bytes, sometimes with a byte that is not UTF-8."""
+    text = yaml.safe_dump(draw(_broken(documents)), allow_unicode=True).encode()
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xdf" + text[at:]
+    return text
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["track", "synth"]), data=st.data())
+def test_any_yaml_config_or_scenario_exits_cleanly(tmp_path_factory, command, data):
+    # Every document either runs, with label files that parse back, or ends
+    # with an exit code and an error line: never a traceback.
+    work = tmp_path_factory.mktemp("yaml")
+    document = work / "document.yaml"
+    document.write_bytes(data.draw(_documents(_CONFIG if command == "track"
+                                              else _SCENARIO)))
+    argv = {"track": ["track", GOLDEN, "--config", document],
+            "synth": ["synth", document]}[command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        rc = cli.main([*map(str, argv), "--output", str(work / "out")])
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.getvalue().startswith("error: ")
+        return
+    if command == "track":
+        kio.parse_tracks(work / "out" / "tracks" / GOLDEN.name)
+        return
+    kio.parse_annotations(work / "out" / "gt.txt")
+    for name in ("detections.txt", "occluded_detections.txt"):
+        if (work / "out" / name).exists():
+            kio.parse_detections(work / "out" / name)

@@ -1,4 +1,5 @@
 """Config defaults, validation messages, YAML round trip, override merging."""
+import math
 import re
 from pathlib import Path
 
@@ -52,13 +53,14 @@ def _wrong_types():
     """(key, value) with a value of the wrong type for every key."""
     defaults = RunConfig()
     wrong = {"int": lambda d: [float(d), True, str(d)],
-             "float": lambda d: [True, str(d)],
+             "float": lambda d: [True, str(d), math.inf],
              "bool": lambda d: [int(d)]}
     cases = [(key, value) for key, kind in FIELD_TYPES.items()
              for value in wrong[kind](getattr(defaults, key))]
     # wrong types that the value checks alone would pass or crash on
     extra = [("min_hits", 2.5), ("max_misses", True), ("model_order", 3.0),
-             ("smoothing_window", 2.0), ("transition_window", "8")]
+             ("smoothing_window", 2.0), ("transition_window", "8"),
+             ("gate_distance", -math.inf), ("dt", math.nan)]
     return cases + [case for case in extra if case not in cases]
 
 
@@ -98,6 +100,9 @@ def test_mapping_type_coercion():
         config_from_mapping({"min_hits": 2.5})
     with pytest.raises(ConfigurationError, match="'dynamics_enabled'"):
         config_from_mapping({"dynamics_enabled": "maybe"})
+    # an int past the float range is refused, not converted
+    with pytest.raises(ConfigurationError, match="'dt': expected a finite number"):
+        config_from_mapping({"dt": 2 ** 1024})
 
 
 def test_save_load_round_trip(tmp_path):

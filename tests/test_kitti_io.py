@@ -1,7 +1,5 @@
 """Label file parsing/writing, trajectory CSV round trips, coordinate mapping."""
-import os
-import subprocess
-import sys
+import math
 import warnings
 from pathlib import Path
 
@@ -11,16 +9,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import dynatrack
 from dynatrack import kitti_io as kio
 from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError, ParseError
 from dynatrack.tracker import (STATUSES, TRAJECTORY_SOURCES, FrameReport,
                                MultiObjectTracker)
 
-from helpers import (detections, format_record, label_records,
-                     read_trajectory_csv, reference_export_trajectory_csv,
-                     reference_parse, reference_write_tracks)
+from helpers import (PEAK_RSS, detections, format_record, label_records,
+                     python_stdout, read_trajectory_csv,
+                     reference_export_trajectory_csv, reference_parse,
+                     reference_write_tracks)
 
 DET_LINE = ("0 Car 0.00 0 -1.50 100.0 120.0 150.0 160.0 "
             "1.50 1.70 4.20 2.50 1.40 30.00 0.10 0.92")
@@ -36,7 +34,7 @@ def test_parse_detections_fields(tmp_path):
     path.write_text(DET_LINE + "\n")
     ds = kio.parse_detections(path)
     assert ds.sequence_id == "seq01"
-    assert ds.num_frames == 1
+    assert len(ds.detections) == 1
     labels = ds.detections[0]
     assert len(labels) == 1
     assert labels.track_id is None
@@ -56,7 +54,7 @@ def test_parse_detections_pads_missing_frames(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text(DET_LINE + "\n" + DET_LINE_F3 + "\n")
     ds = kio.parse_detections(path)
-    assert ds.num_frames == 4
+    assert len(ds.detections) == 4
     assert [len(f) for f in ds.detections] == [1, 0, 0, 1]
 
 
@@ -273,7 +271,8 @@ def test_read_trajectory_csv_rejects_unknown_source(tmp_path):
         read_trajectory_csv(path)
 
 
-def test_load_sequence_pads_to_common_length(tmp_path):
+def test_load_sequence_keeps_each_side_as_parsed(tmp_path):
+    # Neither side is padded: `metrics.gated_chunks` pairs the two.
     det = tmp_path / "det.txt"
     det.write_text(DET_LINE + "\n")
     gt = tmp_path / "gt.txt"
@@ -281,9 +280,8 @@ def test_load_sequence_pads_to_common_length(tmp_path):
     longer[0] = "5"
     gt.write_text(GT_LINE + "\n" + " ".join(longer) + "\n")
     ds = kio.load_sequence(det, gt)
-    assert ds.num_frames == 6
-    assert len(ds.detections) == 6
-    assert len(ds.ground_truth) == 6
+    assert [len(f) for f in ds.detections] == [1]
+    assert [len(f) for f in ds.ground_truth] == [1, 0, 0, 0, 0, 1]
 
 
 def test_measurements_from_dataset(tmp_path):
@@ -344,6 +342,25 @@ def test_label_writers_reject_a_type_their_parser_would_reject(write, tmp_path):
         with pytest.raises(ContractViolationError, match="'Big Car'"):
             write(frames, path)
         assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind", ["detections", "annotations", "tracks"])
+def test_label_writers_reject_a_number_their_parser_would_reject(kind, value,
+                                                                tmp_path):
+    # Written, the value of frame 1 would read "inf" or "nan", which no
+    # parser accepts: the writer refuses the file before writing a line.
+    record = kio.GroundTruthRecord(1, "Car", 0.0, 0, 0.0, (0.0,) * 4, (1.0,) * 3,
+                                   (0.0, 1.5, value), 0.0, 1.0, track_id=1)
+    frames = {"tracks": [_report(0, [1], [(0.0, 1.0)]),
+                         _report(1, [1], [(value, 1.0)])],
+              "detections": [[], [record]], "annotations": [[], [record]]}[kind]
+    write = {"tracks": kio.write_tracks, "detections": kio.write_detections,
+             "annotations": kio.write_annotations}[kind]
+    path = tmp_path / "labels.txt"
+    with pytest.raises(ContractViolationError, match=f"{path}: .* not finite"):
+        write(frames, path)
+    assert not path.exists()
 
 
 # Types from a few letters and the characters that split a field or a line.
@@ -786,15 +803,6 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(data, line_no, tmp_path):
         kio.parse_annotations(path)
 
 
-def _python(code: str, *args, **env) -> str:
-    """stdout of `code` run by a new interpreter that imports this dynatrack."""
-    source = Path(dynatrack.__file__).parent.parent
-    path = os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                          capture_output=True, text=True, timeout=120, check=True,
-                          env={**os.environ, "PYTHONPATH": path, **env}).stdout
-
-
 _ROUND_TRIP = """
 import sys
 from dynatrack import kitti_io
@@ -808,22 +816,15 @@ kitti_io.write_annotations(frames, sys.argv[3])
 def test_label_files_are_utf8_in_an_ascii_locale(tmp_path):
     src = tmp_path / "gt.txt"
     src.write_bytes(GT_LINE.replace("Car", "Fußgänger").encode() + b"\n")
-    _python(_ROUND_TRIP, src, tmp_path / "raw.txt", tmp_path / "formatted.txt",
+    python_stdout(_ROUND_TRIP, src, tmp_path / "raw.txt", tmp_path / "formatted.txt",
             LC_ALL="C", PYTHONUTF8="0")
     assert (tmp_path / "raw.txt").read_bytes() == src.read_bytes()
     assert "Fußgänger".encode() in (tmp_path / "formatted.txt").read_bytes()
 
 
-_LARGE_FILE = """
+_LARGE_FILE = PEAK_RSS + """
 import sys
 from dynatrack import kitti_io
-
-
-def peak():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) * 1024 for line in status
-                    if line.startswith("VmHWM:"))
-
 
 before = peak()
 frames = kitti_io.parse_detections(sys.argv[1]).detections
@@ -835,8 +836,7 @@ print(peak() - before)
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads the peak RSS from Linux's VmHWM")
 def test_parsing_a_large_file_stays_within_a_memory_bound(tmp_path):
-    # The peak is this process's VmHWM: a child's ru_maxrss starts at its
-    # parent's peak, so after a large test it reads no growth at all. The
+    # The growth of the child's own peak RSS (`PEAK_RSS`). The
     # parsed frames keep every source line, so the peak grows with the file:
     # by 3.1 times its size on Linux, for lines formatted as the writers
     # format them. Splitting every line of the file at once grew it by 10.3.
@@ -847,5 +847,5 @@ def test_parsing_a_large_file_stays_within_a_memory_bound(tmp_path):
     tail = " %.9f" * 4 % (1.4, 30, 0.1, 0.92) + "\n"
     path.write_text("".join(f"{i // 200}{head} {i % 97}.250000000{tail}"
                             for i in range(n)))
-    growth = float(_python(_LARGE_FILE, path, n))
+    growth = float(python_stdout(_LARGE_FILE, path, n))
     assert growth < 4.5 * path.stat().st_size

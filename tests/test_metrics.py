@@ -1,9 +1,6 @@
 """Metric correctness: CLEAR-MOT counters, IDF1 pairing, latency."""
 
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -13,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
-import dynatrack
 from dynatrack import metrics, tracker as trk
 from dynatrack.errors import InputError, UndefinedMetricError
 from dynatrack.metrics import clearmot, idf1, measure_latency
 from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker
 
-from helpers import (frames_from_positions, random_tracking_scene,
-                     reference_clearmot, reference_idf1)
+from helpers import (PEAK_RSS, frames_from_positions, python_stdout,
+                     random_tracking_scene, reference_clearmot, reference_idf1)
 
 
 def _frames(*per_frame):
@@ -255,7 +251,7 @@ def _mixed_sequences(draw):
         gt = gt[:len(gt) - cut]
     else:
         hyp = hyp[:len(hyp) - cut]
-    return gt, hyp, draw(st.sampled_from([1, 2, 5, trk.GATE_CHUNK_POINTS]))
+    return gt, hyp, draw(st.sampled_from([1, 2, 5, metrics.GATE_CHUNK_POINTS]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,7 +259,7 @@ def _mixed_sequences(draw):
 def test_sequence_scores_match_reference_across_empty_and_one_sided_frames(
         scene, threshold):
     gt, hyp, budget = scene
-    with mock.patch.object(trk, "GATE_CHUNK_POINTS", budget):
+    with mock.patch.object(metrics, "GATE_CHUNK_POINTS", budget):
         got_id = idf1(gt, hyp, threshold)
         got = clearmot(gt, hyp, threshold) if any(gt) else None
     ref_id = reference_idf1(gt, hyp, threshold)
@@ -277,12 +273,12 @@ def test_sequence_scores_match_reference_across_empty_and_one_sided_frames(
              ref["gt_total"], ref["matches"])
 
 
-@pytest.mark.parametrize("budget", [1, 20, trk.GATE_CHUNK_POINTS])
+@pytest.mark.parametrize("budget", [1, 20, metrics.GATE_CHUNK_POINTS])
 def test_gated_chunks_equal_one_in_gate_call_per_frame(budget, monkeypatch):
     # Frames of 0 to 9 points a side, at overlapping coordinates, one side
     # ending early: the chunks give each frame's pairs, in order, and none
     # across frames. Each point's id is its row of the whole sequence.
-    monkeypatch.setattr(trk, "GATE_CHUNK_POINTS", budget)
+    monkeypatch.setattr(metrics, "GATE_CHUNK_POINTS", budget)
     rng = np.random.default_rng(11)
     a_counts, b_counts = rng.integers(0, 10, (2, 40))
     b_counts[35:] = 0
@@ -309,11 +305,11 @@ def test_gated_chunks_equal_one_in_gate_call_per_frame(budget, monkeypatch):
     assert len(got[0]) > 100
 
 
-@pytest.mark.parametrize("budget", [1, 50, trk.GATE_CHUNK_POINTS])
+@pytest.mark.parametrize("budget", [1, 50, metrics.GATE_CHUNK_POINTS])
 def test_idf1_crowd_in_mid_sequence_raises_the_crowds_error(budget, monkeypatch):
     # A crowd past the contested bound in frame 2 of 5 raises the error the
     # crowd raises alone, however the frames are chunked.
-    monkeypatch.setattr(trk, "GATE_CHUNK_POINTS", budget)
+    monkeypatch.setattr(metrics, "GATE_CHUNK_POINTS", budget)
     side = math.isqrt(MAX_CONTESTED_CELLS)
     crowd_gt = [(i, (0.0, 0.0)) for i in range(side + 1)]
     crowd_hyp = [(i, (0.0, 0.0)) for i in range(side)]
@@ -413,8 +409,7 @@ def test_measure_latency_rejects_warmup_without_timed_frames(warmup):
 
 # 200 objects over 2,000 frames as parsed label frames: ground truth, a
 # hypothesis at other ids and detections, each within 0.3 m noise.
-_LONG_SEQUENCE = """
-import resource
+_LONG_SEQUENCE = PEAK_RSS + """
 import numpy as np
 from dynatrack import kitti_io as kio, metrics, occlusion
 
@@ -439,20 +434,18 @@ gt = frames(truth, ids)
 hyp = frames(truth + rng.normal(0.0, 0.3, truth.shape), ids + 1000)
 dets = kio.SequenceDataset("long", frames(truth + rng.normal(0.0, 0.3, truth.shape),
                                           None))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 assert metrics.idf1(gt, hyp).idtp > 0
 assert occlusion.occlude_dataset(dets, gt, occlusion.OcclusionSpec("mid", 35, 20))[1]
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+print((peak() - before) / 2 ** 20)
 """
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS from Linux's VmHWM")
 def test_long_sequence_scoring_and_occlusion_stay_within_a_memory_bound():
-    # Gated a chunk of frames at a time, the peak grows by the pairs and the
-    # matches, about 27 MB here on Linux; gating the whole sequence in one
-    # grouped call grew it by 135 MB.
-    source = Path(dynatrack.__file__).parent.parent
-    path = os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _LONG_SEQUENCE],
-                          capture_output=True, text=True, timeout=120, check=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert float(done.stdout) < 60.0
+    # The growth of the child's own peak RSS (`PEAK_RSS`), in MB. Gated a
+    # chunk of frames at a time, the peak grows by the pairs and the matches,
+    # about 26 MB on Linux; gating the whole sequence in one grouped call
+    # grew it by 135 MB.
+    assert float(python_stdout(_LONG_SEQUENCE)) < 60.0

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynatrack import cli
+from dynatrack import cli, metrics
 from dynatrack import kitti_io as kio
 from dynatrack import tracker as trk
-from dynatrack.errors import ConfigurationError, InputError
+from dynatrack.errors import ConfigurationError, InputError, UndefinedMetricError
+from dynatrack.metrics import clearmot, idf1
 from dynatrack.occlusion import OcclusionSpec, occlude_dataset, occlusion_cut
 from dynatrack.synth import ObjectSpec, RegimeSegment, ScenarioSpec, generate
 
@@ -130,11 +131,9 @@ def test_match_builds_one_tracklet_per_object():
     assert dropped == {}
 
 
-def test_match_checks_alignment():
-    gt, dets = _scenario()
+def test_match_requires_ground_truth():
+    _, dets = _scenario()
     spec = OcclusionSpec(kind="mid", start_after=10, length=20)
-    with pytest.raises(InputError, match="frame ranges differ"):
-        occlude_dataset(dets, gt.ground_truth[:-1], spec)
     with pytest.raises(InputError, match="ground truth is required"):
         occlude_dataset(dets, None, spec)
 
@@ -268,7 +267,8 @@ def _mixed_files(draw):
     Ground truth sits at slots 1-4, 3 m apart, under ids 1-4 that a frame
     may repeat, so an id can match several detections of a frame; a
     detection is one slot's position moved by up to 3 m, often by a grid
-    step, so it falls within, at or past the threshold."""
+    step, so it falls within, at or past the threshold. Then up to 3
+    trailing frames are cut from one side, so the two may differ in length."""
     extra = draw(st.lists(st.sampled_from(_KINDS + ("both",) * 3), max_size=12))
     kinds = draw(st.permutations(list(_KINDS) + extra))
     gt, dets = [], []
@@ -282,7 +282,18 @@ def _mixed_files(draw):
                              min_size=1, max_size=5))
         dets.append([_record(frame, 3.0 * i + x, 10.0 + z) for i, x, z in near]
                     if kind in ("detections only", "both") else [])
-    return gt, dets
+    cut = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return gt[:len(gt) - cut], dets
+    return gt, dets[:len(dets) - cut]
+
+
+def _scores(gt, hyp):
+    """`evaluate`'s report as the summaries it prints, or the error it raises."""
+    try:
+        return clearmot(gt, hyp), idf1(gt, hyp)
+    except UndefinedMetricError as exc:
+        return str(exc)
 
 
 # Id 1 matches both detections of frame 0, in the reverse of their file
@@ -297,14 +308,20 @@ _TWO_MATCHES_ONE_ID = ([[_record(0, 0.0, 10.0, 1), _record(0, 3.0, 10.0, 1)]],
        spec=st.builds(OcclusionSpec, kind=st.sampled_from(["mid", "late"]),
                       start_after=st.integers(1, 3), length=st.integers(1, 3),
                       match_threshold=st.sampled_from([0.5, 1.0, 2.0])),
-       budget=st.sampled_from([1, 4, trk.GATE_CHUNK_POINTS]))
+       budget=st.sampled_from([1, 4, metrics.GATE_CHUNK_POINTS]))
 def test_occlude_matches_reference_across_empty_and_one_sided_frames(
         tmp_path_factory, scene, spec, budget):
     gt, dets = scene
     work = tmp_path_factory.mktemp("mixed")
     kio.write_annotations(gt, work / "gt.txt")
     kio.write_detections(dets, work / "det.txt")
-    with mock.patch.object(trk, "GATE_CHUNK_POINTS", budget):
+    # The same pair padded to one length with empty frames; a detection
+    # frame's records, numbered, are the hypothesis that `evaluate` scores.
+    n = max(len(gt), len(dets))
+    padded_gt, padded_dets = (side + [[]] * (n - len(side)) for side in (gt, dets))
+    hyp = [[kio.GroundTruthRecord(**vars(r), track_id=j) for j, r in enumerate(f)]
+           for f in dets]
+    with mock.patch.object(metrics, "GATE_CHUNK_POINTS", budget):
         assert cli.main(["occlude", str(work / "det.txt"), str(work / "gt.txt"),
                          "--kind", spec.kind, "--start-after",
                          str(spec.start_after), "--length", str(spec.length),
@@ -312,18 +329,27 @@ def test_occlude_matches_reference_across_empty_and_one_sided_frames(
                          "--output", str(work / "out.txt")]) == 0
         parsed = kio.load_sequence(work / "det.txt", work / "gt.txt")
         _, dropped = occlude_dataset(parsed, parsed.ground_truth, spec)
+        occluded, in_memory = occlude_dataset(kio.SequenceDataset("s", dets), gt,
+                                              spec)
+        padded, padded_dropped = occlude_dataset(
+            kio.SequenceDataset("s", padded_dets), padded_gt, spec)
+        assert _scores(gt, hyp) == _scores(padded_gt, hyp + [[]] * (n - len(hyp)))
     want = reference_occlude(work / "det.txt", work / "gt.txt", spec,
                              work / "reference.txt")
     assert (work / "out.txt").read_bytes() == (work / "reference.txt").read_bytes()
     assert list(dropped.items()) == list(want.items())
+    assert list(in_memory.items()) == list(padded_dropped.items())
+    kio.write_detections(occluded.detections, work / "cut.txt")
+    kio.write_detections(padded.detections, work / "padded.txt")
+    assert (work / "cut.txt").read_bytes() == (work / "padded.txt").read_bytes()
 
 
-@pytest.mark.parametrize("budget", [1, 50, trk.GATE_CHUNK_POINTS])
+@pytest.mark.parametrize("budget", [1, 50, metrics.GATE_CHUNK_POINTS])
 def test_occlude_crowd_in_mid_sequence_raises_the_crowds_error(budget,
                                                                monkeypatch):
     # A crowd past the contested bound in frame 2 of 5 raises the error that
     # matching that frame alone raises, however the frames are chunked.
-    monkeypatch.setattr(trk, "GATE_CHUNK_POINTS", budget)
+    monkeypatch.setattr(metrics, "GATE_CHUNK_POINTS", budget)
     side = math.isqrt(trk.MAX_CONTESTED_CELLS)
     crowd_gt = [_record(2, 0.0, 0.0, i) for i in range(side + 1)]
     crowd_dets = [_record(2, 0.0, 0.0) for _ in range(side)]

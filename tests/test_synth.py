@@ -4,6 +4,7 @@ import numpy.testing as npt
 import pytest
 
 from dynatrack.errors import ConfigurationError
+from dynatrack.kitti_io import MAX_FRAME
 from dynatrack.kitti_io import as_labels, ground_position
 from dynatrack.synth import (ObjectSpec, RegimeSegment, ScenarioSpec,
                              generate, load_scenario, object_truth)
@@ -93,6 +94,17 @@ def test_scenario_validation():
         ScenarioSpec(objects=[])
 
 
+def test_scenario_refuses_more_frames_than_a_label_file_holds():
+    # Refused on construction, before any frame is integrated: the last
+    # frame index would be past what the label parsers read.
+    fits = _obj([RegimeSegment("cv", MAX_FRAME), RegimeSegment("stationary", 1)])
+    over = _obj([RegimeSegment("cv", MAX_FRAME), RegimeSegment("stationary", 2)])
+    assert ScenarioSpec(objects=[fits]).objects == [fits]
+    with pytest.raises(ConfigurationError,
+                       match=f"'segments': object 2 lasts {MAX_FRAME + 2} frames"):
+        ScenarioSpec(objects=[fits, over])
+
+
 def test_generate_noise_free_detections_equal_truth():
     spec = ScenarioSpec(objects=[_obj([RegimeSegment("cv", 5, (1.0, 0.0))],
                                       initial=(0.0, 10.0))],
@@ -110,14 +122,14 @@ def test_generate_structure():
         _obj([RegimeSegment("stationary", 5)], initial=(5.0, 20.0)),
     ], noise_sigma=0.1, seed=7)
     gt, dets = generate(spec)
-    assert gt.num_frames == 8
+    assert len(gt.ground_truth) == 8
     assert len(dets.detections) == 8
     assert [r.track_id for r in gt.ground_truth[0]] == [1, 2]
     assert [len(f) for f in gt.ground_truth] == [2] * 5 + [1] * 3
     assert [len(f) for f in dets.detections] == [2] * 5 + [1] * 3
     assert all(r.score == 1.0 for f in gt.ground_truth for r in f)
     assert all(r.score == 0.9 for f in dets.detections for r in f)
-    assert gt.detections == [[] for _ in range(8)]
+    assert gt.detections == []
 
 
 def test_generate_is_deterministic_per_seed():

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from dynatrack import dynamics as dyn
 from dynatrack import filtering as flt
+from dynatrack import metrics
 from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError, InputError, NumericalError
 from dynatrack.filtering import StateEstimate
@@ -256,13 +257,13 @@ def test_grouped_in_gate_equals_one_ungrouped_call_per_label(case):
     assert got[2].tobytes() == dist[by_row].tobytes()
 
 
-@pytest.mark.parametrize("budget", [1, 3, 7, 20, trk.GATE_CHUNK_POINTS])
+@pytest.mark.parametrize("budget", [1, 3, 7, 20, metrics.GATE_CHUNK_POINTS])
 def test_frame_chunks_take_whole_frames_up_to_the_budget(budget, monkeypatch):
     # In order and without gaps; within the budget on both sides unless a
     # chunk is one frame; and no chunk could take its next frame as well.
-    monkeypatch.setattr(trk, "GATE_CHUNK_POINTS", budget)
+    monkeypatch.setattr(metrics, "GATE_CHUNK_POINTS", budget)
     a_counts, b_counts = np.random.default_rng(12).integers(0, 10, (2, 60))
-    chunks = trk.frame_chunks(a_counts, b_counts)
+    chunks = metrics.frame_chunks(a_counts, b_counts)
     assert [f for chunk in chunks for f in range(60)[chunk]] == list(range(60))
     for chunk in chunks:
         fits = [a_counts[chunk].sum() <= budget, b_counts[chunk].sum() <= budget]
@@ -270,7 +271,7 @@ def test_frame_chunks_take_whole_frames_up_to_the_budget(budget, monkeypatch):
         if chunk.stop < 60:
             wider = slice(chunk.start, chunk.stop + 1)
             assert (a_counts[wider].sum() > budget or b_counts[wider].sum() > budget)
-    assert trk.frame_chunks([], []) == []
+    assert metrics.frame_chunks([], []) == []
 
 
 @st.composite
