@@ -15,6 +15,9 @@ VALID_ORDERS = (1, 2, 3)
 
 # Fewest positions a dynamics window may hold: two differences need three.
 MIN_WINDOW = 3
+# Most frames `transition_window` or `smoothing_window` may span, 100 s at
+# KITTI's 10 Hz: the bank allocates every row's window and ring at that size.
+MAX_WINDOW = 1000
 
 
 def min_support(order: int) -> int:
@@ -77,11 +80,11 @@ def validate_config(cfg: RunConfig):
     require(cfg.model_order in VALID_ORDERS, "model_order",
             f"must be one of {VALID_ORDERS}, got {cfg.model_order}")
     support = min_support(cfg.model_order)
-    require(cfg.transition_window >= support, "transition_window",
-            f"must be >= {support} for model_order {cfg.model_order}, "
-            f"got {cfg.transition_window}")
-    require(cfg.smoothing_window >= 1, "smoothing_window",
-            f"must be >= 1, got {cfg.smoothing_window}")
+    require(support <= cfg.transition_window <= MAX_WINDOW, "transition_window",
+            f"must be in [{support}, {MAX_WINDOW}] for model_order "
+            f"{cfg.model_order}, got {cfg.transition_window}")
+    require(1 <= cfg.smoothing_window <= MAX_WINDOW, "smoothing_window",
+            f"must be in [1, {MAX_WINDOW}], got {cfg.smoothing_window}")
     for key in ("factor_velocity", "factor_acceleration", "factor_jerk",
                 "process_noise", "measurement_noise", "gate_distance", "dt"):
         value = getattr(cfg, key)

@@ -50,7 +50,7 @@ class DynamicsWindow:
         born = np.zeros((len(first),) + self.positions.shape[1:])
         born[:, :1] = first[:, None]   # nothing at zero capacity
         self.positions = np.concatenate(
-            [np.compress(keep, self.positions, axis=0), born])
+            [self.positions.compress(keep, axis=0), born])
 
 
 def finite_differences(positions: np.ndarray):
@@ -68,42 +68,39 @@ def finite_differences(positions: np.ndarray):
     return d1, d2
 
 
-def _sample_std(series: np.ndarray) -> np.ndarray:
-    """Sample standard deviation over the leading axis (divisor n-1).
-
-    Series shorter than 2 have zero deviation by definition. Spelled out
-    rather than delegated to ndarray.std so one formulation serves both the
-    single-window and the batched path. Each sum runs over the leading axis,
-    so numpy adds the slots one by one, in order, with every later axis in
-    the inner loop.
-    """
-    n = series.shape[0]
-    if n < 2:
-        return np.zeros(series.shape[1:])
-    mean = series.sum(axis=0) / n
-    dev = series - mean
-    return np.sqrt((dev * dev).sum(axis=0) / (n - 1))
-
-
 def dynamics_vectors(stacks: np.ndarray) -> np.ndarray:
     """Dynamics vectors for a batch of equal-length windows.
 
     `stacks` has shape (batch, n, axes); the result has shape
-    (batch, axes, 4) with rows [1, sigma_pos, sigma_vel, sigma_acc].
+    (batch, axes, 4) with rows [1, sigma_pos, sigma_vel, sigma_acc], each a
+    sample standard deviation (divisor n-1) over the window.
+
+    The three series, n positions and n-1 first and n-2 second differences,
+    fill one time-major block (n, batch, axes, 3), each zero-padded at its
+    end, so one chain of sums gives all three sigmas. The sums run over the
+    leading axis: numpy adds the slots one by one, in order, with every later
+    axis in the inner loop, and trailing zeros leave each sum bitwise that of
+    its series alone. The padding's deviations are zeroed before squaring.
+    The second differences of a 3-position window, a series shorter than 2,
+    are left out, so their sigma is 0 by definition.
     """
     z = np.asarray(stacks, dtype=float)
     if z.ndim != 3:
         raise ContractViolationError(
             f"expected a (batch, n, axes) stack, got shape {z.shape}")
-    # One time-major copy: a sum over the middle axis of (batch, n, axes)
-    # runs an inner loop over just `axes` elements per slot.
     z = np.ascontiguousarray(z.transpose(1, 0, 2))
     d1, d2 = finite_differences(z)
-    d = np.empty(z.shape[1:] + (WEIGHT_COLUMNS,))
-    d[..., 0] = 1.0
-    d[..., 1] = _sample_std(z)
-    d[..., 2] = _sample_std(d1)
-    d[..., 3] = _sample_std(d2)
+    n = len(z)
+    block = np.zeros(z.shape + (3,))
+    block[..., 0], block[:-1, ..., 1] = z, d1
+    if n > MIN_WINDOW:
+        block[:-2, ..., 2] = d2
+    counts = np.array([[n, n - 1, n - 2], [n - 1, n - 2, max(n - 3, 1)]], dtype=float)
+    block -= block.sum(axis=0) / counts[0]
+    block[-1:, ..., 1] = block[-2:, ..., 2] = 0.0
+    block *= block
+    d = np.ones(z.shape[1:] + (WEIGHT_COLUMNS,))
+    np.sqrt(block.sum(axis=0) / counts[1], out=d[..., 1:])
     return d
 
 

@@ -19,13 +19,16 @@ from .errors import ContractViolationError, InputError, NumericalError
 # Exponential smoothing factor applied to elevation/yaw/dims on each match.
 AUX_SMOOTHING = 0.7
 
-# Numeric detection fields a track reports, with the shape of one
-# detection's value: smoothed over its matches, or passed on from the last
-# match. The `obj_type` label is passed on too.
-SMOOTHED = {"elevation": (), "yaw": (), "dims": (3,)}
-PASSED = {"score": (), "bbox2d": (4,)}
-NUMERIC = {"position": (flt.GROUND_AXES,), **SMOOTHED, **PASSED}
-REPORTED = (*SMOOTHED, *PASSED, "obj_type")
+# The numeric detection fields a track reports, as columns of one float
+# block: a scalar field is one column, a vector field a run of them. The
+# first SMOOTHED columns (elevation, yaw, dims) are smoothed over a track's
+# matches; the others (score, bbox2d), like the `obj_type` label, are passed
+# on from the last match. NUMERIC holds one detection's shape of each field.
+REPORTED = {"elevation": 0, "yaw": 1, "dims": slice(2, 5), "score": 5,
+            "bbox2d": slice(6, 10)}
+SMOOTHED, REPORTED_WIDTH = 5, 10
+NUMERIC = {"position": (flt.GROUND_AXES,), "elevation": (), "yaw": (), "dims": (3,),
+           "score": (), "bbox2d": (4,)}
 
 
 # Rows of an array of two or more dimensions are gathered with
@@ -33,9 +36,11 @@ REPORTED = (*SMOOTHED, *PASSED, "obj_type")
 # through its generic advanced-index loop, which on these short rows costs
 # several times a take (81 us against 11 us for 4,233 rows of a (1105, 2)
 # array; 39 us against 19 us to select rows of a (1100, 2, 10) one). A mask
-# that selects from several arrays becomes indices once, by `np.flatnonzero`,
-# rather than once per array inside `np.compress`. 1-D arrays already take
-# numpy's fast path, and scatters (`x[rows] = v`) keep plain indexing.
+# that selects from several arrays becomes indices once, by `m.nonzero()[0]`,
+# rather than once per array inside `compress`. 1-D arrays already take
+# numpy's fast path, and scatters (`x[rows] = v`) keep plain indexing. At
+# about 20 tracks a step is mostly fixed cost, so the hot path calls array
+# methods (`x.argsort()`, `x.repeat()`), not numpy's Python-level wrappers.
 
 # A report stores a status as its index here. A row's status follows from its
 # counters: tentative while `hits < min_hits` (never reported), then coasting
@@ -183,7 +188,7 @@ def component_assignment(rows, cols, cost, fill):
     lone = (row_degree == 1) & (col_degree == 1)
     if lone.all():
         return np.arange(len(rows))
-    shared = np.flatnonzero(~lone)
+    shared = (~lone).nonzero()[0]
     if not np.isfinite(cost[shared]).all():
         raise ContractViolationError("assignment cost holds a non-finite entry")
     # The component of pair k spans at least col_degree[k] rows and
@@ -191,7 +196,7 @@ def component_assignment(rows, cols, cost, fill):
     # search below walks all of its pairs.
     spans = col_degree[shared] * row_degree[shared]
     if spans.max() > MAX_CONTESTED_CELLS:
-        k = shared[np.argmax(spans)]
+        k = shared[spans.argmax()]
         raise InputError(
             f"a connected block of at least {col_degree[k]} x "
             f"{row_degree[k]} candidate pairs exceeds the bound of "
@@ -223,8 +228,10 @@ def component_assignment(rows, cols, cost, fill):
         for i, j in enumerate(_shortest_augmenting_paths(block)):
             if pair_at[i][j] >= 0:
                 matched.append(pair_at[i][j])
-    return np.sort(np.concatenate([np.flatnonzero(lone),
-                                   shared[np.array(matched, dtype=np.intp)]]))
+    kept = np.concatenate([lone.nonzero()[0],
+                           shared[np.array(matched, dtype=np.intp)]])
+    kept.sort()
+    return kept
 
 
 def gated_candidates(rows, cols, dist, gate: float):
@@ -282,27 +289,27 @@ def in_gate(a, b, gate: float, groups=None):
     if len(a) == 0 or len(b) == 0:
         none = np.zeros(0, dtype=np.intp)
         return none, none, np.zeros(0)
-    order = np.argsort(b[:, 0], kind="stable")
+    order = b[:, 0].argsort(kind="stable")
     bx = b[:, 0].take(order)
     # numpy's binary search starts from the previous key's bound when the
     # keys ascend, so the points of a are searched in ascending x and their
     # `lo` and `counts` put back in a's row order.
-    by_x = np.argsort(a[:, 0], kind="stable")
+    by_x = a[:, 0].argsort(kind="stable")
     ax = a[:, 0].take(by_x)
     reach = gate + X_WINDOW_MARGIN * (np.abs(ax) + gate)
     lo = np.empty(len(a), dtype=np.intp)
     counts = np.empty(len(a), dtype=np.intp)
-    lo[by_x] = np.searchsorted(bx, ax - reach, side="left")
-    counts[by_x] = np.searchsorted(bx, ax + reach, side="right")
+    lo[by_x] = bx.searchsorted(ax - reach, side="left")
+    counts[by_x] = bx.searchsorted(ax + reach, side="right")
     if groups is not None:
         order, lo, counts = _label_windows(order, lo, counts, *groups)
     counts -= lo
-    rows = np.repeat(np.arange(len(a)), counts)
+    rows = np.arange(len(a)).repeat(counts)
     # Candidate i of row r sits at sorted index lo[r] + (i - first[r]).
-    first = np.cumsum(counts) - counts
-    cols = order[np.arange(len(rows)) + np.repeat(lo - first, counts)]
+    first = counts.cumsum() - counts
+    cols = order[np.arange(len(rows)) + (lo - first).repeat(counts)]
     dist = distance(a.take(rows, axis=0), b.take(cols, axis=0))
-    inside = np.flatnonzero(dist <= gate)
+    inside = (dist <= gate).nonzero()[0]
     return rows.take(inside), cols.take(inside), dist.take(inside)
 
 
@@ -315,16 +322,16 @@ def _label_windows(order, lo, hi, a_labels, b_labels):
     """
     m = len(order)
     labels = np.asarray(b_labels).take(order)
-    by_label = np.argsort(labels, kind="stable")
+    by_label = labels.argsort(kind="stable")
     labels = labels.take(by_label)
-    start = np.searchsorted(labels, labels, side="left")
+    start = labels.searchsorted(labels, side="left")
     keys = start * (m + 1) + by_label
     a_labels = np.asarray(a_labels)
-    a_start = np.searchsorted(labels, a_labels, side="left")
-    a_stop = np.searchsorted(labels, a_labels, side="right")
+    a_start = labels.searchsorted(a_labels, side="left")
+    a_stop = labels.searchsorted(a_labels, side="right")
     base = a_start * (m + 1)
-    lo = np.searchsorted(keys, base + lo, side="left")
-    hi = np.minimum(np.searchsorted(keys, base + hi, side="left"), a_stop)
+    lo = keys.searchsorted(base + lo, side="left")
+    hi = np.minimum(keys.searchsorted(base + hi, side="left"), a_stop)
     return order.take(by_label), lo, np.maximum(hi, lo)
 
 
@@ -356,8 +363,8 @@ def associate(track_positions, detection_positions, gate: float) -> Assignment:
     unmatched_t[rows] = False
     unmatched_d = np.ones(len(detection_positions), dtype=bool)
     unmatched_d[cols] = False
-    return Assignment(rows, cols, np.flatnonzero(unmatched_t),
-                      np.flatnonzero(unmatched_d))
+    return Assignment(rows, cols, unmatched_t.nonzero()[0],
+                      unmatched_d.nonzero()[0])
 
 
 @dataclass(frozen=True)
@@ -396,13 +403,13 @@ class TrackBank:
     `ids` and the `hits` and `misses` counters, from which a row's status
     follows. With dynamics on, the window's fill
     `min(hits, transition_window)` and the ring's fill and next slot follow
-    from `hits` too. Reported: `elevation`, `yaw` and `dims (N, 3)`,
-    smoothed over the matches, and `score`, `bbox2d (N, 4)` and the
-    `obj_type` labels (an object array) of the last match.
+    from `hits` too. Reported: one float block `reported (N, 10)` holding the
+    REPORTED columns, so a match, a report and a rebuild each touch one
+    array, and the `obj_type` labels (an object array) of the last match.
     """
 
-    FIELDS = ("ids", "mean", "cov", "weights", "ring", "hits",
-              "misses") + REPORTED
+    FIELDS = ("ids", "mean", "cov", "weights", "ring", "hits", "misses",
+              "reported", "obj_type")
 
     def __init__(self, n: int, window: int, smoothing: int):
         weights = (flt.GROUND_AXES, dyn.WEIGHT_COLUMNS)
@@ -414,8 +421,7 @@ class TrackBank:
         self.ring = np.zeros((0, smoothing) + weights)
         self.hits = np.zeros(0, dtype=np.intp)
         self.misses = np.zeros(0, dtype=np.intp)
-        for name, shape in {**SMOOTHED, **PASSED}.items():
-            setattr(self, name, np.zeros((0,) + shape))
+        self.reported = np.zeros((0, REPORTED_WIDTH))
         self.obj_type = np.zeros(0, dtype=object)
 
     def __len__(self) -> int:
@@ -424,7 +430,7 @@ class TrackBank:
     def rebuild(self, keep: np.ndarray, born: dict):
         """Keep the rows where `keep` is true, then add the `born` rows after
         them; `born` holds an array for every field and the birth `position`s."""
-        kept = np.flatnonzero(keep)
+        kept = keep.nonzero()[0]
         for name in self.FIELDS:
             setattr(self, name, np.concatenate(
                 [getattr(self, name).take(kept, axis=0), born[name]]))
@@ -470,7 +476,8 @@ class FrameReport:
     """The confirmed and coasting tracks after one step, as columns.
 
     Rows are in bank order, which is ascending id. `status` holds indices
-    into STATUSES; the REPORTED columns are shaped as in `Detections`.
+    into STATUSES; the REPORTED columns are shaped as in `Detections`, as
+    views of one block taken from the bank.
     """
 
     frame: int
@@ -498,34 +505,40 @@ class FrameReport:
 
 
 def _detection_columns(detections: Detections) -> dict:
-    """The columns of `detections`, checked before any use.
+    """The columns of `detections`, checked before any use: `position`,
+    `reported`, the REPORTED columns as one block, and `obj_type`.
 
     Every column has one row per position row. A numeric column that is not
     numbers, has the wrong shape or holds a non-finite value raises
-    ContractViolationError.
+    ContractViolationError; shapes are checked first.
     """
     if not isinstance(detections, Detections):
         raise ContractViolationError(
             f"detections must be Detections, got {type(detections).__name__}")
-    rows = np.shape(detections.position)[:1]
     columns = {"obj_type": np.asarray(detections.obj_type, dtype=object)}
-    for name, shape in NUMERIC.items():
+    for name in NUMERIC:
         try:
             columns[name] = np.asarray(getattr(detections, name), dtype=float)
         except (TypeError, ValueError) as exc:
             raise ContractViolationError(
                 f"detection {name} column is not numeric: {exc}") from None
+    rows = columns["position"].shape[:1]
     for name, column in columns.items():
         expected = rows + NUMERIC.get(name, ())
         if column.shape != expected:
             raise ContractViolationError(
                 f"detection {name} column has shape {column.shape}, expected {expected}")
-        if name in NUMERIC and not np.isfinite(column).all():
-            finite = np.isfinite(column).all(axis=tuple(range(1, column.ndim)))
-            i = int(np.argmin(finite))
-            raise ContractViolationError(
-                f"detection {i} has a non-finite {name} {column[i].tolist()}")
-    return columns
+    reported = np.empty(rows + (REPORTED_WIDTH,))
+    for name, at in REPORTED.items():
+        reported[:, at] = columns[name]
+    if not (np.isfinite(columns["position"]).all() and np.isfinite(reported).all()):
+        name = next(name for name in NUMERIC if not np.isfinite(columns[name]).all())
+        column = columns[name]
+        i = int(np.isfinite(column.reshape(len(column), -1)).all(axis=1).argmin())
+        raise ContractViolationError(
+            f"detection {i} has a non-finite {name} {column[i].tolist()}")
+    return {"position": columns["position"], "reported": reported,
+            "obj_type": columns["obj_type"]}
 
 
 class MultiObjectTracker:
@@ -575,18 +588,25 @@ class MultiObjectTracker:
         `hits`-th refresh: its window holds `min(hits + 1, transition_window)`
         positions, its ring slot is `(hits - 1) % size` and the ring's fill
         `min(hits, size)`. Rows whose window is still below support take
-        exact ones; the others are stacked by window fill, one
-        dynamics-vector call per fill level.
+        exact ones. In the steady state every row's window has the same
+        fill, and one dynamics-vector call serves them all; rows of mixed
+        fills are stacked by fill, one call per fill level.
         """
         bank = self.bank
         hits = bank.hits[rows]
-        fill = np.minimum(hits + 1, bank.window.positions.shape[1])
-        raw = np.ones((len(rows),) + bank.weights.shape[1:])
-        for n in np.unique(fill[fill >= min_support(self._order)]).tolist():
-            group = fill == n
-            stack = bank.window.positions.take(rows[group], axis=0)[:, :n]
-            raw[group] = dyn.update_weights(dyn.dynamics_vectors(stack),
-                                            self._factors)
+        positions = bank.window.positions
+        fill = np.minimum(hits + 1, positions.shape[1])
+        support = min_support(self._order)
+        if fill.min() == fill.max() >= support:
+            raw = dyn.update_weights(dyn.dynamics_vectors(
+                positions.take(rows, axis=0)[:, :fill[0]]), self._factors)
+        else:
+            raw = np.ones((len(rows),) + bank.weights.shape[1:])
+            for n in np.unique(fill[fill >= support]).tolist():
+                group = fill == n
+                stack = positions.take(rows[group], axis=0)[:, :n]
+                raw[group] = dyn.update_weights(dyn.dynamics_vectors(stack),
+                                                self._factors)
         size = bank.ring.shape[1]
         bank.ring[rows, (hits - 1) % size] = raw
         filled = np.minimum(hits, size)
@@ -597,14 +617,14 @@ class MultiObjectTracker:
         slots = np.ascontiguousarray(bank.ring.take(rows, axis=0).swapaxes(0, 1))
         bank.weights[rows] = slots.sum(axis=0) / filled[:, None, None]
 
-    def _apply_matches(self, rows: np.ndarray, matched: dict):
+    def _apply_matches(self, rows: np.ndarray, reported: np.ndarray, obj_type):
+        """Count a match of `rows`, smoothing their matched `reported` rows in place."""
         bank = self.bank
         a = AUX_SMOOTHING
-        for name in SMOOTHED:
-            column = getattr(bank, name)
-            column[rows] = a * matched[name] + (1.0 - a) * column.take(rows, axis=0)
-        for name in (*PASSED, "obj_type"):
-            getattr(bank, name)[rows] = matched[name]
+        reported[:, :SMOOTHED] = (a * reported[:, :SMOOTHED] + (1.0 - a)
+                                  * bank.reported.take(rows, axis=0)[:, :SMOOTHED])
+        bank.reported[rows] = reported
+        bank.obj_type[rows] = obj_type
         bank.hits[rows] += 1
         bank.misses[rows] = 0
 
@@ -622,18 +642,19 @@ class MultiObjectTracker:
             ring=np.zeros((k,) + self.bank.ring.shape[1:]),
             hits=np.ones(k, dtype=np.intp),
             misses=np.zeros(k, dtype=np.intp),
-            **{name: born[name] for name in ("position", *REPORTED)},
+            **born,
         )
 
     def _report(self, frame: int) -> FrameReport:
         bank = self.bank
-        shown = np.flatnonzero(bank.hits >= self.cfg.min_hits)
+        shown = (bank.hits >= self.cfg.min_hits).nonzero()[0]
         status = np.where(bank.misses[shown] > 0, COASTING, CONFIRMED)
+        reported = bank.reported.take(shown, axis=0)
         return FrameReport(frame, bank.ids[shown],
                            bank.mean[..., 0].take(shown, axis=0),
                            status.astype(np.int8),
-                           **{name: getattr(bank, name).take(shown, axis=0)
-                              for name in REPORTED})
+                           **{name: reported[:, at] for name, at in REPORTED.items()},
+                           obj_type=bank.obj_type[shown])
 
     # -- main loop ---------------------------------------------------------
 
@@ -687,9 +708,8 @@ class MultiObjectTracker:
                                           self.births + 1 + len(born))]),
                 np.concatenate([predicted, z_matched, post.mean[..., 0],
                                 z.take(born, axis=0)]),
-                np.repeat(np.array([PREDICTED, MEASUREMENT, UPDATED, MEASUREMENT],
-                                   dtype=np.int8),
-                          [len(bank), len(rows), len(rows), len(born)])))
+                np.array([PREDICTED, MEASUREMENT, UPDATED, MEASUREMENT], dtype=np.int8)
+                .repeat([len(bank), len(rows), len(rows), len(born)])))
         pred.mean[rows] = post.mean
         pred.cov[rows] = post.cov
         bank.mean, bank.cov = pred.mean, pred.cov
@@ -697,8 +717,8 @@ class MultiObjectTracker:
             cleaned = flt.post_measurement(z_matched, K, residual)
             bank.window.push(rows, cleaned, bank.hits[rows])
             self._refresh_weights(rows)
-        self._apply_matches(rows, {name: columns[name].take(cols, axis=0)
-                                   for name in REPORTED})
+        self._apply_matches(rows, columns["reported"].take(cols, axis=0),
+                            columns["obj_type"][cols])
         # A miss ends a tentative track and a track past `max_misses`.
         bank.misses[assignment.unmatched_tracks] += 1
         keep = (bank.misses == 0) | ((bank.hits >= self.cfg.min_hits)

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from dynatrack import cli, metrics
 from dynatrack import kitti_io as kio
-from dynatrack.config import FIELD_TYPES, RunConfig, load_config, save_config
-from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker
+from dynatrack.config import (FIELD_TYPES, MAX_WINDOW, RunConfig, load_config,
+                              save_config)
+from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker, TrackBank
 
 from helpers import python_stdout, read_trajectory_csv
 
@@ -294,6 +295,27 @@ def test_number_flag_that_is_not_finite_names_its_key(tmp_path, capsys, command,
         f"error: config key '{key}': expected a finite number, got {value}\n"
 
 
+@pytest.mark.parametrize("key", ["transition_window", "smoothing_window"])
+@pytest.mark.parametrize("given", ["config", "flag"])
+def test_window_past_the_bound_exits_two_before_a_bank_is_built(
+        tmp_path, capsys, monkeypatch, key, given):
+    def no_bank(*args):
+        raise AssertionError("a track bank was built")
+
+    monkeypatch.setattr(TrackBank, "__init__", no_bank)
+    config = tmp_path / "config.yaml"
+    config.write_text(f"{key}: {10 ** 8}\n")
+    option = {"config": ["--config", config],
+              "flag": ["--" + key.replace("_", "-"), 10 ** 8]}[given]
+    rc = cli.main([*map(str, ["track", GOLDEN, *option, "--output", tmp_path / "out"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"config key '{key}': must be in [" in err and f"{MAX_WINDOW}]" in err
+    assert err.endswith(f"got {10 ** 8}\n")
+    assert not (tmp_path / "out" / "tracks" / GOLDEN.name).exists()
+
+
 @pytest.mark.parametrize("command", ["track", "synth"])
 def test_config_or_scenario_that_is_not_utf8_exits_two(tmp_path, capsys, command):
     bad = tmp_path / "bad.yaml"
@@ -555,10 +577,14 @@ _SCENARIO = st.fixed_dictionaries(
                   {"kind": st.sampled_from(["mid", "late"]),
                    "start_after": st.integers(1, 20), "length": st.integers(1, 20)},
                   optional={"match_threshold": st.floats(0.1, 5.0)})})
+# Windows are small or at the bound, on either side of it.
+_AT_BOUND = st.integers(MAX_WINDOW - 1, MAX_WINDOW + 2)
 _CONFIG = st.fixed_dictionaries({}, optional={
-    "model_order": st.integers(1, 3), "transition_window": st.integers(4, 12),
-    "smoothing_window": st.integers(1, 6), "min_hits": st.integers(1, 5),
-    "max_misses": st.integers(0, 30), "dynamics_enabled": st.booleans(),
+    "model_order": st.integers(1, 3),
+    "transition_window": st.one_of(st.integers(4, 12), _AT_BOUND),
+    "smoothing_window": st.one_of(st.integers(1, 6), _AT_BOUND),
+    "min_hits": st.integers(1, 5), "max_misses": st.integers(0, 30),
+    "dynamics_enabled": st.booleans(),
     "dt": st.floats(0.01, 1.0),
     **{key: st.floats(0.01, 10.0) for key, kind in FIELD_TYPES.items()
        if kind == "float" and key != "dt"}})

@@ -7,8 +7,9 @@ import pytest
 
 import dynatrack
 
-from dynatrack.config import (FIELD_TYPES, RunConfig, config_from_mapping,
-                              load_config, merge_overrides, save_config)
+from dynatrack.config import (FIELD_TYPES, MAX_WINDOW, RunConfig,
+                              config_from_mapping, load_config, merge_overrides,
+                              save_config)
 from dynatrack.errors import ConfigurationError
 
 
@@ -34,7 +35,11 @@ def test_defaults():
     ("transition_window", 2),
     # order 3 needs 4 positions: a window of 3 could never adapt
     ("transition_window", 3),
+    ("transition_window", MAX_WINDOW + 1),
+    ("transition_window", 10 ** 8),
     ("smoothing_window", 0),
+    ("smoothing_window", MAX_WINDOW + 1),
+    ("smoothing_window", 10 ** 8),
     ("factor_velocity", 0.0),
     ("factor_jerk", -0.1),
     ("process_noise", 0.0),
@@ -47,6 +52,15 @@ def test_defaults():
 def test_validation_names_offending_key(key, value):
     with pytest.raises(ConfigurationError, match=f"config key '{key}'"):
         RunConfig(**{key: value})
+
+
+def test_windows_up_to_the_bound_are_accepted():
+    cfg = RunConfig(transition_window=MAX_WINDOW, smoothing_window=MAX_WINDOW)
+    assert (cfg.transition_window, cfg.smoothing_window) == (MAX_WINDOW, MAX_WINDOW)
+    with pytest.raises(ConfigurationError,
+                       match=rf"'smoothing_window': must be in \[1, {MAX_WINDOW}\], "
+                             rf"got {MAX_WINDOW + 1}"):
+        merge_overrides(cfg, {"smoothing_window": MAX_WINDOW + 1})
 
 
 def _wrong_types():

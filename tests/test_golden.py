@@ -5,16 +5,29 @@ stationary/cv/ca/cj regimes, with one mid-track occlusion cut. Its track file
 and trajectory CSV were written by the per-track filter this repository had
 before the track bank. Text and integer columns must match exactly and every
 number to 1e-12 relative, so a numeric rewrite cannot drift unnoticed.
+
+`data/golden/bank_seq8x60.npz` holds the bank's state after every step of
+the same sequence with dynamics on, at model orders 1-3, so the weights,
+which amplify last-bit changes about 100 times, are checked too. Run this
+file as a script to write it again: `PYTHONPATH=src python
+tests/test_golden.py`.
 """
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dynatrack import cli
+from dynatrack import cli, kitti_io
+from dynatrack.config import RunConfig
+from dynatrack.tracker import MultiObjectTracker
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 REL = 1e-12
+BANK = GOLDEN / "bank_seq8x60.npz"
+BANK_FIELDS = ("ids", "hits", "misses", "mean", "cov", "weights")
+EXACT_FIELDS = ("ids", "hits", "misses")
+ORDERS = (1, 2, 3)
 
 
 def _fields(path: Path, sep):
@@ -45,3 +58,54 @@ def test_track_reproduces_golden_output(tmp_path, capsys, output, sep):
         assert len(a) == len(e), f"line {line}"
         bad = [k for k, (x, y) in enumerate(zip(e, a)) if not _same_field(x, y)]
         assert not bad, f"line {line}, fields {bad}: {e} != {a}"
+
+
+def _bank_states(order: int) -> dict:
+    """The bank's BANK_FIELDS after every step of the golden sequence with
+    dynamics on at `order`, each as a list of one array per step."""
+    frames = kitti_io.measurements_from(
+        kitti_io.parse_detections(GOLDEN / "seq8x60.txt"))
+    tracker = MultiObjectTracker(RunConfig(model_order=order, dynamics_enabled=True))
+    states = {name: [] for name in BANK_FIELDS}
+    for frame, dets in enumerate(frames):
+        tracker.step(frame, dets)
+        for name, steps in states.items():
+            steps.append(getattr(tracker.bank, name).copy())
+    return states
+
+
+def _write_bank_fixture():
+    """Store each order's states concatenated over the steps, with the row
+    count of every step under `o<order>_rows`."""
+    arrays = {}
+    for order in ORDERS:
+        states = _bank_states(order)
+        arrays[f"o{order}_rows"] = np.array([len(ids) for ids in states["ids"]])
+        for name, steps in states.items():
+            arrays[f"o{order}_{name}"] = np.concatenate(steps)
+    np.savez_compressed(BANK, **arrays)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_bank_state_reproduces_golden_fixture(order):
+    # Ids and counters match exactly; each step's mean, packed covariance
+    # and weights match within REL of that block's largest entry.
+    with np.load(BANK) as fixture:
+        expected = {name: np.split(fixture[f"o{order}_{name}"],
+                                   np.cumsum(fixture[f"o{order}_rows"])[:-1])
+                    for name in BANK_FIELDS}
+    actual = _bank_states(order)
+    assert len(actual["ids"]) == len(expected["ids"])
+    for step in range(len(expected["ids"])):
+        for name in BANK_FIELDS:
+            e, a = expected[name][step], actual[name][step]
+            assert a.shape == e.shape, f"step {step} {name}"
+            if name in EXACT_FIELDS:
+                assert a.tolist() == e.tolist(), f"step {step} {name}"
+            elif e.size:
+                drift = np.abs(a - e).max()
+                assert drift <= REL * np.abs(e).max(), f"step {step} {name}: {drift:.3g}"
+
+
+if __name__ == "__main__":
+    _write_bank_fixture()

@@ -1,5 +1,6 @@
 """Tracker behavior: association, lifecycle, weighting interplay, trajectories."""
 import math
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -842,6 +843,79 @@ def test_weight_ring_matches_reference_smoothing(smoothing):
     assert len(bank) < tracker.births
 
 
+@st.composite
+def _refresh_scenes(draw):
+    """A config and up to 5 objects, each with a birth frame, a last frame
+    and gap frames in between, far enough apart that a detection only ever
+    gates with its own object's track."""
+    order = draw(st.integers(1, 3))
+    window = draw(st.integers(max(dyn.MIN_WINDOW, order + 1), 10))
+    n_frames = draw(st.integers(4, 30))
+    objects = draw(st.lists(st.tuples(
+        st.integers(0, min(n_frames - 1, 8)), st.integers(0, n_frames - 1),
+        st.sets(st.integers(0, n_frames - 1), max_size=4)), min_size=1, max_size=5))
+    return (order, window, draw(st.integers(1, 5)), draw(st.integers(0, 3)),
+            draw(st.integers(0, 2 ** 32 - 1)), n_frames,
+            [(birth, max(birth, last), gaps) for birth, last, gaps in objects])
+
+
+# All objects born together, so every refresh has rows of one fill; then
+# births at several frames, so refreshes mix fills until the windows fill.
+@example(scene=(3, 6, 2, 2, 1, 20, [(0, 19, set()), (0, 19, {5, 6}), (0, 12, set())]))
+@example(scene=(2, 8, 4, 3, 2, 25, [(0, 24, {9}), (3, 24, set()), (5, 20, {11, 12}),
+                                    (12, 24, set())]))
+@settings(max_examples=150, deadline=None)
+@given(scene=_refresh_scenes())
+def test_weight_refresh_matches_reference_over_mixed_and_single_fills(scene):
+    # After every step, each refreshed row's new ring slot is bitwise the
+    # reference raw weights of the row's own window, its weights are the
+    # reference smoothing of its raw history, and the step made one
+    # dynamics-vector call per distinct supported window fill.
+    order, window, smoothing, max_misses, seed, n_frames, objects = scene
+    cfg = RunConfig(model_order=order, transition_window=window,
+                    smoothing_window=smoothing, min_hits=1, max_misses=max_misses)
+    factors = dyn.dynamics_factors(cfg.factor_velocity, cfg.factor_acceleration,
+                                   cfg.factor_jerk)
+    support = max(dyn.MIN_WINDOW, order + 1)
+    rng = np.random.default_rng(seed)
+    velocity = rng.uniform(-2.0, 2.0, size=(len(objects), 2))
+    tracker = MultiObjectTracker(cfg)
+    bank = tracker.bank
+    history, raw, hits = {}, {}, {}
+    with mock.patch.object(dyn, "dynamics_vectors", wraps=dyn.dynamics_vectors) as spy:
+        for frame in range(n_frames):
+            shown = [k for k, (birth, last, gaps) in enumerate(objects)
+                     if birth <= frame <= last and frame not in gaps]
+            points = np.array([(50.0 * k, 10.0) + velocity[k] * 0.1 * frame
+                               for k in shown]).reshape(-1, 2)
+            points += rng.normal(0.0, 0.05, points.shape)
+            spy.reset_mock()
+            tracker.step(frame, detections(points))
+            fills = set()
+            for row, track_id in enumerate(bank.ids.tolist()):
+                count = min(bank.hits[row], window)
+                positions = bank.window.positions[row]
+                if track_id not in history:   # born this step
+                    assert bank.hits[row] == 1
+                    history[track_id] = [positions[0].tolist()]
+                elif bank.hits[row] > hits[track_id]:   # matched this step
+                    history[track_id].append(positions[count - 1].tolist())
+                    own = np.array(history[track_id][-count:])
+                    assert positions[:count].tobytes() == own.tobytes()
+                    expected = (dyn.update_weights(dynamics_vector(own), factors)
+                                if count >= support else np.ones((2, 4)))
+                    slot = (bank.hits[row] - 2) % smoothing
+                    assert bank.ring[row, slot].tobytes() == expected.tobytes()
+                    raw.setdefault(track_id, []).append(expected)
+                    if count >= support:
+                        fills.add(count)
+                hits[track_id] = bank.hits[row]
+                expected = (smooth_weights(raw[track_id], smoothing)
+                            if track_id in raw else np.ones((2, 4)))
+                npt.assert_allclose(bank.weights[row], expected, rtol=0, atol=1e-12)
+            assert spy.call_count == len(fills)
+
+
 def test_stationary_target_downweights_motion():
     rng = np.random.default_rng(9)
     positions = np.tile([5.0, 20.0], (60, 1)) + rng.normal(0.0, 0.02, (60, 2))
@@ -871,13 +945,21 @@ def test_snapshot_position_is_posterior_mean():
 
 
 def test_aux_fields_smoothed_on_match():
+    # elevation, yaw and dims are smoothed over the matches; score, bbox2d
+    # and obj_type come from the last match
     cfg = single_target_config()
     tracker = MultiObjectTracker(cfg)
-    tracker.step(0, detections([(0.0, 10.0)], elevation=1.0, yaw=0.0))
-    tracker.step(1, detections([(0.0, 10.0)], elevation=2.0, yaw=1.0))
-    bank = tracker.bank
-    assert bank.elevation[0] == pytest.approx(0.7 * 2.0 + 0.3 * 1.0)
-    assert bank.yaw[0] == pytest.approx(0.7)
+    tracker.step(0, detections([(0.0, 10.0)], elevation=1.0, yaw=0.0,
+                               dims=(1.0, 2.0, 3.0), score=0.5))
+    report = tracker.step(1, detections(
+        [(0.0, 10.0)], obj_type="Van", elevation=2.0, yaw=1.0,
+        dims=(2.0, 2.0, 2.0), score=0.25, bbox2d=(1.0, 2.0, 3.0, 4.0)))
+    assert report.elevation[0] == pytest.approx(0.7 * 2.0 + 0.3 * 1.0)
+    assert report.yaw[0] == pytest.approx(0.7)
+    npt.assert_allclose(report.dims[0], [1.7, 2.0, 2.3])
+    assert report.score.tolist() == [0.25]
+    assert report.bbox2d.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    assert report.obj_type.tolist() == ["Van"]
 
 
 def test_trajectory_sources_recorded():
