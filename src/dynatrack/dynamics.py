@@ -81,8 +81,9 @@ def dynamics_vectors(stacks: np.ndarray) -> np.ndarray:
     leading axis: numpy adds the slots one by one, in order, with every later
     axis in the inner loop, and trailing zeros leave each sum bitwise that of
     its series alone. The padding's deviations are zeroed before squaring.
-    The second differences of a 3-position window, a series shorter than 2,
-    are left out, so their sigma is 0 by definition.
+    A series shorter than 2 has sigma 0 by definition: with finite positions
+    a 3-position window's one second difference is its own mean, so its
+    deviation is exactly 0, and its divisor is held at 1.
     """
     z = np.asarray(stacks, dtype=float)
     if z.ndim != 3:
@@ -92,9 +93,7 @@ def dynamics_vectors(stacks: np.ndarray) -> np.ndarray:
     d1, d2 = finite_differences(z)
     n = len(z)
     block = np.zeros(z.shape + (3,))
-    block[..., 0], block[:-1, ..., 1] = z, d1
-    if n > MIN_WINDOW:
-        block[:-2, ..., 2] = d2
+    block[..., 0], block[:-1, ..., 1], block[:-2, ..., 2] = z, d1, d2
     counts = np.array([[n, n - 1, n - 2], [n - 1, n - 2, max(n - 3, 1)]], dtype=float)
     block -= block.sum(axis=0) / counts[0]
     block[-1:, ..., 1] = block[-2:, ..., 2] = 0.0

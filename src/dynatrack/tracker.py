@@ -7,6 +7,7 @@ as `Detections` columns and its tracks go out as one `FrameReport`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,16 +20,18 @@ from .errors import ContractViolationError, InputError, NumericalError
 # Exponential smoothing factor applied to elevation/yaw/dims on each match.
 AUX_SMOOTHING = 0.7
 
-# The numeric detection fields a track reports, as columns of one float
-# block: a scalar field is one column, a vector field a run of them. The
-# first SMOOTHED columns (elevation, yaw, dims) are smoothed over a track's
-# matches; the others (score, bbox2d), like the `obj_type` label, are passed
-# on from the last match. NUMERIC holds one detection's shape of each field.
-REPORTED = {"elevation": 0, "yaw": 1, "dims": slice(2, 5), "score": 5,
-            "bbox2d": slice(6, 10)}
-SMOOTHED, REPORTED_WIDTH = 5, 10
-NUMERIC = {"position": (flt.GROUND_AXES,), "elevation": (), "yaw": (), "dims": (3,),
-           "score": (), "bbox2d": (4,)}
+# Numeric detection fields a track reports, with the shape of one
+# detection's value: smoothed over its matches, or passed on from the last
+# match. The `obj_type` label is passed on too. A bank keeps them as columns
+# of one float block; REPORTED holds each field's column, or run of columns.
+SMOOTHED = {"elevation": (), "yaw": (), "dims": (3,)}
+PASSED = {"score": (), "bbox2d": (4,)}
+_FIELDS = {**SMOOTHED, **PASSED}
+NUMERIC = {"position": (flt.GROUND_AXES,), **_FIELDS}
+_ENDS = np.cumsum([math.prod(shape) for shape in _FIELDS.values()]).tolist()
+REPORTED = {name: slice(end - math.prod(shape), end) if shape else end - 1
+            for (name, shape), end in zip(_FIELDS.items(), _ENDS)}
+SMOOTHED_WIDTH, REPORTED_WIDTH = _ENDS[len(SMOOTHED) - 1], _ENDS[-1]
 
 
 # Rows of an array of two or more dimensions are gathered with
@@ -228,8 +231,7 @@ def component_assignment(rows, cols, cost, fill):
         for i, j in enumerate(_shortest_augmenting_paths(block)):
             if pair_at[i][j] >= 0:
                 matched.append(pair_at[i][j])
-    kept = np.concatenate([lone.nonzero()[0],
-                           shared[np.array(matched, dtype=np.intp)]])
+    kept = np.concatenate([lone.nonzero()[0], shared[np.array(matched, dtype=np.intp)]])
     kept.sort()
     return kept
 
@@ -476,8 +478,7 @@ class FrameReport:
     """The confirmed and coasting tracks after one step, as columns.
 
     Rows are in bank order, which is ascending id. `status` holds indices
-    into STATUSES; the REPORTED columns are shaped as in `Detections`, as
-    views of one block taken from the bank.
+    into STATUSES; the REPORTED columns, views of one block, are shaped as in `Detections`.
     """
 
     frame: int
@@ -621,8 +622,8 @@ class MultiObjectTracker:
         """Count a match of `rows`, smoothing their matched `reported` rows in place."""
         bank = self.bank
         a = AUX_SMOOTHING
-        reported[:, :SMOOTHED] = (a * reported[:, :SMOOTHED] + (1.0 - a)
-                                  * bank.reported.take(rows, axis=0)[:, :SMOOTHED])
+        previous = (1.0 - a) * bank.reported.take(rows, axis=0)[:, :SMOOTHED_WIDTH]
+        reported[:, :SMOOTHED_WIDTH] = a * reported[:, :SMOOTHED_WIDTH] + previous
         bank.reported[rows] = reported
         bank.obj_type[rows] = obj_type
         bank.hits[rows] += 1
