@@ -5,13 +5,15 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import config as cfg_mod
-from . import kitti_io, metrics, occlusion, synth
+from . import kitti_io
 from .errors import ConfigurationError, DynatrackError
 from .tracker import MultiObjectTracker
+
+# The commands that score, occlude or synthesise import those modules
+# themselves, so that `track` starts without them.
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -84,9 +86,13 @@ def cmd_track(args) -> int:
     cfg_mod.save_config(cfg, out_dir / "config_effective")
     paths = _sequence_paths(det_path)
     # Under fork the pool starts every worker up front, so never ask for more
-    # workers than there are sequences or CPUs.
-    jobs = min(max(1, args.jobs), len(paths), os.cpu_count() or 1)
+    # workers than there are sequences or CPUs this process may run on.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    jobs = min(max(1, args.jobs), len(paths), cpus or 1)
     if jobs > 1:
+        # Imported here: multiprocessing would add to every serial start-up.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_track_one, paths,
                                     [cfg] * len(paths), [out_dir] * len(paths)))
@@ -99,6 +105,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import occlusion, synth
     scenario_path = _require_file(args.scenario, "scenario file")
     spec = synth.load_scenario(scenario_path)
     out_dir = Path(args.output)
@@ -118,6 +125,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_occlude(args) -> int:
+    from . import occlusion
     det_path = _require_file(args.detections, "detections file")
     gt_path = _require_file(args.ground_truth, "ground-truth file")
     spec = occlusion.OcclusionSpec(kind=args.kind, start_after=args.start_after,
@@ -171,13 +179,13 @@ def _write_report(out_dir: Path, name: str, text: str, header: list, rows):
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics
     _check_threshold(args.threshold)
     gt_path = _require_file(args.ground_truth, "ground-truth file")
     hyp_path = _require_file(args.hypotheses, "track file")
     gt = kitti_io.parse_annotations(gt_path)
     hyp = kitti_io.parse_tracks(hyp_path)
-    mot = metrics.clearmot(gt, hyp, threshold=args.threshold)
-    ids = metrics.idf1(gt, hyp, threshold=args.threshold)
+    mot, ids = metrics.score(gt, hyp, args.threshold)
     rows = _metric_rows(mot, ids)
     text = "\n".join(f"{key}: {value}" for key, value in rows)
     print(text)
@@ -188,6 +196,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import metrics
     _check_threshold(args.threshold)
     if args.warmup < 0:  # a negative slice start would keep only the last frames
         raise _Usage(f"--warmup must be >= 0, got {args.warmup}")
@@ -204,8 +213,7 @@ def cmd_compare(args) -> int:
     dynamic_cfg = cfg.replace(dynamics_enabled=True)
     latency = metrics.measure_latency(frames, baseline_cfg, dynamic_cfg,
                                       warmup=args.warmup)
-    scores = [(metrics.clearmot(gt, per_frame, threshold=args.threshold),
-               metrics.idf1(gt, per_frame, threshold=args.threshold))
+    scores = [metrics.score(gt, per_frame, args.threshold)
               for per_frame in (latency.baseline_reports,
                                 latency.dynamic_reports)]
     header = f"{'metric':<18}{'baseline':>14}{'dynamic':>14}"
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_occ = sub.add_parser("occlude", help="delete detection runs to simulate occlusion")
     p_occ.add_argument("detections")
     p_occ.add_argument("ground_truth")
-    p_occ.add_argument("--kind", choices=list(occlusion.OCCLUSION_KINDS),
+    p_occ.add_argument("--kind", choices=list(cfg_mod.OCCLUSION_KINDS),
                        default="mid")
     p_occ.add_argument("--start-after", type=int, default=35,
                        help="observations required before the cut")

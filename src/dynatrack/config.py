@@ -13,6 +13,10 @@ CONFIG_ENV_VAR = "DYNATRACK_CONFIG"
 
 VALID_ORDERS = (1, 2, 3)
 
+# Where `occlusion_cut` puts a cut; here so that the CLI can list them
+# without importing the occlusion simulator.
+OCCLUSION_KINDS = ("mid", "late")
+
 # Fewest positions a dynamics window may hold: two differences need three.
 MIN_WINDOW = 3
 # Most frames `transition_window` or `smoothing_window` may span, 100 s at

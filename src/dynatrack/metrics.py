@@ -142,25 +142,28 @@ def _last_of_id(ids, counts):
     return last
 
 
-def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
-    """CLEAR-MOT on center distance.
+class _ClearMotCounts:
+    """CLEAR-MOT counters on center distance, fed one `gated_chunks` chunk
+    at a time.
 
     Correspondences from the previous frame are kept while still within the
     threshold; the remainder is matched by min-distance assignment. A switch
     is counted when a ground-truth object's matched id changes relative to
-    its last known correspondence.
-
-    The in-gate pairs come from `gated_chunks`, one grouped call per
-    chunk of frames; the frame loop keeps only the carry-over, which
-    depends on the frame before, and the assignment of each frame's
+    its last known correspondence. The frame loop keeps only the carry-over,
+    which depends on the frame before, and the assignment of each frame's
     remaining pairs.
     """
-    fp = fn = idsw = gt_total = matches_total = 0
-    active: dict = {}      # gt id -> hyp id carried from the previous frame
-    last_match: dict = {}  # gt id -> most recent matched hyp id
-    for gids, g_counts, hids, h_counts, (rows, cols, dist) in gated_chunks(
-            gt, hyp, threshold):
-        gt_total += len(gids)
+
+    def __init__(self, threshold: float):
+        self.threshold = threshold
+        self.fp = self.fn = self.idsw = self.gt_total = self.matches = 0
+        self.active: dict = {}      # gt id -> hyp id carried from the previous frame
+        self.last_match: dict = {}  # gt id -> most recent matched hyp id
+
+    def add(self, gids, g_counts, hids, h_counts, pairs):
+        rows, cols, dist = pairs
+        last_match = self.last_match
+        self.gt_total += len(gids)
         p_end = np.searchsorted(rows, np.cumsum(g_counts))
         # A pair carries a correspondence over only through the last row of
         # its hyp id in the frame, as the carried id's row is looked up by id.
@@ -174,7 +177,8 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
             used = set()
             for k in range(p0, p1):   # carried over while still in the gate
                 hid = pair_hid[k]
-                if carries[k] and active.get(pair_gid[k]) == hid and hid not in used:
+                if carries[k] and self.active.get(pair_gid[k]) == hid \
+                        and hid not in used:
                     matched[pair_gid[k]] = hid
                     used.add(hid)
             rest = [k for k in range(p0, p1)
@@ -183,23 +187,80 @@ def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
                 for j in gated_candidates(
                         np.array([rows[k] - g0 for k in rest]),
                         np.array([cols[k] - h0 for k in rest]),
-                        np.array([dist[k] for k in rest]), threshold).tolist():
+                        np.array([dist[k] for k in rest]), self.threshold).tolist():
                     matched[pair_gid[rest[j]]] = pair_hid[rest[j]]
             for gid, hid in matched.items():
                 if gid in last_match and last_match[gid] != hid:
-                    idsw += 1
+                    self.idsw += 1
                 last_match[gid] = hid
-            fn += n_g - len(matched)
-            fp += n_h - len(matched)
-            matches_total += len(matched)
-            active = matched
+            self.fn += n_g - len(matched)
+            self.fp += n_h - len(matched)
+            self.matches += len(matched)
+            self.active = matched
             g0, h0, p0 = g0 + n_g, h0 + n_h, p1
-    if gt_total == 0:
-        raise UndefinedMetricError("MOTA undefined: ground truth holds no objects")
-    mota = 1.0 - (fn + fp + idsw) / gt_total
-    return MotSummary(mota=mota, false_positives=fp, false_negatives=fn,
-                      id_switches=idsw, gt_total=gt_total,
-                      matches=matches_total, threshold=threshold)
+
+    def summary(self) -> MotSummary:
+        if self.gt_total == 0:
+            raise UndefinedMetricError("MOTA undefined: ground truth holds no objects")
+        mota = 1.0 - (self.fn + self.fp + self.idsw) / self.gt_total
+        return MotSummary(mota=mota, false_positives=self.fp,
+                          false_negatives=self.fn, id_switches=self.idsw,
+                          gt_total=self.gt_total, matches=self.matches,
+                          threshold=self.threshold)
+
+
+class _IdCounts:
+    """Identity counters, fed one `gated_chunks` chunk at a time: each
+    chunk's overlapping (gt id, hyp id) pairs, one per frame in which the
+    two are in the gate, and the row totals of both sides."""
+
+    def __init__(self, threshold: float):
+        self.threshold = threshold
+        self.total_gt = self.total_hyp = 0
+        self.pair_gid = [np.zeros(0, dtype=np.int64)]
+        self.pair_hid = [np.zeros(0, dtype=np.int64)]
+
+    def add(self, gids, g_counts, hids, h_counts, pairs):
+        rows, cols, _ = pairs
+        self.total_gt += len(gids)
+        self.total_hyp += len(hids)
+        self.pair_gid.append(gids.take(rows))
+        self.pair_hid.append(hids.take(cols))
+
+    def summary(self) -> IdSummary:
+        # Ids as their ranks, and an overlapping pair as one integer key; the
+        # keys sort as the (gt id, hyp id) pairs do.
+        g_at = np.unique(np.concatenate(self.pair_gid), return_inverse=True)[1]
+        h_ids, h_at = np.unique(np.concatenate(self.pair_hid), return_inverse=True)
+        stride = max(len(h_ids), 1)
+        overlap, counts = np.unique(g_at * stride + h_at, return_counts=True)
+        matched = component_assignment(overlap // stride, overlap % stride,
+                                       -counts, lambda shape: 0.0)
+        total_gt, total_hyp = self.total_gt, self.total_hyp
+        idtp = int(counts[matched].sum())
+        idfn = total_gt - idtp
+        idfp = total_hyp - idtp
+        denom = 2 * idtp + idfp + idfn
+        return IdSummary(idf1=(2 * idtp / denom) if denom else 0.0,
+                         idp=idtp / total_hyp if total_hyp else 0.0,
+                         idr=idtp / total_gt if total_gt else 0.0,
+                         idtp=idtp, idfp=idfp, idfn=idfn,
+                         threshold=self.threshold)
+
+
+def _walk(gt, hyp, threshold: float, counters) -> tuple:
+    """Feed every chunk of one `gated_chunks` walk to each counter in turn;
+    their summaries, in order."""
+    for chunk in gated_chunks(gt, hyp, threshold):
+        for counter in counters:
+            counter.add(*chunk)
+    return tuple(counter.summary() for counter in counters)
+
+
+def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
+    """CLEAR-MOT on center distance, counted by `_ClearMotCounts` over the
+    in-gate pairs of `gated_chunks`, one grouped call per chunk of frames."""
+    return _walk(gt, hyp, threshold, [_ClearMotCounts(threshold)])[0]
 
 
 def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
@@ -213,30 +274,15 @@ def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
     component spanning more than `tracker.MAX_CONTESTED_CELLS` cells raises
     InputError.
     """
-    total_gt = total_hyp = 0
-    pair_gid, pair_hid = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for gids, _, hids, _, (rows, cols, _) in gated_chunks(gt, hyp, threshold):
-        total_gt += len(gids)
-        total_hyp += len(hids)
-        pair_gid.append(gids.take(rows))
-        pair_hid.append(hids.take(cols))
-    # Ids as their ranks, and an overlapping pair as one integer key; the
-    # keys sort as the (gt id, hyp id) pairs do.
-    g_at = np.unique(np.concatenate(pair_gid), return_inverse=True)[1]
-    h_ids, h_at = np.unique(np.concatenate(pair_hid), return_inverse=True)
-    stride = max(len(h_ids), 1)
-    overlap, counts = np.unique(g_at * stride + h_at, return_counts=True)
-    matched = component_assignment(overlap // stride, overlap % stride, -counts,
-                                   lambda shape: 0.0)
-    idtp = int(counts[matched].sum())
-    idfn = total_gt - idtp
-    idfp = total_hyp - idtp
-    denom = 2 * idtp + idfp + idfn
-    score = (2 * idtp / denom) if denom else 0.0
-    idp = idtp / total_hyp if total_hyp else 0.0
-    idr = idtp / total_gt if total_gt else 0.0
-    return IdSummary(idf1=score, idp=idp, idr=idr, idtp=idtp, idfp=idfp,
-                     idfn=idfn, threshold=threshold)
+    return _walk(gt, hyp, threshold, [_IdCounts(threshold)])[0]
+
+
+def score(gt, hyp, threshold: float = 2.0) -> tuple[MotSummary, IdSummary]:
+    """(`clearmot`, `idf1`) of the pair from one walk of `gated_chunks`, so
+    each chunk is stacked and gated once for both scores. Errors are those
+    of `clearmot` first, then those of `idf1`."""
+    return _walk(gt, hyp, threshold,
+                 [_ClearMotCounts(threshold), _IdCounts(threshold)])
 
 
 def measure_latency(frames, baseline_cfg, dynamic_cfg,

@@ -5,13 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_kind, require
+from .config import OCCLUSION_KINDS, check_kind, require
 from .errors import InputError
 from .kitti_io import SequenceDataset, as_labels
 from .metrics import gated_chunks
 from .tracker import gated_candidates
-
-OCCLUSION_KINDS = ("mid", "late")
 
 
 @dataclass(frozen=True)

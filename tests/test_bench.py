@@ -1,4 +1,6 @@
 """Smoke runs of the checked-in benchmark against this checkout."""
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +33,16 @@ def test_bench_online_traced_run_is_correct(workload):
     result = _traced_run(workload)
     assert result.returncode == 0, result.stderr
     assert '"correct": true' in result.stdout
+
+
+def test_bench_untraced_run_times_cold_starts():
+    # Only an untraced run starts the fresh interpreters that `setup_s` times.
+    result = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "fleet_adaptive",
+         "--seed", "0", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["correct"] is True
+    setup_s = report["metrics"]["setup_s"]["value"]
+    assert setup_s is not None and math.isfinite(setup_s) and setup_s > 0

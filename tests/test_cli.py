@@ -1,8 +1,10 @@
 """CLI subcommands end to end: synth, occlude, track, evaluate, compare."""
+import concurrent.futures
 import contextlib
 import csv
 import io
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -216,14 +218,13 @@ def test_track_parallel_jobs_match_serial(scenario_dir, tmp_path):
             (parallel / "tracks" / name).read_text()
 
 
-@pytest.mark.parametrize("cpus,pools", [(2, [2]), (64, [3]), (None, [])])
-def test_track_jobs_clamped_to_sequences_and_cpus(scenario_dir, tmp_path,
-                                                  monkeypatch, cpus, pools):
+def _pool_sizes(scenario_dir, tmp_path, monkeypatch) -> list:
+    """Pool sizes `track --jobs 100000` asks for over three sequences, from a
+    fake executor patched into `concurrent.futures` that maps in this
+    process, so no process is started."""
     sizes = []
 
     class SerialPool:
-        """Records the requested pool size and maps in this process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -241,12 +242,30 @@ def test_track_jobs_clamped_to_sequences_and_cpus(scenario_dir, tmp_path,
     text = (scenario_dir / "detections.txt").read_text()
     for name in ("0000.txt", "0001.txt", "0002.txt"):
         (seq_dir / name).write_text(text)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     assert cli.main(["track", str(seq_dir), "--output", str(tmp_path / "run"),
                      "--jobs", "100000"]) == 0
-    assert sizes == pools
     assert (tmp_path / "run" / "tracks" / "0002.txt").exists()
+    return sizes
+
+
+@pytest.mark.parametrize("cpus,pools", [(2, [2]), (64, [3]), (None, [])])
+def test_track_jobs_clamped_to_sequences_and_cpus(scenario_dir, tmp_path,
+                                                  monkeypatch, cpus, pools):
+    # Where the platform has no affinity mask, the CPU count caps the pool.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _pool_sizes(scenario_dir, tmp_path, monkeypatch) == pools
+
+
+@pytest.mark.parametrize("usable,pools", [(1, []), (2, [2]), (8, [3])])
+def test_track_jobs_clamped_to_the_cpus_the_process_may_use(
+        scenario_dir, tmp_path, monkeypatch, usable, pools):
+    # The affinity mask, not the host's CPU count, caps the pool.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _pool_sizes(scenario_dir, tmp_path, monkeypatch) == pools
 
 
 def test_track_reads_config_file(scenario_dir, tmp_path):
@@ -374,6 +393,28 @@ def test_evaluate_prints_metrics(scenario_dir, capsys):
     assert "mota:" in report
     csv_text = (out / "reports" / "evaluation.csv").read_text()
     assert csv_text.startswith("metric,value")
+
+
+@pytest.mark.parametrize("command,walks", [("evaluate", 1), ("compare", 2)])
+def test_scoring_commands_gate_each_pair_once(scenario_dir, monkeypatch,
+                                              command, walks):
+    # One `gated_chunks` walk scores a pair for both CLEAR-MOT and IDF1:
+    # evaluate scores one pair, compare one per configuration.
+    out = scenario_dir / "run"
+    assert cli.main(["track", str(scenario_dir / "detections.txt"),
+                     "--output", str(out), "--min-hits", "1"]) == 0
+    calls = []
+    gated_chunks = metrics.gated_chunks
+
+    def counting(*args):
+        calls.append(args)
+        return gated_chunks(*args)
+
+    monkeypatch.setattr(metrics, "gated_chunks", counting)
+    inputs = {"evaluate": [scenario_dir / "gt.txt", out / "tracks" / "detections.txt"],
+              "compare": [scenario_dir / "detections.txt", scenario_dir / "gt.txt"]}
+    assert cli.main([command, *map(str, inputs[command])]) == 0
+    assert len(calls) == walks
 
 
 def test_evaluate_empty_gt_exits_one(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""The package's third-party surface, read from its source with `ast` and
-from a fresh interpreter's loaded modules."""
+"""The package's import surface: its third-party imports, read from its
+source with `ast`, and the modules a fresh interpreter loads for each use."""
 import ast
 import os
 import subprocess
@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import dynatrack
+
+from helpers import python_stdout
 
 SOURCE = Path(dynatrack.__file__).parent
 
@@ -71,3 +73,56 @@ def test_importing_the_package_loads_no_yaml_and_bad_yaml_still_fails(tmp_path):
                           text=True, timeout=60, check=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.stdout.startswith("config error:")
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden" / "seq8x60.txt"
+
+
+def _loaded(names) -> str:
+    """Code that prints which of `names`, or of their submodules, are loaded."""
+    return ("import sys\n"
+            "print(sorted(m for m in sys.modules if any(\n"
+            f"    m == n or m.startswith(n + '.') for n in {names!r})))\n")
+
+
+def test_building_a_tracker_loads_no_io_scoring_occlusion_or_synthesis():
+    code = ("from dynatrack.config import RunConfig\n"
+            "from dynatrack.tracker import MultiObjectTracker\n"
+            "MultiObjectTracker(RunConfig())\n"
+            + _loaded(("dynatrack.kitti_io", "dynatrack.metrics",
+                       "dynatrack.occlusion", "dynatrack.synth", "yaml",
+                       "multiprocessing")))
+    assert python_stdout(code) == "[]\n"
+
+
+def test_serial_track_loads_no_synthesis_and_no_process_pool(tmp_path):
+    code = ("from dynatrack import cli\n"
+            f"assert cli.main(['track', {str(GOLDEN)!r}, '--jobs', '1',\n"
+            f"                 '--output', {str(tmp_path)!r}]) == 0\n"
+            + _loaded(("dynatrack.synth", "multiprocessing")))
+    assert python_stdout(code).splitlines()[-1] == "[]"
+    assert (tmp_path / "tracks" / GOLDEN.name).is_file()
+
+
+_EVERY_EXPORT = """
+import sys
+import dynatrack
+assert [m for m in sys.modules if m.startswith("dynatrack.")] == []
+star = {}
+exec("from dynatrack import *", star)
+for name in dynatrack.__all__:
+    value = getattr(dynatrack, name)
+    assert star[name] is value, name
+    if name != "__version__":
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert getattr(dynatrack, value.__module__.split(".")[1]) \\
+            is sys.modules[value.__module__], name
+assert set(dynatrack.__all__) <= set(dir(dynatrack))
+assert not hasattr(dynatrack, "no_such_name")
+print(len(dynatrack.__all__))
+"""
+
+
+def test_every_exported_name_is_its_submodules_object_and_star_binds_it():
+    # In a new interpreter, so that every name resolves on first use.
+    assert python_stdout(_EVERY_EXPORT) == f"{len(dynatrack.__all__)}\n"

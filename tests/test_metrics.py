@@ -262,10 +262,12 @@ def test_sequence_scores_match_reference_across_empty_and_one_sided_frames(
     with mock.patch.object(metrics, "GATE_CHUNK_POINTS", budget):
         got_id = idf1(gt, hyp, threshold)
         got = clearmot(gt, hyp, threshold) if any(gt) else None
+        both = metrics.score(gt, hyp, threshold) if any(gt) else None
     ref_id = reference_idf1(gt, hyp, threshold)
     assert (got_id.idtp, got_id.idfp, got_id.idfn) == \
         (ref_id["idtp"], ref_id["idfp"], ref_id["idfn"])
     if got is not None:
+        assert both == (got, got_id)
         ref = reference_clearmot(gt, hyp, threshold)
         assert (got.false_positives, got.false_negatives, got.id_switches,
                 got.gt_total, got.matches) == \
@@ -303,6 +305,37 @@ def test_gated_chunks_equal_one_in_gate_call_per_frame(budget, monkeypatch):
     assert got[:2] == want[:2]
     assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
     assert len(got[0]) > 100
+
+
+@pytest.mark.parametrize("budget", [1, 20, metrics.GATE_CHUNK_POINTS])
+def test_score_walks_the_pair_once_and_equals_both_scores(budget, monkeypatch):
+    monkeypatch.setattr(metrics, "GATE_CHUNK_POINTS", budget)
+    gt, hyp = random_tracking_scene(np.random.default_rng(5), n_objects=8,
+                                    n_frames=40)
+    # New hypothesis ids every 15 frames: switches across chunk boundaries.
+    hyp = [[(tid + 1000 * (f // 15), pos) for tid, pos in frame]
+           for f, frame in enumerate(hyp)]
+    walks = []
+    gated_chunks = metrics.gated_chunks
+
+    def counting(*args):
+        walks.append(args)
+        return gated_chunks(*args)
+
+    monkeypatch.setattr(metrics, "gated_chunks", counting)
+    both = metrics.score(gt, hyp, 1.5)
+    assert len(walks) == 1
+    assert both == (clearmot(gt, hyp, 1.5), idf1(gt, hyp, 1.5))
+    assert both[0].id_switches > 0 and 0 < both[1].idf1 < 1
+
+
+def test_score_raises_the_clearmot_error_first():
+    # Empty ground truth leaves MOTA undefined, as `clearmot` alone says,
+    # though IDF1 alone is defined.
+    hyp = _frames([(7, 0.0, 0.0)])
+    with pytest.raises(UndefinedMetricError, match="MOTA undefined"):
+        metrics.score([[]], hyp)
+    assert idf1([[]], hyp).idfp == 1
 
 
 @pytest.mark.parametrize("budget", [1, 50, metrics.GATE_CHUNK_POINTS])
@@ -436,6 +469,7 @@ dets = kio.SequenceDataset("long", frames(truth + rng.normal(0.0, 0.3, truth.sha
                                           None))
 before = peak()
 assert metrics.idf1(gt, hyp).idtp > 0
+assert metrics.score(gt, hyp)[0].matches > 0
 assert occlusion.occlude_dataset(dets, gt, occlusion.OcclusionSpec("mid", 35, 20))[1]
 print((peak() - before) / 2 ** 20)
 """
