@@ -142,11 +142,26 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(f"config file {path}: {exc}") from None
 
 
+def _yaml_scalar(value) -> str:
+    """A bool, int or finite float as PyYAML writes it: `true`/`false`, the
+    int's digits, or the float's repr in lower case with `.0` before an
+    exponent that has no point before it (`1.0e-09`), so it reads back as a
+    float."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    text = repr(value).lower()
+    return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+
+
 def save_config(cfg: RunConfig, path: str | Path):
-    """Write the config as a flat key-value YAML document (reloadable)."""
-    import yaml
-    Path(path).write_text(yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True),
-                          encoding="utf-8")
+    """Write the config as a flat key-value YAML document (reloadable), keys
+    sorted: the bytes `yaml.safe_dump(..., sort_keys=True)` writes, without
+    loading PyYAML."""
+    Path(path).write_text("".join(
+        f"{key}: {_yaml_scalar(value)}\n"
+        for key, value in sorted(dataclasses.asdict(cfg).items())), encoding="utf-8")
 
 
 def default_config_path() -> str | None:

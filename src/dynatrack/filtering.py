@@ -11,7 +11,9 @@ noise, so the axes never correlate and each runs its own n-state filter
 with a scalar innovation. Only positions are measured; the weighted
 prediction step rescales each kinematic contribution before it is
 propagated. `predict`, `update` and `post_measurement` take one state or a
-stack of states with leading batch axes, through the same code.
+stack of states with leading batch axes, through the same code. A
+covariance may also be one `(1, U)` block that every axis shares, filtered
+once and broadcast against the mean's axes.
 """
 from __future__ import annotations
 
@@ -45,8 +47,8 @@ class NoiseModel:
 
 @dataclass
 class StateEstimate:
-    """One state, `mean (axes, n)` and packed `cov (axes, U)`, or a stack of
-    states with the same leading batch axes on both."""
+    """One state, `mean (axes, n)` and packed `cov (axes, U)` or `(1, U)`,
+    or a stack of states with the same leading batch axes on both."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -110,6 +112,11 @@ def _check_indices(n: int):
     return PACKED_INDICES[n]
 
 
+def _cov_fits(cov: np.ndarray, mean: np.ndarray, size: int) -> bool:
+    """Whether `cov` holds a block of `size` per axis of `mean`, or one shared."""
+    return cov.shape in (mean.shape[:-1] + (size,), mean.shape[:-2] + (1, size))
+
+
 @dataclass(frozen=True)
 class Transition:
     """One axis's transition `F (n, n)` with its action on packed covariances:
@@ -144,11 +151,12 @@ def predict(est: StateEstimate, transition: Transition, weights,
     for the unweighted step (W = I), which skips the rescaling. W P W
     scales packed entry (i, j) by w_i w_j, and F acts on the packed entries
     through `M`, so each product is one 2-D matrix multiply over the whole
-    stack. A diagonal of exact ones gives bitwise the unweighted step.
+    stack. A diagonal of exact ones gives bitwise the unweighted step. A
+    shared covariance stays shared unless weights are given.
     """
     F, M = transition.F, transition.M
     n, size = len(F), len(M)
-    if est.mean.shape[-1:] != (n,) or est.cov.shape != est.mean.shape[:-1] + (size,):
+    if est.mean.shape[-1:] != (n,) or not _cov_fits(est.cov, est.mean, size):
         raise ContractViolationError(
             f"state {est.mean.shape} with covariance {est.cov.shape} does not "
             f"match transition {F.shape}")
@@ -164,7 +172,12 @@ def predict(est: StateEstimate, transition: Transition, weights,
         I, J = PACKED_INDICES[n]
         mean, P = mean * W, P * (W[..., I] * W[..., J])
     mean = (mean.reshape(-1, n) @ F.T).reshape(est.mean.shape)
-    cov = (P.reshape(-1, size) @ M).reshape(est.cov.shape) + noise.Q
+    # numpy multiplies a lone row by gemv, which rounds differently from the
+    # gemm that two or more rows get, so a lone row goes as two: one shared
+    # covariance then gets the bits of each block of a per-axis pair.
+    stack = P.reshape(-1, size)
+    product = (stack if len(stack) != 1 else stack.repeat(2, axis=0)) @ M
+    cov = product[:len(stack)].reshape(P.shape) + noise.Q
     return StateEstimate(mean=mean, cov=cov)
 
 
@@ -175,25 +188,26 @@ def update(pred: StateEstimate, z: np.ndarray, noise: NoiseModel, labels=None):
     matching `pred`. Each axis has the scalar innovation variance
     `s = P[0, 0] + R` and the gain `K = P[:, 0] / s` (Bar-Shalom, Li &
     Kirubarajan, 2001); P[0, :] is the first n packed entries. Returns
-    (posterior, gain (..., axes, n), residual (..., axes)). Raises
+    (posterior, gain (..., axes, n), residual (..., axes)); a shared
+    covariance stays shared, and its gain is `(..., 1, n)`. Raises
     NumericalError if any `s` is not finite and positive; `s >= R > 0` for
     every finite positive semi-definite covariance. The error names the
     first such state of the flattened stack as `track <label>` by its entry
-    in `labels`, one per state, or else as `row <index>`.
+    in `labels`, one per state, or else as `row <index>`, and its `s` per axis.
     """
     z = np.asarray(z, dtype=float)
     mean, P = pred.mean, pred.cov
     n = mean.shape[-1]
     I, J = _check_indices(n)
-    if P.shape != mean.shape[:-1] + (len(I),) or z.shape != mean.shape[:-1]:
+    if not _cov_fits(P, mean, len(I)) or z.shape != mean.shape[:-1]:
         raise ContractViolationError(
             f"measurement {z.shape} does not match state {mean.shape} with "
             f"covariance {P.shape}")
     s = P[..., 0] + noise.R
     bad = ~(np.isfinite(s) & (s > 0))
     if bad.any():
-        flat = s.reshape(-1, s.shape[-1])
-        row = int(np.argmax(bad.reshape(flat.shape).any(axis=1)))
+        flat = np.broadcast_to(s, z.shape).reshape(-1, z.shape[-1])
+        row = int(np.argmax(bad.reshape(len(flat), -1).any(axis=1)))
         name = f"row {row}" if labels is None else f"track {np.ravel(labels)[row]}"
         raise NumericalError(f"{name}: innovation variance {flat[row].tolist()} "
                              f"is not finite and positive")
@@ -202,15 +216,24 @@ def update(pred: StateEstimate, z: np.ndarray, noise: NoiseModel, labels=None):
     residual = z - mean[..., 0]
     # Joseph form A P A^T + R K K^T with A = I - K e0^T, expanded: P e0 = p
     # and e0^T P e0 + R = s, so entry (i, j) is
-    # P_ij - K_i p_j - p_i K_j + s K_i K_j.
+    # P_ij - K_i p_j - p_i K_j + s K_i K_j, summed left to right in reused
+    # temporaries (products commute bitwise).
     KI, KJ = K[..., I], K[..., J]
-    cov = P - KI * p[..., J] - p[..., I] * KJ + s[..., None] * (KI * KJ)
+    cov = p[..., J]
+    cov *= KI
+    np.subtract(P, cov, out=cov)
+    term = p[..., I]
+    term *= KJ
+    cov -= term
+    KI *= KJ
+    KI *= s[..., None]
+    cov += KI
     return StateEstimate(mean=mean + K * residual[..., None], cov=cov), K, residual
 
 
 def post_measurement(z: np.ndarray, K: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """Cleaned position: the gained share of the innovation is removed from z.
 
-    Batches like `update`: z (..., axes), K (..., axes, n), residual (..., axes).
+    Batches like `update`: z (..., axes), K (..., axes or 1, n), residual (..., axes).
     """
     return z - K[..., 0] * residual

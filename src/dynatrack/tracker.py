@@ -393,8 +393,9 @@ class TrackBank:
     """Every live track's state as one row of stacked arrays.
 
     Filter: one filter per ground axis, `mean (N, axes, n)` and
-    `cov (N, axes, U)` with n = model_order + 1, each axis's covariance
-    packed as its U = n(n+1)/2 unique entries (see `filtering`), and the smoothed
+    `cov (N, cov_axes, U)` with n = model_order + 1, each covariance
+    packed as its U = n(n+1)/2 unique entries (see `filtering`): one per
+    axis, or, with `cov_axes` 1, one that both axes share; and the smoothed
     `weights (N, axes, 4)`, whose first n columns predict applies (exact
     ones from birth until the window supports an estimate, and always with
     dynamics off, where the tracker predicts unweighted instead). Dynamics:
@@ -413,12 +414,12 @@ class TrackBank:
     FIELDS = ("ids", "mean", "cov", "weights", "ring", "hits", "misses",
               "reported", "obj_type")
 
-    def __init__(self, n: int, window: int, smoothing: int):
+    def __init__(self, n: int, window: int, smoothing: int, cov_axes: int):
         weights = (flt.GROUND_AXES, dyn.WEIGHT_COLUMNS)
         self.window = dyn.DynamicsWindow(window, flt.GROUND_AXES)
         self.ids = np.zeros(0, dtype=np.int64)
         self.mean = np.zeros((0, flt.GROUND_AXES, n))
-        self.cov = np.zeros((0, flt.GROUND_AXES, n * (n + 1) // 2))
+        self.cov = np.zeros((0, cov_axes, n * (n + 1) // 2))
         self.weights = np.zeros((0,) + weights)
         self.ring = np.zeros((0, smoothing) + weights)
         self.hits = np.zeros(0, dtype=np.intp)
@@ -567,9 +568,13 @@ class MultiObjectTracker:
         self._factors = dyn.dynamics_factors(
             cfg.factor_velocity, cfg.factor_acceleration, cfg.factor_jerk)
         # With dynamics off nothing reads the window or the ring, so the bank
-        # carries them at zero capacity.
-        self.bank = (TrackBank(order + 1, cfg.transition_window, cfg.smoothing_window)
-                     if cfg.dynamics_enabled else TrackBank(order + 1, 0, 0))
+        # carries them at zero capacity. Both axes then share F, Q, R, the
+        # birth covariance and the frames they are updated on, and the
+        # covariance recursion never reads a measurement, so their
+        # covariances are equal bit for bit and the bank keeps one.
+        self.bank = (TrackBank(order + 1, cfg.transition_window, cfg.smoothing_window,
+                               flt.GROUND_AXES)
+                     if cfg.dynamics_enabled else TrackBank(order + 1, 0, 0, 1))
         self.frame: int | None = None
         self.births = 0    # tracks started so far; the next id is births + 1
         self.trajectory: list[tuple] = []
@@ -638,7 +643,7 @@ class MultiObjectTracker:
         est = flt.initial_estimate(z, cfg.model_order, cfg.measurement_noise)
         return dict(
             ids=np.arange(self.births + 1, self.births + 1 + k),
-            mean=est.mean, cov=est.cov,
+            mean=est.mean, cov=est.cov[:, :self.bank.cov.shape[1]],
             weights=np.ones((k,) + self.bank.weights.shape[1:]),
             ring=np.zeros((k,) + self.bank.ring.shape[1:]),
             hits=np.ones(k, dtype=np.intp),

@@ -1,15 +1,19 @@
 """Config defaults, validation messages, YAML round trip, override merging."""
+import dataclasses
 import math
 import re
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dynatrack
 
-from dynatrack.config import (FIELD_TYPES, MAX_WINDOW, RunConfig,
+from dynatrack.config import (FIELD_TYPES, MAX_WINDOW, VALID_ORDERS, RunConfig,
                               config_from_mapping, load_config, merge_overrides,
-                              save_config)
+                              min_support, save_config)
 from dynatrack.errors import ConfigurationError
 
 
@@ -123,6 +127,39 @@ def test_save_load_round_trip(tmp_path):
     cfg = RunConfig(model_order=2, factor_velocity=0.7, dynamics_enabled=False)
     path = tmp_path / "config.yaml"
     save_config(cfg, path)
+    assert load_config(path) == cfg
+
+
+# A positive number for a float key: any finite float, one of the spellings
+# whose repr has an exponent but no point, or an int.
+_POSITIVE = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.sampled_from([1e-9, 1e16, 5e-324, 1e300, 0.1]),
+    st.integers(1, 2 ** 53))
+
+
+@st.composite
+def _configs(draw):
+    order = draw(st.sampled_from(VALID_ORDERS))
+    return RunConfig(
+        model_order=order, dynamics_enabled=draw(st.booleans()),
+        transition_window=draw(st.integers(min_support(order), MAX_WINDOW)),
+        smoothing_window=draw(st.integers(1, MAX_WINDOW)),
+        min_hits=draw(st.integers(1, 10 ** 6)),
+        max_misses=draw(st.integers(0, 10 ** 6)),
+        **{key: draw(_POSITIVE) for key in (
+            "factor_velocity", "factor_acceleration", "factor_jerk",
+            "process_noise", "measurement_noise", "gate_distance", "dt")})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+@example(RunConfig(dt=1e-9, gate_distance=1e16, process_noise=2))
+def test_save_config_writes_the_bytes_pyyaml_writes(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("config") / "config_effective"
+    save_config(cfg, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True)
     assert load_config(path) == cfg
 
 

@@ -331,6 +331,48 @@ def test_predict_without_weights_equals_exact_ones_bitwise(step):
 
 
 @st.composite
+def _shared_states(draw):
+    """Stacks of 1, 2, 3 or 50 states at order 1-3, each with one packed
+    covariance, drawn from a seeded generator so that every entry rounds."""
+    order = draw(st.integers(1, 3))
+    n = order + 1
+    rows = draw(st.sampled_from([1, 2, 3, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.normal(size=(rows, 1, n, n)) * draw(st.sampled_from([1e-2, 1.0, 30.0]))
+    cov = pack(A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(n))
+    mean = rng.normal(scale=50.0, size=(rows, 2, n))
+    z = rng.normal(scale=50.0, size=(rows, 2))
+    return (mean, cov, z) + _model(draw, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shared_states())
+def test_shared_covariance_filters_bitwise_like_one_per_axis(state):
+    # A `(rows, 1, U)` covariance is the covariance of both axes: predict,
+    # update and post_measurement give the bits of the same call on it
+    # repeated over the axes, including for a lone state, whose one-row
+    # product numpy would otherwise round differently.
+    mean, shared, z, transition, noise = state
+    per_axis = shared.repeat(2, axis=1)
+
+    def same(one, both):
+        return np.broadcast_to(one, both.shape).tobytes() == both.tobytes()
+
+    a = flt.predict(flt.StateEstimate(mean, shared), transition, None, noise)
+    b = flt.predict(flt.StateEstimate(mean, per_axis), transition, None, noise)
+    assert a.cov.shape == shared.shape
+    assert same(a.mean, b.mean) and same(a.cov, b.cov)
+    a, gain_a, residual_a = flt.update(flt.StateEstimate(mean, shared), z, noise)
+    b, gain_b, residual_b = flt.update(flt.StateEstimate(mean, per_axis), z, noise)
+    assert a.cov.shape == shared.shape
+    assert gain_a.shape == shared.shape[:-1] + mean.shape[-1:]
+    assert same(a.mean, b.mean) and same(a.cov, b.cov)
+    assert same(gain_a, gain_b) and same(residual_a, residual_b)
+    assert same(flt.post_measurement(z, gain_a, residual_a),
+                flt.post_measurement(z, gain_b, residual_b))
+
+
+@st.composite
 def _runs(draw):
     """A few bank rows through a few steps at order 1-3.
 

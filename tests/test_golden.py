@@ -8,8 +8,11 @@ number to 1e-12 relative, so a numeric rewrite cannot drift unnoticed.
 
 `data/golden/bank_seq8x60.npz` holds the bank's state after every step of
 the same sequence with dynamics on, at model orders 1-3, so the weights,
-which amplify last-bit changes about 100 times, are checked too. Run this
-file as a script to write it again: `PYTHONPATH=src python
+which amplify last-bit changes about 100 times, are checked too;
+`data/golden/bank_off_seq8x60.npz` holds it with dynamics off, without the
+weights, which stay exact ones. Both store one covariance per ground axis,
+so a bank that keeps one covariance for both axes is compared broadcast to
+them. Run this file as a script to write both again: `PYTHONPATH=src python
 tests/test_golden.py`.
 """
 import math
@@ -24,8 +27,11 @@ from dynatrack.tracker import MultiObjectTracker
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 REL = 1e-12
-BANK = GOLDEN / "bank_seq8x60.npz"
-BANK_FIELDS = ("ids", "hits", "misses", "mean", "cov", "weights")
+# Dynamics on or off -> the bank fixture and the fields it holds.
+BANKS = {True: (GOLDEN / "bank_seq8x60.npz",
+                ("ids", "hits", "misses", "mean", "cov", "weights")),
+         False: (GOLDEN / "bank_off_seq8x60.npz",
+                 ("ids", "hits", "misses", "mean", "cov"))}
 EXACT_FIELDS = ("ids", "hits", "misses")
 ORDERS = (1, 2, 3)
 
@@ -60,44 +66,50 @@ def test_track_reproduces_golden_output(tmp_path, capsys, output, sep):
         assert not bad, f"line {line}, fields {bad}: {e} != {a}"
 
 
-def _bank_states(order: int) -> dict:
-    """The bank's BANK_FIELDS after every step of the golden sequence with
-    dynamics on at `order`, each as a list of one array per step."""
+def _bank_states(order: int, dynamics: bool) -> dict:
+    """The bank's fields, as its fixture holds them, after every step of the
+    golden sequence at `order`, each as a list of one array per step; the
+    covariance has one block per ground axis."""
     frames = kitti_io.measurements_from(
         kitti_io.parse_detections(GOLDEN / "seq8x60.txt"))
-    tracker = MultiObjectTracker(RunConfig(model_order=order, dynamics_enabled=True))
-    states = {name: [] for name in BANK_FIELDS}
+    tracker = MultiObjectTracker(RunConfig(model_order=order,
+                                           dynamics_enabled=dynamics))
+    states = {name: [] for name in BANKS[dynamics][1]}
     for frame, dets in enumerate(frames):
         tracker.step(frame, dets)
+        bank = tracker.bank
         for name, steps in states.items():
-            steps.append(getattr(tracker.bank, name).copy())
+            value = getattr(bank, name)
+            if name == "cov":
+                value = np.broadcast_to(value, bank.mean.shape[:-1] + value.shape[-1:])
+            steps.append(value.copy())
     return states
 
 
-def _write_bank_fixture():
+def _write_bank_fixture(dynamics: bool):
     """Store each order's states concatenated over the steps, with the row
     count of every step under `o<order>_rows`."""
     arrays = {}
     for order in ORDERS:
-        states = _bank_states(order)
+        states = _bank_states(order, dynamics)
         arrays[f"o{order}_rows"] = np.array([len(ids) for ids in states["ids"]])
         for name, steps in states.items():
             arrays[f"o{order}_{name}"] = np.concatenate(steps)
-    np.savez_compressed(BANK, **arrays)
+    np.savez_compressed(BANKS[dynamics][0], **arrays)
 
 
-@pytest.mark.parametrize("order", ORDERS)
-def test_bank_state_reproduces_golden_fixture(order):
-    # Ids and counters match exactly; each step's mean, packed covariance
-    # and weights match within REL of that block's largest entry.
-    with np.load(BANK) as fixture:
+def _check_bank(order: int, dynamics: bool):
+    # Ids and counters match exactly; each step's mean, per-axis packed
+    # covariance and weights match within REL of that block's largest entry.
+    path, fields = BANKS[dynamics]
+    with np.load(path) as fixture:
         expected = {name: np.split(fixture[f"o{order}_{name}"],
                                    np.cumsum(fixture[f"o{order}_rows"])[:-1])
-                    for name in BANK_FIELDS}
-    actual = _bank_states(order)
+                    for name in fields}
+    actual = _bank_states(order, dynamics)
     assert len(actual["ids"]) == len(expected["ids"])
     for step in range(len(expected["ids"])):
-        for name in BANK_FIELDS:
+        for name in fields:
             e, a = expected[name][step], actual[name][step]
             assert a.shape == e.shape, f"step {step} {name}"
             if name in EXACT_FIELDS:
@@ -107,5 +119,16 @@ def test_bank_state_reproduces_golden_fixture(order):
                 assert drift <= REL * np.abs(e).max(), f"step {step} {name}: {drift:.3g}"
 
 
+@pytest.mark.parametrize("order", ORDERS)
+def test_bank_state_reproduces_golden_fixture(order):
+    _check_bank(order, dynamics=True)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_dynamics_off_bank_state_reproduces_golden_fixture(order):
+    _check_bank(order, dynamics=False)
+
+
 if __name__ == "__main__":
-    _write_bank_fixture()
+    for dynamics in BANKS:
+        _write_bank_fixture(dynamics)

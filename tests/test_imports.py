@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import dynatrack
+from dynatrack.config import RunConfig, load_config
 
 from helpers import python_stdout
 
@@ -102,6 +103,18 @@ def test_serial_track_loads_no_synthesis_and_no_process_pool(tmp_path):
             + _loaded(("dynatrack.synth", "multiprocessing")))
     assert python_stdout(code).splitlines()[-1] == "[]"
     assert (tmp_path / "tracks" / GOLDEN.name).is_file()
+
+
+def test_track_writes_its_effective_config_without_yaml(tmp_path):
+    # `config_effective` is written without PyYAML, and reads back as the
+    # config the run used.
+    code = ("from dynatrack import cli\n"
+            f"assert cli.main(['track', {str(GOLDEN)!r}, '--jobs', '1',\n"
+            f"                 '--dynamics-enabled', 'false',\n"
+            f"                 '--output', {str(tmp_path)!r}]) == 0\n"
+            + _loaded(("yaml",)))
+    assert python_stdout(code, DYNATRACK_CONFIG="").splitlines()[-1] == "[]"
+    assert load_config(tmp_path / "config_effective") == RunConfig(dynamics_enabled=False)
 
 
 _EVERY_EXPORT = """

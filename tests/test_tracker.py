@@ -509,8 +509,9 @@ def _state(tracker):
             tracker.frame, tracker.births, trajectory)
 
 
-def _three_track_tracker():
-    tracker = MultiObjectTracker(single_target_config(gate_distance=5.0),
+def _three_track_tracker(dynamics=True):
+    tracker = MultiObjectTracker(single_target_config(gate_distance=5.0,
+                                                      dynamics_enabled=dynamics),
                                  record_trajectories=True)
     for frame in range(4):
         tracker.step(frame, detections([(20.0 * k, 10.0 + 0.1 * frame)
@@ -587,6 +588,30 @@ def test_negative_innovation_variance_leaves_bank_unchanged():
     tracker.bank.cov[2, 0, 0] = -1e3   # packed P00 of the first axis
     before = _state(tracker)
     with pytest.raises(NumericalError, match="track 3: innovation variance"):
+        tracker.step(4, detections([(20.0 * k, 10.4) for k in range(3)]))
+    assert _state(tracker) == before
+
+
+def test_failed_update_with_dynamics_off_leaves_bank_unchanged():
+    # The bank keeps one covariance per track, so one innovation variance;
+    # the error still gives it per axis.
+    tracker = _three_track_tracker(dynamics=False)
+    assert tracker.bank.cov.shape == (3, 1, 10)
+    tracker.bank.cov[1] = np.nan
+    before = _state(tracker)
+    with pytest.raises(NumericalError,
+                       match=r"track 2: innovation variance \[nan, nan\]"):
+        tracker.step(4, detections([(20.0 * k, 10.4) for k in range(3)]))
+    assert _state(tracker) == before
+
+
+def test_negative_innovation_variance_with_dynamics_off_leaves_bank_unchanged():
+    # the shared position variance below -R: s < 0 on both axes
+    tracker = _three_track_tracker(dynamics=False)
+    tracker.bank.cov[2, 0, 0] = -1e3
+    before = _state(tracker)
+    with pytest.raises(NumericalError,
+                       match=r"track 3: innovation variance \[-\d+\.\d+, -\d+\.\d+\]"):
         tracker.step(4, detections([(20.0 * k, 10.4) for k in range(3)]))
     assert _state(tracker) == before
 
@@ -713,7 +738,8 @@ def _saw_whole_lifecycle(tracker, coasted):
 def test_dynamics_off_never_touches_window(monkeypatch):
     # Dynamics off carries no dynamics state: the window and ring keep zero
     # capacity and one row per track through births, matches, misses and
-    # deaths, every weight stays exactly one, and predict gets no weights.
+    # deaths, every weight stays exactly one, predict gets no weights and
+    # both axes share one covariance.
     # With dynamics on, predict gets each row's (axes, n) diagonal.
     seen = []
     real = flt.predict
@@ -735,6 +761,7 @@ def test_dynamics_off_never_touches_window(monkeypatch):
                 assert seen[-1] == (rows, 2, 4)
                 continue
             assert seen[-1] is None
+            assert bank.cov.shape == (len(bank), 1, 10)
             assert bank.window.positions.shape == (len(bank), 0, 2)
             assert bank.ring.shape == (len(bank), 0, 2, 4)
             assert bank.weights.shape == (len(bank), 2, 4)
@@ -771,7 +798,8 @@ def test_saturated_factors_match_baseline_exactly():
     assert base_pred == sat_pred
     # The same over a scene with births, deaths, coasting and clutter at every
     # order: dynamics off predicts unweighted, saturated dynamics on with
-    # exact-one weights, and the two must agree bitwise after every step.
+    # exact-one weights, and the two must agree bitwise after every step;
+    # dynamics off keeps one covariance, which must equal every axis's.
     for order in (1, 2, 3):
         cfg = RunConfig(model_order=order, max_misses=1)
         base = MultiObjectTracker(cfg.replace(dynamics_enabled=False))
@@ -783,7 +811,8 @@ def test_saturated_factors_match_baseline_exactly():
             assert b.ids.tobytes() == s.ids.tobytes()
             assert b.position.tobytes() == s.position.tobytes()
             assert base.bank.mean.tobytes() == sat.bank.mean.tobytes()
-            assert base.bank.cov.tobytes() == sat.bank.cov.tobytes()
+            shared = np.broadcast_to(base.bank.cov, sat.bank.cov.shape)
+            assert shared.tobytes() == sat.bank.cov.tobytes()
             coasted |= bool(base.bank.misses.any())
         assert _saw_whole_lifecycle(base, coasted)
 
