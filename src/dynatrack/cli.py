@@ -78,6 +78,8 @@ def _track_one(det_path: Path, cfg: cfg_mod.RunConfig, out_dir: Path):
 
 
 def cmd_track(args) -> int:
+    if args.jobs < 1:
+        raise _Usage(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _resolve_config(args)
     det_path = _require_file(args.detections, "detections file")
     out_dir = Path(args.output)
@@ -89,7 +91,7 @@ def cmd_track(args) -> int:
     # workers than there are sequences or CPUs this process may run on.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
-    jobs = min(max(1, args.jobs), len(paths), cpus or 1)
+    jobs = min(args.jobs, len(paths), cpus or 1)
     if jobs > 1:
         # Imported here: multiprocessing would add to every serial start-up.
         from concurrent.futures import ProcessPoolExecutor
@@ -275,14 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="observations required before the cut")
     p_occ.add_argument("--length", type=int, default=20,
                        help="consecutive detections removed")
-    p_occ.add_argument("--match-threshold", type=float, default=2.0)
+    p_occ.add_argument("--match-threshold", type=float, default=cfg_mod.MATCH_DISTANCE)
     p_occ.add_argument("--output", required=True, help="occluded detections file")
     p_occ.set_defaults(func=cmd_occlude)
 
     p_eval = sub.add_parser("evaluate", help="score tracks against ground truth")
     p_eval.add_argument("ground_truth")
     p_eval.add_argument("hypotheses")
-    p_eval.add_argument("--threshold", type=float, default=2.0)
+    p_eval.add_argument("--threshold", type=float, default=cfg_mod.MATCH_DISTANCE)
     p_eval.add_argument("--output", default=None, help="directory for reports/")
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="baseline vs dynamic configuration side by side")
     p_cmp.add_argument("detections")
     p_cmp.add_argument("ground_truth")
-    p_cmp.add_argument("--threshold", type=float, default=2.0)
+    p_cmp.add_argument("--threshold", type=float, default=cfg_mod.MATCH_DISTANCE)
     p_cmp.add_argument("--warmup", type=int, default=10)
     p_cmp.add_argument("--output", default=None, help="directory for reports/")
     _add_config_flags(p_cmp)

@@ -13,6 +13,10 @@ CONFIG_ENV_VAR = "DYNATRACK_CONFIG"
 
 VALID_ORDERS = (1, 2, 3)
 
+# Ground-plane distance (m) within which a track or detection matches a
+# ground-truth object, for scoring and for the occlusion simulator alike.
+MATCH_DISTANCE = 2.0
+
 # Where `occlusion_cut` puts a cut; here so that the CLI can list them
 # without importing the occlusion simulator.
 OCCLUSION_KINDS = ("mid", "late")
@@ -131,15 +135,21 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     return RunConfig(**{key: _coerce(key, value) for key, value in mapping.items()})
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Load a flat key-value UTF-8 YAML config file; a malformed one, or bytes
-    that are not UTF-8, raise ConfigurationError."""
+def load_yaml(path: str | Path, what: str, build):
+    """`build` applied to the data of a UTF-8 YAML document; a malformed
+    document, bytes that are not UTF-8, or data `build` refuses raise
+    ConfigurationError "<what> file <path>: <reason>"."""
     import yaml   # here, so that importing the package does not load PyYAML
     try:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        return config_from_mapping({} if data is None else data)
-    except (ConfigurationError, yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"config file {path}: {exc}") from None
+        return build(yaml.safe_load(Path(path).read_text(encoding="utf-8")))
+    except (ConfigurationError, yaml.YAMLError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} file {path}: {exc}") from None
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Load a flat key-value YAML config file (`load_yaml`)."""
+    return load_yaml(path, "config", lambda data: config_from_mapping(
+        {} if data is None else data))
 
 
 def _yaml_scalar(value) -> str:

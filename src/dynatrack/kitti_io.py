@@ -136,12 +136,13 @@ def as_labels(frame) -> Labels:
 
 
 # The camera location columns of the ground plane's (lateral, longitudinal).
-GROUND_COLUMNS = [0, 2]
+GROUND_COLUMNS = slice(0, 3, 2)
 
 
 def ground_position(labels: Labels) -> np.ndarray:
-    """Ground-plane (lateral, longitudinal) rows `(n, 2)` from camera locations."""
-    return labels.location[:, GROUND_COLUMNS]
+    """Ground-plane (lateral, longitudinal) rows `(n, 2)` from camera
+    locations, as one C-contiguous copy: the tracker and scoring read it fastest."""
+    return labels.location[:, GROUND_COLUMNS].copy()
 
 
 def camera_location(position, elevation: float) -> tuple:

@@ -6,8 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MATCH_DISTANCE
 from .errors import InputError, UndefinedMetricError
-from .kitti_io import GROUND_COLUMNS, as_labels, ground_position
+from .kitti_io import as_labels, ground_position
 from .tracker import (FrameReport, MultiObjectTracker, component_assignment,
                       gated_candidates, in_gate)
 
@@ -53,19 +54,13 @@ class LatencyReport:
         return self.mean_dynamic_ms / self.mean_baseline_ms
 
 
-def _is_labels(frame) -> bool:
-    """Whether a frame is KITTI labels: not a `FrameReport` and not a list of
-    (id, position) pairs."""
-    return not isinstance(frame, FrameReport) and not (
-        isinstance(frame, list) and frame and isinstance(frame[0], tuple))
-
-
 def _frame_arrays(frame):
     """One frame as (ids, positions (n, 2)): from a `FrameReport`'s columns,
-    from a list of (id, position) pairs, or from id-bearing KITTI labels."""
+    from a list of (id, position) pairs, or from KITTI labels or records,
+    whose ids are None when they have none (detections)."""
     if isinstance(frame, FrameReport):
         return frame.ids, frame.position
-    if not _is_labels(frame):
+    if isinstance(frame, list) and frame and isinstance(frame[0], tuple):
         return (np.array([i for i, _ in frame], dtype=np.int64),
                 np.array([p for _, p in frame], dtype=float).reshape(len(frame), 2))
     labels = as_labels(frame)
@@ -74,17 +69,11 @@ def _frame_arrays(frame):
 
 def _stacked(frames):
     """Frames stacked in order, as (ids, positions (N, 2)); the ids are None
-    for labels that have none (detections)."""
-    if not all(map(_is_labels, frames)):   # so there is at least one frame
-        ids, positions = zip(*map(_frame_arrays, frames))
-        return np.concatenate(ids), np.concatenate(positions)
-    frames = list(map(as_labels, frames))
-    ids = [np.zeros(0, dtype=np.int64)] + [labels.track_id for labels in frames]
-    # One column selection over the stack, not one a frame.
-    location = np.concatenate([np.zeros((0, 3))]
-                              + [labels.location for labels in frames])
+    when any frame has none."""
+    ids, positions = zip((np.zeros(0, dtype=np.int64), np.zeros((0, 2))),
+                         *map(_frame_arrays, frames))
     return (None if any(i is None for i in ids) else np.concatenate(ids),
-            location[:, GROUND_COLUMNS])
+            np.concatenate(positions))
 
 
 # Most rows of either side in one chunk of `frame_chunks`. A sequence gated a
@@ -257,13 +246,13 @@ def _walk(gt, hyp, threshold: float, counters) -> tuple:
     return tuple(counter.summary() for counter in counters)
 
 
-def clearmot(gt, hyp, threshold: float = 2.0) -> MotSummary:
+def clearmot(gt, hyp, threshold: float = MATCH_DISTANCE) -> MotSummary:
     """CLEAR-MOT on center distance, counted by `_ClearMotCounts` over the
     in-gate pairs of `gated_chunks`, one grouped call per chunk of frames."""
     return _walk(gt, hyp, threshold, [_ClearMotCounts(threshold)])[0]
 
 
-def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
+def idf1(gt, hyp, threshold: float = MATCH_DISTANCE) -> IdSummary:
     """Identity scores from the globally optimal one-to-one id pairing.
 
     A (gt id, hyp id) pair gains one per frame in which the two are `in_gate`;
@@ -277,7 +266,8 @@ def idf1(gt, hyp, threshold: float = 2.0) -> IdSummary:
     return _walk(gt, hyp, threshold, [_IdCounts(threshold)])[0]
 
 
-def score(gt, hyp, threshold: float = 2.0) -> tuple[MotSummary, IdSummary]:
+def score(gt, hyp,
+          threshold: float = MATCH_DISTANCE) -> tuple[MotSummary, IdSummary]:
     """(`clearmot`, `idf1`) of the pair from one walk of `gated_chunks`, so
     each chunk is stacked and gated once for both scores. Errors are those
     of `clearmot` first, then those of `idf1`."""

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import OCCLUSION_KINDS, check_kind, require
+from .config import MATCH_DISTANCE, OCCLUSION_KINDS, check_kind, require
 from .errors import InputError
 from .kitti_io import SequenceDataset, as_labels
 from .metrics import gated_chunks
@@ -19,7 +19,7 @@ class OcclusionSpec:
     kind: str
     start_after: int       # minimum observations before an occlusion may begin
     length: int            # consecutive detections removed
-    match_threshold: float = 2.0
+    match_threshold: float = MATCH_DISTANCE
 
     def __post_init__(self):
         require(self.kind in OCCLUSION_KINDS, "kind",

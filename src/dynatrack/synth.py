@@ -7,12 +7,13 @@ still-active derivatives stay continuous across the boundary.
 """
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .config import check_kind, check_mapping, require
+from .config import check_kind, check_mapping, load_yaml, require
 from .errors import ConfigurationError
 from .kitti_io import (MAX_FRAME, DetectionRecord, GroundTruthRecord,
                        SequenceDataset, camera_location, is_word)
@@ -55,7 +56,7 @@ class RegimeSegment:
 @dataclass
 class ObjectSpec:
     initial_position: tuple
-    segments: list
+    segments: list[RegimeSegment]
     velocity: tuple = (0.0, 0.0)
     acceleration: tuple = (0.0, 0.0)
     jerk: tuple = (0.0, 0.0)
@@ -77,7 +78,7 @@ class ObjectSpec:
 
 @dataclass
 class ScenarioSpec:
-    objects: list
+    objects: list[ObjectSpec]
     dt: float = 0.1
     noise_sigma: float = 0.3
     seed: int = 0
@@ -169,54 +170,35 @@ def generate(spec: ScenarioSpec):
     return gt, dets
 
 
-def _segment_from_mapping(data) -> RegimeSegment:
-    check_mapping(data, ("kind", "duration", "value"), "segment")
-    return RegimeSegment(kind=data.get("kind", ""), duration=data.get("duration", 0),
-                         value=data.get("value"))
+# Scenario-file keys that differ from their spec field's name.
+_FILE_KEYS = {"initial_position": "initial", "obj_type": "type"}
 
 
-def _object_from_mapping(data) -> ObjectSpec:
-    check_mapping(data, ("initial", "velocity", "acceleration", "jerk", "segments",
-                         "dims", "elevation", "type"), "object")
-    if "initial" not in data or "segments" not in data:
-        raise ConfigurationError("each object needs 'initial' and 'segments'")
-    return ObjectSpec(
-        initial_position=data["initial"],
-        velocity=data.get("velocity", (0.0, 0.0)),
-        acceleration=data.get("acceleration", (0.0, 0.0)),
-        jerk=data.get("jerk", (0.0, 0.0)),
-        segments=[_segment_from_mapping(s) for s in data["segments"]],
-        dims=data.get("dims", DEFAULT_DIMS),
-        elevation=data.get("elevation", DEFAULT_ELEVATION),
-        obj_type=data.get("type", "Car"),
-    )
-
-
-def _scenario_from_mapping(data) -> ScenarioSpec:
-    check_mapping(data, ("dt", "noise_sigma", "seed", "objects", "occlusion"), "scenario")
-    occlusion = None
-    if data.get("occlusion") is not None:
-        occ = check_mapping(data["occlusion"], ("kind", "start_after", "length",
-                                                "match_threshold"), "occlusion")
-        occlusion = OcclusionSpec(kind=occ.get("kind", ""),
-                                  start_after=occ.get("start_after", 0),
-                                  length=occ.get("length", 0),
-                                  match_threshold=occ.get("match_threshold", 2.0))
-    return ScenarioSpec(
-        objects=[_object_from_mapping(o) for o in data.get("objects", [])],
-        dt=data.get("dt", 0.1),
-        noise_sigma=data.get("noise_sigma", 0.3),
-        seed=data.get("seed", 0),
-        occlusion=occlusion,
-    )
+def _from_mapping(cls, data, what: str):
+    """A `cls` spec from one mapping of a scenario file, called `what` in
+    errors. Its keys are the dataclass's field names (`_FILE_KEYS` renames
+    two), a field without a default is required, and a field typed as a
+    spec, a list of specs or a spec or None is read the same way."""
+    fields = {_FILE_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    check_mapping(data, fields, what)
+    missing = [f"'{key}'" for key, f in fields.items()
+               if f.default is dataclasses.MISSING and key not in data]
+    if missing:
+        raise ConfigurationError(f"each {what} needs {' and '.join(missing)}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in data.items():
+        hint = hints[fields[key].name]
+        spec = next(iter(typing.get_args(hint)), None)   # X of list[X], X | None
+        if typing.get_origin(hint) is list:   # "objects" holds each "object"
+            value = [_from_mapping(spec, item, key[:-1]) for item in value]
+        elif dataclasses.is_dataclass(spec) and value is not None:
+            value = _from_mapping(spec, value, key)
+        values[fields[key].name] = value
+    return cls(**values)
 
 
 def load_scenario(path) -> ScenarioSpec:
-    """Read a scenario from a UTF-8 YAML document; malformed ones, and bytes
-    that are not UTF-8, raise ConfigurationError."""
-    import yaml   # here, so that importing the package does not load PyYAML
-    try:
-        return _scenario_from_mapping(
-            yaml.safe_load(Path(path).read_text(encoding="utf-8")))
-    except (ConfigurationError, yaml.YAMLError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"scenario file {path}: {exc}") from None
+    """Read a scenario from a UTF-8 YAML document (`config.load_yaml`)."""
+    return load_yaml(path, "scenario",
+                     lambda data: _from_mapping(ScenarioSpec, data, "scenario"))

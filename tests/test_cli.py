@@ -268,6 +268,19 @@ def test_track_jobs_clamped_to_the_cpus_the_process_may_use(
     assert _pool_sizes(scenario_dir, tmp_path, monkeypatch) == pools
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_track_jobs_below_one_is_a_usage_error(scenario_dir, tmp_path, capsys,
+                                               jobs):
+    out = tmp_path / "run"
+    rc = cli.main(["track", str(scenario_dir / "detections.txt"),
+                   "--jobs", jobs, "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_track_reads_config_file(scenario_dir, tmp_path):
     cfg_path = tmp_path / "config.yaml"
     save_config(RunConfig(min_hits=1, max_misses=7), cfg_path)

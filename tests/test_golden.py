@@ -14,6 +14,12 @@ weights, which stay exact ones. Both store one covariance per ground axis,
 so a bank that keeps one covariance for both axes is compared broadcast to
 them. Run this file as a script to write both again: `PYTHONPATH=src python
 tests/test_golden.py`.
+
+`data/golden/scenario.yaml` uses every scenario, object, segment and
+occlusion key, and its second object leaves out every optional one; the
+label files `synth` wrote from it, in `data/golden/scenario/`, must be
+reproduced byte for byte, so the scenario reader's defaults and the
+generator's output cannot change unnoticed.
 """
 import math
 from pathlib import Path
@@ -49,6 +55,14 @@ def _same_field(expected: str, actual: str) -> bool:
         return False
     exact = expected.lstrip("-").isdigit()  # frame, id, occluded: integers
     return not exact and math.isfinite(a) and abs(a - e) <= REL * max(1.0, abs(e))
+
+
+def test_synth_reproduces_golden_label_files(tmp_path, capsys):
+    assert cli.main(["synth", str(GOLDEN / "scenario.yaml"), "--output",
+                     str(tmp_path)]) == cli.EXIT_OK
+    for name in ("gt.txt", "detections.txt", "occluded_detections.txt"):
+        assert (tmp_path / name).read_bytes() == \
+            (GOLDEN / "scenario" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("output, sep", [("tracks/seq8x60.txt", None),

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
-from dynatrack import metrics, tracker as trk
+from dynatrack import kitti_io as kio, metrics, tracker as trk
 from dynatrack.errors import InputError, UndefinedMetricError
+from dynatrack.kitti_io import GroundTruthRecord
 from dynatrack.metrics import clearmot, idf1, measure_latency
+from dynatrack.occlusion import OcclusionSpec, occlude_dataset
 from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker
 
 from helpers import (PEAK_RSS, frames_from_positions, python_stdout,
@@ -254,15 +256,58 @@ def _mixed_sequences(draw):
     return gt, hyp, draw(st.sampled_from([1, 2, 5, metrics.GATE_CHUNK_POINTS]))
 
 
+def _record(frame: int, track_id: int, position) -> GroundTruthRecord:
+    """A label at ground `position`, its camera location holding it as
+    (x, z)."""
+    return GroundTruthRecord(
+        frame=frame, obj_type="Car", truncated=0.0, occluded=0, alpha=0.0,
+        bbox2d=(0.0, 0.0, 80.0, 40.0), dims=(1.5, 1.8, 4.2),
+        location=kio.camera_location(position, 1.5), rotation_y=0.0,
+        score=1.0, track_id=track_id)
+
+
+def _report(frame: int, pairs) -> trk.FrameReport:
+    """A `FrameReport` whose rows are the (id, position) `pairs`."""
+    n = len(pairs)
+    return trk.FrameReport(
+        frame=frame, ids=np.array([i for i, _ in pairs], dtype=np.int64),
+        position=np.array([p for _, p in pairs], dtype=float).reshape(n, 2),
+        status=np.zeros(n, dtype=np.int8), elevation=np.zeros(n),
+        yaw=np.zeros(n), dims=np.zeros((n, 3)), score=np.zeros(n),
+        bbox2d=np.zeros((n, 4)), obj_type=np.array(["Car"] * n, dtype=object))
+
+
+# Every kind of frame scoring takes, each built from (id, position) pairs;
+# "reports with []" gives an empty frame as `[]`, as a caller does for a step
+# that failed.
+_FRAME_KINDS = {
+    "pairs": lambda f, pairs: pairs,
+    "records": lambda f, pairs: [_record(f, i, p) for i, p in pairs],
+    "labels": lambda f, pairs: kio.as_labels([_record(f, i, p) for i, p in pairs]),
+    "reports": _report,
+    "reports with []": lambda f, pairs: _report(f, pairs) if pairs else [],
+}
+
+
+def _as_kind(frames, kind: str) -> list:
+    return [_FRAME_KINDS[kind](f, pairs) for f, pairs in enumerate(frames)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(scene=_mixed_sequences(), threshold=st.sampled_from([0.5, 1.0, 2.0]))
+@given(scene=_mixed_sequences(), threshold=st.sampled_from([0.5, 1.0, 2.0]),
+       kinds=st.tuples(*[st.sampled_from(sorted(_FRAME_KINDS))] * 2))
 def test_sequence_scores_match_reference_across_empty_and_one_sided_frames(
-        scene, threshold):
+        scene, threshold, kinds):
+    # The scores are also the same whatever kind of frame each side is.
     gt, hyp, budget = scene
+    gt_kind, hyp_kind = _as_kind(gt, kinds[0]), _as_kind(hyp, kinds[1])
     with mock.patch.object(metrics, "GATE_CHUNK_POINTS", budget):
         got_id = idf1(gt, hyp, threshold)
         got = clearmot(gt, hyp, threshold) if any(gt) else None
         both = metrics.score(gt, hyp, threshold) if any(gt) else None
+        assert idf1(gt_kind, hyp_kind, threshold) == got_id
+        if both is not None:
+            assert metrics.score(gt_kind, hyp_kind, threshold) == both
     ref_id = reference_idf1(gt, hyp, threshold)
     assert (got_id.idtp, got_id.idfp, got_id.idfn) == \
         (ref_id["idtp"], ref_id["idfp"], ref_id["idfn"])
@@ -273,6 +318,72 @@ def test_sequence_scores_match_reference_across_empty_and_one_sided_frames(
                 got.gt_total, got.matches) == \
             (ref["false_positives"], ref["false_negatives"], ref["id_switches"],
              ref["gt_total"], ref["matches"])
+
+
+def _scored_scene(rng):
+    """Up to 5 objects over 12 to 24 frames in a 10 m square, each seen in
+    most frames, and per frame their hypotheses with noise, the odd id swap
+    and clutter, every id once: as (id, position) pairs, from `rng`, so no
+    two distances tie."""
+    n_frames, n_objects = rng.integers(12, 25), rng.integers(1, 6)
+    start = rng.uniform(0.0, 10.0, (n_objects, 2))
+    velocity = rng.uniform(-0.3, 0.3, (n_objects, 2))
+    gt, hyp = [], []
+    for f in range(n_frames):
+        seen = np.flatnonzero(rng.random(n_objects) < 0.9)
+        truth = start[seen] + f * velocity[seen]
+        gt.append(list(zip((seen + 1).tolist(), truth)))
+        kept = rng.random(len(seen)) < 0.85
+        ids = seen[kept] + 101
+        if len(ids) > 1 and rng.random() < 0.1:
+            ids[:2] = ids[1::-1]
+        clutter = rng.integers(0, 3)
+        ids = np.concatenate([ids, 200 + np.arange(clutter)])
+        points = np.concatenate([truth[kept] + rng.normal(0.0, 0.7, (kept.sum(), 2)),
+                                 rng.uniform(0.0, 10.0, (clutter, 2))])
+        hyp.append(list(zip(ids.tolist(), points)))
+    return gt, hyp
+
+
+def _scored_and_occluded(gt, hyp, kinds, spec):
+    """`score` of the scene with each side as its kind of frame, and
+    `occlude_dataset` of the hypotheses as detections: (scores, dropped
+    frames by id, the ids of each frame's kept hypotheses, ascending)."""
+    gt = _as_kind(gt, kinds[0])
+    occluded, dropped = occlude_dataset(
+        kio.SequenceDataset(sequence_id="s", detections=_as_kind(hyp, "records")),
+        gt, spec)
+    return (metrics.score(gt, _as_kind(hyp, kinds[1])), dropped,
+            [sorted(kio.as_labels(frame).track_id.tolist())
+             for frame in occluded.detections])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       relation=st.sampled_from(["axis swap", "shift", "shuffle"]),
+       shift=st.tuples(*[st.floats(-1e4, 1e4)] * 2),
+       kinds=st.tuples(st.sampled_from(["pairs", "records", "labels"]),
+                       st.sampled_from(sorted(_FRAME_KINDS))),
+       spec=st.builds(OcclusionSpec, kind=st.sampled_from(["mid", "late"]),
+                      start_after=st.integers(1, 4), length=st.integers(1, 5)))
+def test_scores_and_occlusion_hold_under_axis_swap_shift_and_shuffle(
+        seed, relation, shift, kinds, spec):
+    # One change to gt and hypotheses alike; the shuffle reorders each
+    # frame's rows on both sides. A hypothesis id names one row of a frame.
+    rng = np.random.default_rng(seed)
+    gt, hyp = _scored_scene(rng)
+    if relation == "axis swap":
+        moved = [[[(i, p[::-1]) for i, p in frame] for frame in side]
+                 for side in (gt, hyp)]
+    elif relation == "shift":
+        moved = [[[(i, p + shift) for i, p in frame] for frame in side]
+                 for side in (gt, hyp)]
+    else:
+        moved = [[[frame[k] for k in rng.permutation(len(frame))] for frame in side]
+                 for side in (gt, hyp)]
+    want = _scored_and_occluded(gt, hyp, kinds, spec)
+    got = _scored_and_occluded(*moved, kinds, spec)
+    assert got == want
 
 
 @pytest.mark.parametrize("budget", [1, 20, metrics.GATE_CHUNK_POINTS])

@@ -213,3 +213,15 @@ def test_load_scenario_requires_initial_and_segments(tmp_path):
     path.write_text("objects:\n  - velocity: [1.0, 0.0]\n")
     with pytest.raises(ConfigurationError, match="'initial' and 'segments'"):
         load_scenario(path)
+    # Every spec's fields without a default are required, and named when
+    # missing.
+    one = "objects:\n  - initial: [0.0, 0.0]\n    segments: [{kind: cv, duration: 3}]\n"
+    for text, needs in [
+            ("seed: 1\n", "each scenario needs 'objects'"),
+            (one.replace("kind: cv, ", ""), "each segment needs 'kind'"),
+            (one.replace(", duration: 3", ""), "each segment needs 'duration'"),
+            (one + "occlusion: {kind: mid}\n",
+             "each occlusion needs 'start_after' and 'length'")]:
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=f"^scenario file .*: {needs}$"):
+            load_scenario(path)
