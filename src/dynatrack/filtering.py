@@ -101,7 +101,8 @@ def initial_estimate(position: np.ndarray, order: int, sigma: float) -> StateEst
     I, J = PACKED_INDICES[n]
     var = np.zeros(len(I))
     var[I == J] = np.asarray(INITIAL_VARIANCE_SCALE[:n]) * sigma ** 2
-    cov = np.broadcast_to(var, mean.shape[:-1] + var.shape).copy()
+    cov = np.empty(mean.shape[:-1] + var.shape)
+    cov[...] = var
     return StateEstimate(mean=mean, cov=cov)
 
 

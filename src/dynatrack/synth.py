@@ -191,6 +191,9 @@ def _from_mapping(cls, data, what: str):
         hint = hints[fields[key].name]
         spec = next(iter(typing.get_args(hint)), None)   # X of list[X], X | None
         if typing.get_origin(hint) is list:   # "objects" holds each "object"
+            if not isinstance(value, list):
+                raise ConfigurationError(
+                    f"'{key}' must be a list, got {type(value).__name__}")
             value = [_from_mapping(spec, item, key[:-1]) for item in value]
         elif dataclasses.is_dataclass(spec) and value is not None:
             value = _from_mapping(spec, value, key)

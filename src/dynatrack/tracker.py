@@ -274,8 +274,9 @@ X_WINDOW_MARGIN = 1e-9
 
 def in_gate(a, b, gate: float, groups=None):
     """Every pair of points `a (n, k)`, `b (m, k)` within `gate`, as (rows of a,
-    rows of b, distances) with rows ascending. Only the points of b within
-    +-gate in x of a point of a, found by binary search, get a distance.
+    rows of b, distances) with rows ascending, each row's pairs in ascending
+    x of b and then row of b. Only the points of b within +-gate in x of a
+    point of a, found by binary search, get a distance.
 
     `groups`, if given, is a pair of integer label arrays `(n,)` and `(m,)`:
     then only points with equal labels pair. The result is exactly that of
@@ -291,12 +292,20 @@ def in_gate(a, b, gate: float, groups=None):
     if len(a) == 0 or len(b) == 0:
         none = np.zeros(0, dtype=np.intp)
         return none, none, np.zeros(0)
-    order = b[:, 0].argsort(kind="stable")
+    # numpy's default sort is a vectorised quicksort; its stable sort, a
+    # timsort, mispredicts its branches on every new frame. The two agree
+    # unless x holds a tie (or NaN), so b is sorted again stably only then,
+    # to keep tied points in row order. Points of a with equal x get equal
+    # windows, so any order of them gives the same result.
+    order = b[:, 0].argsort()
     bx = b[:, 0].take(order)
+    if not (bx[1:] > bx[:-1]).all():
+        order = b[:, 0].argsort(kind="stable")
+        bx = b[:, 0].take(order)
     # numpy's binary search starts from the previous key's bound when the
     # keys ascend, so the points of a are searched in ascending x and their
     # `lo` and `counts` put back in a's row order.
-    by_x = a[:, 0].argsort(kind="stable")
+    by_x = a[:, 0].argsort()
     ax = a[:, 0].take(by_x)
     reach = gate + X_WINDOW_MARGIN * (np.abs(ax) + gate)
     lo = np.empty(len(a), dtype=np.intp)

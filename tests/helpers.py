@@ -12,6 +12,7 @@ import scipy.linalg
 
 import dynatrack
 from dynatrack import dynamics, kitti_io
+from dynatrack import tracker as trk
 from dynatrack.config import RunConfig
 from dynatrack.errors import (ConfigurationError, ContractViolationError,
                               InsufficientDataError, ParseError)
@@ -200,6 +201,37 @@ def reference_lifecycle(seen, min_hits, max_misses):
                        if status in (CONFIRMED, COASTING))
         steps.append(([i for i, _ in shown], [s for _, s in shown], births))
     return steps
+
+
+# -- reference gate ----------------------------------------------------------
+
+def reference_in_gate(a, b, gate, groups=None):
+    """`tracker.in_gate` with both x columns sorted stably, through numpy's
+    wrappers: tied x of b stay in row order by construction, not by a
+    fallback."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if len(a) == 0 or len(b) == 0:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, np.zeros(0)
+    order = np.argsort(b[:, 0], kind="stable")
+    bx = b[order, 0]
+    by_x = np.argsort(a[:, 0], kind="stable")
+    ax = a[by_x, 0]
+    reach = gate + trk.X_WINDOW_MARGIN * (np.abs(ax) + gate)
+    lo = np.empty(len(a), dtype=np.intp)
+    counts = np.empty(len(a), dtype=np.intp)
+    lo[by_x] = np.searchsorted(bx, ax - reach, side="left")
+    counts[by_x] = np.searchsorted(bx, ax + reach, side="right")
+    if groups is not None:
+        order, lo, counts = trk._label_windows(order, lo, counts, *groups)
+    counts -= lo
+    rows = np.repeat(np.arange(len(a)), counts)
+    first = np.cumsum(counts) - counts
+    cols = order[np.arange(len(rows)) + np.repeat(lo - first, counts)]
+    dist = trk.distance(a[rows], b[cols])
+    inside = np.flatnonzero(dist <= gate)
+    return rows[inside], cols[inside], dist[inside]
 
 
 # -- reference metric implementations (exhaustive, tiny inputs only) --------

@@ -3,6 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dynatrack import cli
 from dynatrack.errors import ConfigurationError
 from dynatrack.kitti_io import MAX_FRAME
 from dynatrack.kitti_io import as_labels, ground_position
@@ -225,3 +226,16 @@ def test_load_scenario_requires_initial_and_segments(tmp_path):
         path.write_text(text)
         with pytest.raises(ConfigurationError, match=f"^scenario file .*: {needs}$"):
             load_scenario(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("objects: {initial: [0.0, 0.0]}\n", "'objects' must be a list, got dict"),
+    ("objects:\n  - initial: [0.0, 0.0]\n    segments: 5\n",
+     "'segments' must be a list, got int"),
+])
+def test_synth_refuses_a_list_field_that_is_not_a_list(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert cli.main(["synth", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip().endswith(f"scenario file {path}: {message}")
+    assert not (tmp_path / "out").exists()

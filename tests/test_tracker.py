@@ -23,7 +23,7 @@ from dynatrack.tracker import (MAX_CONTESTED_CELLS, STATUSES, Detections,
 
 from helpers import (_min_cost_pairs, detections, dynamics_vector,
                      frames_from_positions, random_tracking_scene,
-                     reference_lifecycle, run_single_target,
+                     reference_in_gate, reference_lifecycle, run_single_target,
                      single_target_config, smooth_weights,
                      trajectory_by_source, unpack, validate_estimate)
 
@@ -258,6 +258,46 @@ def test_grouped_in_gate_equals_one_ungrouped_call_per_label(case):
     assert got[2].tobytes() == dist[by_row].tobytes()
 
 
+# x on a 0.5 grid, signed zeros among them, or free; points of b copied from
+# a; offsets up to 1e15, where free x round onto a coarse grid. Most draws
+# hold exact x ties, on which numpy's default sort and its stable sort part.
+_TIED_X = st.one_of(st.integers(-6, 6).map(lambda k: 0.5 * k),
+                    st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _tied_points(draw):
+    offset = draw(st.sampled_from([-0.0, 0.0, 7.25, -3e3, 1e9, 1e15, -1e15]))
+    point = st.tuples(_TIED_X, st.floats(-3.0, 3.0), st.integers(0, 2))
+    a = draw(st.lists(point, max_size=40))
+    b = draw(st.lists(point | st.sampled_from(a or [(0.0, 0.0, 0)]), max_size=40))
+
+    def side(rows):
+        return (np.array([(x + offset, y + offset) for x, y, _ in rows],
+                         dtype=float).reshape(len(rows), 2),
+                np.array([label for _, _, label in rows], dtype=np.int64))
+
+    return (*side(a), *side(b), draw(st.sampled_from([0.5, 1.0, 2.5])))
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=(np.zeros((1, 2)), np.zeros(1, dtype=np.int64),
+               np.array([[0.5, 0.0], [0.0, 1.0], [-0.0, 0.0], [0.0, -1.0],
+                         [0.5, 2.0], [-0.0, 0.5]]),
+               np.zeros(6, dtype=np.int64), 1.0))
+@given(case=_tied_points())
+def test_in_gate_equals_the_stable_sort_reference_bitwise(case):
+    # The pairs, each row's pairs in order and the distances are those of
+    # both columns sorted stably, grouped or not, whatever the ties in x.
+    a, a_labels, b, b_labels, gate = case
+    for groups in (None, (a_labels, b_labels)):
+        got = trk.in_gate(a, b, gate, groups)
+        want = reference_in_gate(a, b, gate, groups)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("budget", [1, 3, 7, 20, metrics.GATE_CHUNK_POINTS])
 def test_frame_chunks_take_whole_frames_up_to_the_budget(budget, monkeypatch):
     # In order and without gaps; within the budget on both sides unless a
@@ -486,6 +526,39 @@ def test_step_requires_increasing_frames():
         tracker.step(0, detections())
 
 
+def _track_sequences(tracker, frames):
+    """Each reported track's (frame, position bytes, status) sequence, the
+    sequences sorted: the run's tracks with their ids left out."""
+    by_id = {}
+    for frame, dets in enumerate(frames):
+        report = tracker.step(frame, dets)
+        for i, xy, status in zip(report.ids.tolist(), report.position,
+                                 report.status.tolist()):
+            by_id.setdefault(i, []).append((frame, xy.tobytes(), status))
+    return sorted(by_id.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3),
+       dynamics=st.booleans(), objects=st.integers(1, 8))
+def test_detection_order_within_a_frame_only_relabels_tracks(
+        seed, order, dynamics, objects):
+    # Continuous draws, so no two candidate pairings tie exactly: shuffling
+    # each frame's detections changes which birth gets which id and which
+    # bank row, and nothing else, bitwise.
+    rng = np.random.default_rng(seed)
+    _, hyps = random_tracking_scene(rng, n_objects=objects, n_frames=25,
+                                    drop=0.25, spurious=0.8)
+    frames = [[p for _, p in frame] for frame in hyps]
+    shuffled = [[frame[k] for k in rng.permutation(len(frame))] for frame in frames]
+    cfg = RunConfig(model_order=order, dynamics_enabled=dynamics, min_hits=2,
+                    max_misses=2, gate_distance=3.0)
+    want = _track_sequences(MultiObjectTracker(cfg), frames_from_positions(frames))
+    got = _track_sequences(MultiObjectTracker(cfg), frames_from_positions(shuffled))
+    assert got == want
+    assert want
+
+
 def test_two_objects_keep_identity():
     positions = [[(0.0, 10.0 + 0.1 * f), (30.0, 10.0)] for f in range(20)]
     tracker = MultiObjectTracker(RunConfig(min_hits=1))
@@ -711,6 +784,33 @@ def test_bank_invariants_over_hit_miss_schedules(schedule):
             frozen[key] = weights
             if not dynamics:
                 assert np.all(bank.weights[row] == 1.0)
+
+
+@pytest.mark.parametrize("dynamics", [False, True])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_a_lone_track_steps_as_it_does_beside_a_far_companion(order, dynamics):
+    # numpy multiplies a lone row by gemv, which rounds differently from the
+    # gemm of two or more rows. A second object leaves after 8 frames, then
+    # one track is alone, matched and coasting; beside a companion 10 km
+    # away, stepped alongside, its state is the same bits at every step.
+    path = _noisy_cv_positions(n=40, seed=order)
+    gaps = {15, 16, 24, 31}
+    cfg = RunConfig(model_order=order, dynamics_enabled=dynamics, min_hits=2,
+                    max_misses=5, gate_distance=4.0)
+    alone, beside = MultiObjectTracker(cfg), MultiObjectTracker(cfg)
+    lone_steps = 0
+    for frame, xy in enumerate(path):
+        points = [] if frame in gaps else [tuple(xy)]
+        points += [(xy[0] + 30.0, 5.0)] * (frame < 8)
+        alone.step(frame, detections(points))
+        beside.step(frame, detections(points + [(1e4, -1e4 + frame * 0.1)]))
+        if alone.bank.ids.tolist() == [1]:
+            lone_steps += 1
+            assert beside.bank.ids[0] == 1 and len(beside.bank) == 2
+            for name in ("mean", "cov"):
+                lone, twin = getattr(alone.bank, name), getattr(beside.bank, name)
+                assert lone[0].tobytes() == twin[0].tobytes(), (frame, name)
+    assert lone_steps >= 25
 
 
 # -- dynamics interplay ---------------------------------------------------
