@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MATCH_DISTANCE
-from .errors import InputError, UndefinedMetricError
+from .errors import ContractViolationError, InputError, UndefinedMetricError
 from .kitti_io import as_labels, ground_position
 from .tracker import (FrameReport, MultiObjectTracker, component_assignment,
                       gated_candidates, in_gate)
@@ -106,7 +106,8 @@ def gated_chunks(gt, hyp, threshold: float):
     hyp ids, hyp rows per frame, (gt rows, hyp rows, distances)), the last
     holding each frame's `in_gate` pairs as rows of the chunk, rows
     ascending: one `in_gate` call grouped by frame, so no pair spans two
-    frames."""
+    frames. Hyp ids are None where the hypotheses have none; ground truth
+    without track ids raises ContractViolationError."""
     gt, hyp = list(gt), list(hyp)
     g_counts, h_counts = (np.zeros(max(len(gt), len(hyp)), dtype=np.intp)
                           for _ in range(2))
@@ -114,6 +115,8 @@ def gated_chunks(gt, hyp, threshold: float):
     h_counts[:len(hyp)] = [len(frame) for frame in hyp]
     for frames in frame_chunks(g_counts, h_counts):
         (gids, gpos), (hids, hpos) = _stacked(gt[frames]), _stacked(hyp[frames])
+        if gids is None:
+            raise ContractViolationError("ground truth frames hold no track ids")
         label = np.arange(frames.stop - frames.start)
         groups = np.repeat(label, g_counts[frames]), np.repeat(label, h_counts[frames])
         yield gids, g_counts[frames], hids, h_counts[frames], in_gate(
@@ -239,8 +242,11 @@ class _IdCounts:
 
 def _walk(gt, hyp, threshold: float, counters) -> tuple:
     """Feed every chunk of one `gated_chunks` walk to each counter in turn;
-    their summaries, in order."""
+    their summaries, in order. Hypotheses without track ids raise
+    ContractViolationError."""
     for chunk in gated_chunks(gt, hyp, threshold):
+        if chunk[2] is None:
+            raise ContractViolationError("hypothesis frames hold no track ids")
         for counter in counters:
             counter.add(*chunk)
     return tuple(counter.summary() for counter in counters)

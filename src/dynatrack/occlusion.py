@@ -56,7 +56,8 @@ def occlude_dataset(dataset: SequenceDataset, gt_frames, spec: OcclusionSpec):
     ground-truth frame matches nothing and is kept. Each object's matches, in
     frame order, lose the run that `occlusion_cut` picks for their count. One
     keep mask over the sequence's detection rows takes every cut; only the
-    frames that lose a row are rebuilt.
+    frames that lose a row are rebuilt. Ground truth without track ids
+    raises ContractViolationError.
     """
     if gt_frames is None:
         raise InputError("ground truth is required to build tracklets")

@@ -274,14 +274,14 @@ X_WINDOW_MARGIN = 1e-9
 
 def in_gate(a, b, gate: float, groups=None):
     """Every pair of points `a (n, k)`, `b (m, k)` within `gate`, as (rows of a,
-    rows of b, distances) with rows ascending, each row's pairs in ascending
-    x of b and then row of b. Only the points of b within +-gate in x of a
-    point of a, found by binary search, get a distance.
+    rows of b, distances): rows ascending, each distance bitwise that of
+    `distance`, the order of a row's pairs unspecified. Only the points of
+    b within +-gate in x of a point of a, found by binary search, get a
+    distance.
 
     `groups`, if given, is a pair of integer label arrays `(n,)` and `(m,)`:
-    then only points with equal labels pair. The result is exactly that of
-    one ungrouped call per label, rows mapped back to a and b: the same
-    pairs, each row's pairs in the same order, the same distances bitwise.
+    then only points with equal labels pair. The result holds the same
+    pairs as one ungrouped call per label, rows mapped back to a and b.
     A row of b is then found by the exact integer key `s * (m + 1) + r`,
     where `s` is where its label's rows start in label order and `r` is the
     rank of its x among all of b's x, so the labels' x windows never
@@ -293,15 +293,11 @@ def in_gate(a, b, gate: float, groups=None):
         none = np.zeros(0, dtype=np.intp)
         return none, none, np.zeros(0)
     # numpy's default sort is a vectorised quicksort; its stable sort, a
-    # timsort, mispredicts its branches on every new frame. The two agree
-    # unless x holds a tie (or NaN), so b is sorted again stably only then,
-    # to keep tied points in row order. Points of a with equal x get equal
-    # windows, so any order of them gives the same result.
+    # timsort, mispredicts its branches on every new frame. A window spans
+    # every tie of its end points, so the order of tied x sets only the
+    # order of a row's pairs.
     order = b[:, 0].argsort()
     bx = b[:, 0].take(order)
-    if not (bx[1:] > bx[:-1]).all():
-        order = b[:, 0].argsort(kind="stable")
-        bx = b[:, 0].take(order)
     # numpy's binary search starts from the previous key's bound when the
     # keys ascend, so the points of a are searched in ascending x and their
     # `lo` and `counts` put back in a's row order.
@@ -346,30 +342,25 @@ def _label_windows(order, lo, hi, a_labels, b_labels):
     return order.take(by_label), lo, np.maximum(hi, lo)
 
 
-def gated_pairs(a, b, gate: float):
-    """Min-distance one-to-one pairing of points `a (n, k)` to points `b (m, k)`
-    in which pairs farther apart than `gate` never match.
+def associate(track_positions, detection_positions, gate: float) -> Assignment:
+    """Min-distance one-to-one pairing of `track_positions (n, k)` to
+    `detection_positions (m, k)` in which pairs farther apart than `gate`
+    never match.
 
-    Returns the matched (rows of a, rows of b) in ascending row order. Only
-    the `in_gate` pairs are candidates, so the n x m distance matrix is
+    Only the `in_gate` pairs are candidates, so the n x m distance matrix is
     never built: a pair whose points have no other in-gate partner is
     matched directly, and each larger connected component of the in-gate
-    graph is solved on its own (`component_assignment`). A component
-    spanning more than MAX_CONTESTED_CELLS cells raises InputError.
+    graph is solved on its own (`gated_candidates`). A component spanning
+    more than MAX_CONTESTED_CELLS cells raises InputError.
 
     The result equals a solve of the full n x m matrix with out-of-gate
     cells penalised: its objective, most in-gate pairs and then least summed
     distance, is a sum over the connected components. Only exactly tied
     alternatives can come out differently.
     """
-    rows, cols, dist = in_gate(a, b, gate)
+    rows, cols, dist = in_gate(track_positions, detection_positions, gate)
     k = gated_candidates(rows, cols, dist, gate)
-    return rows[k], cols[k]
-
-
-def associate(track_positions, detection_positions, gate: float) -> Assignment:
-    """Min-distance one-to-one assignment; pairs beyond the gate never match."""
-    rows, cols = gated_pairs(track_positions, detection_positions, gate)
+    rows, cols = rows.take(k), cols.take(k)
     unmatched_t = np.ones(len(track_positions), dtype=bool)
     unmatched_t[rows] = False
     unmatched_d = np.ones(len(detection_positions), dtype=bool)
@@ -683,7 +674,7 @@ class MultiObjectTracker:
         - a predicted state mean that is not finite (NumericalError naming
           the track ids);
         - a connected block of in-gate (track, detection) pairs spanning more
-          than MAX_CONTESTED_CELLS cells (InputError, see `gated_pairs`);
+          than MAX_CONTESTED_CELLS cells (InputError, see `associate`);
         - an innovation variance that is not finite and positive
           (NumericalError naming the track id).
         """

@@ -20,7 +20,7 @@ from dynatrack.filtering import NoiseModel, StateEstimate
 from dynatrack.kitti_io import TRAJECTORY_HEADER, TRAJECTORY_SOURCES
 from dynatrack.occlusion import occlusion_cut
 from dynatrack.synth import ObjectSpec
-from dynatrack.tracker import Detections, MultiObjectTracker, gated_pairs
+from dynatrack.tracker import Detections, MultiObjectTracker, associate
 
 DETECTION_DEFAULTS = dict(elevation=1.5, yaw=0.0, dims=(1.5, 1.8, 4.2),
                           score=0.9, bbox2d=(0.0, 0.0, 80.0, 40.0))
@@ -207,8 +207,8 @@ def reference_lifecycle(seen, min_hits, max_misses):
 
 def reference_in_gate(a, b, gate, groups=None):
     """`tracker.in_gate` with both x columns sorted stably, through numpy's
-    wrappers: tied x of b stay in row order by construction, not by a
-    fallback."""
+    wrappers. It returns the same pairs and distances; only the order of a
+    row's pairs may differ, where x holds a tie."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
@@ -232,6 +232,61 @@ def reference_in_gate(a, b, gate, groups=None):
     dist = trk.distance(a[rows], b[cols])
     inside = np.flatnonzero(dist <= gate)
     return rows[inside], cols[inside], dist[inside]
+
+
+def pair_set(pairs):
+    """`in_gate`'s (rows, cols, distances) sorted by (row, col): the pairs and
+    distances its contract fixes, whatever the order of each row's pairs."""
+    rows, cols, dist = pairs
+    by_pair = np.lexsort((cols, rows))
+    return rows.take(by_pair), cols.take(by_pair), dist.take(by_pair)
+
+
+def row_permutation(rng, rows):
+    """A permutation, drawn from `rng`, of pairs whose `rows` ascend that
+    keeps them ascending: it reorders each row's pairs only."""
+    order = rng.permutation(len(rows))
+    return order.take(rows.take(order).argsort(kind="stable"))
+
+
+def row_shuffled_in_gate(rng):
+    """`tracker.in_gate` with each row's pairs put in an order drawn from
+    `rng`: any order its contract allows."""
+    in_gate = trk.in_gate
+
+    def shuffled(a, b, gate, groups=None):
+        rows, cols, dist = in_gate(a, b, gate, groups)
+        order = row_permutation(rng, rows)
+        return rows.take(order), cols.take(order), dist.take(order)
+    return shuffled
+
+
+def tied_grid_scene(rng, n_frames=12, side=6):
+    """Gt/hyp frames of (id, position) pairs full of exact distance ties:
+    up to 5 objects on a 0.5 m grid of side x side points, each standing
+    still or stepping one point a frame. A frame may hold an object's gt
+    id twice, a detection twice at one point, and clutter on the grid."""
+    n_objects = int(rng.integers(1, 6))
+    cells = rng.integers(0, side, (n_objects, 2))
+    gt, hyp = [], []
+    for frame in range(n_frames):
+        step = rng.integers(-1, 2, cells.shape) * (rng.random((n_objects, 1)) < 0.3)
+        cells = np.clip(cells + step, 0, side - 1)
+        points = 0.5 * cells
+        gts, hyps = [], []
+        for obj, point in enumerate(points):
+            gts.append((obj + 1, point))
+            if rng.random() < 0.2:   # the same id again, here or a point away
+                gts.append((obj + 1, point + 0.5 * rng.integers(-1, 2, 2)))
+            if rng.random() < 0.85:
+                hyps.append((101 + obj, point.copy()))
+                if rng.random() < 0.3:
+                    hyps.append((300 + 10 * frame + obj, point.copy()))
+        for k in range(int(rng.integers(0, 3))):
+            hyps.append((200 + 10 * frame + k, 0.5 * rng.integers(0, side, 2)))
+        gt.append(gts)
+        hyp.append(hyps)
+    return gt, hyp
 
 
 # -- reference metric implementations (exhaustive, tiny inputs only) --------
@@ -563,14 +618,13 @@ def format_record(record, with_id, with_score):
 
 def reference_tracklets(det_frames, gt_frames, threshold):
     """Each gt id's matched detections as (frame, index) pairs in frame
-    order: record frames matched one frame at a time by `gated_pairs` on
+    order: record frames matched one frame at a time by `associate` on
     ground positions, a frame's pairs in gt row order."""
     observations = {}
     for frame, (det_records, gt_records) in enumerate(zip(det_frames, gt_frames)):
-        rows, cols = gated_pairs([record_position(r) for r in gt_records],
-                                 [record_position(r) for r in det_records],
-                                 threshold)
-        for r, c in zip(rows.tolist(), cols.tolist()):
+        matched = associate([record_position(r) for r in gt_records],
+                            [record_position(r) for r in det_records], threshold)
+        for r, c in zip(matched.rows.tolist(), matched.cols.tolist()):
             observations.setdefault(gt_records[r].track_id, []).append((frame, c))
     return observations
 

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
 from dynatrack import kitti_io as kio, metrics, tracker as trk
-from dynatrack.errors import InputError, UndefinedMetricError
+from dynatrack.errors import ContractViolationError, InputError, UndefinedMetricError
 from dynatrack.kitti_io import GroundTruthRecord
 from dynatrack.metrics import clearmot, idf1, measure_latency
 from dynatrack.occlusion import OcclusionSpec, occlude_dataset
 from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker
 
 from helpers import (PEAK_RSS, frames_from_positions, python_stdout,
-                     random_tracking_scene, reference_clearmot, reference_idf1)
+                     random_tracking_scene, reference_clearmot, reference_idf1,
+                     row_shuffled_in_gate, tied_grid_scene)
 
 
 def _frames(*per_frame):
@@ -383,6 +384,70 @@ def test_scores_and_occlusion_hold_under_axis_swap_shift_and_shuffle(
                  for side in (gt, hyp)]
     want = _scored_and_occluded(gt, hyp, kinds, spec)
     got = _scored_and_occluded(*moved, kinds, spec)
+    assert got == want
+
+
+@pytest.mark.parametrize("scoring", [clearmot, idf1, metrics.score])
+@pytest.mark.parametrize("side", ["ground truth", "hypothesis"])
+def test_scoring_frames_without_track_ids_raises(scoring, side, tmp_path):
+    # Parsed detections carry no track ids, and scoring needs them on both
+    # sides.
+    gt, hyp = random_tracking_scene(np.random.default_rng(3))
+    path = tmp_path / "det.txt"
+    kio.write_detections(_as_kind(hyp, "records"), path)
+    no_ids = kio.parse_detections(path).detections
+    pair = (no_ids, hyp) if side == "ground truth" else (gt, no_ids)
+    with pytest.raises(ContractViolationError,
+                       match=f"^{side} frames hold no track ids$"):
+        scoring(*pair)
+
+
+def _tracked_scored_and_occluded(gt, hyp, cfg, spec):
+    """The bank's arrays after each step of tracking `hyp`'s positions, each
+    report's ids, positions and statuses, `score` of `hyp` and of the
+    reports against `gt`, and `occlude_dataset` of `hyp` as detections
+    (dropped frames by id, each occluded frame's locations), all as bytes
+    or values."""
+    tracker = MultiObjectTracker(cfg)
+    bank, states, reports = tracker.bank, [], []
+    for frame, dets in enumerate(frames_from_positions(
+            [[p for _, p in pairs] for pairs in hyp])):
+        reports.append(tracker.step(frame, dets))
+        states.append([getattr(bank, name).tobytes() for name in bank.FIELDS
+                       if name != "obj_type"] + [bank.window.positions.tobytes()])
+    occluded, dropped = occlude_dataset(
+        kio.SequenceDataset(sequence_id="s", detections=_as_kind(hyp, "records")),
+        gt, spec)
+    threshold = spec.match_threshold
+    return (states,
+            [(r.ids.tobytes(), r.position.tobytes(), r.status.tobytes())
+             for r in reports],
+            metrics.score(gt, hyp, threshold), metrics.score(gt, reports, threshold),
+            dropped, [kio.as_labels(frame).location.tobytes()
+                      for frame in occluded.detections])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3),
+       dynamics=st.booleans(), gate=st.sampled_from([0.5, 1.0, 2.5]),
+       spec=st.builds(OcclusionSpec, kind=st.sampled_from(["mid", "late"]),
+                      start_after=st.integers(1, 4), length=st.integers(1, 5),
+                      match_threshold=st.sampled_from([0.5, 1.0, 2.0])))
+def test_results_do_not_depend_on_the_order_of_a_rows_in_gate_pairs(
+        seed, order, dynamics, gate, spec):
+    # Grid scenes full of exact ties, duplicate points and gt ids twice in
+    # a frame: `in_gate` reordering each row's pairs, in the tracker and in
+    # scoring alike, changes no bit of the bank, the reports, the scores or
+    # the occluded detections.
+    rng = np.random.default_rng(seed)
+    gt, hyp = tied_grid_scene(rng)
+    cfg = RunConfig(model_order=order, dynamics_enabled=dynamics, min_hits=2,
+                    max_misses=2, gate_distance=gate)
+    want = _tracked_scored_and_occluded(gt, hyp, cfg, spec)
+    shuffled = row_shuffled_in_gate(rng)
+    with mock.patch.object(trk, "in_gate", shuffled), \
+            mock.patch.object(metrics, "in_gate", shuffled):
+        got = _tracked_scored_and_occluded(gt, hyp, cfg, spec)
     assert got == want
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from dynatrack import cli, metrics
 from dynatrack import kitti_io as kio
 from dynatrack import tracker as trk
-from dynatrack.errors import ConfigurationError, InputError, UndefinedMetricError
+from dynatrack.errors import (ConfigurationError, ContractViolationError,
+                              InputError, UndefinedMetricError)
 from dynatrack.metrics import clearmot, idf1
 from dynatrack.occlusion import OcclusionSpec, occlude_dataset, occlusion_cut
 from dynatrack.synth import ObjectSpec, RegimeSegment, ScenarioSpec, generate
@@ -174,6 +175,17 @@ def test_surviving_lines_are_byte_identical(tmp_path):
     assert survivors <= set(original)
     assert len(original) - len(survivors) == sum(len(v) for v in dropped.values())
     assert dropped[1] == list(range(50, 60))
+
+
+def test_occluding_by_ground_truth_without_track_ids_raises(tmp_path):
+    # Detections given as ground truth carry no track ids to cut runs by.
+    _, dets = _scenario()
+    det_path = tmp_path / "det.txt"
+    kio.write_detections(dets.detections, det_path)
+    parsed = kio.parse_detections(det_path)
+    with pytest.raises(ContractViolationError,
+                       match="^ground truth frames hold no track ids$"):
+        occlude_dataset(parsed, parsed.detections, OcclusionSpec("mid", 1, 1))
 
 
 def test_occlude_dataset_end_to_end():
@@ -354,8 +366,8 @@ def test_occlude_crowd_in_mid_sequence_raises_the_crowds_error(budget,
     crowd_gt = [_record(2, 0.0, 0.0, i) for i in range(side + 1)]
     crowd_dets = [_record(2, 0.0, 0.0) for _ in range(side)]
     with pytest.raises(InputError) as alone:
-        trk.gated_pairs([record_position(r) for r in crowd_gt],
-                        [record_position(r) for r in crowd_dets], 2.0)
+        trk.associate([record_position(r) for r in crowd_gt],
+                      [record_position(r) for r in crowd_dets], 2.0)
     gt = [[_record(f, 5.0, 5.0, 1)] for f in range(5)]
     dets = [[_record(f, 5.0, 5.0)] for f in range(5)]
     gt[2], dets[2] = crowd_gt, crowd_dets
