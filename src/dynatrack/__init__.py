@@ -21,8 +21,8 @@ _EXPORTS = {
     "metrics": ("clearmot", "idf1", "measure_latency"),
     "occlusion": ("OcclusionSpec", "occlude_dataset"),
     "synth": ("ObjectSpec", "RegimeSegment", "ScenarioSpec", "generate"),
-    "tracker": ("Detections", "FrameReport", "MultiObjectTracker",
-                "TrackSnapshot", "associate"),
+    "tracker": ("Detections", "FrameReport", "MultiObjectTracker", "TrackSnapshot"),
+    "association": ("associate",),
     "errors": (),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

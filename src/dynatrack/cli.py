@@ -145,10 +145,10 @@ def cmd_occlude(args) -> int:
 
 
 def _check_threshold(threshold: float):
-    """A match distance must be > 0, the rule `gate_distance` follows; `nan`
-    fails too. Scoring with it would crash or count every pair a miss."""
-    if not threshold > 0:
-        raise _Usage(f"--threshold must be > 0, got {threshold}")
+    """A match distance must be finite and > 0, the rule `gate_distance`
+    follows; `nan` fails too. Scoring would raise ContractViolationError."""
+    if not 0 < threshold < float("inf"):
+        raise _Usage(f"--threshold must be finite and > 0, got {threshold}")
 
 
 def _metric_rows(mot, ids):

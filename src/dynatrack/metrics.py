@@ -6,11 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .association import component_assignment, gated_candidates, in_gate
 from .config import MATCH_DISTANCE
 from .errors import ContractViolationError, InputError, UndefinedMetricError
 from .kitti_io import as_labels, ground_position
-from .tracker import (FrameReport, MultiObjectTracker, component_assignment,
-                      gated_candidates, in_gate)
+from .tracker import FrameReport, MultiObjectTracker
 
 
 @dataclass
@@ -266,8 +266,8 @@ def idf1(gt, hyp, threshold: float = MATCH_DISTANCE) -> IdSummary:
     frames. The pairing maximises the summed gain over the overlapping
     pairs, one connected component of them at a time
     (`component_assignment`), so no gt x hyp gain matrix is built; a
-    component spanning more than `tracker.MAX_CONTESTED_CELLS` cells raises
-    InputError.
+    component spanning more than `association.MAX_CONTESTED_CELLS` cells
+    raises InputError.
     """
     return _walk(gt, hyp, threshold, [_IdCounts(threshold)])[0]
 
@@ -288,10 +288,12 @@ def measure_latency(frames, baseline_cfg, dynamic_cfg,
     The two trackers step in lockstep, frame by frame, and take turns at
     going first, so a slow spell of the machine lands on both alike rather
     than on whichever pass it falls in. The means cover the frames after
-    the first `warmup`, so there must be more frames than that. The report
+    the first `warmup`, at least 0 and fewer than the frames. The report
     also keeps each tracker's per-frame reports, so a caller can score them
     instead of tracking the sequence again.
     """
+    if warmup < 0:
+        raise InputError(f"warmup must be >= 0, got {warmup}")
     if warmup >= len(frames):
         raise InputError(f"warmup of {warmup} frames leaves none of the "
                          f"{len(frames)} frames to time")

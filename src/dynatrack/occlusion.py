@@ -5,11 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .association import gated_candidates
 from .config import MATCH_DISTANCE, OCCLUSION_KINDS, check_kind, require
 from .errors import InputError
 from .kitti_io import SequenceDataset, as_labels
 from .metrics import gated_chunks
-from .tracker import gated_candidates
 
 
 @dataclass(frozen=True)

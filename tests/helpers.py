@@ -11,8 +11,9 @@ import numpy as np
 import scipy.linalg
 
 import dynatrack
+from dynatrack import association as asc
 from dynatrack import dynamics, kitti_io
-from dynatrack import tracker as trk
+from dynatrack.association import associate
 from dynatrack.config import RunConfig
 from dynatrack.errors import (ConfigurationError, ContractViolationError,
                               InsufficientDataError, ParseError)
@@ -20,7 +21,7 @@ from dynatrack.filtering import NoiseModel, StateEstimate
 from dynatrack.kitti_io import TRAJECTORY_HEADER, TRAJECTORY_SOURCES
 from dynatrack.occlusion import occlusion_cut
 from dynatrack.synth import ObjectSpec
-from dynatrack.tracker import Detections, MultiObjectTracker, associate
+from dynatrack.tracker import Detections, MultiObjectTracker
 
 DETECTION_DEFAULTS = dict(elevation=1.5, yaw=0.0, dims=(1.5, 1.8, 4.2),
                           score=0.9, bbox2d=(0.0, 0.0, 80.0, 40.0))
@@ -206,7 +207,7 @@ def reference_lifecycle(seen, min_hits, max_misses):
 # -- reference gate ----------------------------------------------------------
 
 def reference_in_gate(a, b, gate, groups=None):
-    """`tracker.in_gate` with both x columns sorted stably, through numpy's
+    """`association.in_gate` with both x columns sorted stably, through numpy's
     wrappers. It returns the same pairs and distances; only the order of a
     row's pairs may differ, where x holds a tie."""
     a = np.asarray(a, dtype=float)
@@ -218,18 +219,18 @@ def reference_in_gate(a, b, gate, groups=None):
     bx = b[order, 0]
     by_x = np.argsort(a[:, 0], kind="stable")
     ax = a[by_x, 0]
-    reach = gate + trk.X_WINDOW_MARGIN * (np.abs(ax) + gate)
+    reach = gate + asc.X_WINDOW_MARGIN * (np.abs(ax) + gate)
     lo = np.empty(len(a), dtype=np.intp)
     counts = np.empty(len(a), dtype=np.intp)
     lo[by_x] = np.searchsorted(bx, ax - reach, side="left")
     counts[by_x] = np.searchsorted(bx, ax + reach, side="right")
     if groups is not None:
-        order, lo, counts = trk._label_windows(order, lo, counts, *groups)
+        order, lo, counts = asc._label_windows(order, lo, counts, *groups)
     counts -= lo
     rows = np.repeat(np.arange(len(a)), counts)
     first = np.cumsum(counts) - counts
     cols = order[np.arange(len(rows)) + np.repeat(lo - first, counts)]
-    dist = trk.distance(a[rows], b[cols])
+    dist = asc.distance(a[rows], b[cols])
     inside = np.flatnonzero(dist <= gate)
     return rows[inside], cols[inside], dist[inside]
 
@@ -250,9 +251,9 @@ def row_permutation(rng, rows):
 
 
 def row_shuffled_in_gate(rng):
-    """`tracker.in_gate` with each row's pairs put in an order drawn from
+    """`association.in_gate` with each row's pairs put in an order drawn from
     `rng`: any order its contract allows."""
-    in_gate = trk.in_gate
+    in_gate = asc.in_gate
 
     def shuffled(a, b, gate, groups=None):
         rows, cols, dist = in_gate(a, b, gate, groups)

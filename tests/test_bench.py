@@ -30,9 +30,14 @@ def test_bench_corpus_cli_traced_run_is_correct():
 def test_bench_online_traced_run_is_correct(workload):
     # The online workloads step the tracker over `measurements_from` frames,
     # iterate every report's rows and read `tracker.tracks` after each step.
+    # The association span wraps `tracker.associate`, so it reads zero if
+    # `step` stops calling the matcher through that module global.
     result = _traced_run(workload)
     assert result.returncode == 0, result.stderr
     assert '"correct": true' in result.stdout
+    layers = json.loads(result.stdout.splitlines()[-1])["metrics"]
+    assert layers["tracker.associate.s"]["value"] > 0
+    assert layers["tracker.associate.cells"]["value"] > 0
 
 
 def test_bench_untraced_run_times_cold_starts():

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from dynatrack import cli, metrics
 from dynatrack import kitti_io as kio
+from dynatrack.association import MAX_CONTESTED_CELLS
 from dynatrack.config import (FIELD_TYPES, MAX_WINDOW, RunConfig, load_config,
                               save_config)
-from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker, TrackBank
+from dynatrack.tracker import MultiObjectTracker, TrackBank
 
 from helpers import python_stdout, read_trajectory_csv
 
@@ -498,6 +499,8 @@ def test_track_rejects_removed_config_key(scenario_dir, tmp_path, capsys, key,
     ("compare", ["--warmup", "-5"]),
     ("compare", ["--warmup", "40"]),  # the scene's frame count
     ("compare", ["--warmup", "1000"]),
+    ("evaluate", ["--threshold", "inf"]),
+    ("compare", ["--threshold", "inf"]),
 ])
 def test_bad_scoring_flag_is_a_usage_error(scenario_dir, capsys, command, flags):
     out = scenario_dir / "run"

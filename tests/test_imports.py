@@ -45,6 +45,29 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == {}
 
 
+def _package_imports(path: Path) -> set:
+    """The package's modules that `path` imports, by name, absolute or relative."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("dynatrack.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "dynatrack":
+                continue
+            if node.level == 0:
+                module = module.partition(".")[2]
+            names |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return names
+
+
+def test_scoring_and_occlusion_pair_points_without_importing_the_tracker():
+    # Gated assignment stands alone, so a scorer built on it loads no bank.
+    assert _package_imports(SOURCE / "association.py") == {"errors"}
+    assert "tracker" not in _package_imports(SOURCE / "occlusion.py")
+
+
 def test_importing_the_package_and_cli_loads_no_scipy():
     # Also catches a dependency that imports scipy on the package's behalf.
     code = ("import sys, dynatrack, dynatrack.cli; "

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
-from dynatrack import kitti_io as kio, metrics, tracker as trk
+from dynatrack import association as asc, kitti_io as kio, metrics, tracker as trk
+from dynatrack.association import MAX_CONTESTED_CELLS
 from dynatrack.errors import ContractViolationError, InputError, UndefinedMetricError
 from dynatrack.kitti_io import GroundTruthRecord
 from dynatrack.metrics import clearmot, idf1, measure_latency
 from dynatrack.occlusion import OcclusionSpec, occlude_dataset
-from dynatrack.tracker import MAX_CONTESTED_CELLS, MultiObjectTracker
+from dynatrack.tracker import MultiObjectTracker
 
 from helpers import (PEAK_RSS, frames_from_positions, python_stdout,
                      random_tracking_scene, reference_clearmot, reference_idf1,
@@ -445,7 +446,7 @@ def test_results_do_not_depend_on_the_order_of_a_rows_in_gate_pairs(
                     max_misses=2, gate_distance=gate)
     want = _tracked_scored_and_occluded(gt, hyp, cfg, spec)
     shuffled = row_shuffled_in_gate(rng)
-    with mock.patch.object(trk, "in_gate", shuffled), \
+    with mock.patch.object(asc, "in_gate", shuffled), \
             mock.patch.object(metrics, "in_gate", shuffled):
         got = _tracked_scored_and_occluded(gt, hyp, cfg, spec)
     assert got == want
@@ -466,7 +467,7 @@ def test_gated_chunks_equal_one_in_gate_call_per_frame(budget, monkeypatch):
     b0 = np.cumsum(b_counts) - b_counts
     want = [[], [], []]
     for f in range(40):
-        rows, cols, dist = trk.in_gate(a[a0[f]:a0[f] + a_counts[f]],
+        rows, cols, dist = asc.in_gate(a[a0[f]:a0[f] + a_counts[f]],
                                        b[b0[f]:b0[f] + b_counts[f]], 1.5)
         for part, value in zip(want, (rows + a0[f], cols + b0[f], dist)):
             part.extend(value.tolist())
@@ -614,6 +615,14 @@ def test_measure_latency_rejects_warmup_without_timed_frames(warmup):
     with pytest.raises(InputError, match="leaves none of the 30 frames"):
         measure_latency(frames, RunConfig(dynamics_enabled=False), RunConfig(),
                         warmup=warmup)
+
+
+def test_measure_latency_rejects_a_negative_warmup():
+    # A negative slice start would average only the last frames.
+    frames = frames_from_positions([[(0.0, 10.0)]] * 30)
+    with pytest.raises(InputError, match="warmup must be >= 0, got -1"):
+        measure_latency(frames, RunConfig(dynamics_enabled=False), RunConfig(),
+                        warmup=-1)
 
 
 # 200 objects over 2,000 frames as parsed label frames: ground truth, a

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dynatrack import cli, metrics
 from dynatrack import kitti_io as kio
-from dynatrack import tracker as trk
+from dynatrack import association as asc
 from dynatrack.errors import (ConfigurationError, ContractViolationError,
                               InputError, UndefinedMetricError)
 from dynatrack.metrics import clearmot, idf1
@@ -362,11 +362,11 @@ def test_occlude_crowd_in_mid_sequence_raises_the_crowds_error(budget,
     # A crowd past the contested bound in frame 2 of 5 raises the error that
     # matching that frame alone raises, however the frames are chunked.
     monkeypatch.setattr(metrics, "GATE_CHUNK_POINTS", budget)
-    side = math.isqrt(trk.MAX_CONTESTED_CELLS)
+    side = math.isqrt(asc.MAX_CONTESTED_CELLS)
     crowd_gt = [_record(2, 0.0, 0.0, i) for i in range(side + 1)]
     crowd_dets = [_record(2, 0.0, 0.0) for _ in range(side)]
     with pytest.raises(InputError) as alone:
-        trk.associate([record_position(r) for r in crowd_gt],
+        asc.associate([record_position(r) for r in crowd_gt],
                       [record_position(r) for r in crowd_dets], 2.0)
     gt = [[_record(f, 5.0, 5.0, 1)] for f in range(5)]
     dets = [[_record(f, 5.0, 5.0)] for f in range(5)]

@@ -9,17 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from dynatrack import association as asc
 from dynatrack import dynamics as dyn
 from dynatrack import filtering as flt
 from dynatrack import metrics
+from dynatrack.association import (MAX_CONTESTED_CELLS, associate,
+                                   component_assignment)
 from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError, InputError, NumericalError
 from dynatrack.filtering import StateEstimate
 from dynatrack.kitti_io import TRAJECTORY_SOURCES
-from dynatrack import tracker as trk
-from dynatrack.tracker import (MAX_CONTESTED_CELLS, STATUSES, Detections,
-                               FrameReport, MultiObjectTracker, associate,
-                               component_assignment)
+from dynatrack.tracker import STATUSES, MultiObjectTracker
 
 from helpers import (_min_cost_pairs, detections, dynamics_vector,
                      frames_from_positions, pair_set, random_tracking_scene,
@@ -63,6 +63,19 @@ def test_associate_respects_gate():
 def test_associate_gate_is_inclusive():
     a = associate([np.array([0.0, 0.0])], [np.array([2.0, 0.0])], gate=2.0)
     assert _pairs(a) == [(0, 0)]
+
+
+@pytest.mark.parametrize("gate", [np.nan, -1.0, 0.0, np.inf, -np.inf])
+def test_a_gate_that_is_not_finite_and_positive_is_refused(gate):
+    # Every gate decision goes through `in_gate`, so tracking and scoring
+    # refuse such a gate alike rather than matching nothing, raising numpy's
+    # own error or pairing every point with every other.
+    a = np.zeros((2, 2))
+    calls = [lambda: asc.in_gate(a, a, gate), lambda: associate(a, a, gate),
+             lambda: metrics.score([[(1, a[0])]], [[(1, a[0])]], gate)]
+    for call in calls:
+        with pytest.raises(ContractViolationError, match="gate must be finite"):
+            call()
 
 
 def test_associate_one_to_one_minimizes_total_distance():
@@ -199,7 +212,7 @@ def test_in_gate_pairs_do_not_depend_on_the_order_of_a(arrange):
     a[::7, 0] = a[1::7, 0][:len(a[::7])]
     a = a[np.argsort(-a[:, 0])] if arrange == "descending" else a[rng.permutation(60)]
     b = rng.uniform(0.0, 20.0, (80, 2))
-    rows, cols, dist = trk.in_gate(a, b, GATE)
+    rows, cols, dist = asc.in_gate(a, b, GATE)
     dense = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
     want_rows, want_cols = np.nonzero(dense <= GATE)
     assert np.all(np.diff(rows) >= 0)
@@ -241,13 +254,13 @@ def _grouped_points(draw):
 @given(case=_grouped_points())
 def test_grouped_in_gate_equals_one_ungrouped_call_per_label(case):
     a, a_labels, b, b_labels, gate = case
-    got = trk.in_gate(a, b, gate, (a_labels, b_labels))
+    got = asc.in_gate(a, b, gate, (a_labels, b_labels))
     parts = [[np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)],
              [np.zeros(0)]]
     for label in set(a_labels.tolist()) | set(b_labels.tolist()):
         in_a = np.flatnonzero(a_labels == label)
         in_b = np.flatnonzero(b_labels == label)
-        rows, cols, dist = trk.in_gate(a[in_a], b[in_b], gate)
+        rows, cols, dist = asc.in_gate(a[in_a], b[in_b], gate)
         for part, value in zip(parts, (in_a[rows], in_b[cols], dist)):
             part.append(value)
     rows, cols, dist = map(np.concatenate, parts)
@@ -290,7 +303,7 @@ def test_in_gate_pairs_equal_the_stable_sort_reference_bitwise(case):
     # order of a row's pairs is free.
     a, a_labels, b, b_labels, gate = case
     for groups in (None, (a_labels, b_labels)):
-        got = trk.in_gate(a, b, gate, groups)
+        got = asc.in_gate(a, b, gate, groups)
         want = reference_in_gate(a, b, gate, groups)
         assert np.all(np.diff(got[0]) >= 0)
         for g, w in zip(pair_set(got), pair_set(want)):
@@ -331,7 +344,7 @@ def _distance_matrices(draw):
 @given(dist=_distance_matrices(), gate=st.sampled_from([0.25, 1.0, 2.0, 2.5]))
 def test_gated_assignment_matches_exhaustive_search(dist, gate):
     rows, cols = np.nonzero(dist <= gate)
-    k = trk.gated_candidates(rows, cols, dist[rows, cols], gate)
+    k = asc.gated_candidates(rows, cols, dist[rows, cols], gate)
     rows, cols = rows[k], cols[k]
     assert len(set(rows.tolist())) == len(rows)
     assert len(set(cols.tolist())) == len(cols)
@@ -352,9 +365,9 @@ def test_assignment_does_not_depend_on_the_order_of_its_candidates(seed, gate):
     gt, hyp = tied_grid_scene(rng, n_frames=3)
     a = np.array([p for frame in gt for _, p in frame])
     b = np.array([p for frame in hyp for _, p in frame]).reshape(-1, 2)
-    rows, cols, dist = trk.in_gate(a, b, gate)
+    rows, cols, dist = asc.in_gate(a, b, gate)
     gain = -rng.integers(1, 4, len(rows)).astype(float)
-    solvers = [lambda k: trk.gated_candidates(rows[k], cols[k], dist[k], gate),
+    solvers = [lambda k: asc.gated_candidates(rows[k], cols[k], dist[k], gate),
                lambda k: component_assignment(rows[k], cols[k], gain[k],
                                               lambda shape: 0.0)]
     for solve in solvers:
@@ -441,7 +454,7 @@ def test_contested_block_past_the_bound_raises_before_the_search(monkeypatch):
     # component search never walks the crowd.
     def no_search(rows, cols):
         raise AssertionError("component search ran")
-    monkeypatch.setattr(trk, "_components", no_search)
+    monkeypatch.setattr(asc, "_components", no_search)
     with pytest.raises(InputError,
                        match=f"at least {_SIDE + 1} x {_SIDE} candidate"):
         associate(np.zeros((_SIDE + 1, 2)), np.zeros((_SIDE, 2)), 1.0)
