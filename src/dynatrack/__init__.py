@@ -3,7 +3,8 @@
 Each public name is imported from its submodule when it is first used (a
 PEP 562 module `__getattr__`), so `import dynatrack` loads only what its
 caller touches: building a tracker loads neither the KITTI I/O nor scoring,
-occlusion or synthesis.
+occlusion or synthesis, and parsing, scoring and occlusion load no filter
+bank.
 """
 import sys
 
@@ -17,11 +18,12 @@ _EXPORTS = {
     "filtering": ("NoiseModel", "StateEstimate", "build_noise",
                   "packed_transition", "post_measurement", "predict",
                   "transition_block", "update"),
+    "frames": ("Detections", "FrameReport", "TrackSnapshot"),
     "kitti_io": ("Labels", "SequenceDataset", "load_sequence", "parse_detections"),
-    "metrics": ("clearmot", "idf1", "measure_latency"),
+    "metrics": ("clearmot", "idf1"),
     "occlusion": ("OcclusionSpec", "occlude_dataset"),
     "synth": ("ObjectSpec", "RegimeSegment", "ScenarioSpec", "generate"),
-    "tracker": ("Detections", "FrameReport", "MultiObjectTracker", "TrackSnapshot"),
+    "tracker": ("MultiObjectTracker", "measure_latency"),
     "association": ("associate",),
     "errors": (),
 }

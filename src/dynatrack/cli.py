@@ -10,10 +10,9 @@ from pathlib import Path
 from . import config as cfg_mod
 from . import kitti_io
 from .errors import ConfigurationError, DynatrackError
-from .tracker import MultiObjectTracker
 
-# The commands that score, occlude or synthesise import those modules
-# themselves, so that `track` starts without them.
+# Commands import the tracker, scoring, occlusion and synthesis only when
+# they run them, so that each starts without the others.
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -60,7 +59,7 @@ def _require_file(path_str: str, what: str) -> Path:
 
 def _sequence_paths(path: Path):
     if path.is_dir():
-        found = sorted(p for p in path.iterdir() if p.suffix == ".txt")
+        found = sorted(p for p in path.iterdir() if p.suffix == ".txt" and p.is_file())
         if not found:
             raise _Usage(f"no .txt sequence files in directory: {path}")
         return found
@@ -68,6 +67,7 @@ def _sequence_paths(path: Path):
 
 
 def _track_one(det_path: Path, cfg: cfg_mod.RunConfig, out_dir: Path):
+    from .tracker import MultiObjectTracker
     ds = kitti_io.parse_detections(det_path)
     tracker = MultiObjectTracker(cfg, record_trajectories=True)
     per_frame = tracker.run(kitti_io.measurements_from(ds))
@@ -199,6 +199,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     from . import metrics
+    from .tracker import measure_latency
     _check_threshold(args.threshold)
     if args.warmup < 0:  # a negative slice start would keep only the last frames
         raise _Usage(f"--warmup must be >= 0, got {args.warmup}")
@@ -213,8 +214,8 @@ def cmd_compare(args) -> int:
                      f"got {args.warmup}")
     baseline_cfg = cfg.replace(dynamics_enabled=False)
     dynamic_cfg = cfg.replace(dynamics_enabled=True)
-    latency = metrics.measure_latency(frames, baseline_cfg, dynamic_cfg,
-                                      warmup=args.warmup)
+    latency = measure_latency(frames, baseline_cfg, dynamic_cfg,
+                              warmup=args.warmup)
     scores = [metrics.score(gt, per_frame, args.threshold)
               for per_frame in (latency.baseline_reports,
                                 latency.dynamic_reports)]

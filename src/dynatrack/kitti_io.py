@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError, ParseError
-from .tracker import TRAJECTORY_SOURCES, Detections
+from .frames import TRAJECTORY_SOURCES, Detections
 
 TRAJECTORY_HEADER = ["frame", "track_id", "x", "y", "source"]
 

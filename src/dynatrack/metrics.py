@@ -1,16 +1,15 @@
-"""Tracking quality metrics: CLEAR-MOT counters, identity F1, latency."""
+"""Tracking quality metrics: CLEAR-MOT counters and identity F1."""
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .association import component_assignment, gated_candidates, in_gate
 from .config import MATCH_DISTANCE
-from .errors import ContractViolationError, InputError, UndefinedMetricError
+from .errors import ContractViolationError, UndefinedMetricError
+from .frames import FrameReport
 from .kitti_io import as_labels, ground_position
-from .tracker import FrameReport, MultiObjectTracker
 
 
 @dataclass
@@ -33,25 +32,6 @@ class IdSummary:
     idfp: int
     idfn: int
     threshold: float
-
-
-@dataclass
-class LatencyReport:
-    baseline_ms: list
-    dynamic_ms: list
-    mean_baseline_ms: float
-    mean_dynamic_ms: float
-    mean_delta_ms: float
-    warmup: int
-    baseline_reports: list = field(repr=False)
-    dynamic_reports: list = field(repr=False)
-
-    @property
-    def ratio(self) -> float:
-        """The adaptive mean over the baseline mean. On a shared host it
-        moves less from run to run than `mean_delta_ms`, which scales with
-        the host's speed."""
-        return self.mean_dynamic_ms / self.mean_baseline_ms
 
 
 def _frame_arrays(frame):
@@ -279,37 +259,3 @@ def score(gt, hyp,
     of `clearmot` first, then those of `idf1`."""
     return _walk(gt, hyp, threshold,
                  [_ClearMotCounts(threshold), _IdCounts(threshold)])
-
-
-def measure_latency(frames, baseline_cfg, dynamic_cfg,
-                    warmup: int = 10) -> LatencyReport:
-    """Per-frame wall time of both configurations on identical input.
-
-    The two trackers step in lockstep, frame by frame, and take turns at
-    going first, so a slow spell of the machine lands on both alike rather
-    than on whichever pass it falls in. The means cover the frames after
-    the first `warmup`, at least 0 and fewer than the frames. The report
-    also keeps each tracker's per-frame reports, so a caller can score them
-    instead of tracking the sequence again.
-    """
-    if warmup < 0:
-        raise InputError(f"warmup must be >= 0, got {warmup}")
-    if warmup >= len(frames):
-        raise InputError(f"warmup of {warmup} frames leaves none of the "
-                         f"{len(frames)} frames to time")
-    trackers = (MultiObjectTracker(baseline_cfg), MultiObjectTracker(dynamic_cfg))
-    times, reports = ([], []), ([], [])
-    for frame, detections in enumerate(frames):
-        for k in ((0, 1), (1, 0))[frame % 2]:
-            start = time.perf_counter()
-            report = trackers[k].step(frame, detections)
-            times[k].append((time.perf_counter() - start) * 1e3)
-            reports[k].append(report)
-    (baseline_ms, dynamic_ms), (baseline_reports, dynamic_reports) = times, reports
-    mean_b = float(np.mean(baseline_ms[warmup:]))
-    mean_d = float(np.mean(dynamic_ms[warmup:]))
-    return LatencyReport(baseline_ms=baseline_ms, dynamic_ms=dynamic_ms,
-                         mean_baseline_ms=mean_b, mean_dynamic_ms=mean_d,
-                         mean_delta_ms=mean_d - mean_b, warmup=warmup,
-                         baseline_reports=baseline_reports,
-                         dynamic_reports=dynamic_reports)

@@ -3,12 +3,14 @@
 Every live track is one row of a `TrackBank`, so a frame is one predict
 over all rows, one `associate` (see `association`), one update over the
 matched rows and one weight refresh, whatever the number of tracks; its
-detections come in as `Detections` and its tracks go out as one `FrameReport`.
+detections come in as `Detections` and its tracks go out as one `FrameReport`
+(see `frames`). `measure_latency` steps two trackers in lockstep.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +18,9 @@ from . import dynamics as dyn
 from . import filtering as flt
 from .association import associate
 from .config import RunConfig, min_support
-from .errors import ContractViolationError, NumericalError
+from .errors import ContractViolationError, InputError, NumericalError
+from .frames import (COASTING, CONFIRMED, MEASUREMENT, PREDICTED, UPDATED,
+                     Detections, FrameReport)
 
 # Exponential smoothing factor applied to elevation/yaw/dims on each match.
 AUX_SMOOTHING = 0.7
@@ -45,16 +49,6 @@ SMOOTHED_WIDTH, REPORTED_WIDTH = _ENDS[len(SMOOTHED) - 1], _ENDS[-1]
 # numpy's fast path, and scatters (`x[rows] = v`) keep plain indexing. At
 # about 20 tracks a step is mostly fixed cost, so the hot path calls array
 # methods (`x.argsort()`, `x.repeat()`), not numpy's Python-level wrappers.
-
-# A report stores a status as its index here. A row's status follows from its
-# counters: tentative while `hits < min_hits` (never reported), then coasting
-# while `misses > 0` and confirmed otherwise.
-STATUSES = ("tentative", "confirmed", "coasting")
-TENTATIVE, CONFIRMED, COASTING = range(len(STATUSES))
-
-# A trajectory row stores its source as its index here.
-TRAJECTORY_SOURCES = ("measurement", "predicted", "updated")
-MEASUREMENT, PREDICTED, UPDATED = range(len(TRAJECTORY_SOURCES))
 
 
 @dataclass(frozen=True)
@@ -126,72 +120,6 @@ class TrackBank:
             setattr(self, name, np.concatenate(
                 [getattr(self, name).take(kept, axis=0), born[name]]))
         self.window.rebuild(keep, born["position"])
-
-
-@dataclass(eq=False)
-class Detections:
-    """One frame's detections as columns, one row per detection.
-
-    `position (M, 2)` is on the ground plane; `elevation`, `yaw` and
-    `dims (M, 3)` are smoothed by the track a row matches; `score`,
-    `bbox2d (M, 4)` and the `obj_type` labels are passed on to it.
-    """
-
-    position: np.ndarray
-    elevation: np.ndarray
-    yaw: np.ndarray
-    dims: np.ndarray
-    score: np.ndarray
-    bbox2d: np.ndarray
-    obj_type: np.ndarray
-
-
-@dataclass
-class TrackSnapshot:
-    """One row of a `FrameReport`, built when the report is iterated."""
-
-    frame: int
-    track_id: int
-    position: np.ndarray
-    elevation: float
-    yaw: float
-    dims: tuple
-    score: float
-    status: str
-    obj_type: str
-    bbox2d: tuple
-
-
-@dataclass(eq=False)
-class FrameReport:
-    """The confirmed and coasting tracks after one step, as columns.
-
-    Rows are in bank order, which is ascending id. `status` holds indices
-    into STATUSES; the REPORTED columns, views of one block, are shaped as in `Detections`.
-    """
-
-    frame: int
-    ids: np.ndarray
-    position: np.ndarray
-    status: np.ndarray
-    elevation: np.ndarray
-    yaw: np.ndarray
-    dims: np.ndarray
-    score: np.ndarray
-    bbox2d: np.ndarray
-    obj_type: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        """One `TrackSnapshot` per row."""
-        for k, (i, e, y, d, s, c, o, b) in enumerate(zip(
-                self.ids.tolist(), self.elevation.tolist(), self.yaw.tolist(),
-                self.dims.tolist(), self.score.tolist(), self.status.tolist(),
-                self.obj_type.tolist(), self.bbox2d.tolist())):
-            yield TrackSnapshot(self.frame, i, self.position[k], e, y, tuple(d),
-                                s, STATUSES[c], o, tuple(b))
 
 
 def _detection_columns(detections: Detections) -> dict:
@@ -427,3 +355,56 @@ class MultiObjectTracker:
     def run(self, frames) -> list:
         """Track a whole sequence of `Detections`; returns per-frame reports."""
         return [self.step(i, dets) for i, dets in enumerate(frames)]
+
+
+@dataclass
+class LatencyReport:
+    baseline_ms: list
+    dynamic_ms: list
+    mean_baseline_ms: float
+    mean_dynamic_ms: float
+    mean_delta_ms: float
+    warmup: int
+    baseline_reports: list = field(repr=False)
+    dynamic_reports: list = field(repr=False)
+
+    @property
+    def ratio(self) -> float:
+        """The adaptive mean over the baseline mean. On a shared host it
+        moves less from run to run than `mean_delta_ms`, which scales with
+        the host's speed."""
+        return self.mean_dynamic_ms / self.mean_baseline_ms
+
+
+def measure_latency(frames, baseline_cfg, dynamic_cfg,
+                    warmup: int = 10) -> LatencyReport:
+    """Per-frame wall time of both configurations on identical input.
+
+    The two trackers step in lockstep, frame by frame, and take turns at
+    going first, so a slow spell of the machine lands on both alike rather
+    than on whichever pass it falls in. The means cover the frames after
+    the first `warmup`, at least 0 and fewer than the frames. The report
+    also keeps each tracker's per-frame reports, so a caller can score them
+    instead of tracking the sequence again.
+    """
+    if warmup < 0:
+        raise InputError(f"warmup must be >= 0, got {warmup}")
+    if warmup >= len(frames):
+        raise InputError(f"warmup of {warmup} frames leaves none of the "
+                         f"{len(frames)} frames to time")
+    trackers = (MultiObjectTracker(baseline_cfg), MultiObjectTracker(dynamic_cfg))
+    times, reports = ([], []), ([], [])
+    for frame, detections in enumerate(frames):
+        for k in ((0, 1), (1, 0))[frame % 2]:
+            start = time.perf_counter()
+            report = trackers[k].step(frame, detections)
+            times[k].append((time.perf_counter() - start) * 1e3)
+            reports[k].append(report)
+    (baseline_ms, dynamic_ms), (baseline_reports, dynamic_reports) = times, reports
+    mean_b = float(np.mean(baseline_ms[warmup:]))
+    mean_d = float(np.mean(dynamic_ms[warmup:]))
+    return LatencyReport(baseline_ms=baseline_ms, dynamic_ms=dynamic_ms,
+                         mean_baseline_ms=mean_b, mean_dynamic_ms=mean_d,
+                         mean_delta_ms=mean_d - mean_b, warmup=warmup,
+                         baseline_reports=baseline_reports,
+                         dynamic_reports=dynamic_reports)

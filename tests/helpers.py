@@ -18,10 +18,11 @@ from dynatrack.config import RunConfig
 from dynatrack.errors import (ConfigurationError, ContractViolationError,
                               InsufficientDataError, ParseError)
 from dynatrack.filtering import NoiseModel, StateEstimate
-from dynatrack.kitti_io import TRAJECTORY_HEADER, TRAJECTORY_SOURCES
+from dynatrack.frames import TRAJECTORY_SOURCES, Detections
+from dynatrack.kitti_io import TRAJECTORY_HEADER
 from dynatrack.occlusion import occlusion_cut
 from dynatrack.synth import ObjectSpec
-from dynatrack.tracker import Detections, MultiObjectTracker
+from dynatrack.tracker import MultiObjectTracker
 
 DETECTION_DEFAULTS = dict(elevation=1.5, yaw=0.0, dims=(1.5, 1.8, 4.2),
                           score=0.9, bbox2d=(0.0, 0.0, 80.0, 40.0))

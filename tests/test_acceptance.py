@@ -17,11 +17,11 @@ from helpers import (clamped_weights_algebraic, format_record, label_records,
 from dynatrack import dynamics as dyn
 from dynatrack.config import RunConfig
 from dynatrack.kitti_io import measurements_from
-from dynatrack.metrics import clearmot, idf1, measure_latency
+from dynatrack.metrics import clearmot, idf1
 from dynatrack.occlusion import OcclusionSpec, occlusion_cut, occlude_dataset
 from dynatrack.synth import (ObjectSpec, RegimeSegment, ScenarioSpec,
                              generate, object_truth)
-from dynatrack.tracker import MultiObjectTracker
+from dynatrack.tracker import MultiObjectTracker, measure_latency
 
 
 def _verdict(label: str, ok: bool, detail: str) -> bool:

@@ -203,6 +203,19 @@ def test_track_directory_input(scenario_dir, tmp_path):
     assert (out / "trajectories" / "0001.csv").exists()
 
 
+def test_track_directory_reads_only_regular_txt_files(scenario_dir, tmp_path, capsys):
+    # A subdirectory named like a sequence is skipped; with no sequence file
+    # beside it the directory holds none, a usage error.
+    seq_dir = tmp_path / "sequences"
+    (seq_dir / "x.txt").mkdir(parents=True)
+    assert cli.main(["track", str(seq_dir), "--output", str(tmp_path / "none")]) == 2
+    assert "no .txt sequence files" in capsys.readouterr().err
+    (seq_dir / "0000.txt").write_text((scenario_dir / "detections.txt").read_text())
+    out = tmp_path / "run"
+    assert cli.main(["track", str(seq_dir), "--output", str(out)]) == 0
+    assert sorted(p.name for p in (out / "tracks").iterdir()) == ["0000.txt"]
+
+
 def test_track_parallel_jobs_match_serial(scenario_dir, tmp_path):
     seq_dir = tmp_path / "sequences"
     seq_dir.mkdir()

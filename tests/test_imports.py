@@ -68,6 +68,13 @@ def test_scoring_and_occlusion_pair_points_without_importing_the_tracker():
     assert "tracker" not in _package_imports(SOURCE / "occlusion.py")
 
 
+def test_frame_types_stand_alone_and_io_scoring_occlusion_and_synthesis_skip_the_tracker():
+    assert _package_imports(SOURCE / "frames.py") == set()
+    found = {name: "tracker" in _package_imports(SOURCE / name)
+             for name in ("kitti_io.py", "metrics.py", "occlusion.py", "synth.py")}
+    assert found == dict.fromkeys(found, False)
+
+
 def test_importing_the_package_and_cli_loads_no_scipy():
     # Also catches a dependency that imports scipy on the package's behalf.
     code = ("import sys, dynatrack, dynatrack.cli; "
@@ -117,6 +124,30 @@ def test_building_a_tracker_loads_no_io_scoring_occlusion_or_synthesis():
                        "dynatrack.occlusion", "dynatrack.synth", "yaml",
                        "multiprocessing")))
     assert python_stdout(code) == "[]\n"
+
+
+SCENARIO = Path(__file__).parent / "data" / "golden" / "scenario"
+
+
+def test_parsing_scoring_occlusion_and_synthesis_load_no_filter_bank(tmp_path):
+    # The ground truth with a score column appended is a track file.
+    hyp = tmp_path / "tracks.txt"
+    hyp.write_text("".join(line + " 1\n" for line in
+                           (SCENARIO / "gt.txt").read_text().splitlines()))
+    code = ("import dynatrack.kitti_io, dynatrack.metrics\n"
+            "import dynatrack.occlusion, dynatrack.synth\n"
+            "from dynatrack import cli\n"
+            f"assert cli.main(['evaluate', {str(SCENARIO / 'gt.txt')!r},\n"
+            f"                 {str(hyp)!r}]) == 0\n"
+            f"assert cli.main(['occlude', {str(SCENARIO / 'detections.txt')!r},\n"
+            f"                 {str(SCENARIO / 'gt.txt')!r},\n"
+            f"                 '--output', {str(tmp_path / 'occluded.txt')!r}]) == 0\n"
+            + _loaded(("dynatrack.tracker", "dynatrack.filtering",
+                       "dynatrack.dynamics")))
+    lines = python_stdout(code).splitlines()
+    assert "mota: 1.000000" in lines
+    assert lines[-1] == "[]"
+    assert (tmp_path / "occluded.txt").is_file()
 
 
 def test_serial_track_loads_no_synthesis_and_no_process_pool(tmp_path):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from dynatrack import kitti_io as kio
 from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError, ParseError
-from dynatrack.tracker import (STATUSES, TRAJECTORY_SOURCES, FrameReport,
-                               MultiObjectTracker)
+from dynatrack.frames import STATUSES, TRAJECTORY_SOURCES, FrameReport
+from dynatrack.tracker import MultiObjectTracker
 
 from helpers import (PEAK_RSS, detections, format_record, label_records,
                      python_stdout, read_trajectory_csv,

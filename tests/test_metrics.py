@@ -1,4 +1,4 @@
-"""Metric correctness: CLEAR-MOT counters, IDF1 pairing, latency."""
+"""Metric correctness: CLEAR-MOT counters and IDF1 pairing."""
 
 import math
 from pathlib import Path
@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynatrack.config import RunConfig
-from dynatrack import association as asc, kitti_io as kio, metrics, tracker as trk
+from dynatrack import association as asc, kitti_io as kio, metrics
 from dynatrack.association import MAX_CONTESTED_CELLS
 from dynatrack.errors import ContractViolationError, InputError, UndefinedMetricError
+from dynatrack.frames import FrameReport
 from dynatrack.kitti_io import GroundTruthRecord
-from dynatrack.metrics import clearmot, idf1, measure_latency
+from dynatrack.metrics import clearmot, idf1
 from dynatrack.occlusion import OcclusionSpec, occlude_dataset
 from dynatrack.tracker import MultiObjectTracker
 
@@ -268,10 +269,10 @@ def _record(frame: int, track_id: int, position) -> GroundTruthRecord:
         score=1.0, track_id=track_id)
 
 
-def _report(frame: int, pairs) -> trk.FrameReport:
+def _report(frame: int, pairs) -> FrameReport:
     """A `FrameReport` whose rows are the (id, position) `pairs`."""
     n = len(pairs)
-    return trk.FrameReport(
+    return FrameReport(
         frame=frame, ids=np.array([i for i, _ in pairs], dtype=np.int64),
         position=np.array([p for _, p in pairs], dtype=float).reshape(n, 2),
         status=np.zeros(n, dtype=np.int8), elevation=np.zeros(n),
@@ -568,61 +569,6 @@ def test_clearmot_accepts_mixed_input_kinds():
     m = clearmot(gt.ground_truth, per_frame)   # KITTI labels vs frame reports
     assert m.gt_total == 12
     assert m.mota > 0.9
-
-
-def test_measure_latency_shape():
-    frames = frames_from_positions([[(0.0, 10.0), (20.0, 10.0)]] * 30)
-    report = measure_latency(frames, RunConfig(dynamics_enabled=False),
-                             RunConfig(), warmup=10)
-    assert len(report.baseline_ms) == 30
-    assert len(report.dynamic_ms) == 30
-    assert report.warmup == 10
-    assert report.mean_baseline_ms > 0.0
-    assert report.mean_dynamic_ms > 0.0
-    assert report.mean_delta_ms == pytest.approx(
-        report.mean_dynamic_ms - report.mean_baseline_ms)
-    assert all(t >= 0.0 for t in report.baseline_ms)
-
-
-def test_measure_latency_steps_in_lockstep_taking_turns(monkeypatch):
-    # Frame by frame, both trackers step, the baseline first on even frames;
-    # each keeps the reports it would give on its own.
-    frames = frames_from_positions([[(0.1 * t, 10.0), (20.0, 10.0 + 0.2 * t)]
-                                    for t in range(6)])
-    alone = [MultiObjectTracker(cfg).run(frames)
-             for cfg in (RunConfig(dynamics_enabled=False), RunConfig())]
-    calls = []
-    real = MultiObjectTracker.step
-
-    def recording(tracker, frame, detections):
-        calls.append((frame, tracker.cfg.dynamics_enabled))
-        return real(tracker, frame, detections)
-
-    monkeypatch.setattr(MultiObjectTracker, "step", recording)
-    report = measure_latency(frames, RunConfig(dynamics_enabled=False),
-                             RunConfig(), warmup=2)
-    assert calls == [(f, dynamic) for f in range(6)
-                     for dynamic in ((False, True), (True, False))[f % 2]]
-    for expected, got in zip(alone, (report.baseline_reports,
-                                     report.dynamic_reports)):
-        assert [(r.ids.tolist(), r.position.tolist()) for r in got] == \
-            [(r.ids.tolist(), r.position.tolist()) for r in expected]
-
-
-@pytest.mark.parametrize("warmup", [30, 1000])
-def test_measure_latency_rejects_warmup_without_timed_frames(warmup):
-    frames = frames_from_positions([[(0.0, 10.0)]] * 30)
-    with pytest.raises(InputError, match="leaves none of the 30 frames"):
-        measure_latency(frames, RunConfig(dynamics_enabled=False), RunConfig(),
-                        warmup=warmup)
-
-
-def test_measure_latency_rejects_a_negative_warmup():
-    # A negative slice start would average only the last frames.
-    frames = frames_from_positions([[(0.0, 10.0)]] * 30)
-    with pytest.raises(InputError, match="warmup must be >= 0, got -1"):
-        measure_latency(frames, RunConfig(dynamics_enabled=False), RunConfig(),
-                        warmup=-1)
 
 
 # 200 objects over 2,000 frames as parsed label frames: ground truth, a

@@ -1,4 +1,4 @@
-"""Tracker behavior: association, lifecycle, weighting interplay, trajectories."""
+"""Tracker behavior: association, lifecycle, weighting, trajectories, latency."""
 import math
 from unittest import mock
 
@@ -18,8 +18,8 @@ from dynatrack.association import (MAX_CONTESTED_CELLS, associate,
 from dynatrack.config import RunConfig
 from dynatrack.errors import ContractViolationError, InputError, NumericalError
 from dynatrack.filtering import StateEstimate
-from dynatrack.kitti_io import TRAJECTORY_SOURCES
-from dynatrack.tracker import STATUSES, MultiObjectTracker
+from dynatrack.frames import STATUSES, TRAJECTORY_SOURCES
+from dynatrack.tracker import MultiObjectTracker, measure_latency
 
 from helpers import (_min_cost_pairs, detections, dynamics_vector,
                      frames_from_positions, pair_set, random_tracking_scene,
@@ -1218,3 +1218,60 @@ def test_run_returns_per_frame_snapshots():
     per_frame = tracker.run(_static_frames(3))
     assert len(per_frame) == 3
     assert all(len(snaps) == 1 for snaps in per_frame)
+
+
+# -- latency ------------------------------------------------------------
+
+def test_measure_latency_shape():
+    frames = frames_from_positions([[(0.0, 10.0), (20.0, 10.0)]] * 30)
+    report = measure_latency(frames, RunConfig(dynamics_enabled=False),
+                             RunConfig(), warmup=10)
+    assert len(report.baseline_ms) == 30
+    assert len(report.dynamic_ms) == 30
+    assert report.warmup == 10
+    assert report.mean_baseline_ms > 0.0
+    assert report.mean_dynamic_ms > 0.0
+    assert report.mean_delta_ms == pytest.approx(
+        report.mean_dynamic_ms - report.mean_baseline_ms)
+    assert all(t >= 0.0 for t in report.baseline_ms)
+
+
+def test_measure_latency_steps_in_lockstep_taking_turns(monkeypatch):
+    # Frame by frame, both trackers step, the baseline first on even frames;
+    # each keeps the reports it would give on its own.
+    frames = frames_from_positions([[(0.1 * t, 10.0), (20.0, 10.0 + 0.2 * t)]
+                                    for t in range(6)])
+    alone = [MultiObjectTracker(cfg).run(frames)
+             for cfg in (RunConfig(dynamics_enabled=False), RunConfig())]
+    calls = []
+    real = MultiObjectTracker.step
+
+    def recording(tracker, frame, detections):
+        calls.append((frame, tracker.cfg.dynamics_enabled))
+        return real(tracker, frame, detections)
+
+    monkeypatch.setattr(MultiObjectTracker, "step", recording)
+    report = measure_latency(frames, RunConfig(dynamics_enabled=False),
+                             RunConfig(), warmup=2)
+    assert calls == [(f, dynamic) for f in range(6)
+                     for dynamic in ((False, True), (True, False))[f % 2]]
+    for expected, got in zip(alone, (report.baseline_reports,
+                                     report.dynamic_reports)):
+        assert [(r.ids.tolist(), r.position.tolist()) for r in got] == \
+            [(r.ids.tolist(), r.position.tolist()) for r in expected]
+
+
+@pytest.mark.parametrize("warmup", [30, 1000])
+def test_measure_latency_rejects_warmup_without_timed_frames(warmup):
+    frames = frames_from_positions([[(0.0, 10.0)]] * 30)
+    with pytest.raises(InputError, match="leaves none of the 30 frames"):
+        measure_latency(frames, RunConfig(dynamics_enabled=False), RunConfig(),
+                        warmup=warmup)
+
+
+def test_measure_latency_rejects_a_negative_warmup():
+    # A negative slice start would average only the last frames.
+    frames = frames_from_positions([[(0.0, 10.0)]] * 30)
+    with pytest.raises(InputError, match="warmup must be >= 0, got -1"):
+        measure_latency(frames, RunConfig(dynamics_enabled=False), RunConfig(),
+                        warmup=-1)
