@@ -1,15 +1,16 @@
 """Windowed motion-dynamics estimation and transition-weight normalization.
 
-A ring buffer of cleaned positions feeds first/second finite differences;
-their per-axis sample standard deviations form the dynamics vector
-[1, sigma_pos, sigma_vel, sigma_acc]. Normalizing by the dynamics factors
-and clamping at one yields the transition weights for each derivative.
+A buffer of cleaned positions per track. The per-axis sample standard
+deviations of a window's positions and of their first and second differences
+form its dynamics vector [1, sigma_pos, sigma_vel, sigma_acc]. Dividing by a
+`RunConfig`'s factors [1, l_v, l_a, l_j] and clamping at one yields the
+transition weights for each derivative.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .config import MIN_WINDOW, require
+from .config import MIN_WINDOW
 from .errors import ContractViolationError, InsufficientDataError
 from .filtering import GROUND_AXES
 
@@ -53,27 +54,13 @@ class DynamicsWindow:
             [self.positions.compress(keep, axis=0), born])
 
 
-def finite_differences(positions: np.ndarray):
-    """First and second differences along the leading (time) axis.
-
-    `positions` is (n, ...): one window (n, axes) or a time-major stack
-    (n, batch, axes); n must be at least three.
-    """
-    z = np.asarray(positions, dtype=float)
-    if z.shape[0] < MIN_WINDOW:
-        raise InsufficientDataError(
-            f"dynamics window holds {z.shape[0]} positions, need {MIN_WINDOW}")
-    d1 = z[1:] - z[:-1]
-    d2 = d1[1:] - d1[:-1]
-    return d1, d2
-
-
 def dynamics_vectors(stacks: np.ndarray) -> np.ndarray:
     """Dynamics vectors for a batch of equal-length windows.
 
     `stacks` has shape (batch, n, axes); the result has shape
     (batch, axes, 4) with rows [1, sigma_pos, sigma_vel, sigma_acc], each a
-    sample standard deviation (divisor n-1) over the window.
+    sample standard deviation (divisor n-1) over the window; n must be at
+    least three.
 
     The three series, n positions and n-1 first and n-2 second differences,
     fill one time-major block (n, batch, axes, 3), each zero-padded at its
@@ -89,9 +76,13 @@ def dynamics_vectors(stacks: np.ndarray) -> np.ndarray:
     if z.ndim != 3:
         raise ContractViolationError(
             f"expected a (batch, n, axes) stack, got shape {z.shape}")
+    n = z.shape[1]
+    if n < MIN_WINDOW:
+        raise InsufficientDataError(
+            f"dynamics window holds {n} positions, need {MIN_WINDOW}")
     z = np.ascontiguousarray(z.transpose(1, 0, 2))
-    d1, d2 = finite_differences(z)
-    n = len(z)
+    d1 = z[1:] - z[:-1]
+    d2 = d1[1:] - d1[:-1]
     block = np.zeros(z.shape + (3,))
     block[..., 0], block[:-1, ..., 1], block[:-2, ..., 2] = z, d1, d2
     counts = np.array([[n, n - 1, n - 2], [n - 1, n - 2, max(n - 3, 1)]], dtype=float)
@@ -101,15 +92,6 @@ def dynamics_vectors(stacks: np.ndarray) -> np.ndarray:
     d = np.ones(z.shape[1:] + (WEIGHT_COLUMNS,))
     np.sqrt(block.sum(axis=0) / counts[1], out=d[..., 1:])
     return d
-
-
-def dynamics_factors(factor_velocity: float, factor_acceleration: float,
-                     factor_jerk: float) -> np.ndarray:
-    """Normalization constants [1, l_v, l_a, l_j]; all must be positive."""
-    factors = np.array([1.0, factor_velocity, factor_acceleration, factor_jerk])
-    require(np.all(factors > 0), "factor_velocity/factor_acceleration/factor_jerk",
-            f"factors must be positive, got {factors[1:]}")
-    return factors
 
 
 def update_weights(d: np.ndarray, factors: np.ndarray) -> np.ndarray:

@@ -164,28 +164,19 @@ class SequenceDataset:
 
 # -- parsing -----------------------------------------------------------------
 
-def _float_field(token: str, path, line_no: int, column: int) -> float:
+def _field(kind, token: str, path, line_no: int, column: int):
+    """`token` read by `kind`, `int` or `float`: the definition of one numeric
+    field. An int must fit int64 and a float must be finite."""
+    is_int = kind is int
     try:
-        value = float(token)
+        value = kind(token)
     except ValueError:
-        raise ParseError(
-            f"{path}:{line_no}: column {column}: not a number: {token!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(
-            f"{path}:{line_no}: column {column}: non-finite value: {token!r}")
-    return value
-
-
-def _int_field(token: str, path, line_no: int, column: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(
-            f"{path}:{line_no}: column {column}: not an integer: {token!r}") from None
-    if not INT64.min <= value <= INT64.max:
-        raise ParseError(
-            f"{path}:{line_no}: column {column}: integer out of range: {token!r}")
-    return value
+        problem = "not an integer" if is_int else "not a number"
+    else:
+        if (INT64.min <= value <= INT64.max) if is_int else math.isfinite(value):
+            return value
+        problem = "integer out of range" if is_int else "non-finite value"
+    raise ParseError(f"{path}:{line_no}: column {column}: {problem}: {token!r}")
 
 
 def _row_dtype(n_fields: int, labeled: bool) -> np.dtype:
@@ -219,9 +210,9 @@ def _table_by_line(path, lines: list, n_fields: int, labeled: bool) -> np.ndarra
     to right with `int` or `float` (a track line's score first), then the
     frame range."""
     type_at = 2 if labeled else 1
-    checks = [(_int_field, i) for i in range(type_at)]
-    checks += [(_float_field, type_at + 1), (_int_field, type_at + 2)]
-    checks += [(_float_field, i) for i in range(type_at + 3, n_fields)]
+    checks = [(int, i) for i in range(type_at)]
+    checks += [(float, type_at + 1), (int, type_at + 2)]
+    checks += [(float, i) for i in range(type_at + 3, n_fields)]
     if n_fields == TRACK_FIELDS:
         checks.insert(0, checks.pop())
     rows = []
@@ -232,8 +223,8 @@ def _table_by_line(path, lines: list, n_fields: int, labeled: bool) -> np.ndarra
         if len(fields) != n_fields:
             raise ParseError(
                 f"{path}:{line_no}: expected {n_fields} fields, got {len(fields)}")
-        for check, i in checks:
-            fields[i] = check(fields[i], path, line_no, i + 1)
+        for kind, i in checks:
+            fields[i] = _field(kind, fields[i], path, line_no, i + 1)
         if fields[0] < 0:
             raise ParseError(f"{path}:{line_no}: column 1: negative frame index")
         if fields[0] > MAX_FRAME:
@@ -330,6 +321,8 @@ def _write_frames(frames, path, with_id: bool):
     lines, types, blocks = [], [], []
     for frame, labels in enumerate(map(as_labels, frames)):
         if with_id:
+            if labels.track_id is None:
+                raise ContractViolationError(f"{path}: label frames hold no track ids")
             labels = labels.take(np.argsort(labels.track_id, kind="stable"))
         types += labels.obj_type.tolist()
         if labels.raw is not None:
@@ -360,7 +353,7 @@ def write_detections(frames, path):
 
 def write_annotations(frames, path):
     """Write ground-truth frames (id-bearing, no score column), ids ascending
-    within a frame."""
+    within a frame; a frame without track ids (detections) is refused."""
     _write_frames(frames, path, with_id=True)
 
 
@@ -371,7 +364,8 @@ def write_tracks(reports, path):
     `measurements_from` (see `camera_location`); a track has no truncation,
     occlusion or alpha, so they are written as zeros. The whole sequence is
     stacked, ordered by report and then id with one lexsort, and formatted
-    in one pass.
+    in one pass. A report frame outside [0, MAX_FRAME], which no parser
+    reads, is refused.
     """
     reports = list(reports)
     if not reports:
@@ -381,11 +375,15 @@ def write_tracks(reports, path):
     def column(name):
         return np.concatenate([getattr(report, name) for report in reports])
 
+    frames = [report.frame for report in reports]
+    bad = [frame for frame in frames if not 0 <= frame <= MAX_FRAME]
+    if bad:
+        raise ContractViolationError(f"{path}: frame {bad[0]} is not in [0, {MAX_FRAME}]")
     obj_type = column("obj_type")
     counts = [len(report) for report in reports]
     ids = column("ids")
     order = np.lexsort((ids, np.repeat(np.arange(len(reports)), counts)))
-    frame = np.repeat([report.frame for report in reports], counts)
+    frame = np.repeat(frames, counts)
     position = column("position")
     numbers = np.column_stack((column("bbox2d"), column("dims"), position[:, 0],
                                column("elevation"), position[:, 1],

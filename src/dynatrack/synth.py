@@ -140,31 +140,15 @@ def generate(spec: ScenarioSpec):
             if spec.noise_sigma > 0 else np.zeros(truth.shape)
         noisy = truth + noise
         for frame in range(len(truth)):
+            shared = dict(frame=frame, obj_type=obj.obj_type, truncated=0.0,
+                          occluded=0, alpha=0.0, bbox2d=DEFAULT_BBOX,
+                          dims=obj.dims, rotation_y=0.0)
             gt_frames[frame].append(GroundTruthRecord(
-                frame=frame,
-                track_id=track_id,
-                obj_type=obj.obj_type,
-                truncated=0.0,
-                occluded=0,
-                alpha=0.0,
-                bbox2d=DEFAULT_BBOX,
-                dims=obj.dims,
-                location=camera_location(truth[frame], obj.elevation),
-                rotation_y=0.0,
-                score=1.0,
-            ))
+                **shared, track_id=track_id, score=1.0,
+                location=camera_location(truth[frame], obj.elevation)))
             det_frames[frame].append(DetectionRecord(
-                frame=frame,
-                obj_type=obj.obj_type,
-                truncated=0.0,
-                occluded=0,
-                alpha=0.0,
-                bbox2d=DEFAULT_BBOX,
-                dims=obj.dims,
-                location=camera_location(noisy[frame], obj.elevation),
-                rotation_y=0.0,
-                score=DETECTION_SCORE,
-            ))
+                **shared, score=DETECTION_SCORE,
+                location=camera_location(noisy[frame], obj.elevation)))
     gt = SequenceDataset(sequence_id="synth", ground_truth=gt_frames)
     dets = SequenceDataset(sequence_id="synth", detections=det_frames)
     return gt, dets

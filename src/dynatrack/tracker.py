@@ -181,8 +181,8 @@ class MultiObjectTracker:
             flt.transition_block(order, cfg.dt))
         self._noise = flt.build_noise(order, cfg.dt, cfg.process_noise,
                                       cfg.measurement_noise)
-        self._factors = dyn.dynamics_factors(
-            cfg.factor_velocity, cfg.factor_acceleration, cfg.factor_jerk)
+        self._factors = np.array([1.0, cfg.factor_velocity,
+                                  cfg.factor_acceleration, cfg.factor_jerk])
         # With dynamics off nothing reads the window or the ring, so the bank
         # carries them at zero capacity. Both axes then share F, Q, R, the
         # birth covariance and the frames they are updated on, and the

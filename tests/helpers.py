@@ -494,6 +494,12 @@ def dynamics_vector(positions):
     return reference_dynamics_vectors(z[None])[0]
 
 
+def weight_factors(velocity, acceleration, jerk):
+    """The factors [1, l_v, l_a, l_j] a tracker divides dynamics vectors by,
+    as `MultiObjectTracker` builds them from its config."""
+    return np.array([1.0, velocity, acceleration, jerk])
+
+
 def clamped_weights_algebraic(d_norm):
     """Clamp written without branching: (1 + d - |1 - d|) / 2."""
     d_norm = np.asarray(d_norm, dtype=float)

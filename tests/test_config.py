@@ -45,6 +45,8 @@ def test_defaults():
     ("smoothing_window", MAX_WINDOW + 1),
     ("smoothing_window", 10 ** 8),
     ("factor_velocity", 0.0),
+    ("factor_acceleration", 0.0),
+    ("factor_acceleration", -1.0),
     ("factor_jerk", -0.1),
     ("process_noise", 0.0),
     ("measurement_noise", -1.0),

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import (clamped_weights_algebraic, dynamics_vector,
-                     reference_dynamics_vectors, smooth_weights)
+                     reference_dynamics_vectors, smooth_weights, weight_factors)
 
 from dynatrack import dynamics as dyn
 from dynatrack import filtering as flt
-from dynatrack.errors import (ConfigurationError, ContractViolationError,
-                              InsufficientDataError)
+from dynatrack.errors import ContractViolationError, InsufficientDataError
 
 # Sample standard deviations computed with the stdlib statistics module,
 # independent of numpy, and frozen here as literals.
@@ -69,14 +68,17 @@ def test_zero_capacity_window_keeps_one_empty_buffer_per_row():
 
 
 def test_finite_differences_exact():
-    d1, d2 = dyn.finite_differences(_window([0.0, 1.0, 3.0, 6.0]))
-    npt.assert_array_equal(d1.ravel(), [1.0, 2.0, 3.0])
-    npt.assert_array_equal(d2.ravel(), [1.0, 1.0])
+    # Positions 0, 1, 3, 6: first differences 1, 2, 3 (sigma 1), second
+    # differences 1, 1 (sigma 0), all exact in floating point.
+    d = dyn.dynamics_vectors(_window([0.0, 1.0, 3.0, 6.0])[None])
+    assert d[0, 0, 2] == 1.0
+    assert d[0, 0, 3] == 0.0
 
 
 def test_finite_differences_insufficient():
-    with pytest.raises(InsufficientDataError):
-        dyn.finite_differences(np.array([[0.0], [1.0]]))
+    with pytest.raises(InsufficientDataError,
+                       match="dynamics window holds 2 positions, need 3"):
+        dyn.dynamics_vectors(np.array([[[0.0], [1.0]]]))
 
 
 def test_dynamics_vector_constant_positions():
@@ -158,14 +160,14 @@ def test_dynamics_vectors_rejects_flat_input():
 
 def test_update_weights_hand_example():
     d = np.array([[1.0, 0.3, 0.3, 0.3]])
-    factors = dyn.dynamics_factors(0.6, 0.3, 0.15)
+    factors = weight_factors(0.6, 0.3, 0.15)
     w = dyn.update_weights(d, factors)
     npt.assert_array_equal(w, [[1.0, 0.5, 1.0, 1.0]])
 
 
 def test_update_weights_saturation_is_exact():
     d = np.array([[1.0, 5.0, 0.31, 0.15]])
-    factors = dyn.dynamics_factors(0.5, 0.25, 0.15)
+    factors = weight_factors(0.5, 0.25, 0.15)
     w = dyn.update_weights(d, factors)
     assert w[0, 1] == 1.0
     assert w[0, 2] == 1.0
@@ -175,16 +177,9 @@ def test_update_weights_saturation_is_exact():
 
 def test_update_weights_zero_fluctuation_zero_weight():
     d = np.array([[1.0, 0.0, 0.0, 0.0]])
-    factors = dyn.dynamics_factors(0.5, 0.25, 0.15)
+    factors = weight_factors(0.5, 0.25, 0.15)
     npt.assert_array_equal(dyn.update_weights(d, factors),
                            [[1.0, 0.0, 0.0, 0.0]])
-
-
-def test_dynamics_factors_validation():
-    with pytest.raises(ConfigurationError):
-        dyn.dynamics_factors(0.0, 0.25, 0.15)
-    with pytest.raises(ConfigurationError):
-        dyn.dynamics_factors(0.5, -1.0, 0.15)
 
 
 def test_clamp_matches_algebraic_form():
@@ -200,7 +195,7 @@ def test_clamp_matches_algebraic_form():
 
 
 def test_update_weights_monotone_in_fluctuation():
-    factors = dyn.dynamics_factors(0.5, 0.25, 0.15)
+    factors = weight_factors(0.5, 0.25, 0.15)
     lo = dyn.update_weights(np.array([[1.0, 0.1, 0.05, 0.01]]), factors)
     hi = dyn.update_weights(np.array([[1.0, 0.2, 0.10, 0.02]]), factors)
     assert np.all(hi >= lo)
@@ -279,7 +274,7 @@ def test_noise_free_constant_velocity_weights():
     # fluctuations vanish exactly and their weights must be exactly zero
     positions = np.arange(8.0)[:, None] * 0.5
     d = _vector(positions)
-    factors = dyn.dynamics_factors(0.5, 0.25, 0.15)
+    factors = weight_factors(0.5, 0.25, 0.15)
     w = dyn.update_weights(d, factors)
     assert w[0, 1] == 1.0
     assert w[0, 2] == 0.0

@@ -333,6 +333,38 @@ def test_write_tracks_rejects_a_type_its_parser_would_reject(obj_type, tmp_path)
     assert not path.exists()
 
 
+@pytest.mark.parametrize("frame", [-2, kio.MAX_FRAME + 1, 2_000_000])
+def test_write_tracks_refuses_a_frame_its_parser_would_reject(frame, tmp_path):
+    # The tracker steps any increasing frame; written, this one would give a
+    # "negative frame index" or "exceeds" ParseError. MAX_FRAME itself parses.
+    tracker = MultiObjectTracker(RunConfig(min_hits=1))
+    report = tracker.step(frame, detections([(0.0, 10.0)]))
+    path = tmp_path / "tracks.txt"
+    with pytest.raises(ContractViolationError, match=f"frame {frame} is not in"):
+        kio.write_tracks([_report(0, [1], [(0.0, 1.0)]), report], path)
+    assert not path.exists()
+    kio.write_tracks([_report(kio.MAX_FRAME, [1], [(0.0, 1.0)])], path)
+    assert len(kio.parse_tracks(path)) == kio.MAX_FRAME + 1
+
+
+def test_write_annotations_refuses_frames_without_track_ids(tmp_path):
+    # Parsed detections, and a record list with one detection among ground
+    # truth, hold no track ids to write.
+    src = tmp_path / "detections.txt"
+    src.write_text(DET_LINE + "\n")
+    truth = kio.GroundTruthRecord(0, "Car", 0.0, 0, 0.0, (0.0,) * 4, (1.0,) * 3,
+                                  (0.0,) * 3, 0.0, 1.0, track_id=1)
+    detection = kio.DetectionRecord(0, "Car", 0.0, 0, 0.0, (0.0,) * 4, (1.0,) * 3,
+                                    (0.0,) * 3, 0.0, 0.9)
+    path = tmp_path / "labels.txt"
+    for frames in (kio.parse_detections(src).detections,
+                   [[truth], [truth, detection]]):
+        with pytest.raises(ContractViolationError,
+                           match="label frames hold no track ids"):
+            kio.write_annotations(frames, path)
+        assert not path.exists()
+
+
 @pytest.mark.parametrize("write", [kio.write_detections, kio.write_annotations])
 def test_label_writers_reject_a_type_their_parser_would_reject(write, tmp_path):
     record = kio.GroundTruthRecord(0, "Big Car", 0.0, 0, 0.0, (0.0,) * 4,
@@ -606,8 +638,7 @@ def _refuse_per_token_checks(monkeypatch):
     def refuse(*args):
         raise AssertionError("per-token check on the success path")
 
-    monkeypatch.setattr(kio, "_float_field", refuse)
-    monkeypatch.setattr(kio, "_int_field", refuse)
+    monkeypatch.setattr(kio, "_field", refuse)
 
 
 def _count_per_line_reads(monkeypatch) -> list:

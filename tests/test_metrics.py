@@ -323,6 +323,23 @@ def test_sequence_scores_match_reference_across_empty_and_one_sided_frames(
              ref["gt_total"], ref["matches"])
 
 
+@pytest.mark.parametrize("budget", [1, 3, 7, 20, metrics.GATE_CHUNK_POINTS])
+def test_frame_chunks_take_whole_frames_up_to_the_budget(budget, monkeypatch):
+    # In order and without gaps; within the budget on both sides unless a
+    # chunk is one frame; and no chunk could take its next frame as well.
+    monkeypatch.setattr(metrics, "GATE_CHUNK_POINTS", budget)
+    a_counts, b_counts = np.random.default_rng(12).integers(0, 10, (2, 60))
+    chunks = metrics.frame_chunks(a_counts, b_counts)
+    assert [f for chunk in chunks for f in range(60)[chunk]] == list(range(60))
+    for chunk in chunks:
+        fits = [a_counts[chunk].sum() <= budget, b_counts[chunk].sum() <= budget]
+        assert all(fits) or chunk.stop - chunk.start == 1
+        if chunk.stop < 60:
+            wider = slice(chunk.start, chunk.stop + 1)
+            assert (a_counts[wider].sum() > budget or b_counts[wider].sum() > budget)
+    assert metrics.frame_chunks([], []) == []
+
+
 def _scored_scene(rng):
     """Up to 5 objects over 12 to 24 frames in a 10 m square, each seen in
     most frames, and per frame their hypotheses with noise, the odd id swap

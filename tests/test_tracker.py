@@ -26,7 +26,7 @@ from helpers import (_min_cost_pairs, detections, dynamics_vector,
                      reference_in_gate, reference_lifecycle, row_permutation,
                      run_single_target, single_target_config, smooth_weights,
                      tied_grid_scene, trajectory_by_source, unpack,
-                     validate_estimate)
+                     validate_estimate, weight_factors)
 
 
 # -- association ---------------------------------------------------------
@@ -309,23 +309,6 @@ def test_in_gate_pairs_equal_the_stable_sort_reference_bitwise(case):
         for g, w in zip(pair_set(got), pair_set(want)):
             assert g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
-
-
-@pytest.mark.parametrize("budget", [1, 3, 7, 20, metrics.GATE_CHUNK_POINTS])
-def test_frame_chunks_take_whole_frames_up_to_the_budget(budget, monkeypatch):
-    # In order and without gaps; within the budget on both sides unless a
-    # chunk is one frame; and no chunk could take its next frame as well.
-    monkeypatch.setattr(metrics, "GATE_CHUNK_POINTS", budget)
-    a_counts, b_counts = np.random.default_rng(12).integers(0, 10, (2, 60))
-    chunks = metrics.frame_chunks(a_counts, b_counts)
-    assert [f for chunk in chunks for f in range(60)[chunk]] == list(range(60))
-    for chunk in chunks:
-        fits = [a_counts[chunk].sum() <= budget, b_counts[chunk].sum() <= budget]
-        assert all(fits) or chunk.stop - chunk.start == 1
-        if chunk.stop < 60:
-            wider = slice(chunk.start, chunk.stop + 1)
-            assert (a_counts[wider].sum() > budget or b_counts[wider].sum() > budget)
-    assert metrics.frame_chunks([], []) == []
 
 
 @st.composite
@@ -1046,8 +1029,8 @@ def test_weight_ring_matches_reference_smoothing(smoothing):
     # frame 10. After every step each row's weights must be the mean of its
     # last `smoothing` raw weights, rebuilt here from the row's window.
     cfg = RunConfig(smoothing_window=smoothing, max_misses=5)
-    factors = dyn.dynamics_factors(cfg.factor_velocity, cfg.factor_acceleration,
-                                   cfg.factor_jerk)
+    factors = weight_factors(cfg.factor_velocity, cfg.factor_acceleration,
+                             cfg.factor_jerk)
     ones = np.ones((2, 4))
     support = max(dyn.MIN_WINDOW, cfg.model_order + 1)
     rng = np.random.default_rng(7)
@@ -1111,8 +1094,8 @@ def test_weight_refresh_matches_reference_over_mixed_and_single_fills(scene):
     order, window, smoothing, max_misses, seed, n_frames, objects = scene
     cfg = RunConfig(model_order=order, transition_window=window,
                     smoothing_window=smoothing, min_hits=1, max_misses=max_misses)
-    factors = dyn.dynamics_factors(cfg.factor_velocity, cfg.factor_acceleration,
-                                   cfg.factor_jerk)
+    factors = weight_factors(cfg.factor_velocity, cfg.factor_acceleration,
+                             cfg.factor_jerk)
     support = max(dyn.MIN_WINDOW, order + 1)
     rng = np.random.default_rng(seed)
     velocity = rng.uniform(-2.0, 2.0, size=(len(objects), 2))
